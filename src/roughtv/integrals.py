@@ -14,6 +14,7 @@ where the explicit Loeve-Young type constants below come from.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -207,6 +208,13 @@ class TruncationLadder:
         return self.etas.size
 
 
+def _ladder_rates(p, q):
+    """alpha = (sqrt((q-1)(p-1)) + 1)/2 and r = alpha^2 / [(q-1)(p-1)]."""
+    prod = (q - 1.0) * (p - 1.0)
+    alpha = (math.sqrt(prod) + 1.0) / 2.0
+    return alpha, alpha * alpha / prod
+
+
 def ladder_geometric(p, q, beta, gamma, theta_minus1=None) -> TruncationLadder:
     """The doubly-exponential ladder that makes S converge in the Young regime.
 
@@ -220,9 +228,7 @@ def ladder_geometric(p, q, beta, gamma, theta_minus1=None) -> TruncationLadder:
     p, q = require_young_regime(p, q)
     if not (beta >= 0 and gamma >= 0):
         raise NonMonotoneLadderError("beta and gamma must be >= 0")
-    prod = (q - 1.0) * (p - 1.0)
-    alpha = (math.sqrt(prod) + 1.0) / 2.0
-    ratio = alpha * alpha / prod
+    alpha, ratio = _ladder_rates(p, q)
     theta_exp = alpha / (q - 1.0)
     etas = []
     thetas = []
@@ -276,13 +282,43 @@ def _ldexp_capped(x, k):
         return math.inf
 
 
+def _ladder_terms(x_minus1, xs, ys, prof_x, prof_y):
+    """Per-k pairs (2^k x_{k-1} TV^{y_k}(Y), 2^k y_k TV^{x_k}(X)), x_{-1} = x_minus1.
+
+    A stored ladder stands for its zero-extension: past the prefix only the
+    crossover term 2^(K+1) x_K TV^0(Y) survives, so k stops at K + 1.  A zero
+    factor gives 0 without the other, so 2^k x = inf never meets TV = 0.
+    """
+    last = len(xs) - 1
+    for k in range(last + 2):
+        x_prev = x_minus1 if k == 0 else float(xs[k - 1])
+        y_k = float(ys[k]) if k <= last else 0.0
+        first = second = 0.0
+        if x_prev != 0.0:
+            tv_y = prof_y.value(y_k)
+            if tv_y != 0.0:
+                first = _ldexp_capped(x_prev, k) * tv_y
+        if y_k != 0.0:
+            tv_x = prof_x.value(xs[k])
+            if tv_x != 0.0:
+                second = _ldexp_capped(y_k, k) * tv_x
+        yield first, second
+
+
+def _ladder_sum(terms):
+    total = 0.0
+    for first, second in terms:
+        total += first
+        total += second
+        if total > OVERFLOW_GUARD:
+            return math.inf
+    return total
+
+
 def young_bound_S(f: SampledPath, g: SampledPath, ladder: TruncationLadder,
                   profiles=None) -> float:
     """The series S for this pair; requires eta_minus1 = sup |f - f(a)|.
 
-    A stored ladder stands for its infinite zero-extension, so the sums are
-    finite: terms past the prefix vanish except the single crossover term
-    2^(K+1) eta_K TV^0(g) (itself zero for ladders that decay to zero).
     `profiles` may carry precomputed (profile_f, profile_g).
     """
     if abs(ladder.eta_minus1 - osc_from_start(f)) > 1e-9:
@@ -290,22 +326,8 @@ def young_bound_S(f: SampledPath, g: SampledPath, ladder: TruncationLadder,
             "eta_minus1 must equal sup |f - f(a)| for the existence estimate"
         )
     prof_f, prof_g = profiles if profiles is not None else (tv_profile(f), tv_profile(g))
-    last = len(ladder) - 1
-    total = 0.0
-    for k in range(last + 2):
-        eta_prev = ladder.eta_minus1 if k == 0 else float(ladder.etas[k - 1])
-        theta_k = float(ladder.thetas[k]) if k <= last else 0.0
-        if eta_prev != 0.0:
-            tv_g = prof_g.value(theta_k)
-            if tv_g != 0.0:
-                total += _ldexp_capped(eta_prev, k) * tv_g
-        if k <= last and theta_k != 0.0:
-            tv_f = prof_f.value(ladder.etas[k])
-            if tv_f != 0.0:
-                total += _ldexp_capped(theta_k, k) * tv_f
-        if total > OVERFLOW_GUARD:
-            return math.inf
-    return total
+    return _ladder_sum(_ladder_terms(ladder.eta_minus1, ladder.etas, ladder.thetas,
+                                     prof_f, prof_g))
 
 
 def young_bound_S_tilde(f: SampledPath, g: SampledPath, ladder: TruncationLadder,
@@ -316,22 +338,8 @@ def young_bound_S_tilde(f: SampledPath, g: SampledPath, ladder: TruncationLadder
             "theta_minus1 must equal sup |g(b) - g(t)| for the symmetric estimate"
         )
     prof_f, prof_g = profiles if profiles is not None else (tv_profile(f), tv_profile(g))
-    last = len(ladder) - 1
-    total = 0.0
-    for k in range(last + 2):
-        theta_prev = ladder.theta_minus1 if k == 0 else float(ladder.thetas[k - 1])
-        eta_k = float(ladder.etas[k]) if k <= last else 0.0
-        if theta_prev != 0.0:
-            tv_f = prof_f.value(eta_k)
-            if tv_f != 0.0:
-                total += _ldexp_capped(theta_prev, k) * tv_f
-        if k <= last and eta_k != 0.0:
-            tv_g = prof_g.value(ladder.thetas[k])
-            if tv_g != 0.0:
-                total += _ldexp_capped(eta_k, k) * tv_g
-        if total > OVERFLOW_GUARD:
-            return math.inf
-    return total
+    return _ladder_sum(_ladder_terms(ladder.theta_minus1, ladder.thetas, ladder.etas,
+                                     prof_g, prof_f))
 
 
 def lemma_sum_bound(f, g, tagged: TaggedPartition, deltas, epsilons, grid=None) -> float:
@@ -355,15 +363,14 @@ def lemma_sum_bound(f, g, tagged: TaggedPartition, deltas, epsilons, grid=None) 
     d = float(grid[part.indices[-1]])
     f_cd = restrict(f, c, d)
     g_cd = restrict(g, c, d)
-    prof_f = tv_profile(f_cd)
-    prof_g = tv_profile(g_cd)
-    n_cells = part.n_cells
+    terms = _ladder_terms(osc_from_start(f_cd), deltas, epsilons,
+                          tv_profile(f_cd), tv_profile(g_cd))
     bound = 0.0
-    for k in range(deltas.size):
-        d_prev = osc_from_start(f_cd) if k == 0 else deltas[k - 1]
-        bound += 2.0 ** k * d_prev * prof_g.value(epsilons[k])
-        bound += 2.0 ** k * epsilons[k] * prof_f.value(deltas[k])
-    bound += n_cells * deltas[-1] * epsilons[-1]
+    # the ladder stops at r = size - 1, where the remainder replaces the tail
+    for first, second in islice(terms, deltas.size):
+        bound += first
+        bound += second
+    bound += part.n_cells * deltas[-1] * epsilons[-1]
     return float(bound)
 
 
@@ -382,17 +389,23 @@ def _series_sum(term):
             raise BadExponentsError("series did not settle; regime too extreme")
 
 
-def loeve_young_constant(p, q) -> float:
-    """C_{p,q}: the larger of the two geometric-ladder series."""
-    p, q = require_young_regime(p, q)
-    prod = (q - 1.0) * (p - 1.0)
-    alpha = (math.sqrt(prod) + 1.0) / 2.0
-    ratio = alpha * alpha / prod
-    one = _series_sum(lambda k: 2.0 ** (k + 2.0 - (1.0 - alpha) * ratio ** k))
+def _constant_series(p, q, lead):
+    """The series behind C, D and E, summed over k:
+
+    2^(k + lead - (1-alpha) r^k)  and  2^(k + 2 - (1-alpha) r^k alpha/(q-1) - p).
+    """
+    alpha, ratio = _ladder_rates(p, q)
+    one = _series_sum(lambda k: 2.0 ** (k + lead - (1.0 - alpha) * ratio ** k))
     two = _series_sum(
         lambda k: 2.0 ** (k + 2.0 - (1.0 - alpha) * ratio ** k * alpha / (q - 1.0) - p)
     )
-    return max(one, two)
+    return one, two
+
+
+def loeve_young_constant(p, q) -> float:
+    """C_{p,q}: the larger of the two geometric-ladder series."""
+    p, q = require_young_regime(p, q)
+    return max(_constant_series(p, q, lead=2.0))
 
 
 def d_e_constants(p, q):
@@ -402,13 +415,7 @@ def d_e_constants(p, q):
     reported informationally by the checks (only the D-form is asserted).
     """
     p, q = require_young_regime(p, q)
-    prod = (q - 1.0) * (p - 1.0)
-    alpha = (math.sqrt(prod) + 1.0) / 2.0
-    ratio = alpha * alpha / prod
-    one = _series_sum(lambda k: 2.0 ** (k + 1.0 - (1.0 - alpha) * ratio ** k))
-    two = _series_sum(
-        lambda k: 2.0 ** (k + 2.0 - (1.0 - alpha) * ratio ** k * alpha / (q - 1.0) - p)
-    )
+    one, two = _constant_series(p, q, lead=1.0)
     d_tilde = one * two ** (q - 1.0)
     d = d_tilde ** (1.0 / q)
     e = (p - 1.0) ** (1.0 - 1.0 / p) / p * d
@@ -568,22 +575,12 @@ def gamma_level_check(f, g, ladder: TruncationLadder,
     """
     if abs(ladder.eta_minus1 - osc_from_start(f)) > 1e-9:
         raise LadderMismatchError("eta_minus1 must equal sup |f - f(a)|")
-    prof_f = tv_profile(f)
-    prof_g = tv_profile(g)
-    last = len(ladder) - 1
     gamma = 0.0
     rhs = 0.0
-    for k in range(last + 2):
-        theta_k = float(ladder.thetas[k]) if k <= last else 0.0
-        eta_prev = ladder.eta_minus1 if k == 0 else float(ladder.etas[k - 1])
-        if k <= last and theta_k != 0.0:
-            tv_f = prof_f.value(ladder.etas[k])
-            if tv_f != 0.0:
-                gamma += 2.0 * _ldexp_capped(theta_k, k) * tv_f
-        if eta_prev != 0.0:
-            tv_g = prof_g.value(theta_k)
-            if tv_g != 0.0:
-                rhs += _ldexp_capped(eta_prev, k) * tv_g
+    for g_term, f_term in _ladder_terms(ladder.eta_minus1, ladder.etas, ladder.thetas,
+                                        tv_profile(f), tv_profile(g)):
+        gamma += 2.0 * f_term
+        rhs += g_term
         if not math.isfinite(gamma) or rhs > OVERFLOW_GUARD:
             rhs = math.inf
             break

@@ -1,13 +1,19 @@
-"""Pure-Python fallback kernels.
+"""The hot inner loops, in pure Python over NumPy arrays.
 
-These are the reference implementations of the hot inner loops (truncated
-variation one-pass, p-variation dynamic program, band-following
-approximation).  The Cython module `roughtv.kernels._fast` implements the
-same signatures; whichever is available gets picked at import time by
-`roughtv.kernels`.
+`reduce_to_extrema` keeps the endpoints and turning points of a sample
+sequence; the absolute differences of consecutive extrema are its swings,
+the alternating monotone runs that `truncation.tv_profile` pairs off
+smallest-first.  `tv_delta` evaluates the truncated variation at one
+threshold in a single pass, `pvar_sum` the p-variation by dynamic
+programming, and `lazy_band` the band-following approximation.
 """
 
 import numpy as np
+
+
+def backend_name():
+    """Name of the kernel implementation; there is one, in pure Python."""
+    return "pure"
 
 
 def reduce_to_extrema(values):

@@ -7,19 +7,16 @@ functions and therefore convex, nonincreasing and piecewise affine, which is
 what `tv_profile` reconstructs exactly.
 """
 
+import heapq
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import NegativeDeltaError, NonPositiveDeltaError
+from .errors import NegativeDeltaError, NonFiniteValueError, NonPositiveDeltaError
 from .paths import SampledPath, oscillation
-
-# Midpoint-vs-chord detection tolerance for affine pieces, and the smallest
-# delta interval the profile recursion will split (relative to oscillation).
-PROFILE_REL_TOL = 1e-12
-PROFILE_MIN_WIDTH = 1e-14
 
 
 def truncated_variation(path: SampledPath, delta) -> float:
@@ -84,60 +81,59 @@ class TvProfile:
 
 
 def tv_profile(path: SampledPath) -> TvProfile:
-    """Build the exact profile by recursive bisection on [0; oscillation].
+    """Build the exact profile by pairing off the swings, smallest first.
 
-    An interval is accepted as affine when TV at its midpoint matches the
-    chord value to PROFILE_REL_TOL (sound for a convex piecewise-affine
-    function whose segment slopes differ by at least 1); collinear neighbours
-    are merged afterwards.
+    The swings are the moves between consecutive extrema
+    (`kernels.reduce_to_extrema`); below the smallest swing s, TV^delta is
+    their sum minus their number times delta.  From delta = s on, s stops
+    paying: at an end of the path it is dropped, inside it fuses with its
+    neighbours l and r into the one swing l - s + r >= s.  The shorter chain
+    has the same TV^delta for delta >= s, so a heap pops the breakpoints in
+    increasing order, and the last swing left is the oscillation.  These are
+    the 1-D persistence pairs of the extrema: O(m log m), no tolerance.  On
+    each piece, b counts the swings still standing and a is their sum.
     """
-    values = path.values
     osc = oscillation(path)
+    if not math.isfinite(osc):
+        raise NonFiniteValueError("oscillation of the path overflows float64")
     if osc == 0.0:
         return TvProfile(np.asarray([0.0]), np.empty(0), np.empty(0))
 
-    tv = kernels.tv_delta
-    min_width = PROFILE_MIN_WIDTH * osc
-    pieces = []
-
-    def recurse(lo, f_lo, hi, f_hi):
-        width = hi - lo
-        if width <= min_width:
-            pieces.append((lo, f_lo, hi, f_hi))
-            return
-        mid = 0.5 * (lo + hi)
-        f_mid = tv(values, mid)
-        chord = 0.5 * (f_lo + f_hi)
-        scale = max(f_lo, 1.0)
-        if abs(f_mid - chord) <= PROFILE_REL_TOL * scale:
-            pieces.append((lo, f_lo, hi, f_hi))
-            return
-        recurse(lo, f_lo, mid, f_mid)
-        recurse(mid, f_mid, hi, f_hi)
-
-    recurse(0.0, tv(values, 0.0), osc, 0.0)
-
-    # Merge neighbours by three-point collinearity at value level: the chord
-    # test is width-independent, so the micro-pieces the recursion leaves
-    # around a kink fold into their wide neighbour without polluting slopes.
-    merged = [list(pieces[0])]
-    for lo, f_lo, hi, f_hi in pieces[1:]:
-        m_lo, m_flo, m_hi, m_fhi = merged[-1]
-        t = (m_hi - m_lo) / (hi - m_lo)
-        predicted = m_flo + (f_hi - m_flo) * t
-        if abs(predicted - m_fhi) <= PROFILE_REL_TOL * max(m_flo, 1.0):
-            merged[-1][2] = hi
-            merged[-1][3] = f_hi
+    v = kernels.reduce_to_extrema(path.values).tolist()
+    m = len(v)
+    prev = list(range(-1, m - 1))
+    succ = list(range(1, m)) + [-1]  # -2 marks a removed extremum
+    heap = [(abs(v[i + 1] - v[i]), i, i + 1) for i in range(m - 1)]
+    heapq.heapify(heap)
+    levels = []  # distinct popped swings, increasing
+    counts = []  # swings retired at each level
+    while heap:
+        s, i, j = heapq.heappop(heap)
+        if succ[i] != j:
+            continue  # stale: the swing i -> j no longer exists
+        h, k = prev[i], succ[j]
+        if h == -1:  # first swing: drop the first extremum
+            prev[j] = -1
+            succ[i] = -2
+            retired = 1
+        elif k == -1:  # last swing: drop the last extremum
+            succ[i] = -1
+            succ[j] = -2
+            retired = 1
+        else:  # inner swing: h -> i -> j -> k becomes h -> k
+            succ[h] = k
+            prev[k] = h
+            succ[i] = succ[j] = -2
+            heapq.heappush(heap, (abs(v[k] - v[h]), h, k))
+            retired = 2
+        if levels and levels[-1] == s:
+            counts[-1] += retired
         else:
-            merged.append([lo, f_lo, hi, f_hi])
+            levels.append(s)
+            counts.append(retired)
 
-    bp = np.empty(len(merged) + 1)
-    coef_a = np.empty(len(merged))
-    coef_b = np.empty(len(merged))
-    for j, (lo, f_lo, hi, f_hi) in enumerate(merged):
-        slope = (f_hi - f_lo) / (hi - lo)
-        bp[j] = lo
-        coef_a[j] = f_lo - slope * lo
-        coef_b[j] = -slope
-    bp[-1] = merged[-1][2]
-    return TvProfile(bp, coef_a, coef_b)
+    levels = np.asarray(levels)
+    counts = np.asarray(counts, dtype=np.float64)
+    coef_b = np.cumsum(counts[::-1])[::-1]
+    coef_a = np.cumsum((counts * levels)[::-1])[::-1]
+    return TvProfile(np.concatenate(([0.0], levels)), coef_a, coef_b)

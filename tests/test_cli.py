@@ -73,6 +73,15 @@ def test_norm_command(tent_csv, capsys):
     assert '"argmax_delta": 0.5' in stdout
 
 
+def test_norm_overflowing_oscillation_exits_two(tmp_path, capsys):
+    dest = tmp_path / "huge.csv"
+    dest.write_text("t,value\n0,-1e308\n0.5,1e308\n1,-1e308\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "norm", str(dest), "--p", "2")
+    assert code == 2
+    assert stdout == ""
+    assert "NonFiniteValueError" in stderr
+
+
 def test_pvar_command(tent_csv, capsys):
     code, stdout, _ = run_cli(capsys, "pvar", tent_csv, "--p", "2")
     assert code == 0

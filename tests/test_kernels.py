@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-import roughtv.kernels as kernels
-from roughtv.kernels import pure
-
-try:
-    from roughtv.kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_fast = pytest.mark.skipif(_fast is None, reason="compiled kernels unavailable")
+from roughtv import kernels
 
 
 def _random_arrays(seed, count=60, max_n=80):
@@ -28,31 +20,19 @@ def _random_arrays(seed, count=60, max_n=80):
 
 def test_reduce_to_extrema_keeps_endpoints_and_turns():
     v = np.asarray([0.0, 0.5, 1.0, 0.2, 0.2, 0.9, 0.5])
-    red = pure.reduce_to_extrema(v)
+    red = kernels.reduce_to_extrema(v)
     assert red.tolist() == [0.0, 1.0, 0.2, 0.9, 0.5]
 
 
 def test_reduction_preserves_functionals():
     for v in _random_arrays(60):
-        red = pure.reduce_to_extrema(v)
+        red = kernels.reduce_to_extrema(v)
         for delta in (0.0, 0.1, 0.7):
-            assert pure.tv_delta(v, delta) == pytest.approx(
-                pure.tv_delta(red, delta), abs=1e-12
+            assert kernels.tv_delta(v, delta) == pytest.approx(
+                kernels.tv_delta(red, delta), abs=1e-12
             )
 
 
-@needs_fast
-def test_backend_parity():
-    for v in _random_arrays(61):
-        for delta in (0.0, 0.05, 0.3, 1.1):
-            assert pure.tv_delta(v, delta) == _fast.tv_delta(v, delta)
-            assert np.array_equal(pure.lazy_band(v, max(delta, 0.01)),
-                                  _fast.lazy_band(v, max(delta, 0.01)))
-        for p in (1.0, 1.5, 2.0, 3.0):
-            assert pure.pvar_sum(v, p) == pytest.approx(_fast.pvar_sum(v, p), rel=1e-12)
-        assert np.array_equal(pure.reduce_to_extrema(v), _fast.reduce_to_extrema(v))
-
-
 def test_selected_backend_exposed():
-    assert kernels.backend_name() in ("compiled", "pure")
+    assert kernels.backend_name() == "pure"
     assert kernels.tv_delta(np.asarray([0.0, 1.0, 0.0]), 0.5) == 1.0

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_corpus
-from roughtv.errors import NegativeDeltaError, NonPositiveDeltaError
-from roughtv.norms import p_variation
+from roughtv import kernels
+from roughtv.errors import (
+    NegativeDeltaError,
+    NonFiniteValueError,
+    NonPositiveDeltaError,
+)
+from roughtv.norms import p_tv_seminorm, p_variation
 from roughtv.oracle import tv_partition_bruteforce
 from roughtv.paths import add_paths, make_path, oscillation, restrict, scale_path
 from roughtv.truncation import (
@@ -226,3 +231,61 @@ def test_profile_constant_path():
     prof = tv_profile(make_path([0.0, 1.0], [2.0, 2.0]))
     assert prof.n_segments == 0
     assert prof.value(0.0) == 0.0
+
+
+def _profile_corpus():
+    # random, tie-heavy, plateau and monotone values, up to n = 4096
+    rng = np.random.default_rng(24)
+    out = []
+    for n in (3, 17, 256, 4096):
+        out.append(rng.uniform(-1.0, 1.0, n))
+        out.append(rng.integers(-3, 4, n).astype(float))
+        out.append(np.repeat(np.cumsum(rng.standard_normal(n // 4 + 1)), 4)[:n])
+        out.append(np.cumsum(rng.uniform(0.0, 1.0, n)))
+    return out
+
+
+def test_profile_matches_tv_delta_at_breakpoints_and_random_deltas():
+    rng = np.random.default_rng(25)
+    for v in _profile_corpus():
+        prof = tv_profile(make_path(np.linspace(0.0, 1.0, v.size), v))
+        osc = prof.oscillation
+        deltas = np.concatenate((prof.breakpoints, rng.uniform(0.0, osc, 25),
+                                 [1.5 * osc]))
+        for delta in deltas:
+            direct = kernels.tv_delta(v, delta)
+            assert abs(prof.value(delta) - direct) <= 1e-12 * direct
+
+
+def test_profile_segmentation_is_minimal():
+    for v in _profile_corpus():
+        path = make_path(np.linspace(0.0, 1.0, v.size), v)
+        prof = tv_profile(path)
+        b = prof.coef_b
+        # one slope per piece: no two neighbours are collinear
+        assert np.all(b > 0) and np.all(b == np.round(b))
+        assert np.all(np.diff(b) < 0)
+        assert prof.breakpoints[-1] == oscillation(path)
+
+
+def test_profile_makes_no_tv_delta_call(monkeypatch):
+    def forbidden(values, delta):
+        raise AssertionError("tv_profile must not evaluate tv_delta")
+
+    path = make_path(np.linspace(0.0, 1.0, 9), [0, 2, 1, 3, -1, 0, -0.5, 4, 1])
+    monkeypatch.setattr(kernels, "tv_delta", forbidden)
+    prof = tv_profile(path)
+    # swings 2 1 2 4 1 0.5 4.5 3: the 0.5 and 1 swings fuse inner triples,
+    # both end swings of 3 drop together, then the end swing 4, then osc = 5
+    assert prof.breakpoints.tolist() == [0.0, 0.5, 1.0, 3.0, 4.0, 5.0]
+    assert prof.coef_b.tolist() == [8.0, 6.0, 4.0, 2.0, 1.0]
+    assert prof.coef_a.tolist() == [18.0, 17.0, 15.0, 9.0, 5.0]
+
+
+def test_profile_rejects_overflowing_oscillation():
+    # osc = 1e308 - (-1e308) overflows; a seminorm of 0 would be wrong
+    path = make_path([0.0, 0.5, 1.0], [-1e308, 1e308, -1e308])
+    with pytest.raises(NonFiniteValueError):
+        tv_profile(path)
+    with pytest.raises(NonFiniteValueError):
+        p_tv_seminorm(path, 2.0)
