@@ -252,17 +252,16 @@ def _bound_report(f, g, args):
     if variant.startswith("loeve-"):
         _, family, form = variant.split("-")
         form = {"left": "left", "right": "right-symmetric", "xi": "midpoint-xi"}[form]
-        return loeve_young_check(f, g, args.p, args.q, family, form, args.tol)
+        return loeve_young_check(f, g, args.p, args.q, family, form)
     if variant == "young-s":
-        return young_series_check(f, g, args.p, args.q, args.tol)
+        return young_series_check(f, g, args.p, args.q)
     if variant == "min-series":
-        return min_series_check(f, g, args.p, args.q, args.tol)
+        return min_series_check(f, g, args.p, args.q)
     if variant.startswith("integral-"):
-        return integral_norm_check(f, g, args.p, args.q,
-                                   variant[len("integral-"):], args.tol)
+        return integral_norm_check(f, g, args.p, args.q, variant[len("integral-"):])
     if variant == "gamma-level-ladder":
         ladder, _ = default_ladder_pair(f, g, args.p, args.q)
-        return gamma_level_check(f, g, ladder, args.tol)
+        return gamma_level_check(f, g, ladder)
     raise BadParameterError(f"unknown variant {variant!r}")
 
 
@@ -296,7 +295,7 @@ def cmd_bounds(args) -> int:
     g = read_path_csv(args.g, Mode(args.mode))
     rep = _bound_report(f, g, args)
     params = {"f": args.f, "g": args.g, "p": args.p, "q": args.q,
-              "variant": args.variant, "tol": args.tol, "mode": args.mode}
+              "variant": args.variant, "mode": args.mode}
     results = asdict(rep)
     diagnostics = {"asserted": args.variant not in UNASSERTED_VARIANTS,
                    "threads": thread_budget()}
@@ -376,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--p", type=float, required=True)
     p_b.add_argument("--q", type=float, required=True)
     p_b.add_argument("--variant", default="loeve-ptv-left", choices=BOUND_VARIANTS)
-    p_b.add_argument("--tol", type=float, default=1e-9)
     p_b.add_argument("--mode", default="linear", choices=("linear", "step"))
     p_b.add_argument("--out", default=None)
     p_b.add_argument("--format", default="json", choices=("json", "svg"))

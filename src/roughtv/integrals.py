@@ -24,7 +24,6 @@ from .errors import (
     CommonDiscontinuityError,
     InvalidPartitionError,
     LadderMismatchError,
-    NoConvergenceError,
     NonMonotoneLadderError,
 )
 from .norms import p_tv_seminorm, p_var_seminorm, seminorm_from_profile
@@ -48,8 +47,6 @@ SERIES_REL_TAIL = 1e-12
 SERIES_MIN_TERMS = 8
 SERIES_MAX_TERMS = 100000
 OVERFLOW_GUARD = 1e300
-DEFAULT_RS_TOL = 1e-9
-MAX_REFINED_POINTS = 2 ** 21
 
 
 def require_young_regime(p, q):
@@ -95,81 +92,45 @@ def rs_sum(f: SampledPath, g: SampledPath, tagged: TaggedPartition, grid=None) -
 class IntegralResult:
     value: float
     partitions_used: int
-    last_refinement_change: float
 
 
-def _left_sum(f, g, grid):
-    fv = f.values_at(grid[:-1])
-    gv = g.values_at(grid)
-    return float(np.sum(fv * np.diff(gv)))
+def _cells(f: SampledPath, g: SampledPath):
+    """The merged grid and the exact per-cell values tag * [g(t_k) - g(t_{k-1})].
 
-
-def _refine(grid):
-    out = np.empty(2 * grid.size - 1, dtype=np.float64)
-    out[::2] = grid
-    out[1::2] = 0.5 * (grid[:-1] + grid[1:])
-    return out
-
-
-def rs_integral(f: SampledPath, g: SampledPath, tol=DEFAULT_RS_TOL) -> IntegralResult:
-    """int f dg over the common span.
-
-    For a pair of piecewise-linear paths the per-cell trapezoid value on the
-    merged grid is exact.  Otherwise left-tag sums are driven through dyadic
-    refinement of the merged grid until successive values differ by < tol.
+    On a cell of the merged grid a linear path is affine and a step path is
+    constant, jumping at most at the cell's right end.  `_check_pair` rules
+    out common jumps, so f is continuous wherever g jumps and one tag per cell
+    is exact: f(t_{k-1}) for a step f, f(t_k) for a linear f against a step g,
+    and the trapezoid mean for two linear paths.
     """
-    if not tol > 0:
-        raise NoConvergenceError("tolerance must be > 0")
     _check_pair(f, g)
     grid = merge_times(f, g)
-    if f.mode is Mode.LINEAR and g.mode is Mode.LINEAR:
-        fv = f.values_at(grid)
-        gv = g.values_at(grid)
-        value = float(np.sum(0.5 * (fv[:-1] + fv[1:]) * np.diff(gv)))
-        return IntegralResult(value, grid.size - 1, 0.0)
-    prev = _left_sum(f, g, grid)
-    while grid.size <= MAX_REFINED_POINTS:
-        grid = _refine(grid)
-        cur = _left_sum(f, g, grid)
-        change = abs(cur - prev)
-        if change < tol:
-            return IntegralResult(cur, grid.size - 1, change)
-        prev = cur
-    raise NoConvergenceError(
-        f"left sums not within {tol} after {grid.size} points"
-    )
+    fv = f.values_at(grid)
+    if f.mode is Mode.STEP:
+        tags = fv[:-1]
+    elif g.mode is Mode.STEP:
+        tags = fv[1:]
+    else:
+        tags = 0.5 * (fv[:-1] + fv[1:])
+    return grid, tags * np.diff(g.values_at(grid))
 
 
-def indefinite_integral(f: SampledPath, g: SampledPath, tol=DEFAULT_RS_TOL) -> SampledPath:
-    """Running integral t -> int_a^t f dg sampled on the merged grid.
+def rs_integral(f: SampledPath, g: SampledPath) -> IntegralResult:
+    """int f dg over the common span: the sum of the exact cells of `_cells`."""
+    grid, cells = _cells(f, g)
+    return IntegralResult(float(np.sum(cells)), grid.size - 1)
 
-    Shares the rs_integral machinery, so the final value matches it exactly.
+
+def indefinite_integral(f: SampledPath, g: SampledPath) -> SampledPath:
+    """Running integral t -> int_a^t f dg, sampled on the merged grid.
+
+    The values are the cumulative sums of the `_cells` of rs_integral.  The
+    path takes g's mode: between samples the running integral jumps with a
+    step g and is affine for a step f against a linear g; for two linear
+    paths it is quadratic on each cell, so only the samples are exact.
     """
-    _check_pair(f, g)
-    base = merge_times(f, g)
-    if f.mode is Mode.LINEAR and g.mode is Mode.LINEAR:
-        fv = f.values_at(base)
-        gv = g.values_at(base)
-        cells = 0.5 * (fv[:-1] + fv[1:]) * np.diff(gv)
-        vals = np.concatenate(([0.0], np.cumsum(cells)))
-        return SampledPath(base, vals, Mode.LINEAR)
-    if not tol > 0:
-        raise NoConvergenceError("tolerance must be > 0")
-    grid = base
-    level = 0
-    prev = _left_sum(f, g, grid)
-    while grid.size <= MAX_REFINED_POINTS:
-        grid = _refine(grid)
-        level += 1
-        cur = _left_sum(f, g, grid)
-        if abs(cur - prev) < tol:
-            fv = f.values_at(grid[:-1])
-            gv = g.values_at(grid)
-            cums = np.concatenate(([0.0], np.cumsum(fv * np.diff(gv))))
-            vals = cums[:: 2 ** level]
-            return SampledPath(base, vals, Mode.STEP)
-        prev = cur
-    raise NoConvergenceError("refinement budget exhausted")
+    grid, cells = _cells(f, g)
+    return SampledPath(grid, np.concatenate(([0.0], np.cumsum(cells))), g.mode)
 
 
 @dataclass(frozen=True)
@@ -432,7 +393,7 @@ def _xi_sample_times(f, g, count):
     return grid[idx]
 
 
-def loeve_young_reports(f, g, p, q, rs_tol=DEFAULT_RS_TOL, xi_count=8):
+def loeve_young_reports(f, g, p, q, xi_count=8):
     """All six Loeve-Young style reports for the pair, sharing the norms.
 
     Keys are "<family>/<form>" for family in {pvar, ptv} and form in
@@ -441,7 +402,7 @@ def loeve_young_reports(f, g, p, q, rs_tol=DEFAULT_RS_TOL, xi_count=8):
     """
     p, q = require_young_regime(p, q)
     _check_pair(f, g)
-    integral = rs_integral(f, g, rs_tol).value
+    integral = rs_integral(f, g).value
     dg = float(g.values[-1] - g.values[0])
     fa = float(f.values[0])
     c_const = loeve_young_constant(p, q)
@@ -493,30 +454,30 @@ def loeve_young_reports(f, g, p, q, rs_tol=DEFAULT_RS_TOL, xi_count=8):
 
 
 def loeve_young_check(f, g, p, q, norm_family="ptv", form="left",
-                      rs_tol=DEFAULT_RS_TOL, xi_count=8) -> BoundReport:
+                      xi_count=8) -> BoundReport:
     if norm_family not in LOEVE_FAMILIES or form not in LOEVE_FORMS:
         raise BadParameterError(f"unknown variant {norm_family}/{form}")
-    return loeve_young_reports(f, g, p, q, rs_tol, xi_count)[f"{norm_family}/{form}"]
+    return loeve_young_reports(f, g, p, q, xi_count)[f"{norm_family}/{form}"]
 
 
-def young_series_check(f, g, p, q, rs_tol=DEFAULT_RS_TOL) -> BoundReport:
+def young_series_check(f, g, p, q) -> BoundReport:
     """|int f dg - f(a) dg| against the series S with the default ladders."""
     ladder, _ = default_ladder_pair(f, g, p, q)
     s = young_bound_S(f, g, ladder)
-    integral = rs_integral(f, g, rs_tol).value
+    integral = rs_integral(f, g).value
     fa = float(f.values[0])
     dg = float(g.values[-1] - g.values[0])
     return bound_report(abs(integral - fa * dg), s, s, "young-s",
                         {"integral": integral})
 
 
-def min_series_check(f, g, p, q, rs_tol=DEFAULT_RS_TOL, xi_count=8) -> BoundReport:
+def min_series_check(f, g, p, q, xi_count=8) -> BoundReport:
     """|int f dg - f(xi) dg| <= 2 min(S, S~) over sampled tags xi."""
     ladder_s, ladder_st = default_ladder_pair(f, g, p, q)
     profiles = (tv_profile(f), tv_profile(g))
     s = young_bound_S(f, g, ladder_s, profiles)
     st = young_bound_S_tilde(f, g, ladder_st, profiles)
-    integral = rs_integral(f, g, rs_tol).value
+    integral = rs_integral(f, g).value
     dg = float(g.values[-1] - g.values[0])
     xi_times = _xi_sample_times(f, g, xi_count)
     lhs = float(np.max(np.abs(integral - f.values_at(xi_times) * dg)))
@@ -528,8 +489,7 @@ def min_series_check(f, g, p, q, rs_tol=DEFAULT_RS_TOL, xi_count=8) -> BoundRepo
 INTEGRAL_NORM_VARIANTS = ("ptv-theorem", "ptv-corollary", "pvar-remark")
 
 
-def integral_norm_check(f, g, p, q, variant="ptv-theorem",
-                        rs_tol=DEFAULT_RS_TOL) -> BoundReport:
+def integral_norm_check(f, g, p, q, variant="ptv-theorem") -> BoundReport:
     """Norm of the indefinite integral against its a-priori bound.
 
     ptv-theorem: q-TV seminorm of int [f - f(a)] dg vs the D-constant bound.
@@ -542,7 +502,7 @@ def integral_norm_check(f, g, p, q, variant="ptv-theorem",
     p, q = require_young_regime(p, q)
     _check_pair(f, g)
     if variant == "pvar-remark":
-        ind = indefinite_integral(f, g, rs_tol)
+        ind = indefinite_integral(f, g)
         lhs = p_var_seminorm(ind, p)
         c_const = loeve_young_constant(p, q)
         pv_f = p_var_seminorm(f, p)
@@ -552,7 +512,7 @@ def integral_norm_check(f, g, p, q, variant="ptv-theorem",
             * p_var_seminorm(g, q)
         return bound_report(lhs, rhs, c_const, "integral-pvar-remark")
     shifted = shift_path(f, -float(f.values[0]))
-    ind = indefinite_integral(shifted, g, rs_tol)
+    ind = indefinite_integral(shifted, g)
     lhs = p_tv_seminorm(ind, q)
     d_const, e_const = d_e_constants(p, q)
     tv_f = p_tv_seminorm(f, p)
@@ -566,8 +526,7 @@ def integral_norm_check(f, g, p, q, variant="ptv-theorem",
                         {"D": d_const, "asserted": False})
 
 
-def gamma_level_check(f, g, ladder: TruncationLadder,
-                       rs_tol=DEFAULT_RS_TOL) -> BoundReport:
+def gamma_level_check(f, g, ladder: TruncationLadder) -> BoundReport:
     """TV at level gamma of the indefinite integral vs the g-side series.
 
     gamma = 2 sum 2^k theta_k TV^{eta_k}(f); the bound is
@@ -585,6 +544,6 @@ def gamma_level_check(f, g, ladder: TruncationLadder,
             rhs = math.inf
             break
     shifted = shift_path(f, -float(f.values[0]))
-    ind = indefinite_integral(shifted, g, rs_tol)
+    ind = indefinite_integral(shifted, g)
     lhs = tv_profile(ind).value(gamma) if math.isfinite(gamma) else 0.0
     return bound_report(lhs, rhs, gamma, "gamma-level", {"gamma": gamma})

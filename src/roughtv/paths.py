@@ -128,8 +128,12 @@ def restrict(path: SampledPath, c, d) -> SampledPath:
 
 
 def oscillation(path: SampledPath) -> float:
-    """sup over pairs of |f(t) - f(s)|: max value minus min value."""
-    return float(np.max(path.values) - np.min(path.values))
+    """sup over pairs of |f(t) - f(s)|: max value minus min value.
+
+    Taken in Python floats, which overflow to inf without NumPy's warning;
+    `tv_profile` raises NonFiniteValueError on that inf.
+    """
+    return float(np.max(path.values)) - float(np.min(path.values))
 
 
 def osc_from_start(path: SampledPath) -> float:

@@ -79,7 +79,7 @@ def test_norm_overflowing_oscillation_exits_two(tmp_path, capsys):
     code, stdout, stderr = run_cli(capsys, "norm", str(dest), "--p", "2")
     assert code == 2
     assert stdout == ""
-    assert "NonFiniteValueError" in stderr
+    assert stderr == "error: NonFiniteValueError: oscillation of the path overflows float64\n"
 
 
 def test_pvar_command(tent_csv, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,9 @@ def test_profile_makes_no_tv_delta_call(monkeypatch):
 def test_profile_rejects_overflowing_oscillation():
     # osc = 1e308 - (-1e308) overflows; a seminorm of 0 would be wrong
     path = make_path([0.0, 0.5, 1.0], [-1e308, 1e308, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert oscillation(path) == np.inf
     with pytest.raises(NonFiniteValueError):
         tv_profile(path)
     with pytest.raises(NonFiniteValueError):
