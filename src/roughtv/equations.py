@@ -8,6 +8,7 @@ p - 1 < alpha < 1) windows come from the splitting mesh and the a-priori
 radius R = A R^alpha + B bounds the solution's norm.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     OutOfSpanError,
 )
 from .integrals import d_e_constants
-from .norms import c_p, p_tv_seminorm, seminorm_on
+from .norms import c_p, p_tv_seminorm, window_seminorm
 from .paths import Mode, SampledPath
 from .reports import BoundReport, bound_report
 
@@ -190,8 +191,11 @@ def contraction_window(x: SampledPath, field: LipschitzField, start, p,
 
     Certification needs E_{p,p} K_F |x|_{p-TV} <= 1/2 on the window and
     4 E_{p/alpha,p} (|G|_inf + 4 K_G R) |x|_{p-TV} < 1, with
-    R defaulting to 2 |F|_inf |x|_{p-TV}.  Falls back to the single-step
-    window (uncertified) when even that fails.
+    R defaulting to 2 |F|_inf |x|_{p-TV}.  Both ends of a candidate window
+    are sample times, so its seminorm is `window_seminorm` of the value slice
+    x.values[pos:idx+1], with no restricted path; a binary search over idx
+    finds the last certified end.  Falls back to the single-step window
+    (uncertified) when even that fails.
     """
     if field.order != "one_plus_alpha":
         raise BadParameterError("contraction windows need an order one_plus_alpha field")
@@ -209,7 +213,7 @@ def contraction_window(x: SampledPath, field: LipschitzField, start, p,
         f_sup = probe_sup(field, 10.0)
 
     def certified(idx):
-        s = seminorm_on(x, times[pos], times[idx], p)
+        s = window_seminorm(x.values[pos:idx + 1], p)
         radius = R if R is not None else 2.0 * f_sup * s
         return (e_pp * k_f * s <= 0.5) and (4.0 * e_pa * (g_sup + 4.0 * k_g * radius) * s < 1.0)
 
@@ -235,12 +239,19 @@ class SplittingMesh:
 
 
 def splitting_mesh(x: SampledPath, p, eps) -> SplittingMesh:
-    """Largest grid-aligned delta with seminorm < eps on every short window.
+    """Largest grid-aligned delta with seminorm <= eps on every shorter window.
 
-    Checks the maximal sample-aligned window starting at each sample (interval
-    monotonicity covers the rest), with cheap oscillation/variation screens
-    before any exact profile evaluation.  Returns delta = 0 and the
-    no_splitting flag when even one-step windows violate the threshold.
+    A window [t_i; t_j] is ok when its seminorm is at most eps (up to a
+    relative 1e-9); cheap oscillation/variation screens decide most windows
+    before the exact `window_seminorm` of the value slice.  Being ok is
+    inherited by subwindows, so the longest ok window starting at t_i ends
+    at an index J_i that never decreases with i: one two-pointer pass finds
+    every J_i with at most 2(n - 1) window checks, since each check either
+    moves the end pointer forward or closes a start.  A window of length
+    >= bound = min_i (t_{J_i + 1} - t_i) fails, and every shorter window is
+    ok, so delta is the longest realised length t_j - t_i strictly below
+    bound (a second pass), or the span when no window fails.  Returns
+    delta = 0 and the no_splitting flag when even a one-step window fails.
     """
     p = float(p)
     eps = float(eps)
@@ -251,7 +262,6 @@ def splitting_mesh(x: SampledPath, p, eps) -> SplittingMesh:
     n = times.size
     if n < 2:
         return SplittingMesh(0.0, False)
-    span = float(times[-1] - times[0])
     eps_hi = eps * (1.0 + 1e-9)
     eps_p = eps_hi ** p
     cp = c_p(p) if p > 1 else 1.0
@@ -269,44 +279,28 @@ def splitting_mesh(x: SampledPath, p, eps) -> SplittingMesh:
             return True
         if cp * osc ** p > eps_p:
             return False
-        return seminorm_on(x, times[i], times[j], p) <= eps_hi
+        return window_seminorm(seg, p) <= eps_hi
 
+    bound = math.inf
+    j = 0  # J_i: windows [t_i; t_k] are ok for every k <= j
     for i in range(n - 1):
-        if not window_ok(i, i + 1):
-            return SplittingMesh(0.0, True)
-
-    def feasible(delta):
-        j = 0
-        for i in range(n - 1):
-            if j < i + 1:
-                j = i + 1
-            while j + 1 < n and times[j + 1] - times[i] <= delta:
-                j += 1
-            if times[j] - times[i] <= delta and not window_ok(i, j):
-                return False
-        return True
-
-    if feasible(span):
-        return SplittingMesh(span, False)
-    lo = float(np.min(np.diff(times)))
-    hi = span
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    # snap down to the largest realised window length <= lo
-    j = 0
-    found = 0.0
-    for i in range(n - 1):
-        if j < i + 1:
+        if j <= i:  # no ok window seen so far covers [t_i; t_{i+1}]
+            if not window_ok(i, i + 1):
+                return SplittingMesh(0.0, True)
             j = i + 1
-        while j + 1 < n and times[j + 1] - times[i] <= lo:
+        while j + 1 < n and window_ok(i, j + 1):
             j += 1
-        if times[j] - times[i] <= lo:
-            found = max(found, float(times[j] - times[i]))
-    return SplittingMesh(found, False)
+        if j + 1 < n:
+            bound = min(bound, float(times[j + 1] - times[i]))
+    if bound == math.inf:
+        return SplittingMesh(float(times[-1] - times[0]), False)
+    delta = 0.0
+    j = 0
+    for i in range(n - 1):
+        while j + 1 < n and times[j + 1] - times[i] < bound:
+            j += 1
+        delta = max(delta, float(times[j] - times[i]))
+    return SplittingMesh(delta, False)
 
 
 @dataclass(frozen=True)

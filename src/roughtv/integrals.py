@@ -12,6 +12,7 @@ paths carry finite p-TV norms in the Young regime 1/p + 1/q > 1, which is
 where the explicit Loeve-Young type constants below come from.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -33,6 +34,7 @@ from .paths import (
     TaggedPartition,
     check_same_span,
     common_jump_times,
+    finite_oscillation,
     merge_times,
     osc_from_end,
     osc_from_start,
@@ -60,6 +62,8 @@ def require_young_regime(p, q):
 
 
 def _check_pair(f: SampledPath, g: SampledPath):
+    finite_oscillation(f.values)
+    finite_oscillation(g.values)
     check_same_span(f, g)
     common = common_jump_times(f, g)
     if common.size:
@@ -369,11 +373,13 @@ def loeve_young_constant(p, q) -> float:
     return max(_constant_series(p, q, lead=2.0))
 
 
+@functools.lru_cache
 def d_e_constants(p, q):
     """(D_{p,q}, E_{p,q}) for the indefinite-integral norm bound.
 
     E is implemented exactly as printed, E = (p-1)^(1-1/p) p^-1 D, and is
     reported informationally by the checks (only the D-form is asserted).
+    Memoised: each Picard window asks for the same two pairs again.
     """
     p, q = require_young_regime(p, q)
     one, two = _constant_series(p, q, lead=1.0)

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import kernels
 from .errors import BadExponentError, BadExponentOrderError, NegativeIncrementError
-from .paths import SampledPath, oscillation, restrict
+from .paths import SampledPath, finite_oscillation, oscillation, restrict
 from .reports import BoundReport, bound_report
-from .truncation import TvProfile, tv_profile
+from .truncation import TvProfile, swing_profile, tv_profile
 
 
 def c_p(p) -> float:
@@ -26,10 +26,14 @@ def c_p(p) -> float:
 
 
 def p_variation(path: SampledPath, p) -> float:
-    """V^p: max of sum |increment|^p over sample subsequences."""
+    """V^p: max of sum |increment|^p over sample subsequences.
+
+    NonFiniteValueError when the oscillation overflows float64.
+    """
     p = float(p)
     if not p >= 1:
         raise BadExponentError("p-variation needs p >= 1")
+    finite_oscillation(path.values)
     return kernels.pvar_sum(path.values, p)
 
 
@@ -109,8 +113,25 @@ def seminorm_from_profile(profile: TvProfile, p) -> float:
     return best ** (1.0 / p)
 
 
+def window_seminorm(values, p) -> float:
+    """The p-TV seminorm of the path through the sample values `values`.
+
+    For a window whose ends are sample times this is `seminorm_on`:
+    window_seminorm(x.values[i:j+1], p) == seminorm_on(x, t_i, t_j, p),
+    since the restriction takes the samples at its ends.  It builds no path.
+    """
+    p = float(p)
+    if p == 1.0:
+        return kernels.tv_delta(values, 0.0)
+    return seminorm_from_profile(swing_profile(values), p)
+
+
 def seminorm_on(path: SampledPath, c, d, p) -> float:
-    """Seminorm of the restriction to [c; d]."""
+    """Seminorm of the restriction to [c; d], for any c < d in the span.
+
+    When c and d are sample times, `window_seminorm` of the value slice
+    gives the same number without building the restriction.
+    """
     return p_tv_seminorm(restrict(path, c, d), p)
 
 

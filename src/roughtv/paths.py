@@ -8,6 +8,7 @@ samples a tiny time apart (`JUMP_EPS_FRACTION` of the span).
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +132,21 @@ def oscillation(path: SampledPath) -> float:
     """sup over pairs of |f(t) - f(s)|: max value minus min value.
 
     Taken in Python floats, which overflow to inf without NumPy's warning;
-    `tv_profile` raises NonFiniteValueError on that inf.
+    `finite_oscillation` raises NonFiniteValueError on that inf.
     """
     return float(np.max(path.values)) - float(np.min(path.values))
+
+
+def finite_oscillation(values) -> float:
+    """max - min of the values, or NonFiniteValueError when it overflows.
+
+    The functionals call it once, before any NumPy arithmetic on increments
+    that would overflow (and warn) on such a path.
+    """
+    osc = float(np.max(values)) - float(np.min(values))
+    if not math.isfinite(osc):
+        raise NonFiniteValueError("oscillation of the path overflows float64")
+    return osc
 
 
 def osc_from_start(path: SampledPath) -> float:

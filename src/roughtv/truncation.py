@@ -8,15 +8,14 @@ what `tv_profile` reconstructs exactly.
 """
 
 import heapq
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import NegativeDeltaError, NonFiniteValueError, NonPositiveDeltaError
-from .paths import SampledPath, oscillation
+from .errors import NegativeDeltaError, NonPositiveDeltaError
+from .paths import SampledPath, finite_oscillation
 
 
 def truncated_variation(path: SampledPath, delta) -> float:
@@ -81,25 +80,29 @@ class TvProfile:
 
 
 def tv_profile(path: SampledPath) -> TvProfile:
+    """The exact profile of the path: `swing_profile` of its values."""
+    return swing_profile(path.values)
+
+
+def swing_profile(values) -> TvProfile:
     """Build the exact profile by pairing off the swings, smallest first.
 
-    The swings are the moves between consecutive extrema
-    (`kernels.reduce_to_extrema`); below the smallest swing s, TV^delta is
-    their sum minus their number times delta.  From delta = s on, s stops
-    paying: at an end of the path it is dropped, inside it fuses with its
-    neighbours l and r into the one swing l - s + r >= s.  The shorter chain
-    has the same TV^delta for delta >= s, so a heap pops the breakpoints in
-    increasing order, and the last swing left is the oscillation.  These are
-    the 1-D persistence pairs of the extrema: O(m log m), no tolerance.  On
-    each piece, b counts the swings still standing and a is their sum.
+    It reads the sample values only, so a slice values[i:j+1] gives the
+    profile of the path restricted to [t_i; t_j].  The swings are the moves
+    between consecutive extrema (`kernels.reduce_to_extrema`); below the
+    smallest swing s, TV^delta is their sum minus their number times delta.
+    From delta = s on, s stops paying: at an end of the path it is dropped,
+    inside it fuses with its neighbours l and r into the one swing
+    l - s + r >= s.  The shorter chain has the same TV^delta for delta >= s,
+    so a heap pops the breakpoints in increasing order, and the last swing
+    left is the oscillation.  These are the 1-D persistence pairs of the
+    extrema: O(m log m), no tolerance.  On each piece, b counts the swings
+    still standing and a is their sum.
     """
-    osc = oscillation(path)
-    if not math.isfinite(osc):
-        raise NonFiniteValueError("oscillation of the path overflows float64")
-    if osc == 0.0:
+    if finite_oscillation(values) == 0.0:
         return TvProfile(np.asarray([0.0]), np.empty(0), np.empty(0))
 
-    v = kernels.reduce_to_extrema(path.values).tolist()
+    v = kernels.reduce_to_extrema(values).tolist()
     m = len(v)
     prev = list(range(-1, m - 1))
     succ = list(range(1, m)) + [-1]  # -2 marks a removed extremum

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roughtv.cli import main, thread_budget, to_json
+from roughtv.cli import BOUND_VARIANTS, main, thread_budget, to_json
 from roughtv.errors import BadParameterError
 from roughtv.pathio import read_path_csv, write_path_csv
 from roughtv.paths import Mode, tent_path
@@ -73,13 +73,44 @@ def test_norm_command(tent_csv, capsys):
     assert '"argmax_delta": 0.5' in stdout
 
 
+OVERFLOW_ERROR = "error: NonFiniteValueError: oscillation of the path overflows float64\n"
+
+
 def test_norm_overflowing_oscillation_exits_two(tmp_path, capsys):
     dest = tmp_path / "huge.csv"
     dest.write_text("t,value\n0,-1e308\n0.5,1e308\n1,-1e308\n", encoding="utf-8")
     code, stdout, stderr = run_cli(capsys, "norm", str(dest), "--p", "2")
     assert code == 2
     assert stdout == ""
-    assert stderr == "error: NonFiniteValueError: oscillation of the path overflows float64\n"
+    assert stderr == OVERFLOW_ERROR
+
+
+@pytest.fixture
+def overflowing_csv(tmp_path):
+    # finite samples whose oscillation, max - min, overflows float64
+    dest = tmp_path / "overflow.csv"
+    dest.write_text("t,value\n0,-1e308\n0.5,1e308\n1,0\n", encoding="utf-8")
+    return str(dest)
+
+
+def test_pvar_overflowing_oscillation_exits_two(overflowing_csv, capsys):
+    code, stdout, stderr = run_cli(capsys, "pvar", overflowing_csv, "--p", "2")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == OVERFLOW_ERROR
+
+
+@pytest.mark.parametrize("variant", BOUND_VARIANTS)
+def test_bounds_overflowing_oscillation_exits_two(overflowing_csv, tmp_path, capsys, variant):
+    small = tmp_path / "small.csv"
+    small.write_text("t,value\n0,0\n0.3,1\n1,2\n", encoding="utf-8")
+    for f, g in ((overflowing_csv, str(small)), (str(small), overflowing_csv)):
+        for mode in ("linear", "step"):
+            code, stdout, stderr = run_cli(capsys, "bounds", f, g, "--p", "1.5", "--q", "1.5",
+                                           "--variant", variant, "--mode", mode)
+            assert code == 2
+            assert stdout == ""
+            assert stderr == OVERFLOW_ERROR
 
 
 def test_pvar_command(tent_csv, capsys):

@@ -1,11 +1,15 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from roughtv import equations
 from roughtv.equations import (
     LipschitzField,
     Quotient,
+    SplittingMesh,
+    WindowStep,
     composition_norm_check,
     contraction_window,
     estimate_lipschitz,
@@ -20,7 +24,8 @@ from roughtv.errors import (
     BadParameterError,
     BlowupSuspectedError,
 )
-from roughtv.norms import p_tv_seminorm, tv_p_full_norm
+from roughtv.integrals import d_e_constants
+from roughtv.norms import c_p, p_tv_seminorm, seminorm_on, tv_p_full_norm
 from roughtv.paths import (
     constant_path,
     gen_brownian,
@@ -126,6 +131,171 @@ def test_splitting_mesh_zigzag_obstruction():
     # under the widest level width (or outright failure)
     mesh = splitting_mesh(phi, 1.5, 0.9)
     assert mesh.no_splitting or mesh.delta < 0.5
+
+
+def _bisection_mesh(x, p, eps):
+    """The splitting mesh found by bisection over delta, as the package once
+    did: `feasible(delta)` checks the longest window of length <= delta from
+    every start, 60 halvings narrow delta, and the result snaps down to the
+    longest realised window length <= the last feasible delta.  Windows are
+    judged on restricted paths (`seminorm_on`); `window_ok` is memoised
+    only because the halvings revisit the same windows.
+    """
+    p = float(p)
+    eps = float(eps)
+    times = x.times
+    values = x.values
+    n = times.size
+    if n < 2:
+        return SplittingMesh(0.0, False)
+    span = float(times[-1] - times[0])
+    eps_hi = eps * (1.0 + 1e-9)
+    eps_p = eps_hi ** p
+    cp = c_p(p) if p > 1 else 1.0
+    prefix_tv = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(values)))))
+
+    @functools.cache
+    def window_ok(i, j):
+        seg = values[i:j + 1]
+        osc = float(np.max(seg) - np.min(seg))
+        if osc == 0.0:
+            return True
+        if p == 1.0:
+            return prefix_tv[j] - prefix_tv[i] <= eps_hi
+        tv0 = prefix_tv[j] - prefix_tv[i]
+        if osc ** (p - 1.0) * tv0 <= eps_p:
+            return True
+        if cp * osc ** p > eps_p:
+            return False
+        return seminorm_on(x, times[i], times[j], p) <= eps_hi
+
+    for i in range(n - 1):
+        if not window_ok(i, i + 1):
+            return SplittingMesh(0.0, True)
+
+    def feasible(delta):
+        j = 0
+        for i in range(n - 1):
+            if j < i + 1:
+                j = i + 1
+            while j + 1 < n and times[j + 1] - times[i] <= delta:
+                j += 1
+            if times[j] - times[i] <= delta and not window_ok(i, j):
+                return False
+        return True
+
+    if feasible(span):
+        return SplittingMesh(span, False)
+    lo = float(np.min(np.diff(times)))
+    hi = span
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    j = 0
+    found = 0.0
+    for i in range(n - 1):
+        if j < i + 1:
+            j = i + 1
+        while j + 1 < n and times[j + 1] - times[i] <= lo:
+            j += 1
+        if times[j] - times[i] <= lo:
+            found = max(found, float(times[j] - times[i]))
+    return SplittingMesh(found, False)
+
+
+def _mesh_case(rng):
+    """A seeded (path, p, eps): a walk at scale 1e-3..10, an integer path
+    with ties and plateaus, or a monotone path, on a uniform or random grid;
+    eps is a random window's seminorm times 0.3, 0.9, 1 or 1.5."""
+    n = int(rng.integers(2, 41))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        values = np.cumsum(rng.normal(size=n)) * 10.0 ** rng.uniform(-3.0, 1.0)
+    elif kind == 1:
+        values = np.cumsum(rng.integers(-1, 2, size=n)).astype(float)
+    else:
+        values = np.cumsum(np.abs(rng.normal(size=n))) * 10.0 ** rng.uniform(-3.0, 1.0)
+    if rng.random() < 0.5:
+        times = np.linspace(0.0, float(rng.uniform(0.5, 3.0)), n)
+    else:
+        times = np.cumsum(rng.uniform(0.05, 1.0, size=n))
+    x = make_path(times, values)
+    p = float(rng.choice([1.0, 1.25, 1.5, 1.9]))
+    i = int(rng.integers(0, n - 1))
+    j = int(rng.integers(i + 1, n))
+    eps = seminorm_on(x, times[i], times[j], p) * float(rng.choice([0.3, 0.9, 1.0, 1.5]))
+    return x, p, (eps if eps > 0.0 else float(rng.uniform(0.1, 1.0)))
+
+
+def test_splitting_mesh_matches_bisection_reference():
+    rng = np.random.default_rng(52)
+    outcomes = {"no-split": 0, "split": 0, "span": 0}
+    for _ in range(600):
+        x, p, eps = _mesh_case(rng)
+        mesh = splitting_mesh(x, p, eps)
+        assert mesh == _bisection_mesh(x, p, eps)
+        if mesh.no_splitting:
+            outcomes["no-split"] += 1
+        elif mesh.delta == x.b - x.a:
+            outcomes["span"] += 1
+        else:
+            outcomes["split"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_splitting_mesh_work_is_linear(monkeypatch):
+    # the sqrt-abs solve's mesh: at most two window seminorms per sample
+    # (the bisection took 6,396 on this path)
+    calls = []
+    counted = equations.window_seminorm
+
+    def counting(values, p):
+        calls.append(values.size)
+        return counted(values, p)
+
+    monkeypatch.setattr(equations, "window_seminorm", counting)
+    x = identity_path(513)
+    field = field_catalog()["sqrt-abs"]
+    eps = 0.5 / ((d_e_constants(1.25 / field.alpha, 1.25)[1] + 1.0) * field.lipschitz)
+    mesh = splitting_mesh(x, 1.25, eps)
+    assert not mesh.no_splitting and 0.0 < mesh.delta < 1.0
+    assert 0 < len(calls) <= 2 * len(x)
+
+
+def test_contraction_window_matches_restricting_reference():
+    # the binary search on restricted paths (`seminorm_on`) gives the same step
+    sin_field = field_catalog()["sin"]
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        n = int(rng.integers(3, 30))
+        times = np.cumsum(rng.uniform(0.05, 1.0, size=n))
+        x = make_path(times, np.cumsum(rng.normal(size=n)) * 10.0 ** rng.uniform(-2.0, 0.5))
+        p = float(rng.choice([1.25, 1.5, 1.9]))
+        e_pp = d_e_constants(p, p)[1]
+        f_sup = sin_field.sup_bound
+
+        def certified(pos, idx):
+            s = seminorm_on(x, times[pos], times[idx], p)
+            return (e_pp * s <= 0.5) and (4.0 * e_pp * (1.0 + 8.0 * f_sup * s) * s < 1.0)
+
+        for pos in range(n - 1):
+            lo, hi = pos + 1, n - 1
+            if not certified(pos, lo):
+                expected = WindowStep(float(times[lo]), False)
+            elif certified(pos, hi):
+                expected = WindowStep(float(times[hi]), True)
+            else:
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if certified(pos, mid):
+                        lo = mid
+                    else:
+                        hi = mid
+                expected = WindowStep(float(times[lo]), True)
+            assert contraction_window(x, sin_field, times[pos], p) == expected
 
 
 # ---------------------------------------------------------------------------

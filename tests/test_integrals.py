@@ -7,6 +7,7 @@ from roughtv.errors import (
     BadExponentsError,
     CommonDiscontinuityError,
     LadderMismatchError,
+    NonFiniteValueError,
     NonMonotoneLadderError,
     SpanMismatchError,
 )
@@ -96,6 +97,18 @@ def test_rs_integral_rejects_common_jumps():
     g = make_path(t, [1.0, 1.0, 3.0, 3.0], Mode.STEP)
     with pytest.raises(CommonDiscontinuityError):
         rs_integral(f, g)
+
+
+@pytest.mark.parametrize("mode", [Mode.LINEAR, Mode.STEP])
+def test_rs_integral_rejects_overflowing_oscillation(mode):
+    # rejected before any increment is taken, so NumPy never warns
+    huge = make_path([0.0, 0.5, 1.0], [-1e308, 1e308, 0.0], mode)
+    small = make_path([0.0, 0.3, 1.0], [0.0, 1.0, 2.0], mode)
+    for f, g in ((huge, small), (small, huge)):
+        with pytest.raises(NonFiniteValueError):
+            rs_integral(f, g)
+        with pytest.raises(NonFiniteValueError):
+            indefinite_integral(f, g)
 
 
 def test_rs_integral_step_times_linear():

@@ -6,6 +6,7 @@ from roughtv.errors import (
     BadExponentError,
     BadExponentOrderError,
     NegativeIncrementError,
+    NonFiniteValueError,
 )
 from roughtv.norms import (
     c_p,
@@ -17,6 +18,7 @@ from roughtv.norms import (
     seminorm_on,
     seminorm_with_argmax,
     tv_p_full_norm,
+    window_seminorm,
 )
 from roughtv.oracle import pvar_bruteforce, seminorm_bruteforce, sup_delta_grid
 from roughtv.paths import (
@@ -49,6 +51,12 @@ def test_pvar_matches_bruteforce():
     for path in random_corpus(seed=31, count=80, max_n=12):
         for p in (1.0, 1.5, 2.0, 3.0):
             assert abs(p_variation(path, p) - pvar_bruteforce(path, p)) <= 1e-10
+
+
+def test_pvar_rejects_overflowing_oscillation():
+    huge = make_path([0.0, 0.5, 1.0], [-1e308, 1e308, 0.0])
+    with pytest.raises(NonFiniteValueError):
+        p_variation(huge, 2.0)
 
 
 def test_pvar_rejects_bad_exponent(tent):
@@ -122,6 +130,22 @@ def test_seminorm_matches_bruteforce():
             fast = p_tv_seminorm(path, p)
             slow = seminorm_bruteforce(path, p)
             assert abs(fast - slow) <= 1e-8
+
+
+def test_window_seminorm_of_slice_equals_seminorm_on():
+    # a window between sample times restricts to exactly the value slice
+    rng = np.random.default_rng(61)
+    paths = [make_path([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])]
+    for n in (5, 9, 14):
+        times = np.cumsum(rng.uniform(0.1, 1.0, n))
+        paths.append(make_path(times, np.cumsum(rng.normal(size=n))))
+        paths.append(make_path(times, np.cumsum(rng.integers(-1, 2, size=n)), "step"))
+    for x in paths:
+        t = x.times
+        for p in (1.0, 1.25, 1.5, 2.0):
+            for i in range(t.size - 1):
+                for j in range(i + 1, t.size):
+                    assert window_seminorm(x.values[i:j + 1], p) == seminorm_on(x, t[i], t[j], p)
 
 
 def test_zigzag_level_seminorms():
