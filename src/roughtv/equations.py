@@ -272,8 +272,6 @@ def splitting_mesh(x: SampledPath, p, eps) -> SplittingMesh:
         osc = float(np.max(seg) - np.min(seg))
         if osc == 0.0:
             return True
-        if p == 1.0:
-            return prefix_tv[j] - prefix_tv[i] <= eps_hi
         tv0 = prefix_tv[j] - prefix_tv[i]
         if osc ** (p - 1.0) * tv0 <= eps_p:
             return True

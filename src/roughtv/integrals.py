@@ -27,7 +27,7 @@ from .errors import (
     LadderMismatchError,
     NonMonotoneLadderError,
 )
-from .norms import p_tv_seminorm, p_var_seminorm, seminorm_from_profile
+from .norms import p_tv_seminorm, p_var_seminorm
 from .paths import (
     Mode,
     SampledPath,
@@ -45,8 +45,6 @@ from .paths import (
 from .reports import BoundReport, bound_report
 from .truncation import tv_profile
 
-SERIES_REL_TAIL = 1e-12
-SERIES_MIN_TERMS = 8
 SERIES_MAX_TERMS = 100000
 OVERFLOW_GUARD = 1e300
 
@@ -340,15 +338,20 @@ def lemma_sum_bound(f, g, tagged: TaggedPartition, deltas, epsilons, grid=None) 
 
 
 def _series_sum(term):
+    """Sum of term(k) over k >= 0, up to the first term that cannot change it.
+
+    The terms 2^(k + c - d r^k), d > 0 and r > 1, rise and then fall, so
+    only smaller terms follow one too small to change the float total.
+    """
     total = 0.0
     k = 0
     while True:
         t = term(k)
+        if total + t == total:
+            return total
         total += t
         if total > OVERFLOW_GUARD:
             return math.inf
-        if k >= SERIES_MIN_TERMS and t <= SERIES_REL_TAIL * total:
-            return total
         k += 1
         if k > SERIES_MAX_TERMS:
             raise BadExponentsError("series did not settle; regime too extreme")
@@ -414,8 +417,7 @@ def loeve_young_reports(f, g, p, q, xi_count=8):
     c_const = loeve_young_constant(p, q)
     norms = {
         "pvar": (p_var_seminorm(f, p), p_var_seminorm(g, q)),
-        "ptv": (seminorm_from_profile(tv_profile(f), p),
-                seminorm_from_profile(tv_profile(g), q)),
+        "ptv": (p_tv_seminorm(f, p), p_tv_seminorm(g, q)),
     }
     osc_f = oscillation(f)
     osc_g = oscillation(g)

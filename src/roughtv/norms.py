@@ -1,17 +1,24 @@
 """p-variation and the truncated-variation seminorm/norm machinery.
 
-The seminorm is sup over delta > 0 of (delta^(p-1) * TV^delta)^(1/p).  On
-each affine piece a - b*delta of the TV profile the inner function is
-maximised analytically at delta = a(p-1)/(pb), so the global supremum is an
-exact finite maximisation, never a grid search.
+The seminorm is sup over delta > 0 of (delta^(p-1) * TV^delta)^(1/p).  The
+profile delta -> TV^delta is convex and piecewise affine, so each piece
+a - b*delta is a minorant of it and the supremum is the largest single-piece
+peak, at delta = a(p-1)/(pb): a closed form, never a grid or segment search.
+At p = 1 every peak sits at delta = 0 and the largest is the total variation.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import BadExponentError, BadExponentOrderError, NegativeIncrementError
+from .errors import (
+    BadExponentError,
+    BadExponentOrderError,
+    NegativeIncrementError,
+    NonFiniteValueError,
+)
 from .paths import SampledPath, finite_oscillation, oscillation, restrict
 from .reports import BoundReport, bound_report
 from .truncation import TvProfile, swing_profile, tv_profile
@@ -28,13 +35,17 @@ def c_p(p) -> float:
 def p_variation(path: SampledPath, p) -> float:
     """V^p: max of sum |increment|^p over sample subsequences.
 
-    NonFiniteValueError when the oscillation overflows float64.
+    NonFiniteValueError when the oscillation or the sum overflows float64.
     """
     p = float(p)
     if not p >= 1:
         raise BadExponentError("p-variation needs p >= 1")
     finite_oscillation(path.values)
-    return kernels.pvar_sum(path.values, p)
+    with np.errstate(over="ignore"):
+        total = kernels.pvar_sum(path.values, p)
+    if not math.isfinite(total):
+        raise NonFiniteValueError("p-variation overflows float64")
+    return total
 
 
 def p_var_seminorm(path: SampledPath, p) -> float:
@@ -45,46 +56,41 @@ def p_var_seminorm(path: SampledPath, p) -> float:
 def partition_sup_delta(increments, p) -> float:
     """Exact sup over delta of (delta^(p-1) sum (x_i - delta)_+)^(1/p).
 
-    Evaluated through the nondecreasing rearrangement x*: the supremum equals
-    max over j of (m-j+1)^(1/p-1) * c_p^(1/p) * sum_{i>=j} x*_i.
+    delta -> sum (x_i - delta)_+ is a profile: between consecutive sorted
+    increments it is the sum of the larger ones minus their number times
+    delta, so `seminorm_from_profile` gives the supremum.
     """
-    p = float(p)
-    if not p > 1:
-        raise BadExponentError("needs p > 1")
     xs = np.asarray(increments, dtype=np.float64)
-    if xs.size == 0:
-        return 0.0
     if not np.all(np.isfinite(xs)) or np.any(xs < 0):
         raise NegativeIncrementError("increments must be finite and >= 0")
     xs = np.sort(xs)
     suffix = np.cumsum(xs[::-1])[::-1]
     counts = np.arange(xs.size, 0, -1, dtype=np.float64)
-    scale = c_p(p) ** (1.0 / p)
-    return float(np.max(counts ** (1.0 / p - 1.0) * suffix) * scale)
+    return seminorm_from_profile(TvProfile(np.concatenate(([0.0], xs)), suffix, counts), p)[0]
 
 
-def _max_on_profile(profile: TvProfile, p):
-    """Maximise delta^(p-1) * profile(delta); ties resolve to smaller delta."""
-    best = 0.0
-    best_delta = 0.0
-    bp = profile.breakpoints
+def seminorm_from_profile(profile: TvProfile, p):
+    """The p-TV seminorm of a profile and the delta attaining it, for p >= 1.
+
+    Each piece a - b*delta peaks at delta = a(p-1)/(pb); the first largest
+    peak wins.  NonFiniteValueError when the supremum overflows float64.
+    """
+    p = float(p)
+    if not p >= 1:
+        raise BadExponentError("seminorm needs p >= 1")
     pm1 = p - 1.0
-    for j in range(profile.n_segments):
-        lo = bp[j]
-        hi = bp[j + 1]
-        a = profile.coef_a[j]
-        b = profile.coef_b[j]
-        cands = [lo, hi]
-        if b > 0.0:
-            star = a * pm1 / (p * b)
-            if lo < star < hi:
-                cands.append(star)
-        for delta in sorted(cands):
-            val = delta ** pm1 * max(a - b * delta, 0.0)
-            if val > best:
-                best = val
-                best_delta = delta
-    return best, best_delta
+    best = best_delta = 0.0
+    for a, b in zip(profile.coef_a.tolist(), profile.coef_b.tolist()):
+        delta = a * pm1 / (p * b)
+        try:
+            value = delta ** pm1 * (a - b * delta)
+        except OverflowError:  # a Python float power beyond float64
+            value = math.inf
+        if value > best:
+            best, best_delta = value, delta
+    if best == math.inf:
+        raise NonFiniteValueError("p-TV seminorm overflows float64")
+    return best ** (1.0 / p), best_delta
 
 
 def p_tv_seminorm(path: SampledPath, p) -> float:
@@ -94,23 +100,9 @@ def p_tv_seminorm(path: SampledPath, p) -> float:
 def seminorm_with_argmax(path: SampledPath, p):
     """The p-TV seminorm plus the delta attaining it.
 
-    p = 1 degenerates to the total variation (supremum as delta -> 0+).
+    p = 1 gives the total variation, attained at delta = 0.
     """
-    p = float(p)
-    if not p >= 1:
-        raise BadExponentError("seminorm needs p >= 1")
-    if p == 1.0:
-        return kernels.tv_delta(path.values, 0.0), 0.0
-    best, best_delta = _max_on_profile(tv_profile(path), p)
-    return best ** (1.0 / p), best_delta
-
-
-def seminorm_from_profile(profile: TvProfile, p) -> float:
-    p = float(p)
-    if not p > 1:
-        raise BadExponentError("needs p > 1")
-    best, _ = _max_on_profile(profile, p)
-    return best ** (1.0 / p)
+    return seminorm_from_profile(tv_profile(path), p)
 
 
 def window_seminorm(values, p) -> float:
@@ -120,10 +112,7 @@ def window_seminorm(values, p) -> float:
     window_seminorm(x.values[i:j+1], p) == seminorm_on(x, t_i, t_j, p),
     since the restriction takes the samples at its ends.  It builds no path.
     """
-    p = float(p)
-    if p == 1.0:
-        return kernels.tv_delta(values, 0.0)
-    return seminorm_from_profile(swing_profile(values), p)
+    return seminorm_from_profile(swing_profile(values), p)[0]
 
 
 def seminorm_on(path: SampledPath, c, d, p) -> float:

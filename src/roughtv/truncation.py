@@ -23,10 +23,12 @@ def truncated_variation(path: SampledPath, delta) -> float:
     delta = float(delta)
     if delta < 0:
         raise NegativeDeltaError("delta must be >= 0")
+    finite_oscillation(path.values)
     return kernels.tv_delta(path.values, delta)
 
 
 def total_variation(path: SampledPath) -> float:
+    finite_oscillation(path.values)
     return kernels.tv_delta(path.values, 0.0)
 
 

@@ -100,6 +100,29 @@ def test_pvar_overflowing_oscillation_exits_two(overflowing_csv, capsys):
     assert stderr == OVERFLOW_ERROR
 
 
+def test_tv_overflowing_oscillation_exits_two(overflowing_csv, capsys):
+    code, stdout, stderr = run_cli(capsys, "tv", overflowing_csv, "--delta", "0.5")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == OVERFLOW_ERROR
+
+
+def test_norm_p_one_overflowing_oscillation_exits_two(overflowing_csv, capsys):
+    code, stdout, stderr = run_cli(capsys, "norm", overflowing_csv, "--p", "1")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == OVERFLOW_ERROR
+
+
+def test_pvar_overflowing_sum_exits_two(tmp_path, capsys):
+    dest = tmp_path / "tall.csv"
+    dest.write_text("t,value\n0,0\n0.5,1e200\n1,0\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "pvar", str(dest), "--p", "1.9")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: NonFiniteValueError: p-variation overflows float64\n"
+
+
 @pytest.mark.parametrize("variant", BOUND_VARIANTS)
 def test_bounds_overflowing_oscillation_exits_two(overflowing_csv, tmp_path, capsys, variant):
     small = tmp_path / "small.csv"

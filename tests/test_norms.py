@@ -15,6 +15,7 @@ from roughtv.norms import (
     p_var_seminorm,
     p_variation,
     partition_sup_delta,
+    seminorm_from_profile,
     seminorm_on,
     seminorm_with_argmax,
     tv_p_full_norm,
@@ -30,7 +31,7 @@ from roughtv.paths import (
     oscillation,
     scale_path,
 )
-from roughtv.truncation import truncated_variation
+from roughtv.truncation import swing_profile, total_variation, truncated_variation
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,23 @@ def test_pvar_rejects_overflowing_oscillation():
     huge = make_path([0.0, 0.5, 1.0], [-1e308, 1e308, 0.0])
     with pytest.raises(NonFiniteValueError):
         p_variation(huge, 2.0)
+
+
+def test_pvar_rejects_overflowing_sum():
+    # the oscillation 1e200 is finite, but 2 * (1e200)^1.9 is not
+    tall = make_path([0.0, 0.5, 1.0], [0.0, 1e200, 0.0])
+    with pytest.raises(NonFiniteValueError):
+        p_variation(tall, 1.9)
+    assert p_variation(tall, 1.0) == 2e200
+
+
+def test_seminorm_rejects_overflowing_supremum():
+    # a power (p = 3) or a product (p = 1.9) beyond float64
+    tall = make_path([0.0, 0.5, 1.0], [0.0, 1e200, 0.0])
+    for p in (1.9, 3.0):
+        with pytest.raises(NonFiniteValueError):
+            seminorm_with_argmax(tall, p)
+    assert seminorm_with_argmax(tall, 1.0) == (2e200, 0.0)
 
 
 def test_pvar_rejects_bad_exponent(tent):
@@ -253,3 +271,61 @@ def test_pvar_seminorm_consistency():
             assert p_var_seminorm(path, p) == pytest.approx(
                 p_variation(path, p) ** (1.0 / p), rel=1e-12
             )
+
+
+def _parent_segment_search(profile, p):
+    """The seminorm as the package once found it: on every piece, evaluate
+    delta^(p-1) (a - b delta)_+ at both ends and at the peak when the peak
+    lies strictly inside; ties resolve to the smaller delta."""
+    best = 0.0
+    best_delta = 0.0
+    bp = profile.breakpoints
+    pm1 = p - 1.0
+    for j in range(profile.n_segments):
+        lo = bp[j]
+        hi = bp[j + 1]
+        a = profile.coef_a[j]
+        b = profile.coef_b[j]
+        cands = [lo, hi]
+        if b > 0.0:
+            star = a * pm1 / (p * b)
+            if lo < star < hi:
+                cands.append(star)
+        for delta in sorted(cands):
+            val = delta ** pm1 * max(a - b * delta, 0.0)
+            if val > best:
+                best = val
+                best_delta = delta
+    return best ** (1.0 / p), best_delta
+
+
+def _profile_values(rng, kind):
+    """Sample values of a seeded walk, an integer path with ties and
+    plateaus, or uniform values at a scale between 1e-5 and 1e5."""
+    n = int(rng.integers(2, 200))
+    if kind == 0:
+        return np.cumsum(rng.normal(size=n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == 1:
+        return np.cumsum(rng.integers(-2, 3, size=n)).astype(float)
+    if kind == 2:
+        return np.repeat(rng.integers(-3, 4, size=n), rng.integers(1, 4, size=n)).astype(float)
+    return rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-5.0, 5.0)
+
+
+def test_seminorm_matches_parent_segment_search():
+    rng = np.random.default_rng(71)
+    for case in range(1200):
+        profile = swing_profile(_profile_values(rng, case % 4))
+        for p in (1.01, 1.25, 1.5, 1.9, 2.0, 3.0):
+            assert seminorm_from_profile(profile, p) == _parent_segment_search(profile, p)
+
+
+
+def test_seminorm_at_p_one_is_total_variation_at_delta_zero():
+    rng = np.random.default_rng(72)
+    for case in range(1200):
+        values = _profile_values(rng, case % 4)
+        path = make_path(np.linspace(0.0, 1.0, values.size), values)
+        sem, arg = seminorm_with_argmax(path, 1.0)
+        assert sem == pytest.approx(total_variation(path), rel=1e-14, abs=0.0)
+        assert arg == 0.0

@@ -294,3 +294,11 @@ def test_profile_rejects_overflowing_oscillation():
         tv_profile(path)
     with pytest.raises(NonFiniteValueError):
         p_tv_seminorm(path, 2.0)
+
+
+def test_tv_rejects_overflowing_oscillation():
+    path = make_path([0.0, 0.5, 1.0], [-1e308, 1e308, 0.0])
+    with pytest.raises(NonFiniteValueError):
+        truncated_variation(path, 0.5)
+    with pytest.raises(NonFiniteValueError):
+        total_variation(path)
