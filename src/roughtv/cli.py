@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
@@ -267,8 +266,6 @@ def _bound_report(f, g, args):
 
 def _bounds_sweep_svg(f, g, args):
     """rhs/lhs of the chosen bound across a regime sweep toward (p, q)."""
-    thetas = np.linspace(0.25, 1.0, 16)
-    budget = thread_budget()
 
     def eval_point(theta):
         local = argparse.Namespace(**vars(args))
@@ -277,17 +274,9 @@ def _bounds_sweep_svg(f, g, args):
         rep = _bound_report(f, g, local)
         return local.p, rep.lhs, rep.rhs
 
-    if budget > 1:
-        with ThreadPoolExecutor(max_workers=budget) as pool:
-            points = list(pool.map(eval_point, thetas))
-    else:
-        points = [eval_point(t) for t in thetas]
-    ps = [pt[0] for pt in points]
-    return render_svg(
-        [("lhs", ps, [pt[1] for pt in points]),
-         ("rhs", ps, [pt[2] for pt in points])],
-        f"{args.variant} sweep", "p", "bound value",
-    )
+    ps, lhs, rhs = zip(*[eval_point(t) for t in np.linspace(0.25, 1.0, 16)])
+    return render_svg([("lhs", ps, lhs), ("rhs", ps, rhs)],
+                      f"{args.variant} sweep", "p", "bound value")
 
 
 def cmd_bounds(args) -> int:
@@ -297,8 +286,7 @@ def cmd_bounds(args) -> int:
     params = {"f": args.f, "g": args.g, "p": args.p, "q": args.q,
               "variant": args.variant, "mode": args.mode}
     results = asdict(rep)
-    diagnostics = {"asserted": args.variant not in UNASSERTED_VARIANTS,
-                   "threads": thread_budget()}
+    diagnostics = {"asserted": args.variant not in UNASSERTED_VARIANTS}
     report = make_report("bounds", params, results, diagnostics)
     if args.format == "svg":
         if not args.out:

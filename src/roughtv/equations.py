@@ -19,6 +19,7 @@ from .errors import (
     BadParameterError,
     BlowupSuspectedError,
     NoConvergenceError,
+    NonFiniteValueError,
     NoSplittingError,
     OutOfSpanError,
 )
@@ -156,8 +157,9 @@ def probe_sup(field: LipschitzField, radius) -> float:
 def fixed_point_radius(A, B, alpha) -> float:
     """Least positive solution of R = A R^alpha + B (alpha < 1).
 
-    Monotone iteration from R0 = B converges to the least fixed point; the
-    B = 0 case degenerates to the closed form A^(1/(1-alpha)).
+    h(R) = R - A R^alpha - B is convex with h(0) = -B, so its positive root is
+    unique and >= max(B, A^(1/(1-alpha))), the B = 0 closed form.  Doubling
+    brackets it; bisection returns the upper of two adjacent floats around it.
     """
     A = float(A)
     B = float(B)
@@ -168,15 +170,23 @@ def fixed_point_radius(A, B, alpha) -> float:
         raise BadParameterError("A and B must be >= 0")
     if A == 0.0:
         return B
-    if B == 0.0:
-        return A ** (1.0 / (1.0 - alpha))
-    r = B
-    for _ in range(10000):
-        nxt = A * r ** alpha + B
-        if abs(nxt - r) <= 1e-12 * max(1.0, abs(nxt)):
-            return nxt
-        r = nxt
-    raise NoConvergenceError("fixed-point iteration for the radius stalled")
+    try:
+        lo = hi = max(A ** (1.0 / (1.0 - alpha)), B)
+    except OverflowError:  # a Python float power beyond float64
+        lo = hi = math.inf
+    if B == 0.0 and hi < math.inf:
+        return hi  # the closed form
+    top = float(np.finfo(np.float64).max)
+    while not hi - A * hi ** alpha - B >= 0.0:  # nan from an inf start too
+        if hi >= top:
+            raise NonFiniteValueError("the a-priori radius overflows float64")
+        lo, hi = hi, min(2.0 * hi, top)
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        if mid - A * mid ** alpha - B < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @dataclass(frozen=True)

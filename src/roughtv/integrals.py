@@ -278,31 +278,24 @@ def _ladder_sum(terms):
     return total
 
 
-def young_bound_S(f: SampledPath, g: SampledPath, ladder: TruncationLadder,
-                  profiles=None) -> float:
-    """The series S for this pair; requires eta_minus1 = sup |f - f(a)|.
-
-    `profiles` may carry precomputed (profile_f, profile_g).
-    """
+def young_bound_S(f: SampledPath, g: SampledPath, ladder: TruncationLadder) -> float:
+    """The series S for this pair; requires eta_minus1 = sup |f - f(a)|."""
     if abs(ladder.eta_minus1 - osc_from_start(f)) > 1e-9:
         raise LadderMismatchError(
             "eta_minus1 must equal sup |f - f(a)| for the existence estimate"
         )
-    prof_f, prof_g = profiles if profiles is not None else (tv_profile(f), tv_profile(g))
     return _ladder_sum(_ladder_terms(ladder.eta_minus1, ladder.etas, ladder.thetas,
-                                     prof_f, prof_g))
+                                     tv_profile(f), tv_profile(g)))
 
 
-def young_bound_S_tilde(f: SampledPath, g: SampledPath, ladder: TruncationLadder,
-                        profiles=None) -> float:
+def young_bound_S_tilde(f: SampledPath, g: SampledPath, ladder: TruncationLadder) -> float:
     """The mirrored series S~; requires theta_minus1 = sup |g(b) - g(t)|."""
     if ladder.theta_minus1 is None or abs(ladder.theta_minus1 - osc_from_end(g)) > 1e-9:
         raise LadderMismatchError(
             "theta_minus1 must equal sup |g(b) - g(t)| for the symmetric estimate"
         )
-    prof_f, prof_g = profiles if profiles is not None else (tv_profile(f), tv_profile(g))
     return _ladder_sum(_ladder_terms(ladder.theta_minus1, ladder.thetas, ladder.etas,
-                                     prof_g, prof_f))
+                                     tv_profile(g), tv_profile(f)))
 
 
 def lemma_sum_bound(f, g, tagged: TaggedPartition, deltas, epsilons, grid=None) -> float:
@@ -410,7 +403,6 @@ def loeve_young_reports(f, g, p, q, xi_count=8):
     the matching pvar rhs, which the extras record for cross-assertions.
     """
     p, q = require_young_regime(p, q)
-    _check_pair(f, g)
     integral = rs_integral(f, g).value
     dg = float(g.values[-1] - g.values[0])
     fa = float(f.values[0])
@@ -482,9 +474,8 @@ def young_series_check(f, g, p, q) -> BoundReport:
 def min_series_check(f, g, p, q, xi_count=8) -> BoundReport:
     """|int f dg - f(xi) dg| <= 2 min(S, S~) over sampled tags xi."""
     ladder_s, ladder_st = default_ladder_pair(f, g, p, q)
-    profiles = (tv_profile(f), tv_profile(g))
-    s = young_bound_S(f, g, ladder_s, profiles)
-    st = young_bound_S_tilde(f, g, ladder_st, profiles)
+    s = young_bound_S(f, g, ladder_s)
+    st = young_bound_S_tilde(f, g, ladder_st)
     integral = rs_integral(f, g).value
     dg = float(g.values[-1] - g.values[0])
     xi_times = _xi_sample_times(f, g, xi_count)

@@ -8,28 +8,36 @@ what `tv_profile` reconstructs exactly.
 """
 
 import heapq
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import kernels
-from .errors import NegativeDeltaError, NonPositiveDeltaError
+from .errors import NegativeDeltaError, NonFiniteValueError, NonPositiveDeltaError
 from .paths import SampledPath, finite_oscillation
 
 
 def truncated_variation(path: SampledPath, delta) -> float:
-    """TV with threshold delta over the whole span; exact for sample data."""
+    """TV with threshold delta over the whole span; exact for sample data.
+
+    NonFiniteValueError when the oscillation or the sum overflows float64.
+    """
     delta = float(delta)
     if delta < 0:
         raise NegativeDeltaError("delta must be >= 0")
     finite_oscillation(path.values)
-    return kernels.tv_delta(path.values, delta)
+    with np.errstate(over="ignore"):
+        total = kernels.tv_delta(path.values, delta)
+    if not math.isfinite(total):
+        raise NonFiniteValueError("truncated variation overflows float64")
+    return total
 
 
 def total_variation(path: SampledPath) -> float:
-    finite_oscillation(path.values)
-    return kernels.tv_delta(path.values, 0.0)
+    return truncated_variation(path, 0.0)
 
 
 def optimal_approximation(path: SampledPath, delta) -> SampledPath:
@@ -99,7 +107,7 @@ def swing_profile(values) -> TvProfile:
     so a heap pops the breakpoints in increasing order, and the last swing
     left is the oscillation.  These are the 1-D persistence pairs of the
     extrema: O(m log m), no tolerance.  On each piece, b counts the swings
-    still standing and a is their sum.
+    still standing and a is their sum; NonFiniteValueError if it overflows.
     """
     if finite_oscillation(values) == 0.0:
         return TvProfile(np.asarray([0.0]), np.empty(0), np.empty(0))
@@ -137,8 +145,9 @@ def swing_profile(values) -> TvProfile:
             levels.append(s)
             counts.append(retired)
 
-    levels = np.asarray(levels)
-    counts = np.asarray(counts, dtype=np.float64)
-    coef_b = np.cumsum(counts[::-1])[::-1]
-    coef_a = np.cumsum((counts * levels)[::-1])[::-1]
-    return TvProfile(np.concatenate(([0.0], levels)), coef_a, coef_b)
+    # Python floats overflow to inf without a NumPy warning
+    coef_a = list(accumulate(c * level for c, level in zip(counts[::-1], levels[::-1])))
+    if coef_a[-1] == math.inf:
+        raise NonFiniteValueError("total variation of the path overflows float64")
+    return TvProfile(np.asarray([0.0] + levels), np.asarray(coef_a[::-1]),
+                     np.cumsum(counts[::-1], dtype=np.float64)[::-1])

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,32 @@ def test_pvar_overflowing_sum_exits_two(tmp_path, capsys):
     assert stderr == "error: NonFiniteValueError: p-variation overflows float64\n"
 
 
+@pytest.fixture
+def tall_tv_csv(tmp_path):
+    # finite oscillation 1e308, but the total variation 4e308 overflows
+    dest = tmp_path / "tall_tv.csv"
+    dest.write_text("t,value\n0,0\n0.25,1e308\n0.5,0\n0.75,1e308\n1,0\n",
+                    encoding="utf-8")
+    return str(dest)
+
+
+@pytest.mark.parametrize("delta", ["0", "1"])
+def test_tv_overflowing_sum_exits_two(tall_tv_csv, capsys, delta):
+    code, stdout, stderr = run_cli(capsys, "tv", tall_tv_csv, "--delta", delta)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: NonFiniteValueError: truncated variation overflows float64\n"
+
+
+def test_norm_overflowing_total_variation_exits_two(tall_tv_csv, capsys):
+    code, stdout, stderr = run_cli(capsys, "norm", tall_tv_csv, "--p", "1.5")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        "error: NonFiniteValueError: total variation of the path overflows float64\n"
+    )
+
+
 @pytest.mark.parametrize("variant", BOUND_VARIANTS)
 def test_bounds_overflowing_oscillation_exits_two(overflowing_csv, tmp_path, capsys, variant):
     small = tmp_path / "small.csv"
@@ -213,6 +241,28 @@ def test_bounds_svg(tmp_path, capsys):
     assert code == 0
     text = svg.read_text()
     assert text.startswith("<svg") and "polyline" in text and "</svg>" in text
+
+
+def test_bounds_output_is_machine_independent(tmp_path, capsys, monkeypatch):
+    # the same input prints the same bytes whatever the CPU count
+    f_csv = tmp_path / "f.csv"
+    g_csv = tmp_path / "g.csv"
+    run_cli(capsys, "gen", "brownian", "--n", "24", "--seed", "5", "--out", str(f_csv))
+    run_cli(capsys, "gen", "brownian", "--n", "24", "--seed", "6", "--out", str(g_csv))
+    monkeypatch.delenv("ROUGHTV_THREADS", raising=False)
+    outputs = []
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        argv = ("bounds", str(f_csv), str(g_csv), "--p", "1.8", "--q", "1.8",
+                "--variant", "young-s")
+        svg = tmp_path / f"sweep{cpus}.svg"
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, svg_report, _ = run_cli(capsys, *argv, "--format", "svg", "--out", str(svg))
+        assert code == 0
+        outputs.append((report, svg_report, svg.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert "threads" not in outputs[0][0]
 
 
 def test_solve_command(tmp_path, capsys):

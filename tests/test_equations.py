@@ -82,6 +82,12 @@ def test_fixed_point_radius_examples():
     assert fixed_point_radius(1.0, 0.0, 0.5) == pytest.approx(1.0, abs=1e-12)
     golden_sq = ((1.0 + math.sqrt(5.0)) / 2.0) ** 2
     assert fixed_point_radius(1.0, 1.0, 0.5) == pytest.approx(golden_sq, rel=1e-11)
+    # alpha near 1: the contraction rate of R <- A R^alpha + B nears 1 too
+    for a, b, alpha in ((1.0, 1e-3, 0.999), (1.0, 1e-6, 0.9999)):
+        r = fixed_point_radius(a, b, alpha)
+        below = math.nextafter(r, 0.0)
+        assert r - a * r ** alpha - b >= 0.0 > below - a * below ** alpha - b
+        assert r == pytest.approx(a * r ** alpha + b, rel=1e-15, abs=0.0)
     with pytest.raises(BadAlphaError):
         fixed_point_radius(1.0, 1.0, 1.0)
 

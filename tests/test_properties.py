@@ -7,8 +7,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from roughtv.norms import seminorm_with_argmax  # noqa: E402
-from roughtv.oracle import seminorm_bruteforce  # noqa: E402
+from roughtv.norms import p_variation, seminorm_with_argmax  # noqa: E402
+from roughtv.oracle import (  # noqa: E402
+    pvar_bruteforce,
+    seminorm_bruteforce,
+    tv_partition_bruteforce,
+)
 from roughtv.paths import make_path  # noqa: E402
 from roughtv.truncation import truncated_variation  # noqa: E402
 
@@ -19,16 +23,41 @@ _values = st.one_of(
 )
 
 
+def _scaled_path(values, exponent):
+    scale = 10.0 ** exponent
+    return make_path(np.linspace(0.0, 1.0, len(values)), np.asarray(values, float) * scale)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(values=_values,
        exponent=st.integers(-8, 8),
        p=st.sampled_from([1.01, 1.25, 1.5, 1.9, 2.0, 3.0]))
 def test_seminorm_matches_bruteforce_oracle(values, exponent, p):
-    scale = 10.0 ** exponent
-    path = make_path(np.linspace(0.0, 1.0, len(values)), np.asarray(values, float) * scale)
+    path = _scaled_path(values, exponent)
     sem, arg = seminorm_with_argmax(path, p)
     slow = seminorm_bruteforce(path, p)
     assert sem == pytest.approx(slow, rel=1e-12, abs=0.0)
     # the argmax attains the supremum
     attained = (arg ** (p - 1.0) * truncated_variation(path, arg)) ** (1.0 / p)
     assert attained == pytest.approx(sem, rel=1e-12, abs=0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(values=_values,
+       exponent=st.integers(-8, 8),
+       delta=st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]))
+def test_truncated_variation_matches_bruteforce_oracle(values, exponent, delta):
+    # delta in units of the scale, so integer values give swings equal to delta
+    path = _scaled_path(values, exponent)
+    delta *= 10.0 ** exponent
+    fast = truncated_variation(path, delta)
+    assert fast == pytest.approx(tv_partition_bruteforce(path, delta), rel=1e-12, abs=0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(values=_values,
+       exponent=st.integers(-8, 8),
+       p=st.sampled_from([1.0, 1.01, 1.5, 2.0, 3.0]))
+def test_p_variation_matches_bruteforce_oracle(values, exponent, p):
+    path = _scaled_path(values, exponent)
+    assert p_variation(path, p) == pytest.approx(pvar_bruteforce(path, p), rel=1e-12, abs=0.0)

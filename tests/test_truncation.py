@@ -296,6 +296,25 @@ def test_profile_rejects_overflowing_oscillation():
         p_tv_seminorm(path, 2.0)
 
 
+def test_profile_rejects_overflowing_total_variation():
+    # osc = 1e308 is finite, but TV = 4e308 is not; an inf piece has nan
+    # peaks, which would leave the seminorm a silent 0
+    path = make_path(np.linspace(0.0, 1.0, 5), [0.0, 1e308, 0.0, 1e308, 0.0])
+    assert oscillation(path) == 1e308
+    with pytest.raises(NonFiniteValueError):
+        tv_profile(path)
+    for p in (1.0, 1.5):
+        with pytest.raises(NonFiniteValueError):
+            p_tv_seminorm(path, p)
+    for delta in (0.0, 1.0):
+        with pytest.raises(NonFiniteValueError):
+            truncated_variation(path, delta)
+    with pytest.raises(NonFiniteValueError):
+        total_variation(path)
+    # above the largest swing nothing is summed
+    assert truncated_variation(path, 1e308) == 0.0
+
+
 def test_tv_rejects_overflowing_oscillation():
     path = make_path([0.0, 0.5, 1.0], [-1e308, 1e308, 0.0])
     with pytest.raises(NonFiniteValueError):
