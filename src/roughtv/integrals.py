@@ -25,6 +25,7 @@ from .errors import (
     CommonDiscontinuityError,
     InvalidPartitionError,
     LadderMismatchError,
+    NonFiniteValueError,
     NonMonotoneLadderError,
 )
 from .norms import p_tv_seminorm, p_var_seminorm
@@ -103,24 +104,35 @@ def _cells(f: SampledPath, g: SampledPath):
     constant, jumping at most at the cell's right end.  `_check_pair` rules
     out common jumps, so f is continuous wherever g jumps and one tag per cell
     is exact: f(t_{k-1}) for a step f, f(t_k) for a linear f against a step g,
-    and the trapezoid mean for two linear paths.
+    and the trapezoid mean for two linear paths.  NonFiniteValueError when a
+    cell overflows float64.
     """
     _check_pair(f, g)
     grid = merge_times(f, g)
     fv = f.values_at(grid)
-    if f.mode is Mode.STEP:
-        tags = fv[:-1]
-    elif g.mode is Mode.STEP:
-        tags = fv[1:]
-    else:
-        tags = 0.5 * (fv[:-1] + fv[1:])
-    return grid, tags * np.diff(g.values_at(grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if f.mode is Mode.STEP:
+            tags = fv[:-1]
+        elif g.mode is Mode.STEP:
+            tags = fv[1:]
+        else:
+            tags = 0.5 * (fv[:-1] + fv[1:])
+        cells = tags * np.diff(g.values_at(grid))
+    return grid, _finite_integral(cells)
+
+
+def _finite_integral(values):
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteValueError("Riemann-Stieltjes integral overflows float64")
+    return values
 
 
 def rs_integral(f: SampledPath, g: SampledPath) -> IntegralResult:
     """int f dg over the common span: the sum of the exact cells of `_cells`."""
     grid, cells = _cells(f, g)
-    return IntegralResult(float(np.sum(cells)), grid.size - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(cells))
+    return IntegralResult(_finite_integral(total), grid.size - 1)
 
 
 def indefinite_integral(f: SampledPath, g: SampledPath) -> SampledPath:
@@ -132,7 +144,9 @@ def indefinite_integral(f: SampledPath, g: SampledPath) -> SampledPath:
     paths it is quadratic on each cell, so only the samples are exact.
     """
     grid, cells = _cells(f, g)
-    return SampledPath(grid, np.concatenate(([0.0], np.cumsum(cells))), g.mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        running = np.cumsum(cells)
+    return SampledPath(grid, np.concatenate(([0.0], _finite_integral(running))), g.mode)
 
 
 @dataclass(frozen=True)

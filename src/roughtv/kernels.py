@@ -4,8 +4,9 @@
 sequence; the absolute differences of consecutive extrema are its swings,
 the alternating monotone runs that `truncation.tv_profile` pairs off
 smallest-first.  `tv_delta` evaluates the truncated variation at one
-threshold in a single pass, `pvar_sum` the p-variation by dynamic
-programming, and `lazy_band` the band-following approximation.
+threshold in a single pass, `pvar_sum` the p-variation by a dynamic
+program pruned to backward records (exact, quadratic only in the worst
+case), and `lazy_band` the band-following approximation.
 """
 
 import numpy as np
@@ -97,9 +98,24 @@ def tv_delta(values, delta):
 def pvar_sum(values, p):
     """Max of sum |increment|^p over subsequences (the p-variation V^p).
 
-    O(m^2) dynamic program over the extrema-reduced sequence; the optimal
-    subsequence always ends at the last sample, so the final entry is the
+    Dynamic program over the extrema-reduced sequence v: best[j], the V^p of
+    v[:j+1], is the max over i < j of best[i] + |v[j] - v[i]|^p, and the
+    optimal subsequence always ends at the last sample, so best[-1] is the
     answer.  p = 1 short-circuits to the total variation.
+
+    Only backward records are scanned.  best never decreases, so i is
+    dominated by any later i' whose value is at least as far from v[j].  At a
+    rising step every i < j - 1 with v[i] >= v[j-1] is beaten by j - 1: by
+    that rule if v[i] <= v[j], and because best[j-1] >= best[i] +
+    |v[j-1] - v[i]|^p if v[i] > v[j].  So the survivors are the strict suffix
+    minima of v[:j], a monotone stack updated in amortised O(1), and a
+    falling step reads the stack of suffix maxima.  Float
+    subtraction, ``**`` and addition are monotone, so the pruned max is
+    bit-for-bit the full one, provided the terms are computed as the full
+    scan computes them, in NumPy array arithmetic (Python's float ``**`` can
+    differ from NumPy's array ``**`` in the last bit).
+    The worst case stays quadratic: in a contracting zigzag every extremum
+    stays a record.
     """
     v = reduce_to_extrema(values)
     n = v.size
@@ -107,10 +123,37 @@ def pvar_sum(values, p):
         return 0.0
     if p == 1.0:
         return float(np.sum(np.abs(np.diff(v))))
-    best = np.zeros(n, dtype=np.float64)
+    xs = v.tolist()
+    # each stack: values and best in arrays for the scan, values in a list
+    # for the pops; a new maximum goes only onto the maxima stack (on the
+    # minima stack the next step would pop it unread), a new minimum only
+    # onto the minima stack
+    lo_v, lo_b, lo = np.empty(n), np.empty(n), [xs[0]]
+    hi_v, hi_b, hi = np.empty(n), np.empty(n), [xs[0]]
+    lo_v[0] = hi_v[0] = xs[0]
+    lo_b[0] = hi_b[0] = 0.0
+    best = 0.0
     for j in range(1, n):
-        best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
-    return float(best[-1])
+        x = xs[j]
+        if x > xs[j - 1]:
+            k = len(lo)
+            best = (lo_b[:k] + (x - lo_v[:k]) ** p).max()
+            while hi and hi[-1] <= x:
+                hi.pop()
+            k = len(hi)
+            hi.append(x)
+            hi_v[k] = x
+            hi_b[k] = best
+        else:
+            k = len(hi)
+            best = (hi_b[:k] + (hi_v[:k] - x) ** p).max()
+            while lo and lo[-1] >= x:
+                lo.pop()
+            k = len(lo)
+            lo.append(x)
+            lo_v[k] = x
+            lo_b[k] = best
+    return float(best)
 
 
 def lazy_band(values, delta):

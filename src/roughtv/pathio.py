@@ -16,7 +16,7 @@ HEADER = "t,value"
 
 def write_path_csv(path: SampledPath, dest):
     lines = [HEADER]
-    for t, v in zip(path.times, path.values):
+    for t, v in zip(path.times.tolist(), path.values.tolist()):
         lines.append(f"{t:.17g},{v:.17g}")
     data = "\n".join(lines) + "\n"
     if hasattr(dest, "write"):

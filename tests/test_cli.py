@@ -125,6 +125,23 @@ def test_pvar_overflowing_sum_exits_two(tmp_path, capsys):
     assert stderr == "error: NonFiniteValueError: p-variation overflows float64\n"
 
 
+@pytest.mark.parametrize("variant", ["loeve-ptv-left", "integral-ptv-theorem",
+                                     "integral-pvar-remark"])
+def test_bounds_overflowing_integral_exits_two(tmp_path, capsys, variant):
+    # finite oscillations, but f * dg overflows on the cells where g swings by 1e308
+    f = tmp_path / "f.csv"
+    g = tmp_path / "g.csv"
+    f.write_text("t,value\n0,0\n0.3,1\n1,2\n", encoding="utf-8")
+    g.write_text("t,value\n0,0\n0.25,1e308\n0.5,0\n0.75,1e308\n1,0\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "bounds", str(f), str(g), "--p", "1.5",
+                                   "--q", "1.5", "--variant", variant)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        "error: NonFiniteValueError: Riemann-Stieltjes integral overflows float64\n"
+    )
+
+
 @pytest.fixture
 def tall_tv_csv(tmp_path):
     # finite oscillation 1e308, but the total variation 4e308 overflows

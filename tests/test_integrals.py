@@ -111,6 +111,18 @@ def test_rs_integral_rejects_overflowing_oscillation(mode):
             indefinite_integral(f, g)
 
 
+@pytest.mark.parametrize("mode", [Mode.LINEAR, Mode.STEP])
+def test_rs_integral_rejects_overflowing_sum(mode):
+    # every cell is finite (at most 1.5 * 1e308), their sum is not
+    t = [0.0, 0.5, 1.0]
+    f = make_path(t, [1.5, 1.5, 1.5], Mode.LINEAR)
+    g = make_path(t, [0.0, 1e308, 1.7e308], mode)
+    with pytest.raises(NonFiniteValueError, match="Riemann-Stieltjes"):
+        rs_integral(f, g)
+    with pytest.raises(NonFiniteValueError, match="Riemann-Stieltjes"):
+        indefinite_integral(f, g)
+
+
 def test_rs_integral_step_times_linear():
     # int 1_{t >= 1/3} dt over [0;1] = 2/3
     eps = 2.0 ** -20

@@ -215,6 +215,17 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(p.values, q.values)
 
 
+def test_csv_bytes_match_numpy_scalar_formatting():
+    # rows are formatted from Python floats; NumPy float64 scalars format the same
+    values = [0.0, -0.0, 5e-324, -2.2250738585072e-309, 1e308, -1e308,
+              0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0e-200, 123456789.01234567]
+    p = make_path(np.linspace(0.0, 1.0, len(values)) / 3.0, values)
+    buf = io.StringIO()
+    write_path_csv(p, buf)
+    rows = [f"{t:.17g},{v:.17g}" for t, v in zip(p.times, p.values)]
+    assert buf.getvalue() == "\n".join(["t,value"] + rows) + "\n"
+
+
 def test_csv_header_enforced():
     with pytest.raises(CsvFormatError):
         read_path_csv(io.StringIO("time,val\n0,0\n1,1\n"))

@@ -7,6 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from roughtv.kernels import pvar_sum  # noqa: E402
 from roughtv.norms import p_variation, seminorm_with_argmax  # noqa: E402
 from roughtv.oracle import (  # noqa: E402
     pvar_bruteforce,
@@ -15,6 +16,7 @@ from roughtv.oracle import (  # noqa: E402
 )
 from roughtv.paths import make_path  # noqa: E402
 from roughtv.truncation import truncated_variation  # noqa: E402
+from test_kernels import pvar_sum_reference  # noqa: E402
 
 # small integers give exact ties, plateaus and monotone runs
 _values = st.one_of(
@@ -61,3 +63,28 @@ def test_truncated_variation_matches_bruteforce_oracle(values, exponent, delta):
 def test_p_variation_matches_bruteforce_oracle(values, exponent, p):
     path = _scaled_path(values, exponent)
     assert p_variation(path, p) == pytest.approx(pvar_bruteforce(path, p), rel=1e-12, abs=0.0)
+
+
+# long walks, integer ties and plateaus, and uniform values at every scale
+_pvar_values = st.one_of(
+    st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=20, max_size=200)
+    .map(lambda steps: np.cumsum(steps).tolist()),
+    st.lists(st.integers(-3, 3), min_size=0, max_size=60),
+    st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=0, max_size=60),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(values=_pvar_values,
+       exponent=st.integers(-300, 300),
+       p=st.sampled_from([1.0, 1.01, 1.5, 1.9, 2.0, 3.0]))
+def test_pvar_sum_equals_quadratic_dp(values, exponent, p):
+    v = np.asarray(values, float) * 10.0 ** exponent
+    # large scales overflow; both sides must then agree on inf
+    with np.errstate(over="ignore"):
+        fast = pvar_sum(v, p)
+        slow = pvar_sum_reference(v, p)
+    assert fast == slow
+    if len(values) <= 12 and np.isfinite(fast) and len(values) >= 2:
+        path = make_path(np.linspace(0.0, 1.0, len(values)), v)
+        assert fast == pytest.approx(pvar_bruteforce(path, p), rel=1e-12, abs=0.0)
