@@ -74,9 +74,20 @@ class LipschitzField:
         return float(np.abs(self(np.zeros(1)))[0])
 
     def __call__(self, values):
-        out = self.func(np.asarray(values, dtype=np.float64))
+        """F at every value, as a float64 array of the input's shape.
+
+        A float64 array of that shape that owns its data and is not the
+        input is returned as is.  Anything else (a scalar, another dtype,
+        the input itself or a view) becomes a read-only broadcast float64
+        view, so the caller's own array is never handed back writable.
+        """
+        arr = np.asarray(values, dtype=np.float64)
+        out = self.func(arr)
+        if (type(out) is np.ndarray and out.dtype == np.float64
+                and out.shape == arr.shape and out.base is None and out is not arr):
+            return out
         return np.broadcast_to(np.asarray(out, dtype=np.float64),
-                               np.shape(values)).astype(np.float64, copy=False)
+                               arr.shape).astype(np.float64, copy=False)
 
     def composition_alpha(self):
         """The exponent at which F composes: alpha, or 1 for smooth orders."""
@@ -279,7 +290,7 @@ def splitting_mesh(x: SampledPath, p, eps) -> SplittingMesh:
 
     def window_ok(i, j):
         seg = values[i:j + 1]
-        osc = float(np.max(seg) - np.min(seg))
+        osc = float(seg.max()) - float(seg.min())
         if osc == 0.0:
             return True
         tv0 = prefix_tv[j] - prefix_tv[i]
@@ -320,22 +331,28 @@ class OdeSolution:
     residual: float
 
 
-def _cumulative_trapezoid(f_vals, x_vals):
-    cells = 0.5 * (f_vals[:-1] + f_vals[1:]) * np.diff(x_vals)
-    return np.concatenate(([0.0], np.cumsum(cells)))
+def _cumulative_trapezoid(f_vals, dx, y_start):
+    """y_start + int F dx by the trapezoid rule, dx the driver's increments."""
+    cells = 0.5 * (f_vals[:-1] + f_vals[1:]) * dx
+    z = np.empty(f_vals.size, dtype=np.float64)
+    z[0] = 0.0
+    np.cumsum(cells, out=z[1:])
+    z += y_start
+    return z
 
 
 def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped):
+    dx = np.diff(xv)
     y = np.full(t.size, y_start, dtype=np.float64)
     for it in range(1, max_iter + 1):
-        z = y_start + _cumulative_trapezoid(field(y), xv)
+        z = _cumulative_trapezoid(field(y), dx, y_start)
         bad = np.abs(z) > BLOWUP_GUARD
-        if np.any(bad):
+        if bad.any():
             raise BlowupSuspectedError(
                 "solution exceeded the overflow guard",
                 time=float(t[int(np.argmax(bad))]),
             )
-        change = float(np.max(np.abs(z - y)))
+        change = float(np.abs(z - y).max())
         if change < tol:
             return z, it
         y = z if not damped else 0.5 * (y + z)
@@ -392,7 +409,6 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
     window_tol = tol / (2.0 * max(1, n_windows))
     full_y = np.empty(times.size, dtype=np.float64)
     iterations = []
-    converged = True
     y_start = y0
     for w in range(n_windows):
         i0, i1 = boundaries[w], boundaries[w + 1]
@@ -409,15 +425,14 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
         iterations.append(its)
         y_start = float(yw[-1])
     solution = SampledPath(times, full_y, Mode.LINEAR)
-    residual = float(np.max(np.abs(
-        full_y - (y0 + _cumulative_trapezoid(field(full_y), x.values))
-    )))
-    converged = converged and residual < tol
+    residual = float(np.abs(
+        full_y - _cumulative_trapezoid(field(full_y), np.diff(x.values), y0)
+    ).max())
     return OdeSolution(
         path=solution,
         iterations=tuple(iterations),
         windows=tuple(float(times[i]) for i in boundaries),
-        converged=converged,
+        converged=residual < tol,
         residual=residual,
     )
 

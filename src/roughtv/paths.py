@@ -134,7 +134,7 @@ def oscillation(path: SampledPath) -> float:
     Taken in Python floats, which overflow to inf without NumPy's warning;
     `finite_oscillation` raises NonFiniteValueError on that inf.
     """
-    return float(np.max(path.values)) - float(np.min(path.values))
+    return float(path.values.max()) - float(path.values.min())
 
 
 def finite_oscillation(values) -> float:
@@ -143,7 +143,8 @@ def finite_oscillation(values) -> float:
     The functionals call it once, before any NumPy arithmetic on increments
     that would overflow (and warn) on such a path.
     """
-    osc = float(np.max(values)) - float(np.min(values))
+    values = np.asarray(values)
+    osc = float(values.max()) - float(values.min())
     if not math.isfinite(osc):
         raise NonFiniteValueError("oscillation of the path overflows float64")
     return osc

@@ -23,6 +23,7 @@ from roughtv.errors import (
     BadAlphaError,
     BadParameterError,
     BlowupSuspectedError,
+    NoConvergenceError,
 )
 from roughtv.integrals import d_e_constants
 from roughtv.norms import c_p, p_tv_seminorm, seminorm_on, tv_p_full_norm
@@ -57,6 +58,45 @@ def test_catalog_fields_satisfy_declared_constants():
                 np.abs(field(y) - field(x) - gv * (y - x)) <= 1e-9
             )
             assert np.all(np.abs(gv) <= field.quotient.sup_bound + 1e-9)
+
+
+def _field(func):
+    return LipschitzField(func=func, alpha=1.0, order="alpha", lipschitz=1.0)
+
+
+def test_field_call_broadcasts_and_converts():
+    u = np.linspace(-1.0, 1.0, 5)
+    scalar = _field(lambda v: 2.5)(u)
+    assert scalar.dtype == np.float64 and scalar.shape == u.shape
+    assert np.all(scalar == 2.5)
+    ints = _field(lambda v: np.ones(v.shape, dtype=np.int64))(u)
+    assert ints.dtype == np.float64 and np.all(ints == 1.0)
+    singles = _field(lambda v: v.astype(np.float32) * 2)(u)
+    assert singles.dtype == np.float64
+    assert np.array_equal(singles, (u.astype(np.float32) * 2).astype(np.float64))
+    listed = field_catalog()["sin"]([0.0, 1.0, 2.0])
+    assert listed.dtype == np.float64
+    assert np.array_equal(listed, np.sin(np.array([0.0, 1.0, 2.0])))
+    with pytest.raises(ValueError):
+        _field(lambda v: np.zeros(v.size + 1))(u)
+
+
+@pytest.mark.parametrize("field", [
+    field_catalog()["identity"],
+    _field(lambda v: v[:]),
+    _field(lambda v: v.reshape(v.shape)),
+], ids=["identity", "slice", "reshape"])
+def test_field_call_never_hands_back_the_input(field):
+    u = np.array([0.5, -1.0, 2.0])
+    before = u.copy()
+    out = field(u)
+    assert out is not u and np.array_equal(out, before)
+    if out.flags.writeable:
+        out[...] = 9.0
+    else:
+        with pytest.raises(ValueError):
+            out[...] = 9.0
+    assert np.array_equal(u, before)
 
 
 def test_estimate_lipschitz_examples():
@@ -367,10 +407,10 @@ def test_picard_rejects_bad_driver_and_exponent():
         picard_solve(step, field_catalog()["identity"], 0.0, 1.5, 1e-6)
 
 
-def test_picard_blowup_guard():
-    # y' = 1 + y^2 blows up near pi/2; deliberately optimistic constants keep
-    # the window wide so the iteration runs into the overflow guard
-    explosive = LipschitzField(
+def _explosive():
+    # y' = 1 + y^2 blows up near pi/4 from y = 1; deliberately optimistic
+    # constants keep the window wide so the iteration runs into the guard
+    return LipschitzField(
         func=lambda u: 1.0 + np.asarray(u, dtype=np.float64) ** 2,
         alpha=1.0,
         order="one_plus_alpha",
@@ -379,9 +419,127 @@ def test_picard_blowup_guard():
                           lipschitz=0.01, sup_bound=0.01),
         sup_bound=0.01,
     )
+
+
+def test_picard_blowup_guard():
     x = identity_path(257, horizon=2.0)
     with pytest.raises(BlowupSuspectedError):
-        picard_solve(x, explosive, 1.0, 1.5, 1e-8, max_iter=200)
+        picard_solve(x, _explosive(), 1.0, 1.5, 1e-8, max_iter=200)
+
+
+# ---------------------------------------------------------------------------
+# the window loop against the plain loop it replaced
+# ---------------------------------------------------------------------------
+def _reference_call(field, values):
+    out = field.func(np.asarray(values, dtype=np.float64))
+    return np.broadcast_to(np.asarray(out, dtype=np.float64),
+                           np.shape(values)).astype(np.float64, copy=False)
+
+
+def _reference_trapezoid(f_vals, x_vals):
+    cells = 0.5 * (f_vals[:-1] + f_vals[1:]) * np.diff(x_vals)
+    return np.concatenate(([0.0], np.cumsum(cells)))
+
+
+def _reference_iterate_window(field, t, xv, y_start, tol, max_iter, damped):
+    y = np.full(t.size, y_start, dtype=np.float64)
+    for it in range(1, max_iter + 1):
+        z = y_start + _reference_trapezoid(_reference_call(field, y), xv)
+        bad = np.abs(z) > equations.BLOWUP_GUARD
+        if np.any(bad):
+            raise BlowupSuspectedError(
+                "solution exceeded the overflow guard",
+                time=float(t[int(np.argmax(bad))]),
+            )
+        change = float(np.max(np.abs(z - y)))
+        if change < tol:
+            return z, it
+        y = z if not damped else 0.5 * (y + z)
+    raise NoConvergenceError(f"window iteration did not reach {tol} in {max_iter} steps")
+
+
+def _outcome(loop, *args):
+    try:
+        z, its = loop(*args)
+    except (BlowupSuspectedError, NoConvergenceError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "time", None)
+    return z, its
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want[0], np.ndarray):
+        assert isinstance(got[0], np.ndarray) and got[0].dtype == np.float64
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    else:
+        assert got == want
+
+
+def _window_drivers():
+    rng = np.random.default_rng(801)
+    drivers = []
+    for n in (2, 3, 5, 17, 64):
+        steps = rng.standard_normal(n - 1)
+        drivers.append(np.concatenate(([0.0], np.cumsum(steps / np.linalg.norm(steps)))))
+    for n in (2, 9, 64):
+        drivers.append(np.linspace(0.0, 1.0, n))
+    return drivers
+
+
+@pytest.mark.parametrize("name", sorted(field_catalog()) + ["explosive"])
+def test_iterate_window_matches_reference_loop(name):
+    field = _explosive() if name == "explosive" else field_catalog()[name]
+    for xv in _window_drivers():
+        t = np.linspace(0.25, 0.75, xv.size)
+        for y_start in (0.0, 1.0, -2.5):
+            for tol in (1e-6, 1e-12):
+                for damped in (False, True):
+                    args = (field, t, xv, y_start, tol, 40, damped)
+                    _assert_same_outcome(_outcome(equations._iterate_window, *args),
+                                         _outcome(_reference_iterate_window, *args))
+
+
+def test_iterate_window_errors_match_reference_loop():
+    t = np.linspace(0.0, 2.0, 257)
+    blowup = (_explosive(), t, t, 1.0, 1e-8, 200, False)
+    got = _outcome(equations._iterate_window, *blowup)
+    assert got[0] == "BlowupSuspectedError"
+    assert got == _outcome(_reference_iterate_window, *blowup)
+    stalled = (field_catalog()["sin"], t[:9], t[:9], 1.0, 1e-14, 2, False)
+    got = _outcome(equations._iterate_window, *stalled)
+    assert got[0] == "NoConvergenceError"
+    assert got == _outcome(_reference_iterate_window, *stalled)
+
+
+def _solve_cases():
+    rng = np.random.default_rng(802)
+    cases = []
+    for _ in range(14):
+        n = int(rng.integers(6, 40))
+        steps = rng.standard_normal(n - 1)
+        values = np.concatenate(([0.0], np.cumsum(steps / np.linalg.norm(steps))))
+        cases.append((make_path(np.linspace(0.0, 1.0, n), values), "sin",
+                      float(rng.uniform(-2.0, 2.0)), 1.5))
+    for n, name, y0, p in ((65, "sqrt-abs", 1.0, 1.25), (65, "sqrt-abs", 3.0, 1.25),
+                           (33, "sin", 1.0, 1.5), (257, "identity", 1.0, 1.5),
+                           (17, "constant", -1.0, 1.5), (9, "zero", 2.0, 1.5)):
+        cases.append((identity_path(n), name, y0, p))
+    return cases
+
+
+def test_picard_solve_matches_reference_loop(monkeypatch):
+    cases = _solve_cases()
+    got = [picard_solve(x, field_catalog()[name], y0, p, 1e-9) for x, name, y0, p in cases]
+    monkeypatch.setattr(equations, "_iterate_window", _reference_iterate_window)
+    for (x, name, y0, p), sol in zip(cases, got):
+        field = field_catalog()[name]
+        ref = picard_solve(x, field, y0, p, 1e-9)
+        assert np.array_equal(sol.path.values, ref.path.values)
+        assert sol.iterations == ref.iterations and sol.windows == ref.windows
+        ys = ref.path.values
+        residual = float(np.max(np.abs(
+            ys - (y0 + _reference_trapezoid(_reference_call(field, ys), x.values))
+        )))
+        assert sol.residual == residual and sol.converged == (residual < 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from roughtv.paths import (
     TaggedPartition,
     gen_brownian,
     gen_counterexample_fx,
+    finite_oscillation,
     gen_zigzag,
     make_path,
     osc_from_start,
@@ -103,6 +104,9 @@ def test_oscillation_examples(tent):
     assert oscillation(tent) == 1.0
     assert oscillation(make_path([0.0, 1.0], [3.0, 3.0])) == 0.0
     assert oscillation(make_path([0, 1, 2, 3], [0.0, 3.0, -1.0, 2.0])) == 4.0
+    assert finite_oscillation([0.0, 3.0, -1.0, 2.0]) == 4.0
+    with pytest.raises(NonFiniteValueError):
+        finite_oscillation([-1e308, 1e308])
 
 
 def test_osc_from_start_examples(tent):
