@@ -45,10 +45,13 @@ def tv_delta(values, delta):
     Tracks the running extremum since the last committed turning point and
     commits a directed run once the drawdown/drawup exceeds delta; each
     completed alternation of size s contributes (s - delta).  The pass runs
-    over the extrema-reduced sequence, which commits the same float values.
+    over the extrema-reduced sequence, which commits the same float values,
+    converted to Python floats: the IEEE operations are those of the NumPy
+    scalars, without their per-operation overhead, and an overflowing sum
+    becomes inf without a warning.
     """
-    v = reduce_to_extrema(values)
-    n = v.size
+    v = reduce_to_extrema(values).tolist()
+    n = len(v)
     if n < 2:
         return 0.0
     total = 0.0

@@ -4,6 +4,14 @@ Schema: UTF-8, header ``t,value``, one decimal-notation row per sample.  The
 interpolation mode travels out-of-band (CLI flag / function argument).
 Numbers are written with 17 significant digits so files round-trip exactly
 and regenerate byte-identically.
+
+Rows are parsed by NumPy's ``loadtxt``, which rounds correctly (the same
+doubles as Python's ``float``).  A field is an ASCII decimal number with an
+optional sign, fraction and exponent (``-1``, ``+.5``, ``1e3``, ``2.5E-7``),
+or ``inf`` / ``nan``, padded by whitespace if at all; ``inf``, ``nan`` and
+numbers that overflow to infinity are then rejected as non-finite.  Digit
+separators (``1_0``) and non-ASCII digits are rejected, although ``float``
+would take them.  Blank lines are skipped; there is no comment syntax.
 """
 
 import numpy as np
@@ -15,15 +23,29 @@ HEADER = "t,value"
 
 
 def write_path_csv(path: SampledPath, dest):
-    lines = [HEADER]
-    for t, v in zip(path.times.tolist(), path.values.tolist()):
-        lines.append(f"{t:.17g},{v:.17g}")
-    data = "\n".join(lines) + "\n"
+    cells = np.stack((path.times, path.values), axis=1).ravel().tolist()
+    data = HEADER + "\n" + ("%.17g,%.17g\n" * len(path)) % tuple(cells)
     if hasattr(dest, "write"):
         dest.write(data)
     else:
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(data)
+
+
+def _parse_rows(rows):
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+
+
+def _first_bad_row(rows):
+    """The error for the first row `_parse_rows` cannot take as a 't,value' pair."""
+    for ln in rows:
+        if ln.count(",") != 1:
+            return CsvFormatError(f"expected 't,value' row, got '{ln}'")
+        try:
+            _parse_rows([ln])
+        except ValueError:
+            return CsvFormatError(f"non-numeric row '{ln}'")
+    return CsvFormatError("malformed rows")
 
 
 def read_path_csv(src, mode=Mode.LINEAR) -> SampledPath:
@@ -37,15 +59,12 @@ def read_path_csv(src, mode=Mode.LINEAR) -> SampledPath:
         raise CsvFormatError("empty CSV")
     if lines[0].replace(" ", "") != HEADER:
         raise CsvFormatError(f"expected header '{HEADER}', got '{lines[0]}'")
-    times = []
-    values = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise CsvFormatError(f"expected 't,value' row, got '{ln}'")
-        try:
-            times.append(float(parts[0]))
-            values.append(float(parts[1]))
-        except ValueError as exc:
-            raise CsvFormatError(f"non-numeric row '{ln}'") from exc
-    return SampledPath(np.asarray(times), np.asarray(values), Mode(mode))
+    rows = lines[1:]
+    try:
+        # loadtxt warns on no rows; SampledPath rejects a header-only file
+        data = _parse_rows(rows) if rows else np.empty((0, 2))
+    except ValueError:
+        raise _first_bad_row(rows) from None
+    if data.shape[1] != 2:
+        raise _first_bad_row(rows)
+    return SampledPath(data[:, 0], data[:, 1], Mode(mode))

@@ -29,8 +29,7 @@ def truncated_variation(path: SampledPath, delta) -> float:
     if delta < 0:
         raise NegativeDeltaError("delta must be >= 0")
     finite_oscillation(path.values)
-    with np.errstate(over="ignore"):
-        total = kernels.tv_delta(path.values, delta)
+    total = kernels.tv_delta(path.values, delta)
     if not math.isfinite(total):
         raise NonFiniteValueError("truncated variation overflows float64")
     return total

@@ -228,6 +228,19 @@ def test_missing_file_is_io_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0,zero\n", "non-numeric row '0,zero'"),
+    ("0,0,0\n1,1,1\n", "expected 't,value' row, got '0,0,0'"),
+])
+def test_malformed_csv_exits_two(tmp_path, capsys, rows, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,value\n" + rows, encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "tv", str(bad), "--delta", "0")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: CsvFormatError: {message}\n"
+
+
 def test_violated_bound_exits_one(tmp_path, capsys, monkeypatch):
     # no honest input violates the asserted bounds, so fake a failing report
     # to pin the exit-code contract

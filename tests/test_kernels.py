@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roughtv import kernels
-from roughtv.paths import gen_zigzag
+from roughtv.paths import gen_brownian, gen_zigzag
 
 
 def pvar_sum_reference(values, p):
@@ -17,6 +17,56 @@ def pvar_sum_reference(values, p):
     for j in range(1, n):
         best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
     return float(best[-1])
+
+
+def tv_delta_reference(values, delta):
+    """The one-pass loop over NumPy scalars, as before it ran over Python floats."""
+    v = kernels.reduce_to_extrema(values)
+    n = v.size
+    if n < 2:
+        return 0.0
+    total = 0.0
+    lo = hi = v[0]
+    anchor = 0.0
+    cur = 0.0
+    direction = 0
+    for j in range(1, n):
+        x = v[j]
+        if direction == 0:
+            if x > hi:
+                hi = x
+            elif x < lo:
+                lo = x
+            if hi - lo > delta:
+                if x == hi:
+                    direction = 1
+                    anchor = lo
+                    cur = hi
+                else:
+                    direction = -1
+                    anchor = hi
+                    cur = lo
+        elif direction == 1:
+            if x > cur:
+                cur = x
+            elif cur - x > delta:
+                total += cur - anchor - delta
+                anchor = cur
+                cur = x
+                direction = -1
+        else:
+            if x < cur:
+                cur = x
+            elif x - cur > delta:
+                total += anchor - cur - delta
+                anchor = cur
+                cur = x
+                direction = 1
+    if direction == 1:
+        total += cur - anchor - delta
+    elif direction == -1:
+        total += anchor - cur - delta
+    return float(total)
 
 
 def contracting_zigzag(count):
@@ -70,3 +120,22 @@ def test_pvar_sum_equals_dp_on_contracting_zigzag(p):
 def test_pvar_sum_equals_dp_on_nested_zigzag(p):
     v = gen_zigzag(1.5, 6).values
     assert kernels.pvar_sum(v, p) == pvar_sum_reference(v, p)
+
+
+def test_tv_delta_equals_numpy_scalar_loop():
+    arrays = _random_arrays(11)
+    # seeded walks at several magnitudes, subnormal ones included
+    for seed, scale in enumerate([1.0, 1e-300, 1e300, 1e-320, 3.0]):
+        arrays.append(gen_brownian(4097, 1.0, seed=seed).values * scale)
+    # ties: integer swings equal to the integer deltas below
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        arrays.append(np.repeat(rng.integers(-3, 4, 30), rng.integers(1, 3, 30)).astype(float))
+    arrays.append(np.asarray([0.0, 1.0, 1.0, 0.0, 0.0, 2.0, 1.0, 1.0, 3.0]))
+    arrays.append(np.asarray([-0.0, 0.0, -0.0]))
+    arrays.append(np.asarray([5.0]))
+    arrays.append(np.asarray([]))
+    for v in arrays:
+        osc = float(np.ptp(v)) if v.size else 0.0
+        for delta in (0.0, 1.0, 2.0, 1e-3 * osc, 0.25 * osc, 0.5 * osc, osc, 2.0 * osc):
+            assert kernels.tv_delta(v, delta) == tv_delta_reference(v, delta)

@@ -18,6 +18,7 @@ from roughtv.errors import (
 from roughtv.paths import (
     Mode,
     Partition,
+    SampledPath,
     TaggedPartition,
     gen_brownian,
     gen_counterexample_fx,
@@ -235,6 +236,101 @@ def test_csv_header_enforced():
         read_path_csv(io.StringIO("time,val\n0,0\n1,1\n"))
     with pytest.raises(CsvFormatError):
         read_path_csv(io.StringIO("t,value\n0,zero\n"))
+
+
+# The reader and writer before rows were parsed by np.loadtxt, kept as the
+# references the current ones must equal.
+def read_path_csv_reference(src, mode=Mode.LINEAR):
+    if hasattr(src, "read"):
+        text = src.read()
+    else:
+        with open(src, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise CsvFormatError("empty CSV")
+    if lines[0].replace(" ", "") != "t,value":
+        raise CsvFormatError(f"expected header 't,value', got '{lines[0]}'")
+    times = []
+    values = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 2:
+            raise CsvFormatError(f"expected 't,value' row, got '{ln}'")
+        try:
+            times.append(float(parts[0]))
+            values.append(float(parts[1]))
+        except ValueError as exc:
+            raise CsvFormatError(f"non-numeric row '{ln}'") from exc
+    return SampledPath(np.asarray(times), np.asarray(values), Mode(mode))
+
+
+def write_path_csv_reference(path, dest):
+    lines = ["t,value"]
+    for t, v in zip(path.times.tolist(), path.values.tolist()):
+        lines.append(f"{t:.17g},{v:.17g}")
+    dest.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("time,val\n0,0\n1,1\n", "expected header 't,value', got 'time,val'"),
+    ("", "empty CSV"),
+    ("\n \t\n\r\n", "empty CSV"),
+    ("t,value\n0,1,2\n1,2,3\n", "expected 't,value' row, got '0,1,2'"),
+    ("t,value\n0\n1\n", "expected 't,value' row, got '0'"),
+    ("t,value\n0,1\n1,2,3\n2,3\n", "expected 't,value' row, got '1,2,3'"),
+    ("t,value\n0,1\n1\n2,3\n", "expected 't,value' row, got '1'"),
+    ("t,value\n0,1\n1,2,\n", "expected 't,value' row, got '1,2,'"),
+    ("t,value\n0,1\n1,\n", "non-numeric row '1,'"),
+    ("t,value\n0,zero\n", "non-numeric row '0,zero'"),
+    ("t,value\n0,0\n1,2 # c\n", "non-numeric row '1,2 # c'"),
+    # the first bad row is named, whichever check it fails
+    ("t,value\n0,x\n1,2,3\n", "non-numeric row '0,x'"),
+    ("t,value\n0,1,2\n1,x\n", "expected 't,value' row, got '0,1,2'"),
+    # digit separators and non-ASCII digits: float() takes them, loadtxt does not
+    ("t,value\n0,0\n1_0,2\n", "non-numeric row '1_0,2'"),
+    ("t,value\n0,0\n\u0663,2\n", "non-numeric row '\u0663,2'"),
+])
+def test_csv_error_messages(text, message):
+    with pytest.raises(CsvFormatError) as exc:
+        read_path_csv(io.StringIO(text))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    "t,value\r\n0,1\r\n0.5,-2\r\n1,3\r\n",
+    "\n  \nt , value\n\n0,1\n \t \n0.5,-2\n\n1,3\n  \n",
+    "t,value\n 0 , 1 \n\t0.5\t,\t-2\n1 ,3\n",
+    "t,value\n+0,+1e0\n5e-1,-2\n1E0,3.\n",
+    "t,value\n0,1e3\n",
+    "t,value\n-0,-0.0\n",
+    "t,value\n1e-320,1.7976931348623157e308\n",
+])
+def test_csv_accepted_forms_match_reference(text):
+    p = read_path_csv(io.StringIO(text))
+    q = read_path_csv_reference(io.StringIO(text))
+    # bytes, so that -0.0 and 0.0 differ
+    assert p.times.tobytes() == q.times.tobytes()
+    assert p.values.tobytes() == q.values.tobytes()
+
+
+def test_csv_byte_order_mark(tmp_path):
+    dest = tmp_path / "bom.csv"
+    dest.write_text("t,value\n0,1\n1,2\n", encoding="utf-8-sig")
+    assert dest.read_bytes().startswith(b"\xef\xbb\xbf")
+    p = read_path_csv(dest)
+    assert p.times.tolist() == [0.0, 1.0] and p.values.tolist() == [1.0, 2.0]
+
+
+def test_csv_header_only_is_length_mismatch():
+    with pytest.raises(LengthMismatchError):
+        read_path_csv(io.StringIO("t,value\n"))
+
+
+@pytest.mark.parametrize("row", ["1,1e500", "1,inf", "1,-inf", "1,nan", "1e500,0"])
+def test_csv_non_finite_rows(row):
+    with pytest.raises(NonFiniteValueError):
+        read_path_csv(io.StringIO(f"t,value\n0,0\n{row}\n"))
 
 
 def test_csv_mode_out_of_band(tmp_path):

@@ -1,5 +1,7 @@
 """Property tests (Hypothesis) of the fast functionals against the oracle."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from roughtv.oracle import (  # noqa: E402
     seminorm_bruteforce,
     tv_partition_bruteforce,
 )
+from roughtv.pathio import read_path_csv, write_path_csv  # noqa: E402
 from roughtv.paths import make_path  # noqa: E402
 from roughtv.truncation import truncated_variation  # noqa: E402
 from test_kernels import pvar_sum_reference  # noqa: E402
+from test_paths import read_path_csv_reference, write_path_csv_reference  # noqa: E402
 
 # small integers give exact ties, plateaus and monotone runs
 _values = st.one_of(
@@ -88,3 +92,30 @@ def test_pvar_sum_equals_quadratic_dp(values, exponent, p):
     if len(values) <= 12 and np.isfinite(fast) and len(values) >= 2:
         path = make_path(np.linspace(0.0, 1.0, len(values)), v)
         assert fast == pytest.approx(pvar_bruteforce(path, p), rel=1e-12, abs=0.0)
+
+
+# every finite double: magnitudes 1e-300 to 1e300, subnormals, -0.0 and
+# values whose shortest repr needs all 17 digits
+_csv_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-300, 1e300).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(-1e-307, 1e-307, allow_nan=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.lists(st.tuples(_csv_floats, _csv_floats), min_size=1, max_size=30,
+                     unique_by=lambda tv: tv[0]))
+def test_csv_io_equals_reference(data):
+    path = make_path(sorted(t for t, _ in data), [v for _, v in data])
+    buf, ref = io.StringIO(), io.StringIO()
+    write_path_csv(path, buf)
+    write_path_csv_reference(path, ref)
+    text = buf.getvalue()
+    assert text == ref.getvalue()
+    back = read_path_csv(io.StringIO(text))
+    old = read_path_csv_reference(io.StringIO(text))
+    assert back.times.tobytes() == path.times.tobytes() == old.times.tobytes()
+    assert back.values.tobytes() == path.values.tobytes() == old.values.tobytes()
