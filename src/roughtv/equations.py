@@ -207,12 +207,12 @@ class WindowStep:
 
 
 def contraction_window(x: SampledPath, field: LipschitzField, start, p,
-                       R=None, f_sup=None) -> WindowStep:
+                       f_sup=None) -> WindowStep:
     """Largest sample-aligned window end on which Picard certifiably contracts.
 
     Certification needs E_{p,p} K_F |x|_{p-TV} <= 1/2 on the window and
     4 E_{p/alpha,p} (|G|_inf + 4 K_G R) |x|_{p-TV} < 1, with
-    R defaulting to 2 |F|_inf |x|_{p-TV}.  Both ends of a candidate window
+    R = 2 |F|_inf |x|_{p-TV}.  Both ends of a candidate window
     are sample times, so its seminorm is `window_seminorm` of the value slice
     x.values[pos:idx+1], with no restricted path; a binary search over idx
     finds the last certified end.  Falls back to the single-step window
@@ -235,7 +235,7 @@ def contraction_window(x: SampledPath, field: LipschitzField, start, p,
 
     def certified(idx):
         s = window_seminorm(x.values[pos:idx + 1], p)
-        radius = R if R is not None else 2.0 * f_sup * s
+        radius = 2.0 * f_sup * s
         return (e_pp * k_f * s <= 0.5) and (4.0 * e_pa * (g_sup + 4.0 * k_g * radius) * s < 1.0)
 
     lo = pos + 1

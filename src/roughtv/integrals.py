@@ -15,7 +15,6 @@ where the explicit Loeve-Young type constants below come from.
 import functools
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -192,7 +191,7 @@ def _ladder_rates(p, q):
     return alpha, alpha * alpha / prod
 
 
-def ladder_geometric(p, q, beta, gamma, theta_minus1=None) -> TruncationLadder:
+def ladder_geometric(p, q, beta, gamma) -> TruncationLadder:
     """The doubly-exponential ladder that makes S converge in the Young regime.
 
     With r = alpha^2 / [(q-1)(p-1)] and alpha = (sqrt((q-1)(p-1)) + 1)/2:
@@ -222,8 +221,7 @@ def ladder_geometric(p, q, beta, gamma, theta_minus1=None) -> TruncationLadder:
         if k > SERIES_MAX_TERMS:
             raise BadExponentsError("(p, q) too close to the Young regime boundary")
         power *= ratio
-    return TruncationLadder(np.asarray(etas), np.asarray(thetas),
-                            eta_minus1=float(beta), theta_minus1=theta_minus1)
+    return TruncationLadder(np.asarray(etas), np.asarray(thetas), eta_minus1=float(beta))
 
 
 def default_ladder_pair(f: SampledPath, g: SampledPath, p, q):
@@ -259,15 +257,19 @@ def _ldexp_capped(x, k):
         return math.inf
 
 
-def _ladder_terms(x_minus1, xs, ys, prof_x, prof_y):
-    """Per-k pairs (2^k x_{k-1} TV^{y_k}(Y), 2^k y_k TV^{x_k}(X)), x_{-1} = x_minus1.
+def _ladder_series(x_minus1, xs, ys, prof_x, prof_y, terms=None):
+    """Sums of the per-k pairs (2^k x_{k-1} TV^{y_k}(Y), 2^k y_k TV^{x_k}(X)).
 
-    A stored ladder stands for its zero-extension: past the prefix only the
-    crossover term 2^(K+1) x_K TV^0(Y) survives, so k stops at K + 1.  A zero
-    factor gives 0 without the other, so 2^k x = inf never meets TV = 0.
+    Returns (total, first_sum, second_sum); total adds the first and then the
+    second term at each k, and x_{-1} = x_minus1.  A stored ladder stands for
+    its zero-extension: past the prefix only the crossover term
+    2^(K+1) x_K TV^0(Y) survives, so k stops at K + 1 unless `terms` stops it
+    sooner.  A zero factor gives 0 without the other, so 2^k x = inf never
+    meets TV = 0.  The terms are >= 0 and never NaN.
     """
     last = len(xs) - 1
-    for k in range(last + 2):
+    total = first_sum = second_sum = 0.0
+    for k in range(last + 2 if terms is None else terms):
         x_prev = x_minus1 if k == 0 else float(xs[k - 1])
         y_k = float(ys[k]) if k <= last else 0.0
         first = second = 0.0
@@ -279,42 +281,42 @@ def _ladder_terms(x_minus1, xs, ys, prof_x, prof_y):
             tv_x = prof_x.value(xs[k])
             if tv_x != 0.0:
                 second = _ldexp_capped(y_k, k) * tv_x
-        yield first, second
-
-
-def _ladder_sum(terms):
-    total = 0.0
-    for first, second in terms:
         total += first
         total += second
-        if total > OVERFLOW_GUARD:
-            return math.inf
-    return total
+        first_sum += first
+        second_sum += second
+    return total, first_sum, second_sum
+
+
+def _capped(total):
+    return math.inf if total > OVERFLOW_GUARD else total
+
+
+def _require_leading(value, osc, message):
+    if value is None or abs(value - osc) > 1e-9:
+        raise LadderMismatchError(message)
 
 
 def young_bound_S(f: SampledPath, g: SampledPath, ladder: TruncationLadder) -> float:
     """The series S for this pair; requires eta_minus1 = sup |f - f(a)|."""
-    if abs(ladder.eta_minus1 - osc_from_start(f)) > 1e-9:
-        raise LadderMismatchError(
-            "eta_minus1 must equal sup |f - f(a)| for the existence estimate"
-        )
-    return _ladder_sum(_ladder_terms(ladder.eta_minus1, ladder.etas, ladder.thetas,
-                                     tv_profile(f), tv_profile(g)))
+    _require_leading(ladder.eta_minus1, osc_from_start(f),
+                     "eta_minus1 must equal sup |f - f(a)| for the existence estimate")
+    return _capped(_ladder_series(ladder.eta_minus1, ladder.etas, ladder.thetas,
+                                  tv_profile(f), tv_profile(g))[0])
 
 
 def young_bound_S_tilde(f: SampledPath, g: SampledPath, ladder: TruncationLadder) -> float:
     """The mirrored series S~; requires theta_minus1 = sup |g(b) - g(t)|."""
-    if ladder.theta_minus1 is None or abs(ladder.theta_minus1 - osc_from_end(g)) > 1e-9:
-        raise LadderMismatchError(
-            "theta_minus1 must equal sup |g(b) - g(t)| for the symmetric estimate"
-        )
-    return _ladder_sum(_ladder_terms(ladder.theta_minus1, ladder.thetas, ladder.etas,
-                                     tv_profile(g), tv_profile(f)))
+    _require_leading(ladder.theta_minus1, osc_from_end(g),
+                     "theta_minus1 must equal sup |g(b) - g(t)| for the symmetric estimate")
+    return _capped(_ladder_series(ladder.theta_minus1, ladder.thetas, ladder.etas,
+                                  tv_profile(g), tv_profile(f))[0])
 
 
-def lemma_sum_bound(f, g, tagged: TaggedPartition, deltas, epsilons, grid=None) -> float:
+def lemma_sum_bound(f, g, tagged: TaggedPartition, deltas, epsilons) -> float:
     """Finite tagged-sum bound including the n*delta_r*epsilon_r remainder.
 
+    Partition indices refer to the merged sample grid of f and g.
     delta_{-1} is sup |f - f(c)| on the partition's own span [c; d].
     """
     check_same_span(f, g)
@@ -325,21 +327,16 @@ def lemma_sum_bound(f, g, tagged: TaggedPartition, deltas, epsilons, grid=None) 
     for name, seq in (("delta", deltas), ("epsilon", epsilons)):
         if np.any(seq < 0) or np.any(np.diff(seq) > 0):
             raise NonMonotoneLadderError(f"{name} ladder must be nonincreasing >= 0")
-    if grid is None:
-        grid = merge_times(f, g)
+    grid = merge_times(f, g)
     part = tagged.partition
     part.validate_for(len(grid))
     c = float(grid[part.indices[0]])
     d = float(grid[part.indices[-1]])
     f_cd = restrict(f, c, d)
     g_cd = restrict(g, c, d)
-    terms = _ladder_terms(osc_from_start(f_cd), deltas, epsilons,
-                          tv_profile(f_cd), tv_profile(g_cd))
-    bound = 0.0
     # the ladder stops at r = size - 1, where the remainder replaces the tail
-    for first, second in islice(terms, deltas.size):
-        bound += first
-        bound += second
+    bound, _, _ = _ladder_series(osc_from_start(f_cd), deltas, epsilons,
+                                 tv_profile(f_cd), tv_profile(g_cd), terms=deltas.size)
     bound += part.n_cells * deltas[-1] * epsilons[-1]
     return float(bound)
 
@@ -399,17 +396,33 @@ def d_e_constants(p, q):
     return d, e
 
 
-LOEVE_FORMS = ("left", "right-symmetric", "midpoint-xi")
-LOEVE_FAMILIES = ("pvar", "ptv")
+XI_COUNT = 8
 
 
-def _xi_sample_times(f, g, count):
+def _tag_gaps(f, g):
+    """int f dg with its gaps from the tagged single-cell sums f(xi) dg.
+
+    Returns (integral, |int f dg - f(a) dg|, the largest |int f dg - f(xi) dg|
+    over XI_COUNT tags xi spread evenly over the merged grid, that xi).  An
+    overflowing f(xi) dg gives an inf gap, as float arithmetic does for f(a) dg.
+    """
+    integral = rs_integral(f, g).value
+    dg = float(g.values[-1] - g.values[0])
+    left = abs(integral - float(f.values[0]) * dg)
     grid = merge_times(f, g)
-    idx = np.unique(np.linspace(0, grid.size - 1, max(int(count), 2)).astype(int))
-    return grid[idx]
+    xi_times = grid[np.unique(np.linspace(0, grid.size - 1, XI_COUNT).astype(int))]
+    with np.errstate(over="ignore"):
+        gaps = np.abs(integral - f.values_at(xi_times) * dg)
+    worst = int(np.argmax(gaps))
+    return integral, left, float(gaps[worst]), float(xi_times[worst])
 
 
-def loeve_young_reports(f, g, p, q, xi_count=8):
+def _left_factor(const, norm_f, osc_f, p, q):
+    """const |f|^(p - p/q) osc(f)^(1 + p/q - p): the f-side of the left-form bounds."""
+    return const * norm_f ** (p - p / q) * osc_f ** (1.0 + p / q - p)
+
+
+def loeve_young_reports(f, g, p, q):
     """All six Loeve-Young style reports for the pair, sharing the norms.
 
     Keys are "<family>/<form>" for family in {pvar, ptv} and form in
@@ -417,9 +430,7 @@ def loeve_young_reports(f, g, p, q, xi_count=8):
     the matching pvar rhs, which the extras record for cross-assertions.
     """
     p, q = require_young_regime(p, q)
-    integral = rs_integral(f, g).value
-    dg = float(g.values[-1] - g.values[0])
-    fa = float(f.values[0])
+    integral, lhs_left, lhs_xi, worst_xi = _tag_gaps(f, g)
     c_const = loeve_young_constant(p, q)
     norms = {
         "pvar": (p_var_seminorm(f, p), p_var_seminorm(g, q)),
@@ -430,16 +441,10 @@ def loeve_young_reports(f, g, p, q, xi_count=8):
     e_f = 1.0 + p / q - p
     e_g = 1.0 + q / p - q
 
-    lhs_left = abs(integral - fa * dg)
-    xi_times = _xi_sample_times(f, g, xi_count)
-    f_at_xi = f.values_at(xi_times)
-    lhs_xi = float(np.max(np.abs(integral - f_at_xi * dg)))
-    worst_xi = float(xi_times[int(np.argmax(np.abs(integral - f_at_xi * dg)))])
-
     def rhs_for(family, form):
         nf, ng = norms[family]
         if form == "left":
-            return c_const * nf ** (p - p / q) * osc_f ** e_f * ng
+            return _left_factor(c_const, nf, osc_f, p, q) * ng
         if form == "right-symmetric":
             return c_const * nf * ng ** (q - q / p) * osc_g ** e_g
         if nf == 0.0 or ng == 0.0:
@@ -450,8 +455,8 @@ def loeve_young_reports(f, g, p, q, xi_count=8):
         )
 
     out = {}
-    for form in LOEVE_FORMS:
-        lhs = lhs_xi if form == "midpoint-xi" else lhs_left
+    for form, lhs in (("left", lhs_left), ("right-symmetric", lhs_left),
+                      ("midpoint-xi", lhs_xi)):
         extras = {
             "integral": integral,
             "rhs_pvar": rhs_for("pvar", form),
@@ -459,47 +464,31 @@ def loeve_young_reports(f, g, p, q, xi_count=8):
         }
         if form == "midpoint-xi":
             extras["worst_xi"] = worst_xi
-        for family in LOEVE_FAMILIES:
+        for family in ("pvar", "ptv"):
             out[f"{family}/{form}"] = bound_report(
-                lhs, rhs_for(family, form), c_const,
+                lhs, extras[f"rhs_{family}"], c_const,
                 f"loeve-{family}-{form}", extras,
             )
     return out
-
-
-def loeve_young_check(f, g, p, q, norm_family="ptv", form="left",
-                      xi_count=8) -> BoundReport:
-    if norm_family not in LOEVE_FAMILIES or form not in LOEVE_FORMS:
-        raise BadParameterError(f"unknown variant {norm_family}/{form}")
-    return loeve_young_reports(f, g, p, q, xi_count)[f"{norm_family}/{form}"]
 
 
 def young_series_check(f, g, p, q) -> BoundReport:
     """|int f dg - f(a) dg| against the series S with the default ladders."""
     ladder, _ = default_ladder_pair(f, g, p, q)
     s = young_bound_S(f, g, ladder)
-    integral = rs_integral(f, g).value
-    fa = float(f.values[0])
-    dg = float(g.values[-1] - g.values[0])
-    return bound_report(abs(integral - fa * dg), s, s, "young-s",
-                        {"integral": integral})
+    integral, lhs, _, _ = _tag_gaps(f, g)
+    return bound_report(lhs, s, s, "young-s", {"integral": integral})
 
 
-def min_series_check(f, g, p, q, xi_count=8) -> BoundReport:
+def min_series_check(f, g, p, q) -> BoundReport:
     """|int f dg - f(xi) dg| <= 2 min(S, S~) over sampled tags xi."""
     ladder_s, ladder_st = default_ladder_pair(f, g, p, q)
     s = young_bound_S(f, g, ladder_s)
     st = young_bound_S_tilde(f, g, ladder_st)
-    integral = rs_integral(f, g).value
-    dg = float(g.values[-1] - g.values[0])
-    xi_times = _xi_sample_times(f, g, xi_count)
-    lhs = float(np.max(np.abs(integral - f.values_at(xi_times) * dg)))
+    integral, _, lhs, _ = _tag_gaps(f, g)
     rhs = 2.0 * min(s, st)
     return bound_report(lhs, rhs, rhs, "min-series",
                         {"S": s, "S_tilde": st, "integral": integral})
-
-
-INTEGRAL_NORM_VARIANTS = ("ptv-theorem", "ptv-corollary", "pvar-remark")
 
 
 def integral_norm_check(f, g, p, q, variant="ptv-theorem") -> BoundReport:
@@ -508,20 +497,20 @@ def integral_norm_check(f, g, p, q, variant="ptv-theorem") -> BoundReport:
     ptv-theorem: q-TV seminorm of int [f - f(a)] dg vs the D-constant bound.
     ptv-corollary: same lhs vs E * |f|_pTV * |g|_qTV (informational; see
     d_e_constants).
-    pvar-remark: p-variation norm of int f dg vs the C-constant bound.
+    pvar-remark: q-variation seminorm of int f dg vs the C-constant bound;
+    the integral has g's regularity, so it is measured with g's exponent.
     """
-    if variant not in INTEGRAL_NORM_VARIANTS:
+    if variant not in ("ptv-theorem", "ptv-corollary", "pvar-remark"):
         raise BadParameterError(f"unknown variant {variant}")
     p, q = require_young_regime(p, q)
     _check_pair(f, g)
     if variant == "pvar-remark":
         ind = indefinite_integral(f, g)
-        lhs = p_var_seminorm(ind, p)
+        lhs = p_var_seminorm(ind, q)
         c_const = loeve_young_constant(p, q)
         pv_f = p_var_seminorm(f, p)
-        osc_f = oscillation(f)
         sup_f = float(np.max(np.abs(f.values)))
-        rhs = (c_const * pv_f ** (p - p / q) * osc_f ** (1.0 + p / q - p) + sup_f) \
+        rhs = (_left_factor(c_const, pv_f, oscillation(f), p, q) + sup_f) \
             * p_var_seminorm(g, q)
         return bound_report(lhs, rhs, c_const, "integral-pvar-remark")
     shifted = shift_path(f, -float(f.values[0]))
@@ -531,7 +520,7 @@ def integral_norm_check(f, g, p, q, variant="ptv-theorem") -> BoundReport:
     tv_f = p_tv_seminorm(f, p)
     tv_g = p_tv_seminorm(g, q)
     if variant == "ptv-theorem":
-        rhs = d_const * tv_f ** (p - p / q) * oscillation(f) ** (1.0 + p / q - p) * tv_g
+        rhs = _left_factor(d_const, tv_f, oscillation(f), p, q) * tv_g
         return bound_report(lhs, rhs, d_const, "integral-ptv-theorem",
                             {"E": e_const})
     rhs = e_const * tv_f * tv_g
@@ -545,18 +534,34 @@ def gamma_level_check(f, g, ladder: TruncationLadder) -> BoundReport:
     gamma = 2 sum 2^k theta_k TV^{eta_k}(f); the bound is
     sum 2^k eta_{k-1} TV^{theta_k}(g) with eta_{-1} = sup |f - f(a)|.
     """
-    if abs(ladder.eta_minus1 - osc_from_start(f)) > 1e-9:
-        raise LadderMismatchError("eta_minus1 must equal sup |f - f(a)|")
-    gamma = 0.0
-    rhs = 0.0
-    for g_term, f_term in _ladder_terms(ladder.eta_minus1, ladder.etas, ladder.thetas,
-                                        tv_profile(f), tv_profile(g)):
-        gamma += 2.0 * f_term
-        rhs += g_term
-        if not math.isfinite(gamma) or rhs > OVERFLOW_GUARD:
-            rhs = math.inf
-            break
+    _require_leading(ladder.eta_minus1, osc_from_start(f),
+                     "eta_minus1 must equal sup |f - f(a)|")
+    _, g_side, f_side = _ladder_series(ladder.eta_minus1, ladder.etas, ladder.thetas,
+                                       tv_profile(f), tv_profile(g))
+    gamma = 2.0 * f_side
+    rhs = _capped(g_side) if math.isfinite(gamma) else math.inf
     shifted = shift_path(f, -float(f.values[0]))
     ind = indefinite_integral(shifted, g)
     lhs = tv_profile(ind).value(gamma) if math.isfinite(gamma) else 0.0
     return bound_report(lhs, rhs, gamma, "gamma-level", {"gamma": gamma})
+
+
+# Every `roughtv bounds --variant`, in the order its usage message lists them.
+BOUND_CHECKS = {
+    "loeve-pvar-left": lambda f, g, p, q: loeve_young_reports(f, g, p, q)["pvar/left"],
+    "loeve-pvar-right":
+        lambda f, g, p, q: loeve_young_reports(f, g, p, q)["pvar/right-symmetric"],
+    "loeve-pvar-xi": lambda f, g, p, q: loeve_young_reports(f, g, p, q)["pvar/midpoint-xi"],
+    "loeve-ptv-left": lambda f, g, p, q: loeve_young_reports(f, g, p, q)["ptv/left"],
+    "loeve-ptv-right":
+        lambda f, g, p, q: loeve_young_reports(f, g, p, q)["ptv/right-symmetric"],
+    "loeve-ptv-xi": lambda f, g, p, q: loeve_young_reports(f, g, p, q)["ptv/midpoint-xi"],
+    "young-s": young_series_check,
+    "min-series": min_series_check,
+    "integral-ptv-theorem": lambda f, g, p, q: integral_norm_check(f, g, p, q, "ptv-theorem"),
+    "integral-ptv-corollary":
+        lambda f, g, p, q: integral_norm_check(f, g, p, q, "ptv-corollary"),
+    "integral-pvar-remark": lambda f, g, p, q: integral_norm_check(f, g, p, q, "pvar-remark"),
+    "gamma-level-ladder":
+        lambda f, g, p, q: gamma_level_check(f, g, default_ladder_pair(f, g, p, q)[0]),
+}

@@ -213,7 +213,7 @@ def test_criterion_09_loeve_young_every_variant():
             assert rep.passed
         for form in ("left", "right-symmetric", "midpoint-xi"):
             assert reports[f"ptv/{form}"].rhs <= reports[f"pvar/{form}"].rhs + 1e-9
-        assert min_series_check(f, g, p, q, xi_count=8).passed
+        assert min_series_check(f, g, p, q).passed
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(9, f"200 pairs x 6 variants + 2*min(S,S~) xi sweep, {elapsed:.1f}s")

@@ -1,4 +1,6 @@
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from roughtv.cli import BOUND_VARIANTS, main, thread_budget, to_json
 from roughtv.errors import BadParameterError
 from roughtv.pathio import read_path_csv, write_path_csv
 from roughtv.paths import Mode, tent_path
+from roughtv.reports import PASS_SLACK
 
 
 def run_cli(capsys, *argv):
@@ -242,8 +245,8 @@ def test_malformed_csv_exits_two(tmp_path, capsys, rows, message):
 
 
 def test_violated_bound_exits_one(tmp_path, capsys, monkeypatch):
-    # no honest input violates the asserted bounds, so fake a failing report
-    # to pin the exit-code contract
+    # fake a failing report to pin the exit-code contract without relying on
+    # an input that violates a bound
     import roughtv.cli as cli
     from roughtv.reports import BoundReport
 
@@ -257,6 +260,90 @@ def test_violated_bound_exits_one(tmp_path, capsys, monkeypatch):
                               "--p", "1.9", "--q", "1.9")
     assert code == 1
     assert '"passed": false' in stdout
+
+
+REPORT_VARIANT = {
+    "loeve-pvar-left": "loeve-pvar-left",
+    "loeve-pvar-right": "loeve-pvar-right-symmetric",
+    "loeve-pvar-xi": "loeve-pvar-midpoint-xi",
+    "loeve-ptv-left": "loeve-ptv-left",
+    "loeve-ptv-right": "loeve-ptv-right-symmetric",
+    "loeve-ptv-xi": "loeve-ptv-midpoint-xi",
+    "young-s": "young-s",
+    "min-series": "min-series",
+    "integral-ptv-theorem": "integral-ptv-theorem",
+    "integral-ptv-corollary": "integral-ptv-corollary",
+    "integral-pvar-remark": "integral-pvar-remark",
+    "gamma-level-ladder": "gamma-level",
+}
+
+
+@pytest.fixture
+def walk_pair(tmp_path, capsys):
+    f_csv = tmp_path / "f.csv"
+    g_csv = tmp_path / "g.csv"
+    run_cli(capsys, "gen", "brownian", "--n", "24", "--seed", "5", "--out", str(f_csv))
+    run_cli(capsys, "gen", "brownian", "--n", "24", "--seed", "6", "--out", str(g_csv))
+    return str(f_csv), str(g_csv)
+
+
+def test_bound_variant_table(walk_pair, capsys):
+    # the order is the one the argparse usage message prints
+    assert BOUND_VARIANTS == tuple(REPORT_VARIANT)
+    for variant, reported in REPORT_VARIANT.items():
+        code, stdout, _ = run_cli(capsys, "bounds", *walk_pair, "--p", "1.9", "--q", "1.9",
+                                  "--variant", variant)
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["results"]["variant"] == reported
+        assert report["diagnostics"]["asserted"] is (variant != "integral-ptv-corollary")
+
+
+def test_readme_lists_every_bound_variant():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Bound variants", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1].strip().strip("`") for line in section.splitlines()
+            if line.startswith("| `")]
+    assert tuple(rows) == BOUND_VARIANTS
+
+
+@pytest.fixture
+def constant_f_pair(tmp_path, capsys):
+    f_csv = tmp_path / "f.csv"
+    g_csv = tmp_path / "g.csv"
+    run_cli(capsys, "gen", "named", "--name", "constant", "--value", "2", "--out", str(f_csv))
+    run_cli(capsys, "gen", "brownian", "--n", "33", "--seed", "3", "--out", str(g_csv))
+    return str(f_csv), str(g_csv)
+
+
+def test_pvar_remark_measures_the_integral_with_q(constant_f_pair, capsys):
+    # int 2 dg = 2 (g - g(0)) has q-variation seminorm 2 |g|_q-var, which is
+    # the rhs exactly when f is constant; with f's exponent p = 1.2 the lhs
+    # exceeded it
+    code, stdout, _ = run_cli(capsys, "bounds", *constant_f_pair, "--p", "1.2", "--q", "1.8",
+                              "--variant", "integral-pvar-remark")
+    assert code == 0
+    res = json.loads(stdout)["results"]
+    assert abs(res["lhs"] - res["rhs"]) <= PASS_SLACK * res["rhs"]
+    assert res["passed"] is True
+
+
+@pytest.mark.parametrize("p,q", [("1.2", "1.8"), ("1.8", "1.2")])
+def test_every_bound_holds_off_the_diagonal(tmp_path, capsys, constant_f_pair, p, q):
+    pairs = [constant_f_pair]
+    for seed in range(8):
+        f_csv = tmp_path / f"f{seed}.csv"
+        g_csv = tmp_path / f"g{seed}.csv"
+        run_cli(capsys, "gen", "brownian", "--n", str(16 + 8 * seed), "--seed",
+                str(40 + 2 * seed), "--out", str(f_csv))
+        run_cli(capsys, "gen", "brownian", "--n", str(48 - 4 * seed), "--seed",
+                str(41 + 2 * seed), "--out", str(g_csv))
+        pairs.append((str(f_csv), str(g_csv)))
+    for f_csv, g_csv in pairs:
+        for variant in BOUND_VARIANTS:
+            code, _, stderr = run_cli(capsys, "bounds", f_csv, g_csv, "--p", p, "--q", q,
+                                      "--variant", variant)
+            assert (code, stderr) == (0, ""), (f_csv, variant)
 
 
 def test_bounds_svg(tmp_path, capsys):

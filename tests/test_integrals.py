@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -43,7 +44,7 @@ from roughtv.paths import (
     restrict,
     tent_path,
 )
-from roughtv.truncation import total_variation, truncated_variation
+from roughtv.truncation import total_variation, truncated_variation, tv_profile
 
 
 def _uniform_tagged(n_points, cells, tag="left"):
@@ -421,6 +422,136 @@ def test_lemma_sum_bound_extension_consistency():
                          - float(ladder.etas[r - 1]) * float(ladder.thetas[r - 1]))
         )
         assert longer - shorter == pytest.approx(step, rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the one ladder-series routine against the three loops it replaced
+# ---------------------------------------------------------------------------
+def _ref_ldexp_capped(x, k):
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
+
+
+def _ref_ladder_terms(x_minus1, xs, ys, prof_x, prof_y):
+    last = len(xs) - 1
+    for k in range(last + 2):
+        x_prev = x_minus1 if k == 0 else float(xs[k - 1])
+        y_k = float(ys[k]) if k <= last else 0.0
+        first = second = 0.0
+        if x_prev != 0.0:
+            tv_y = prof_y.value(y_k)
+            if tv_y != 0.0:
+                first = _ref_ldexp_capped(x_prev, k) * tv_y
+        if y_k != 0.0:
+            tv_x = prof_x.value(xs[k])
+            if tv_x != 0.0:
+                second = _ref_ldexp_capped(y_k, k) * tv_x
+        yield first, second
+
+
+def _ref_ladder_sum(terms):
+    total = 0.0
+    for first, second in terms:
+        total += first
+        total += second
+        if total > 1e300:
+            return math.inf
+    return total
+
+
+def _ref_S(f, g, ladder):
+    return _ref_ladder_sum(_ref_ladder_terms(ladder.eta_minus1, ladder.etas, ladder.thetas,
+                                             tv_profile(f), tv_profile(g)))
+
+
+def _ref_S_tilde(f, g, ladder):
+    return _ref_ladder_sum(_ref_ladder_terms(ladder.theta_minus1, ladder.thetas, ladder.etas,
+                                             tv_profile(g), tv_profile(f)))
+
+
+def _ref_lemma(f, g, tagged, deltas, epsilons):
+    deltas = np.asarray(deltas, dtype=np.float64)
+    epsilons = np.asarray(epsilons, dtype=np.float64)
+    grid = merge_times(f, g)
+    part = tagged.partition
+    f_cd = restrict(f, float(grid[part.indices[0]]), float(grid[part.indices[-1]]))
+    g_cd = restrict(g, float(grid[part.indices[0]]), float(grid[part.indices[-1]]))
+    terms = _ref_ladder_terms(osc_from_start(f_cd), deltas, epsilons,
+                              tv_profile(f_cd), tv_profile(g_cd))
+    bound = 0.0
+    for first, second in itertools.islice(terms, deltas.size):
+        bound += first
+        bound += second
+    bound += part.n_cells * deltas[-1] * epsilons[-1]
+    return float(bound)
+
+
+def _ref_gamma(f, g, ladder):
+    """(gamma, rhs) of the loop that stopped once the g-side passed 1e300."""
+    gamma = 0.0
+    rhs = 0.0
+    for g_term, f_term in _ref_ladder_terms(ladder.eta_minus1, ladder.etas, ladder.thetas,
+                                            tv_profile(f), tv_profile(g)):
+        gamma += 2.0 * f_term
+        rhs += g_term
+        if not math.isfinite(gamma) or rhs > 1e300:
+            rhs = math.inf
+            break
+    return gamma, rhs
+
+
+@pytest.mark.parametrize("p,q", [(1.5, 1.5), (1.9, 1.9), (1.2, 1.8), (1.3, 1.6)])
+def test_ladder_series_equals_the_replaced_loops(p, q):
+    for seed, (n_f, n_g) in enumerate(((5, 5), (24, 24), (128, 128), (17, 64))):
+        f = gen_brownian(n_f, 1.0, seed=300 + 2 * seed)
+        g = gen_brownian(n_g, 1.0, seed=301 + 2 * seed)
+        ladder_s, ladder_st = default_ladder_pair(f, g, p, q)
+        s = young_bound_S(f, g, ladder_s)
+        st = young_bound_S_tilde(f, g, ladder_st)
+        assert s == _ref_S(f, g, ladder_s) and math.isfinite(s)
+        assert st == _ref_S_tilde(f, g, ladder_st) and math.isfinite(st)
+        assert young_series_check(f, g, p, q).rhs == s
+        assert min_series_check(f, g, p, q).rhs == 2.0 * min(s, st)
+        gamma, rhs = _ref_gamma(f, g, ladder_s)
+        rep = gamma_level_check(f, g, ladder_s)
+        assert rep.extras["gamma"] == gamma and rep.rhs == rhs
+        grid = merge_times(f, g)
+        idx = tuple(np.linspace(0, grid.size - 1, min(9, grid.size)).astype(int))
+        tagged = TaggedPartition(Partition(idx), idx[1:])
+        for depth in (1, 3, len(ladder_s)):
+            deltas, epsilons = ladder_s.etas[:depth], ladder_s.thetas[:depth]
+            assert (lemma_sum_bound(f, g, tagged, deltas, epsilons)
+                    == _ref_lemma(f, g, tagged, deltas, epsilons))
+
+
+def test_ladder_series_equals_the_replaced_loops_past_the_guard(tent):
+    g = identity_path(3, horizon=2.0)
+    huge = np.full(600, 1e200)
+    lad = TruncationLadder(huge, huge, eta_minus1=osc_from_start(tent))
+    assert young_bound_S(tent, g, lad) == _ref_S(tent, g, lad) == math.inf
+    rep = gamma_level_check(tent, g, lad)
+    # every f-side term truncates at level 1e200, so gamma is 0
+    assert (rep.extras["gamma"], rep.rhs) == _ref_gamma(tent, g, lad) == (0.0, math.inf)
+
+
+def test_gamma_sums_the_whole_f_side_series(tent):
+    # the g-side passes 1e300 at k = 1; gamma is still 2 sum 2^k theta_k TV^{eta_k}(f)
+    # over the whole ladder, where the replaced loop stopped and kept a partial sum
+    g = gen_brownian(33, 2.0, seed=3)
+    etas = np.asarray([5e300] + [1e-3] * 10 + [0.0])
+    thetas = np.asarray([1e-2] * 11 + [0.0])
+    lad = TruncationLadder(etas, thetas, eta_minus1=osc_from_start(tent))
+    f_side = 0.0
+    for _, second in _ref_ladder_terms(lad.eta_minus1, etas, thetas,
+                                       tv_profile(tent), tv_profile(g)):
+        f_side += second
+    rep = gamma_level_check(tent, g, lad)
+    assert rep.extras["gamma"] == 2.0 * f_side
+    assert rep.rhs == math.inf and rep.passed
+    partial, _ = _ref_gamma(tent, g, lad)
+    assert partial < rep.extras["gamma"]
 
 
 def test_rs_sum_span_mismatch(tent):
