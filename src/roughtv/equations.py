@@ -24,7 +24,8 @@ from .errors import (
     OutOfSpanError,
 )
 from .integrals import d_e_constants
-from .norms import c_p, p_tv_seminorm, window_seminorm
+from .kernels import window_extrema
+from .norms import c_p, extrema_seminorm, p_tv_seminorm
 from .paths import Mode, SampledPath
 from .reports import BoundReport, bound_report
 
@@ -212,10 +213,11 @@ def contraction_window(x: SampledPath, field: LipschitzField, start, p,
 
     Certification needs E_{p,p} K_F |x|_{p-TV} <= 1/2 on the window and
     4 E_{p/alpha,p} (|G|_inf + 4 K_G R) |x|_{p-TV} < 1, with
-    R = 2 |F|_inf |x|_{p-TV}.  Both ends of a candidate window
-    are sample times, so its seminorm is `window_seminorm` of the value slice
-    x.values[pos:idx+1], with no restricted path; a binary search over idx
-    finds the last certified end.  Falls back to the single-step window
+    R = 2 |F|_inf |x|_{p-TV}.  Both ends of a candidate window are sample
+    times, so its seminorm is `extrema_seminorm` of the window's extrema,
+    read from one `kernels.window_extrema` of the driver, with no
+    restricted path; a galloping search over the window end finds the last
+    certified end (`_window_end`).  Falls back to the single-step window
     (uncertified) when even that fails.
     """
     if field.order != "one_plus_alpha":
@@ -225,32 +227,62 @@ def contraction_window(x: SampledPath, field: LipschitzField, start, p,
     pos = int(np.searchsorted(times, float(start)))
     if pos >= times.size - 1 or times[pos] != float(start):
         raise OutOfSpanError(f"start {start} is not an interior sample time")
+    if f_sup is None:
+        f_sup = probe_sup(field, 10.0)
+    end, certified = _window_end(window_extrema(x.values), times.size - 1, pos, p,
+                                 _contraction_test(field, p, f_sup))
+    return WindowStep(float(times[end]), certified)
+
+
+def _contraction_test(field: LipschitzField, p, f_sup):
+    """The two certification inequalities, as a test of a window's seminorm."""
     e_pp = d_e_constants(p, p)[1]
     e_pa = d_e_constants(p / field.alpha, p)[1]
     k_f = field.lipschitz
     g_sup = field.quotient.sup_bound
     k_g = field.quotient.lipschitz
-    if f_sup is None:
-        f_sup = probe_sup(field, 10.0)
 
-    def certified(idx):
-        s = window_seminorm(x.values[pos:idx + 1], p)
+    def contracts(s):
         radius = 2.0 * f_sup * s
         return (e_pp * k_f * s <= 0.5) and (4.0 * e_pa * (g_sup + 4.0 * k_g * radius) * s < 1.0)
 
+    return contracts
+
+
+def _window_end(extrema, last, pos, p, contracts):
+    """(end, certified): the last certified end of a window from sample pos.
+
+    Being certified is monotone in the end, since the seminorm cannot fall
+    when the window grows, so a galloping search finds the same end as any
+    other: from lo = pos + 1, probe lo + 1, lo + 2, lo + 4, ... (capped at
+    `last`) up to the first failure, then bisect between the last success
+    and that failure.  A window of L steps costs at most
+    2 ceil(log2(L + 1)) + 2 seminorms, whatever the length of the driver.
+    (pos + 1, False) when even the one-step window fails.
+    """
+    def certified(idx):
+        return contracts(extrema_seminorm(extrema(pos, idx), p))
+
     lo = pos + 1
     if not certified(lo):
-        return WindowStep(float(times[lo]), False)
-    hi = times.size - 1
-    if certified(hi):
-        return WindowStep(float(times[hi]), True)
+        return lo, False
+    base = lo
+    hi = last + 1  # no failure seen
+    step = 1
+    while lo < last:
+        probe = min(base + step, last)
+        if not certified(probe):
+            hi = probe
+            break
+        lo = probe
+        step *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if certified(mid):
             lo = mid
         else:
             hi = mid
-    return WindowStep(float(times[lo]), True)
+    return lo, True
 
 
 @dataclass(frozen=True)
@@ -263,10 +295,12 @@ def splitting_mesh(x: SampledPath, p, eps) -> SplittingMesh:
     """Largest grid-aligned delta with seminorm <= eps on every shorter window.
 
     A window [t_i; t_j] is ok when its seminorm is at most eps (up to a
-    relative 1e-9); cheap oscillation/variation screens decide most windows
-    before the exact `window_seminorm` of the value slice.  Being ok is
-    inherited by subwindows, so the longest ok window starting at t_i ends
-    at an index J_i that never decreases with i: one two-pointer pass finds
+    relative 1e-9).  The driver is reduced once (`kernels.window_extrema`);
+    a window's extrema give its oscillation, and cheap oscillation and
+    variation screens decide most windows before the exact
+    `extrema_seminorm` of those extrema.  Being ok is inherited by
+    subwindows, so the longest ok window starting at t_i ends at an index
+    J_i that never decreases with i: one two-pointer pass finds
     every J_i with at most 2(n - 1) window checks, since each check either
     moves the end pointer forward or closes a start.  A window of length
     >= bound = min_i (t_{J_i + 1} - t_i) fails, and every shorter window is
@@ -287,10 +321,11 @@ def splitting_mesh(x: SampledPath, p, eps) -> SplittingMesh:
     eps_p = eps_hi ** p
     cp = c_p(p) if p > 1 else 1.0
     prefix_tv = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(values)))))
+    extrema = window_extrema(values)
 
     def window_ok(i, j):
-        seg = values[i:j + 1]
-        osc = float(seg.max()) - float(seg.min())
+        ext = extrema(i, j)
+        osc = max(ext) - min(ext)
         if osc == 0.0:
             return True
         tv0 = prefix_tv[j] - prefix_tv[i]
@@ -298,7 +333,7 @@ def splitting_mesh(x: SampledPath, p, eps) -> SplittingMesh:
             return True
         if cp * osc ** p > eps_p:
             return False
-        return window_seminorm(seg, p) <= eps_hi
+        return extrema_seminorm(ext, p) <= eps_hi
 
     bound = math.inf
     j = 0  # J_i: windows [t_i; t_k] are ok for every k <= j
@@ -363,12 +398,14 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
                  max_iter=80) -> OdeSolution:
     """Solve y = y0 + int F(y) dx window by window on x's own grid.
 
-    Windows come from contraction_window (order one_plus_alpha) or from the
-    splitting mesh sized to make the a-priori coefficient A <= 1/2 (order
-    alpha, which also requires p - 1 < alpha).  Each window iterates the
-    integral map with the trapezoid rule (both paths piecewise linear) and
-    chains its terminal value into the next window; a damped retry
-    y <- (y + Ty)/2 covers the nonsmooth fields before giving up.
+    Windows come from the contraction window search (order one_plus_alpha,
+    over one `kernels.window_extrema` of the driver, with the certification
+    constants computed once) or from the splitting mesh sized to make the
+    a-priori coefficient A <= 1/2 (order alpha, which also requires
+    p - 1 < alpha).  Each window iterates the integral map with the
+    trapezoid rule (both paths piecewise linear) and chains its terminal
+    value into the next window; a damped retry y <- (y + Ty)/2 covers the
+    nonsmooth fields before giving up.
     """
     if x.mode is not Mode.LINEAR:
         raise BadParameterError("driver must be piecewise linear (continuous)")
@@ -384,9 +421,11 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
 
     boundaries = [0]
     if field.order == "one_plus_alpha":
-        while boundaries[-1] < times.size - 1:
-            step = contraction_window(x, field, times[boundaries[-1]], p, f_sup=f_sup)
-            boundaries.append(int(np.searchsorted(times, step.end)))
+        extrema = window_extrema(x.values)
+        contracts = _contraction_test(field, p, f_sup)
+        last = times.size - 1
+        while boundaries[-1] < last:
+            boundaries.append(_window_end(extrema, last, boundaries[-1], p, contracts)[0])
     else:
         if not p - 1.0 < field.alpha:
             raise BadAlphaError("order alpha solving needs p - 1 < alpha")

@@ -3,11 +3,15 @@
 `reduce_to_extrema` keeps the endpoints and turning points of a sample
 sequence; the absolute differences of consecutive extrema are its swings,
 the alternating monotone runs that `truncation.tv_profile` pairs off
-smallest-first.  `tv_delta` evaluates the truncated variation at one
-threshold in a single pass, `pvar_sum` the p-variation by a dynamic
-program pruned to backward records (exact, quadratic only in the worst
-case), and `lazy_band` the band-following approximation.
+smallest-first.  `window_extrema` reduces a sequence once and then reads
+the extrema of any window of it, as the Picard window searches need.
+`tv_delta` evaluates the truncated variation at one threshold in a single
+pass, `pvar_sum` the p-variation by a dynamic program pruned to backward
+records (exact, quadratic only in the worst case), and `lazy_band` the
+band-following approximation.
 """
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -15,6 +19,23 @@ import numpy as np
 def backend_name():
     """Name of the kernel implementation; there is one, in pure Python."""
     return "pure"
+
+
+def _plateau_starts(v):
+    """Mask of the samples that differ from their predecessor (and the first)."""
+    keep = np.ones(v.size, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return keep
+
+
+def _turns(w):
+    """Indices of the turning points of a plateau-free sequence w.
+
+    A comparison, not a difference, decides each direction: the two agree
+    on every float, and a comparison cannot overflow.
+    """
+    rising = w[1:] > w[:-1]
+    return np.nonzero(rising[1:] != rising[:-1])[0] + 1
 
 
 def reduce_to_extrema(values):
@@ -25,18 +46,45 @@ def reduce_to_extrema(values):
     same-sign increments can only increase either sum.
     """
     v = np.asarray(values, dtype=np.float64)
-    n = v.size
-    if n <= 2:
+    if v.size <= 2:
         return v.copy()
     # drop plateaus, then keep the first point plus the end of every
     # maximal same-direction run
-    w = v[np.concatenate(([True], v[1:] != v[:-1]))]
+    w = v[_plateau_starts(v)]
     if w.size <= 2:
-        return w.copy()
-    rising = np.diff(w) > 0
-    turn = np.nonzero(rising[1:] != rising[:-1])[0] + 1
-    idx = np.concatenate(([0], turn, [w.size - 1]))
-    return w[idx]
+        return w
+    return w[np.concatenate(([0], _turns(w), [w.size - 1]))]
+
+
+def window_extrema(values):
+    """One pass over `values`; returns extrema(i, j), the extrema of values[i:j+1].
+
+    The pass drops plateaus, giving w, numbers the plateau a = run[i] of
+    every sample, and finds the turning points of w.  A plateau that starts
+    before i has the value of sample i, so the plateau-free values of the
+    window are w[a..b], b = run[j]; an inner point of that run turns exactly
+    when it turns in w.  So extrema(i, j) is w[a], the turning values
+    strictly between a and b (two bisections), and w[b]: as Python floats,
+    equal to reduce_to_extrema(values[i:j+1]).tolist() whenever the window
+    is not constant, and [values[i]] when it is.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    keep = _plateau_starts(v)
+    w = v[keep]
+    run = (np.cumsum(keep) - 1).tolist()
+    turns = _turns(w)
+    turn_values = w[turns].tolist()
+    turns = turns.tolist()
+    w = w.tolist()
+
+    def extrema(i, j):
+        a = run[i]
+        b = run[j]
+        if a == b:
+            return [w[a]]
+        return [w[a]] + turn_values[bisect_right(turns, a):bisect_left(turns, b)] + [w[b]]
+
+    return extrema
 
 
 def tv_delta(values, delta):

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .paths import SampledPath, finite_oscillation, oscillation, restrict
 from .reports import BoundReport, bound_report
-from .truncation import TvProfile, swing_profile, tv_profile
+from .truncation import TvProfile, swing_pieces, tv_profile
 
 
 def c_p(p) -> float:
@@ -75,12 +75,16 @@ def seminorm_from_profile(profile: TvProfile, p):
     Each piece a - b*delta peaks at delta = a(p-1)/(pb); the first largest
     peak wins.  NonFiniteValueError when the supremum overflows float64.
     """
+    return _largest_peak(profile.coef_a.tolist(), profile.coef_b.tolist(), p)
+
+
+def _largest_peak(coef_a, coef_b, p):
     p = float(p)
     if not p >= 1:
         raise BadExponentError("seminorm needs p >= 1")
     pm1 = p - 1.0
     best = best_delta = 0.0
-    for a, b in zip(profile.coef_a.tolist(), profile.coef_b.tolist()):
+    for a, b in zip(coef_a, coef_b):
         delta = a * pm1 / (p * b)
         try:
             value = delta ** pm1 * (a - b * delta)
@@ -110,9 +114,22 @@ def window_seminorm(values, p) -> float:
 
     For a window whose ends are sample times this is `seminorm_on`:
     window_seminorm(x.values[i:j+1], p) == seminorm_on(x, t_i, t_j, p),
-    since the restriction takes the samples at its ends.  It builds no path.
+    since the restriction takes the samples at its ends.  It builds no path:
+    it is `extrema_seminorm` of the slice's extrema.
     """
-    return seminorm_from_profile(swing_profile(values), p)[0]
+    finite_oscillation(values)  # NaN too, which max and min of a list can miss
+    return extrema_seminorm(kernels.reduce_to_extrema(values).tolist(), p)
+
+
+def extrema_seminorm(extrema, p) -> float:
+    """The p-TV seminorm of the path through the extrema list `extrema`.
+
+    The largest peak over the pieces of `truncation.swing_pieces`, with no
+    `TvProfile` and no NumPy call, so that the Picard window searches can
+    judge thousands of short windows read from one `kernels.window_extrema`.
+    """
+    _, coef_a, coef_b = swing_pieces(extrema)
+    return _largest_peak(coef_a, coef_b, p)[0]
 
 
 def seminorm_on(path: SampledPath, c, d, p) -> float:

@@ -20,6 +20,8 @@ from .errors import CsvFormatError
 from .paths import Mode, SampledPath
 
 HEADER = "t,value"
+# rows per parse when a file is rejected, to find its first bad row
+BAD_ROW_BLOCK = 256
 
 
 def write_path_csv(path: SampledPath, dest):
@@ -37,14 +39,27 @@ def _parse_rows(rows):
 
 
 def _first_bad_row(rows):
-    """The error for the first row `_parse_rows` cannot take as a 't,value' pair."""
-    for ln in rows:
-        if ln.count(",") != 1:
-            return CsvFormatError(f"expected 't,value' row, got '{ln}'")
-        try:
-            _parse_rows([ln])
-        except ValueError:
-            return CsvFormatError(f"non-numeric row '{ln}'")
+    """The error for the first row `_parse_rows` cannot take as a 't,value' pair.
+
+    Rows are parsed BAD_ROW_BLOCK at a time, and only the first block that
+    fails is parsed again row by row: a block parses exactly when each of
+    its rows has one comma and parses alone.
+    """
+    for start in range(0, len(rows), BAD_ROW_BLOCK):
+        block = rows[start:start + BAD_ROW_BLOCK]
+        if all(ln.count(",") == 1 for ln in block):
+            try:
+                _parse_rows(block)
+                continue
+            except ValueError:
+                pass
+        for ln in block:
+            if ln.count(",") != 1:
+                return CsvFormatError(f"expected 't,value' row, got '{ln}'")
+            try:
+                _parse_rows([ln])
+            except ValueError:
+                return CsvFormatError(f"non-numeric row '{ln}'")
     return CsvFormatError("malformed rows")
 
 

@@ -94,11 +94,21 @@ def tv_profile(path: SampledPath) -> TvProfile:
 
 
 def swing_profile(values) -> TvProfile:
-    """Build the exact profile by pairing off the swings, smallest first.
+    """The exact profile of the path through the sample values `values`.
 
-    It reads the sample values only, so a slice values[i:j+1] gives the
-    profile of the path restricted to [t_i; t_j].  The swings are the moves
-    between consecutive extrema (`kernels.reduce_to_extrema`); below the
+    It reads the values only, so a slice values[i:j+1] gives the profile of
+    the path restricted to [t_i; t_j].  See `swing_pieces`.
+    """
+    finite_oscillation(values)  # NaN too, which max and min of a list can miss
+    breakpoints, coef_a, coef_b = swing_pieces(kernels.reduce_to_extrema(values).tolist())
+    return TvProfile(np.asarray(breakpoints), np.asarray(coef_a), np.asarray(coef_b))
+
+
+def swing_pieces(extrema):
+    """Breakpoints and pieces of the profile of the path through `extrema`.
+
+    `extrema` is a list of floats as `kernels.reduce_to_extrema` leaves
+    them; the moves between consecutive extrema are the swings.  Below the
     smallest swing s, TV^delta is their sum minus their number times delta.
     From delta = s on, s stops paying: at an end of the path it is dropped,
     inside it fuses with its neighbours l and r into the one swing
@@ -106,12 +116,28 @@ def swing_profile(values) -> TvProfile:
     so a heap pops the breakpoints in increasing order, and the last swing
     left is the oscillation.  These are the 1-D persistence pairs of the
     extrema: O(m log m), no tolerance.  On each piece, b counts the swings
-    still standing and a is their sum; NonFiniteValueError if it overflows.
+    still standing and a is their sum.  Returns the lists (breakpoints,
+    coef_a, coef_b) of `TvProfile`, with no piece for a constant path.
+    NonFiniteValueError when the oscillation or the total variation
+    overflows float64.
     """
-    if finite_oscillation(values) == 0.0:
-        return TvProfile(np.asarray([0.0]), np.empty(0), np.empty(0))
+    # Python floats overflow to inf without a NumPy warning
+    osc = max(extrema) - min(extrema)
+    if not math.isfinite(osc):
+        raise NonFiniteValueError("oscillation of the path overflows float64")
+    if osc == 0.0:
+        return [0.0], [], []
+    levels, counts = _pair_swings(extrema)
+    coef_a = list(accumulate(c * level for c, level in zip(counts[::-1], levels[::-1])))
+    if coef_a[-1] == math.inf:
+        raise NonFiniteValueError("total variation of the path overflows float64")
+    # every partial sum of the counts is an exact integer in float64
+    coef_b = list(accumulate(float(c) for c in counts[::-1]))
+    return [0.0] + levels, coef_a[::-1], coef_b[::-1]
 
-    v = kernels.reduce_to_extrema(values).tolist()
+
+def _pair_swings(v):
+    """Pair off the swings of the extrema v, smallest first: (levels, counts)."""
     m = len(v)
     prev = list(range(-1, m - 1))
     succ = list(range(1, m)) + [-1]  # -2 marks a removed extremum
@@ -143,10 +169,4 @@ def swing_profile(values) -> TvProfile:
         else:
             levels.append(s)
             counts.append(retired)
-
-    # Python floats overflow to inf without a NumPy warning
-    coef_a = list(accumulate(c * level for c, level in zip(counts[::-1], levels[::-1])))
-    if coef_a[-1] == math.inf:
-        raise NonFiniteValueError("total variation of the path overflows float64")
-    return TvProfile(np.asarray([0.0] + levels), np.asarray(coef_a[::-1]),
-                     np.cumsum(counts[::-1], dtype=np.float64)[::-1])
+    return levels, counts

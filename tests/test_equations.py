@@ -24,9 +24,10 @@ from roughtv.errors import (
     BadParameterError,
     BlowupSuspectedError,
     NoConvergenceError,
+    NoSplittingError,
 )
 from roughtv.integrals import d_e_constants
-from roughtv.norms import c_p, p_tv_seminorm, seminorm_on, tv_p_full_norm
+from roughtv.norms import c_p, p_tv_seminorm, seminorm_on, tv_p_full_norm, window_seminorm
 from roughtv.paths import (
     constant_path,
     gen_brownian,
@@ -296,13 +297,13 @@ def test_splitting_mesh_work_is_linear(monkeypatch):
     # the sqrt-abs solve's mesh: at most two window seminorms per sample
     # (the bisection took 6,396 on this path)
     calls = []
-    counted = equations.window_seminorm
+    counted = equations.extrema_seminorm
 
-    def counting(values, p):
-        calls.append(values.size)
-        return counted(values, p)
+    def counting(extrema, p):
+        calls.append(len(extrema))
+        return counted(extrema, p)
 
-    monkeypatch.setattr(equations, "window_seminorm", counting)
+    monkeypatch.setattr(equations, "extrema_seminorm", counting)
     x = identity_path(513)
     field = field_catalog()["sqrt-abs"]
     eps = 0.5 / ((d_e_constants(1.25 / field.alpha, 1.25)[1] + 1.0) * field.lipschitz)
@@ -342,6 +343,199 @@ def test_contraction_window_matches_restricting_reference():
                         hi = mid
                 expected = WindowStep(float(times[lo]), True)
             assert contraction_window(x, sin_field, times[pos], p) == expected
+
+
+# ---------------------------------------------------------------------------
+# the window searches against the slice-by-slice ones they replaced
+# ---------------------------------------------------------------------------
+def _slice_contraction_window(x, field, start, p, f_sup):
+    """contraction_window as it was: `window_seminorm` of each value slice,
+    the whole rest checked first, then a binary search."""
+    times = x.times
+    pos = int(np.searchsorted(times, float(start)))
+    e_pp = d_e_constants(p, p)[1]
+    e_pa = d_e_constants(p / field.alpha, p)[1]
+    k_f = field.lipschitz
+    g_sup = field.quotient.sup_bound
+    k_g = field.quotient.lipschitz
+
+    def certified(idx):
+        s = window_seminorm(x.values[pos:idx + 1], p)
+        radius = 2.0 * f_sup * s
+        return (e_pp * k_f * s <= 0.5) and (4.0 * e_pa * (g_sup + 4.0 * k_g * radius) * s < 1.0)
+
+    lo = pos + 1
+    if not certified(lo):
+        return WindowStep(float(times[lo]), False)
+    hi = times.size - 1
+    if certified(hi):
+        return WindowStep(float(times[hi]), True)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    return WindowStep(float(times[lo]), True)
+
+
+def _slice_splitting_mesh(x, p, eps):
+    """splitting_mesh as it was: oscillation and seminorm of each value slice."""
+    p = float(p)
+    eps = float(eps)
+    times = x.times
+    values = x.values
+    n = times.size
+    if n < 2:
+        return SplittingMesh(0.0, False)
+    eps_hi = eps * (1.0 + 1e-9)
+    eps_p = eps_hi ** p
+    cp = c_p(p) if p > 1 else 1.0
+    prefix_tv = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(values)))))
+
+    def window_ok(i, j):
+        seg = values[i:j + 1]
+        osc = float(seg.max()) - float(seg.min())
+        if osc == 0.0:
+            return True
+        tv0 = prefix_tv[j] - prefix_tv[i]
+        if osc ** (p - 1.0) * tv0 <= eps_p:
+            return True
+        if cp * osc ** p > eps_p:
+            return False
+        return window_seminorm(seg, p) <= eps_hi
+
+    bound = math.inf
+    j = 0
+    for i in range(n - 1):
+        if j <= i:
+            if not window_ok(i, i + 1):
+                return SplittingMesh(0.0, True)
+            j = i + 1
+        while j + 1 < n and window_ok(i, j + 1):
+            j += 1
+        if j + 1 < n:
+            bound = min(bound, float(times[j + 1] - times[i]))
+    if bound == math.inf:
+        return SplittingMesh(float(times[-1] - times[0]), False)
+    delta = 0.0
+    j = 0
+    for i in range(n - 1):
+        while j + 1 < n and times[j + 1] - times[i] < bound:
+            j += 1
+        delta = max(delta, float(times[j] - times[i]))
+    return SplittingMesh(delta, False)
+
+
+def _rough_driver(rng, n):
+    # a walk on [0; 1] with quadratic variation 1, as the benchmark drives
+    steps = rng.standard_normal(n - 1)
+    return make_path(np.linspace(0.0, 1.0, n),
+                     np.concatenate(([0.0], np.cumsum(steps / np.linalg.norm(steps)))))
+
+
+def _search_cases():
+    rng = np.random.default_rng(803)
+    sizes = [24, 24, 24, 24, 24, 24, 33, 40, 57, 65, 100, 129, 180, 257, 300, 400,
+             513, 700, 1025, 4097]
+    cases = []
+    for k, n in enumerate(sizes):
+        x = _rough_driver(rng, n)
+        cases += [(x, "sin", 1.0, 1.5), (x, "identity", 0.5 + 0.1 * k, 1.5)]
+        # sqrt-abs splits a rough walk of quadratic variation 1 into
+        # one-step windows at best, so it drives a flatter one; its mesh
+        # takes seconds at 4,097 samples
+        if n <= 1025:
+            cases.append((scale_path(x, 0.05), "sqrt-abs", 1.0 + k % 3, 1.25))
+    for n in (24, 513, 1025):
+        x = identity_path(n)
+        cases += [(x, "sin", 1.0, 1.5), (x, "identity", 1.0, 1.5), (x, "sqrt-abs", 2.0, 1.25)]
+    return cases
+
+
+def _solve_outcome(x, field, y0, p):
+    try:
+        return picard_solve(x, field, y0, p, 1e-8)
+    except (NoSplittingError, NoConvergenceError, BlowupSuspectedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_picard_solve_matches_slice_window_searches(monkeypatch):
+    cases = _search_cases()
+    got = [_solve_outcome(x, field_catalog()[name], y0, p) for x, name, y0, p in cases]
+    solved = 0
+    for (x, name, y0, p), sol in zip(cases, got):
+        field = field_catalog()[name]
+        f_sup = equations.probe_sup(field, 10.0 * (abs(y0) + 1.0))
+
+        def slice_window_end(extrema, last, pos, p_, contracts):
+            step = _slice_contraction_window(x, field, x.times[pos], p, f_sup)
+            return int(np.searchsorted(x.times, step.end)), step.certified
+
+        monkeypatch.setattr(equations, "_window_end", slice_window_end)
+        monkeypatch.setattr(equations, "splitting_mesh", _slice_splitting_mesh)
+        ref = _solve_outcome(x, field, y0, p)
+        monkeypatch.undo()
+        if isinstance(ref, tuple):
+            assert sol == ref
+            continue
+        solved += 1
+        assert np.array_equal(sol.path.values, ref.path.values)
+        assert np.array_equal(sol.windows, ref.windows)
+        assert sol.iterations == ref.iterations
+        assert sol.residual == ref.residual and sol.converged == ref.converged
+    assert solved >= 50
+
+
+def test_window_search_certifications_are_logarithmic(monkeypatch):
+    # at most 2 ceil(log2(L + 1)) + 2 seminorms for a window of L steps,
+    # whatever the length of the driver
+    calls = []
+    counted = equations.extrema_seminorm
+
+    def counting(extrema, p):
+        calls.append(len(extrema))
+        return counted(extrema, p)
+
+    monkeypatch.setattr(equations, "extrema_seminorm", counting)
+    rng = np.random.default_rng(804)
+    drivers = [_rough_driver(rng, n) for n in (24, 513, 4097, 16385)]
+    drivers += [gen_brownian(4097, 1.0, 7), identity_path(4097)]
+    windows = 0
+    for x in drivers:
+        field = field_catalog()["sin"]
+        extrema = equations.window_extrema(x.values)
+        contracts = equations._contraction_test(field, 1.5, field.sup_bound)
+        last = x.times.size - 1
+        pos = 0
+        while pos < last:
+            calls.clear()
+            end, _ = equations._window_end(extrema, last, pos, 1.5, contracts)
+            steps = end - pos
+            assert len(calls) <= 2 * math.ceil(math.log2(steps + 1)) + 2, (len(x), pos, end)
+            pos = end
+            windows += 1
+    assert windows > 500
+
+
+def test_driver_is_reduced_once_per_solve(monkeypatch):
+    builds = []
+    counted = equations.window_extrema
+
+    def counting(values):
+        builds.append(len(values))
+        return counted(values)
+
+    monkeypatch.setattr(equations, "window_extrema", counting)
+    x = _rough_driver(np.random.default_rng(805), 513)
+    sol = picard_solve(x, field_catalog()["sin"], 1.0, 1.5, 1e-8)
+    assert len(sol.windows) > 10 and builds == [513]
+    builds.clear()
+    sol = picard_solve(identity_path(513), field_catalog()["sqrt-abs"], 1.0, 1.25, 1e-8)
+    assert len(sol.windows) > 10 and builds == [513]
+    builds.clear()
+    mesh = splitting_mesh(x, 1.25, 0.3)
+    assert not mesh.no_splitting and builds == [513]
 
 
 # ---------------------------------------------------------------------------

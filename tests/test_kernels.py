@@ -139,3 +139,52 @@ def test_tv_delta_equals_numpy_scalar_loop():
         osc = float(np.ptp(v)) if v.size else 0.0
         for delta in (0.0, 1.0, 2.0, 1e-3 * osc, 0.25 * osc, 0.5 * osc, osc, 2.0 * osc):
             assert kernels.tv_delta(v, delta) == tv_delta_reference(v, delta)
+
+
+def _window_paths(seed, count=150):
+    """Seeded value sequences of 2-39 samples: walks, integer-valued paths
+    with plateaus and ties, rounded walks, monotone paths, and walks with
+    leading and trailing plateaus."""
+    rng = np.random.default_rng(seed)
+    out = [np.asarray([0.0, 1.0]), np.asarray([1.0, 1.0]), np.asarray([-0.0, 0.0, 1.0, 1.0])]
+    for case in range(count):
+        n = int(rng.integers(2, 40))
+        kind = case % 5
+        if kind == 0:
+            v = np.cumsum(rng.normal(size=n))
+        elif kind == 1:
+            v = np.repeat(rng.integers(-3, 4, size=n), rng.integers(1, 4, size=n))[:n]
+        elif kind == 2:
+            v = np.round(np.cumsum(rng.normal(size=n)), 1)
+        elif kind == 3:
+            v = np.cumsum(np.abs(rng.normal(size=n))) * rng.choice([-1.0, 1.0])
+        else:
+            walk = np.cumsum(rng.normal(size=n))
+            v = np.concatenate(([walk[0]] * int(rng.integers(1, 4)), walk,
+                                [walk[-1]] * int(rng.integers(1, 4))))
+        out.append(v.astype(float))
+    return out
+
+
+def test_window_extrema_equal_reduced_slices():
+    windows = constant = 0
+    for v in _window_paths(61):
+        extrema = kernels.window_extrema(v)
+        for i in range(v.size - 1):
+            for j in range(i + 1, v.size):
+                seg = v[i:j + 1]
+                if np.all(seg == seg[0]):
+                    assert extrema(i, j) == [seg[0]]
+                    constant += 1
+                else:
+                    assert extrema(i, j) == kernels.reduce_to_extrema(seg).tolist()
+                    windows += 1
+    assert windows > 10000 and constant > 100
+
+
+def test_reduce_to_extrema_compares_without_overflow():
+    # the direction of a step is a comparison, so a step beyond float64
+    # neither warns nor changes the extrema
+    v = np.asarray([-1e308, 1e308, 1e308, -1e308, 0.0, 5.0])
+    assert kernels.reduce_to_extrema(v).tolist() == [-1e308, 1e308, -1e308, 5.0]
+    assert kernels.window_extrema(v)(0, 5) == [-1e308, 1e308, -1e308, 5.0]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_corpus
+from roughtv import kernels
 from roughtv.errors import (
     BadExponentError,
     BadExponentOrderError,
@@ -11,6 +12,7 @@ from roughtv.errors import (
 from roughtv.norms import (
     c_p,
     embedding_bound,
+    extrema_seminorm,
     p_tv_seminorm,
     p_var_seminorm,
     p_variation,
@@ -32,6 +34,7 @@ from roughtv.paths import (
     scale_path,
 )
 from roughtv.truncation import swing_profile, total_variation, truncated_variation
+from test_kernels import _window_paths
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +167,38 @@ def test_window_seminorm_of_slice_equals_seminorm_on():
             for i in range(t.size - 1):
                 for j in range(i + 1, t.size):
                     assert window_seminorm(x.values[i:j + 1], p) == seminorm_on(x, t[i], t[j], p)
+
+
+def test_extrema_seminorm_of_window_equals_window_seminorm():
+    # the seminorm read from one reduction of the path equals the one of
+    # the value slice, and the profile of the slice, bit for bit
+    for v in _window_paths(62, count=30):
+        extrema = kernels.window_extrema(v)
+        for i in range(v.size - 1):
+            for j in range(i + 1, v.size):
+                seg = v[i:j + 1]
+                ext = extrema(i, j)
+                profile = swing_profile(seg)
+                for p in (1.0, 1.25, 1.5, 1.9):
+                    got = extrema_seminorm(ext, p)
+                    assert got == window_seminorm(seg, p)
+                    assert got == seminorm_from_profile(profile, p)[0]
+
+
+def test_extrema_seminorm_error_order():
+    # oscillation overflow, then total variation overflow, then the
+    # exponent, then the supremum, as for a profile of the values
+    with pytest.raises(NonFiniteValueError, match="oscillation"):
+        extrema_seminorm([-1e308, 1e308], 0.5)
+    with pytest.raises(NonFiniteValueError, match="total variation"):
+        extrema_seminorm([0.0, 1e308, 0.0, 1e308, 0.0], 0.5)
+    with pytest.raises(BadExponentError):
+        extrema_seminorm([0.0, 1.0], 0.5)
+    with pytest.raises(BadExponentError):
+        extrema_seminorm([1.0], 0.5)
+    with pytest.raises(NonFiniteValueError, match="seminorm"):
+        extrema_seminorm([0.0, 1e200, 0.0], 1.9)
+    assert extrema_seminorm([2.0], 1.5) == 0.0
 
 
 def test_zigzag_level_seminorms():

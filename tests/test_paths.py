@@ -29,6 +29,7 @@ from roughtv.paths import (
     oscillation,
     restrict,
 )
+from roughtv import pathio
 from roughtv.pathio import read_path_csv, write_path_csv
 from roughtv.truncation import total_variation
 
@@ -295,6 +296,55 @@ def test_csv_error_messages(text, message):
     with pytest.raises(CsvFormatError) as exc:
         read_path_csv(io.StringIO(text))
     assert str(exc.value) == message
+
+
+def _first_bad_row_by_rows(rows):
+    """The bad-row scan as it was: one `_parse_rows` call per row."""
+    for ln in rows:
+        if ln.count(",") != 1:
+            return f"expected 't,value' row, got '{ln}'"
+        try:
+            pathio._parse_rows([ln])
+        except ValueError:
+            return f"non-numeric row '{ln}'"
+    return "malformed rows"
+
+
+def test_csv_bad_rows_found_in_blocks(monkeypatch):
+    # long files with bad rows at random places: the block scan names the
+    # row the row-by-row scan and the float() reader name, with about
+    # n / B + B + 1 parses
+    rng = np.random.default_rng(91)
+    bad_rows = ["2,zero", "1,2,3", "5", "1,", "1_0,2", "0,x", ",1", "3;4"]
+    parses = []
+    counted = pathio._parse_rows
+
+    def counting(rows):
+        parses.append(len(rows))
+        return counted(rows)
+
+    for case in range(24):
+        n = int(rng.integers(2000, 9000))
+        rows = [f"{i},{v!r}" for i, v in enumerate(rng.normal(size=n).tolist())]
+        for _ in range(int(rng.integers(1, 4))):
+            rows[int(rng.integers(0, n))] = bad_rows[int(rng.integers(len(bad_rows)))]
+        if case == 0:
+            rows[-1] = "2,zero"
+        text = "t,value\n" + "\n".join(rows) + "\n"
+        want = _first_bad_row_by_rows(rows)
+        parses.clear()
+        monkeypatch.setattr(pathio, "_parse_rows", counting)
+        with pytest.raises(CsvFormatError) as exc:
+            read_path_csv(io.StringIO(text))
+        monkeypatch.undo()
+        assert str(exc.value) == want
+        if "1_0" not in want:
+            with pytest.raises(CsvFormatError) as ref:
+                read_path_csv_reference(io.StringIO(text))
+            assert str(ref.value) == want
+        block = pathio.BAD_ROW_BLOCK
+        # the whole file once, then the blocks and the rows of one block
+        assert len(parses) <= 1 + n / block + block + 1
 
 
 @pytest.mark.parametrize("text", [
