@@ -6,9 +6,14 @@ Reports are JSON objects {command, params, results, diagnostics, version}
 printed to stdout with 17-significant-digit numbers so byte-identical reruns
 diff cleanly.  Exit codes: 0 all asserted checks pass, 1 a bound was
 violated, 2 invalid input or regime, 3 I/O failure.
+
+`main` builds its argparse parser once per process, on its first call, and
+reuses it; the `cmd_*` handler is looked up by subcommand name on every call.
+`build_parser()` still returns a fresh parser.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -271,9 +276,15 @@ def cmd_bounds(args) -> int:
     return 0 if rep.passed or not asserted else 1
 
 
+@functools.cache
+def _fields():
+    """The field catalog `solve` reads, built once per process."""
+    return field_catalog()
+
+
 def cmd_solve(args) -> int:
     x = read_path_csv(args.x, Mode(args.mode))
-    catalog = field_catalog()
+    catalog = _fields()
     if args.field not in catalog:
         raise BadParameterError(
             f"unknown field {args.field!r}; choose from {sorted(catalog)}"
@@ -314,9 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--value", type=float, default=0.0)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--format", default="csv", choices=("csv",))
-    p_gen.set_defaults(handler=cmd_gen)
 
-    for name, handler in (("tv", cmd_tv), ("pvar", cmd_pvar), ("norm", cmd_norm)):
+    for name in ("tv", "pvar", "norm"):
         sp = sub.add_parser(name, help=f"evaluate {name} on a CSV path")
         sp.add_argument("input")
         sp.add_argument("--mode", default="linear", choices=("linear", "step"))
@@ -326,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--p", type=float, required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", default="json", choices=("json",))
-        sp.set_defaults(handler=handler)
 
     p_b = sub.add_parser("bounds", help="verify an integral inequality")
     p_b.add_argument("f")
@@ -337,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--mode", default="linear", choices=("linear", "step"))
     p_b.add_argument("--out", default=None)
     p_b.add_argument("--format", default="json", choices=("json", "svg"))
-    p_b.set_defaults(handler=cmd_bounds)
 
     p_s = sub.add_parser("solve", help="solve y = y0 + int F(y) dx")
     p_s.add_argument("x")
@@ -348,18 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--mode", default="linear", choices=("linear",))
     p_s.add_argument("--out", default=None)
     p_s.add_argument("--format", default="csv", choices=("csv",))
-    p_s.set_defaults(handler=cmd_solve)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a rebound cmd_* (a test double, a tracing
+    # wrapper) is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.handler(args)
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        return handler(args)
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

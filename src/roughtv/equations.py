@@ -417,11 +417,11 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
         raise BadParameterError("tol must be > 0")
     y0 = float(y0)
     times = x.times
-    f_sup = probe_sup(field, 10.0 * (abs(y0) + 1.0))
 
     boundaries = [0]
     if field.order == "one_plus_alpha":
         extrema = window_extrema(x.values)
+        f_sup = probe_sup(field, 10.0 * (abs(y0) + 1.0))
         contracts = _contraction_test(field, p, f_sup)
         last = times.size - 1
         while boundaries[-1] < last:

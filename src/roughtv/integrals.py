@@ -403,8 +403,9 @@ def _tag_gaps(f, g):
     """int f dg with its gaps from the tagged single-cell sums f(xi) dg.
 
     Returns (integral, |int f dg - f(a) dg|, the largest |int f dg - f(xi) dg|
-    over XI_COUNT tags xi spread evenly over the merged grid, that xi).  An
-    overflowing f(xi) dg gives an inf gap, as float arithmetic does for f(a) dg.
+    over XI_COUNT tags xi spread evenly over the merged grid, that xi).  The
+    first tag is a, so NonFiniteValueError when f(a) dg or any f(xi) dg
+    overflows float64, as for the cells of the integral.
     """
     integral = rs_integral(f, g).value
     dg = float(g.values[-1] - g.values[0])
@@ -412,7 +413,10 @@ def _tag_gaps(f, g):
     grid = merge_times(f, g)
     xi_times = grid[np.unique(np.linspace(0, grid.size - 1, XI_COUNT).astype(int))]
     with np.errstate(over="ignore"):
-        gaps = np.abs(integral - f.values_at(xi_times) * dg)
+        tagged = f.values_at(xi_times) * dg
+        gaps = np.abs(integral - tagged)
+    if not np.all(np.isfinite(tagged)):
+        raise NonFiniteValueError("tagged sum f(xi) dg overflows float64")
     worst = int(np.argmax(gaps))
     return integral, left, float(gaps[worst]), float(xi_times[worst])
 

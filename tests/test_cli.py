@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from roughtv import cli
 from roughtv.cli import BOUND_VARIANTS, main, thread_budget, to_json
 from roughtv.errors import BadParameterError
 from roughtv.pathio import read_path_csv, write_path_csv
@@ -182,6 +183,21 @@ def test_bounds_overflowing_oscillation_exits_two(overflowing_csv, tmp_path, cap
             assert code == 2
             assert stdout == ""
             assert stderr == OVERFLOW_ERROR
+
+
+@pytest.mark.parametrize("variant", ["min-series", "loeve-pvar-xi", "loeve-ptv-xi"])
+def test_bounds_overflowing_tagged_sum_exits_two(tmp_path, capsys, variant):
+    # int f dg = 0 (f vanishes where g moves), but the tagged sum
+    # f(xi) (g(b) - g(a)) = 1e300 * 1e10 overflows, and so does S
+    f = tmp_path / "f.csv"
+    g = tmp_path / "g.csv"
+    f.write_text("t,value\n0,0\n0.1,1e300\n0.2,0\n1,0\n", encoding="utf-8")
+    g.write_text("t,value\n0,0\n0.25,0\n0.75,1e10\n1,1e10\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "bounds", str(f), str(g), "--p", "1.01",
+                                   "--q", "1.5", "--variant", variant)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: NonFiniteValueError: tagged sum f(xi) dg overflows float64\n"
 
 
 def test_pvar_command(tent_csv, capsys):
@@ -404,3 +420,77 @@ def test_thread_budget_env(monkeypatch):
     monkeypatch.setenv("ROUGHTV_THREADS", "junk")
     with pytest.raises(BadParameterError):
         thread_budget()
+
+
+def test_main_builds_its_parser_once(tent_csv, capsys, monkeypatch):
+    builds = []
+    fresh = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return fresh()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for delta in ("0.5", "0.25", "0"):
+            assert run_cli(capsys, "tv", tent_csv, "--delta", delta)[0] == 0
+        assert run_cli(capsys, "pvar", tent_csv, "--p", "2")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+
+
+def _run_caught(capsys, argv):
+    """(exit code or ("SystemExit", code), stdout, stderr) of one main call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
+    f_csv = str(tmp_path / "f.csv")
+    g_csv = str(tmp_path / "g.csv")
+    run_cli(capsys, "gen", "brownian", "--n", "24", "--seed", "5", "--out", f_csv)
+    run_cli(capsys, "gen", "brownian", "--n", "24", "--seed", "6", "--out", g_csv)
+    svg = tmp_path / "sweep.svg"
+    argvs = [
+        ("gen", "zigzag", "--levels", "3", "--out", str(tmp_path / "z.csv")),
+        ("tv", f_csv, "--delta", "0.1"),
+        ("pvar", f_csv, "--p", "2", "--mode", "step"),
+        ("norm", f_csv, "--p", "1.5"),
+        ("bounds", f_csv, g_csv, "--p", "1.8", "--q", "1.8", "--variant", "young-s"),
+        ("bounds", f_csv, g_csv, "--p", "1.8", "--q", "1.8", "--format", "svg",
+         "--out", str(svg)),
+        ("solve", f_csv, "--field", "sin", "--y0", "1"),
+        ("solve", f_csv, "--field", "no-such-field"),
+        ("frobnicate", f_csv),
+        ("tv", f_csv),
+        ("bounds", f_csv, g_csv, "--p", "1.8", "--q", "1.8", "--variant", "bogus"),
+        ("--help",),
+        ("solve", "--help"),
+        (),
+    ]
+    reused = [_run_caught(capsys, argv) for argv in argvs]
+    reused_svg = svg.read_bytes()
+    svg.unlink()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    for argv, expected in zip(argvs, reused):
+        assert _run_caught(capsys, argv) == expected, argv
+    assert svg.read_bytes() == reused_svg
+    assert [code for code, _, _ in reused] == [
+        0, 0, 0, 0, 0, 0, 0, 2, ("SystemExit", 2), ("SystemExit", 2),
+        ("SystemExit", 2), ("SystemExit", 0), ("SystemExit", 0), ("SystemExit", 2),
+    ]
+
+
+def test_main_runs_the_current_handler(tent_csv, capsys, monkeypatch):
+    # the reused parser must not pin the handler it saw on its first call
+    assert run_cli(capsys, "tv", tent_csv, "--delta", "0.5")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_tv", lambda args: seen.append(args.delta) or 7)
+    assert run_cli(capsys, "tv", tent_csv, "--delta", "0.25") == (7, "", "")
+    assert seen == [0.25]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -536,6 +537,43 @@ def test_driver_is_reduced_once_per_solve(monkeypatch):
     builds.clear()
     mesh = splitting_mesh(x, 1.25, 0.3)
     assert not mesh.no_splitting and builds == [513]
+
+
+def _counting_probe_sup(monkeypatch):
+    radii = []
+    counted = equations.probe_sup
+
+    def counting(field, radius):
+        radii.append(radius)
+        return counted(field, radius)
+
+    monkeypatch.setattr(equations, "probe_sup", counting)
+    return radii
+
+
+def test_alpha_order_solve_makes_no_sup_probe(monkeypatch):
+    # the splitting mesh never reads sup |F|, so sqrt-abs (no sup_bound) is
+    # not evaluated on the probe grid
+    radii = _counting_probe_sup(monkeypatch)
+    sol = picard_solve(identity_path(129), field_catalog()["sqrt-abs"], 1.0, 1.25, 1e-8)
+    assert sol.converged and len(sol.windows) > 1
+    assert radii == []
+
+
+@pytest.mark.parametrize("name", ["sin", "identity"])
+def test_contraction_solve_probes_sup_once(monkeypatch, name):
+    # one probe at radius 10 (|y0| + 1); a field declaring that probed value
+    # as its sup_bound solves to the same values, windows and residual
+    radii = _counting_probe_sup(monkeypatch)
+    field = field_catalog()[name]
+    x = _rough_driver(np.random.default_rng(806), 257)
+    sol = picard_solve(x, field, -2.0, 1.5, 1e-8)
+    assert radii == [30.0]
+    declared = dataclasses.replace(field, sup_bound=equations.probe_sup(field, 30.0))
+    ref = picard_solve(x, declared, -2.0, 1.5, 1e-8)
+    assert np.array_equal(sol.path.values, ref.path.values)
+    assert sol.windows == ref.windows and sol.iterations == ref.iterations
+    assert sol.residual == ref.residual
 
 
 # ---------------------------------------------------------------------------

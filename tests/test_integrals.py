@@ -44,6 +44,7 @@ from roughtv.paths import (
     restrict,
     tent_path,
 )
+from roughtv.reports import bound_report
 from roughtv.truncation import total_variation, truncated_variation, tv_profile
 
 
@@ -635,3 +636,11 @@ def test_young_regime_guard():
     g = identity_path(3, horizon=2.0)
     with pytest.raises(BadExponentsError):
         loeve_young_reports(f, g, 3.0, 3.0)
+
+
+def test_nan_margin_is_not_a_verdict():
+    inf = float("inf")
+    with pytest.raises(NonFiniteValueError, match="min-series: margin"):
+        bound_report(inf, inf, inf, "min-series")
+    rep = bound_report(1.0, inf, inf, "young-s")
+    assert rep.passed and rep.margin == inf
