@@ -181,8 +181,6 @@ def _named_path(name, n, horizon, value):
 
 
 def cmd_gen(args) -> int:
-    if args.format != "csv":
-        raise BadParameterError("gen only writes csv")
     diagnostics = {}
     if args.kind == "brownian":
         path = gen_brownian(args.n, args.horizon, args.seed)
@@ -236,19 +234,14 @@ def cmd_norm(args) -> int:
     return 0
 
 
-def _bound_report(f, g, args):
-    return BOUND_CHECKS[args.variant](f, g, args.p, args.q)
-
-
 def _bounds_sweep_svg(f, g, args):
     """rhs/lhs of the chosen bound across a regime sweep toward (p, q)."""
+    check = BOUND_CHECKS[args.variant]
 
     def eval_point(theta):
-        local = argparse.Namespace(**vars(args))
-        local.p = 1.0 + theta * (args.p - 1.0)
-        local.q = 1.0 + theta * (args.q - 1.0)
-        rep = _bound_report(f, g, local)
-        return local.p, rep.lhs, rep.rhs
+        p = 1.0 + theta * (args.p - 1.0)
+        rep = check(f, g, p, 1.0 + theta * (args.q - 1.0))
+        return p, rep.lhs, rep.rhs
 
     ps, lhs, rhs = zip(*[eval_point(t) for t in np.linspace(0.25, 1.0, 16)])
     return render_svg([("lhs", ps, lhs), ("rhs", ps, rhs)],
@@ -258,7 +251,7 @@ def _bounds_sweep_svg(f, g, args):
 def cmd_bounds(args) -> int:
     f = read_path_csv(args.f, Mode(args.mode))
     g = read_path_csv(args.g, Mode(args.mode))
-    rep = _bound_report(f, g, args)
+    rep = BOUND_CHECKS[args.variant](f, g, args.p, args.q)
     params = {"f": args.f, "g": args.g, "p": args.p, "q": args.q,
               "variant": args.variant, "mode": args.mode}
     results = asdict(rep)

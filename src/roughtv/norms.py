@@ -5,6 +5,11 @@ profile delta -> TV^delta is convex and piecewise affine, so each piece
 a - b*delta is a minorant of it and the supremum is the largest single-piece
 peak, at delta = a(p-1)/(pb): a closed form, never a grid or segment search.
 At p = 1 every peak sits at delta = 0 and the largest is the total variation.
+
+Every seminorm takes one route: the path's extrema
+(`kernels.reduce_to_extrema`, as Python floats), their pieces
+(`truncation.swing_pieces`), then the largest peak over those pieces, with
+no `TvProfile` in between.
 """
 
 import math
@@ -21,7 +26,7 @@ from .errors import (
 )
 from .paths import SampledPath, finite_oscillation, oscillation, restrict
 from .reports import BoundReport, bound_report
-from .truncation import TvProfile, swing_pieces, tv_profile
+from .truncation import swing_pieces
 
 
 def c_p(p) -> float:
@@ -58,27 +63,22 @@ def partition_sup_delta(increments, p) -> float:
 
     delta -> sum (x_i - delta)_+ is a profile: between consecutive sorted
     increments it is the sum of the larger ones minus their number times
-    delta, so `seminorm_from_profile` gives the supremum.
+    delta, so its largest piece peak is the supremum.
     """
     xs = np.asarray(increments, dtype=np.float64)
     if not np.all(np.isfinite(xs)) or np.any(xs < 0):
         raise NegativeIncrementError("increments must be finite and >= 0")
-    xs = np.sort(xs)
-    suffix = np.cumsum(xs[::-1])[::-1]
+    suffix = np.cumsum(np.sort(xs)[::-1])[::-1]
     counts = np.arange(xs.size, 0, -1, dtype=np.float64)
-    return seminorm_from_profile(TvProfile(np.concatenate(([0.0], xs)), suffix, counts), p)[0]
-
-
-def seminorm_from_profile(profile: TvProfile, p):
-    """The p-TV seminorm of a profile and the delta attaining it, for p >= 1.
-
-    Each piece a - b*delta peaks at delta = a(p-1)/(pb); the first largest
-    peak wins.  NonFiniteValueError when the supremum overflows float64.
-    """
-    return _largest_peak(profile.coef_a.tolist(), profile.coef_b.tolist(), p)
+    return _largest_peak(suffix.tolist(), counts.tolist(), p)[0]
 
 
 def _largest_peak(coef_a, coef_b, p):
+    """The seminorm over the pieces a - b*delta and the delta attaining it.
+
+    Each piece peaks at delta = a(p-1)/(pb); the first largest peak wins.
+    NonFiniteValueError when the supremum overflows float64.
+    """
     p = float(p)
     if not p >= 1:
         raise BadExponentError("seminorm needs p >= 1")
@@ -106,37 +106,31 @@ def seminorm_with_argmax(path: SampledPath, p):
 
     p = 1 gives the total variation, attained at delta = 0.
     """
-    return seminorm_from_profile(tv_profile(path), p)
-
-
-def window_seminorm(values, p) -> float:
-    """The p-TV seminorm of the path through the sample values `values`.
-
-    For a window whose ends are sample times this is `seminorm_on`:
-    window_seminorm(x.values[i:j+1], p) == seminorm_on(x, t_i, t_j, p),
-    since the restriction takes the samples at its ends.  It builds no path:
-    it is `extrema_seminorm` of the slice's extrema.
-    """
-    finite_oscillation(values)  # NaN too, which max and min of a list can miss
-    return extrema_seminorm(kernels.reduce_to_extrema(values).tolist(), p)
+    return _extrema_peak(kernels.reduce_to_extrema(path.values).tolist(), p)
 
 
 def extrema_seminorm(extrema, p) -> float:
     """The p-TV seminorm of the path through the extrema list `extrema`.
 
-    The largest peak over the pieces of `truncation.swing_pieces`, with no
-    `TvProfile` and no NumPy call, so that the Picard window searches can
-    judge thousands of short windows read from one `kernels.window_extrema`.
+    `extrema` is a list of floats as `kernels.reduce_to_extrema(...).tolist()`
+    or `kernels.window_extrema` leaves them.  It is the route of every
+    seminorm minus the reduction, so that the Picard window searches can
+    judge thousands of short windows read from one reduction of the driver.
     """
+    return _extrema_peak(extrema, p)[0]
+
+
+def _extrema_peak(extrema, p):
     _, coef_a, coef_b = swing_pieces(extrema)
-    return _largest_peak(coef_a, coef_b, p)[0]
+    return _largest_peak(coef_a, coef_b, p)
 
 
 def seminorm_on(path: SampledPath, c, d, p) -> float:
     """Seminorm of the restriction to [c; d], for any c < d in the span.
 
-    When c and d are sample times, `window_seminorm` of the value slice
-    gives the same number without building the restriction.
+    When c and d are sample times t_i and t_j the restriction takes the
+    samples at its ends, so `extrema_seminorm` of the extrema of the value
+    slice values[i:j+1] gives the same number without building it.
     """
     return p_tv_seminorm(restrict(path, c, d), p)
 

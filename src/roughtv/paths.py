@@ -170,8 +170,8 @@ def gen_brownian(n, horizon, seed) -> SampledPath:
     if n < 2:
         raise BadCountError("need n >= 2 samples")
     horizon = float(horizon)
-    if not horizon > 0:
-        raise BadParameterError("horizon must be > 0")
+    if not 0 < horizon < math.inf:
+        raise BadParameterError("horizon must be finite and > 0")
     rng = np.random.default_rng(int(seed))
     steps = rng.standard_normal(n - 1) * np.sqrt(horizon / (n - 1))
     values = np.concatenate(([0.0], np.cumsum(steps)))
@@ -191,8 +191,16 @@ def gen_zigzag(p, levels) -> SampledPath:
     levels = int(levels)
     if levels < 1:
         raise BadCountError("need at least one level")
-    total = sum(int(np.ceil(2.0 ** (n * p - 1.0))) for n in range(1, levels + 1))
-    if total > 5_000_000:
+    cap = 5_000_000  # tent excursions, two samples each
+    total = 0
+    for n in range(1, levels + 1):
+        # stop once past the cap, before 2.0 ** (n*p - 1) can overflow a float
+        if total > cap or n * p - 1.0 >= 1024.0:
+            raise BadCountError(
+                f"zigzag would need more than {2 * cap + 1} samples; lower p or levels"
+            )
+        total += int(np.ceil(2.0 ** (n * p - 1.0)))
+    if total > cap:
         raise BadCountError(
             f"zigzag would need {2 * total + 1} samples; lower p or levels"
         )
@@ -232,7 +240,10 @@ def constant_path(value, a=0.0, b=1.0) -> SampledPath:
 
 
 def identity_path(n=2, horizon=1.0) -> SampledPath:
-    t = np.linspace(0.0, float(horizon), int(n))
+    horizon = float(horizon)
+    if not math.isfinite(horizon):
+        raise BadParameterError("horizon must be finite")
+    t = np.linspace(0.0, horizon, int(n))
     return SampledPath(t, t.copy())
 
 

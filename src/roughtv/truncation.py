@@ -26,7 +26,7 @@ def truncated_variation(path: SampledPath, delta) -> float:
     NonFiniteValueError when the oscillation or the sum overflows float64.
     """
     delta = float(delta)
-    if delta < 0:
+    if not delta >= 0:  # NaN too
         raise NegativeDeltaError("delta must be >= 0")
     finite_oscillation(path.values)
     total = kernels.tv_delta(path.values, delta)
@@ -49,7 +49,7 @@ def optimal_approximation(path: SampledPath, delta) -> SampledPath:
     constant clamped toward f(a).
     """
     delta = float(delta)
-    if delta <= 0:
+    if not delta > 0:  # NaN too
         raise NonPositiveDeltaError("delta must be > 0")
     return SampledPath(path.times, kernels.lazy_band(path.values, delta), path.mode)
 
@@ -69,7 +69,7 @@ class TvProfile:
 
     def value(self, delta) -> float:
         delta = float(delta)
-        if delta < 0:
+        if not delta >= 0:  # NaN too
             raise NegativeDeltaError("delta must be >= 0")
         bp = self.breakpoints
         if self.coef_a.size == 0 or delta >= bp[-1]:
@@ -89,18 +89,8 @@ class TvProfile:
 
 
 def tv_profile(path: SampledPath) -> TvProfile:
-    """The exact profile of the path: `swing_profile` of its values."""
-    return swing_profile(path.values)
-
-
-def swing_profile(values) -> TvProfile:
-    """The exact profile of the path through the sample values `values`.
-
-    It reads the values only, so a slice values[i:j+1] gives the profile of
-    the path restricted to [t_i; t_j].  See `swing_pieces`.
-    """
-    finite_oscillation(values)  # NaN too, which max and min of a list can miss
-    breakpoints, coef_a, coef_b = swing_pieces(kernels.reduce_to_extrema(values).tolist())
+    """The exact profile of the path: `swing_pieces` of its extrema."""
+    breakpoints, coef_a, coef_b = swing_pieces(kernels.reduce_to_extrema(path.values).tolist())
     return TvProfile(np.asarray(breakpoints), np.asarray(coef_a), np.asarray(coef_b))
 
 

@@ -55,6 +55,34 @@ def test_gen_zigzag_boundary_zeros(tmp_path, capsys):
         assert z.value_at(2.0 ** -n) == 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("zigzag", "--p", "1000", "--levels", "4"),
+    ("zigzag", "--p", "inf"),
+    ("zigzag", "--p", "1.01", "--levels", "2000"),
+    ("brownian", "--n", "3", "--horizon", "inf"),
+    ("named", "--name", "identity", "--horizon", "inf"),
+])
+def test_gen_out_of_range_exits_two(tmp_path, capsys, argv):
+    # no OverflowError traceback (exit 1) and no NumPy warning before the line
+    code, stdout, stderr = run_cli(capsys, "gen", *argv, "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr.endswith("\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_gen_zigzag_names_the_sample_count(tmp_path, capsys):
+    # every level summed: the exact count; stopped at the cap: the cap
+    code, _, stderr = run_cli(capsys, "gen", "zigzag", "--p", "3", "--levels", "8",
+                              "--out", str(tmp_path / "z.csv"))
+    assert (code, stderr) == (2, "error: BadCountError: zigzag would need 19173961 "
+                                 "samples; lower p or levels\n")
+    code, _, stderr = run_cli(capsys, "gen", "zigzag", "--p", "3", "--levels", "9",
+                              "--out", str(tmp_path / "z.csv"))
+    assert (code, stderr) == (2, "error: BadCountError: zigzag would need more than "
+                                 "10000001 samples; lower p or levels\n")
+
+
 def test_gen_fx_reports_jumps(tmp_path, capsys):
     out = tmp_path / "fx.csv"
     code, stdout, _ = run_cli(capsys, "gen", "fx", "--x", "3", "--out", str(out))
@@ -153,6 +181,12 @@ def tall_tv_csv(tmp_path):
     dest.write_text("t,value\n0,0\n0.25,1e308\n0.5,0\n0.75,1e308\n1,0\n",
                     encoding="utf-8")
     return str(dest)
+
+
+def test_tv_nan_delta_exits_two(tent_csv, capsys):
+    code, stdout, stderr = run_cli(capsys, "tv", tent_csv, "--delta", "nan")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: NegativeDeltaError: delta must be >= 0\n"
 
 
 @pytest.mark.parametrize("delta", ["0", "1"])
@@ -271,7 +305,7 @@ def test_violated_bound_exits_one(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "gen", "brownian", "--n", "16", "--seed", "1", "--out", str(f_csv))
     run_cli(capsys, "gen", "brownian", "--n", "16", "--seed", "2", "--out", str(g_csv))
     failing = BoundReport(2.0, 1.0, -1.0, False, 1.0, "loeve-ptv-left", {})
-    monkeypatch.setattr(cli, "_bound_report", lambda f, g, args: failing)
+    monkeypatch.setitem(cli.BOUND_CHECKS, "loeve-ptv-left", lambda f, g, p, q: failing)
     code, stdout, _ = run_cli(capsys, "bounds", str(f_csv), str(g_csv),
                               "--p", "1.9", "--q", "1.9")
     assert code == 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from roughtv import equations
+from roughtv import equations, kernels
 from roughtv.equations import (
     LipschitzField,
     Quotient,
@@ -28,7 +28,7 @@ from roughtv.errors import (
     NoSplittingError,
 )
 from roughtv.integrals import d_e_constants
-from roughtv.norms import c_p, p_tv_seminorm, seminorm_on, tv_p_full_norm, window_seminorm
+from roughtv.norms import c_p, extrema_seminorm, p_tv_seminorm, seminorm_on, tv_p_full_norm
 from roughtv.paths import (
     constant_path,
     gen_brownian,
@@ -349,8 +349,13 @@ def test_contraction_window_matches_restricting_reference():
 # ---------------------------------------------------------------------------
 # the window searches against the slice-by-slice ones they replaced
 # ---------------------------------------------------------------------------
+def _slice_seminorm(values, p):
+    """The p-TV seminorm of the path through the value slice `values`."""
+    return extrema_seminorm(kernels.reduce_to_extrema(values).tolist(), p)
+
+
 def _slice_contraction_window(x, field, start, p, f_sup):
-    """contraction_window as it was: `window_seminorm` of each value slice,
+    """contraction_window as it was: the seminorm of each value slice,
     the whole rest checked first, then a binary search."""
     times = x.times
     pos = int(np.searchsorted(times, float(start)))
@@ -361,7 +366,7 @@ def _slice_contraction_window(x, field, start, p, f_sup):
     k_g = field.quotient.lipschitz
 
     def certified(idx):
-        s = window_seminorm(x.values[pos:idx + 1], p)
+        s = _slice_seminorm(x.values[pos:idx + 1], p)
         radius = 2.0 * f_sup * s
         return (e_pp * k_f * s <= 0.5) and (4.0 * e_pa * (g_sup + 4.0 * k_g * radius) * s < 1.0)
 
@@ -404,7 +409,7 @@ def _slice_splitting_mesh(x, p, eps):
             return True
         if cp * osc ** p > eps_p:
             return False
-        return window_seminorm(seg, p) <= eps_hi
+        return _slice_seminorm(seg, p) <= eps_hi
 
     bound = math.inf
     j = 0

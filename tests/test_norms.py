@@ -17,11 +17,9 @@ from roughtv.norms import (
     p_var_seminorm,
     p_variation,
     partition_sup_delta,
-    seminorm_from_profile,
     seminorm_on,
     seminorm_with_argmax,
     tv_p_full_norm,
-    window_seminorm,
 )
 from roughtv.oracle import pvar_bruteforce, seminorm_bruteforce, sup_delta_grid
 from roughtv.paths import (
@@ -33,7 +31,7 @@ from roughtv.paths import (
     oscillation,
     scale_path,
 )
-from roughtv.truncation import swing_profile, total_variation, truncated_variation
+from roughtv.truncation import total_variation, truncated_variation, tv_profile
 from test_kernels import _window_paths
 
 
@@ -153,7 +151,7 @@ def test_seminorm_matches_bruteforce():
             assert abs(fast - slow) <= 1e-8
 
 
-def test_window_seminorm_of_slice_equals_seminorm_on():
+def test_extrema_seminorm_of_slice_equals_seminorm_on():
     # a window between sample times restricts to exactly the value slice
     rng = np.random.default_rng(61)
     paths = [make_path([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])]
@@ -166,23 +164,25 @@ def test_window_seminorm_of_slice_equals_seminorm_on():
         for p in (1.0, 1.25, 1.5, 2.0):
             for i in range(t.size - 1):
                 for j in range(i + 1, t.size):
-                    assert window_seminorm(x.values[i:j + 1], p) == seminorm_on(x, t[i], t[j], p)
+                    ext = kernels.reduce_to_extrema(x.values[i:j + 1]).tolist()
+                    assert extrema_seminorm(ext, p) == seminorm_on(x, t[i], t[j], p)
 
 
-def test_extrema_seminorm_of_window_equals_window_seminorm():
+def test_extrema_seminorm_of_window_equals_slice_routes():
     # the seminorm read from one reduction of the path equals the one of
-    # the value slice, and the profile of the slice, bit for bit
+    # the slice's own extrema, and of the path through the slice, bit for bit
     for v in _window_paths(62, count=30):
         extrema = kernels.window_extrema(v)
         for i in range(v.size - 1):
             for j in range(i + 1, v.size):
                 seg = v[i:j + 1]
                 ext = extrema(i, j)
-                profile = swing_profile(seg)
+                seg_ext = kernels.reduce_to_extrema(seg).tolist()
+                seg_path = make_path(np.arange(seg.size, dtype=float), seg)
                 for p in (1.0, 1.25, 1.5, 1.9):
                     got = extrema_seminorm(ext, p)
-                    assert got == window_seminorm(seg, p)
-                    assert got == seminorm_from_profile(profile, p)[0]
+                    assert got == extrema_seminorm(seg_ext, p)
+                    assert got == p_tv_seminorm(seg_path, p)
 
 
 def test_extrema_seminorm_error_order():
@@ -350,10 +350,72 @@ def _profile_values(rng, kind):
 def test_seminorm_matches_parent_segment_search():
     rng = np.random.default_rng(71)
     for case in range(1200):
-        profile = swing_profile(_profile_values(rng, case % 4))
+        values = _profile_values(rng, case % 4)
+        path = make_path(np.linspace(0.0, 1.0, values.size), values)
+        profile = tv_profile(path)
         for p in (1.01, 1.25, 1.5, 1.9, 2.0, 3.0):
-            assert seminorm_from_profile(profile, p) == _parent_segment_search(profile, p)
+            assert seminorm_with_argmax(path, p) == _parent_segment_search(profile, p)
 
+
+def _parent_peak(coef_a, coef_b, p):
+    """The peak loop as the parent route ran it, after `TvProfile` arrays
+    were turned back into lists: the first largest piece peak wins."""
+    pm1 = p - 1.0
+    best = best_delta = 0.0
+    for a, b in zip(coef_a, coef_b):
+        delta = a * pm1 / (p * b)
+        try:
+            value = delta ** pm1 * (a - b * delta)
+        except OverflowError:
+            value = float("inf")
+        if value > best:
+            best, best_delta = value, delta
+    if best == float("inf"):
+        raise NonFiniteValueError("p-TV seminorm overflows float64")
+    return best ** (1.0 / p), best_delta
+
+
+def _parent_profile_route(path, p):
+    """seminorm_with_argmax as it was: a `TvProfile`, then its arrays as lists."""
+    profile = tv_profile(path)
+    return _parent_peak(profile.coef_a.tolist(), profile.coef_b.tolist(), p)
+
+
+def _parent_partition_route(increments, p):
+    """partition_sup_delta as it was: a `TvProfile` of the sorted increments."""
+    xs = np.sort(np.asarray(increments, dtype=np.float64))
+    suffix = np.cumsum(xs[::-1])[::-1]
+    counts = np.arange(xs.size, 0, -1, dtype=np.float64)
+    return _parent_peak(suffix.tolist(), counts.tolist(), p)[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonFiniteValueError as exc:
+        return str(exc)
+
+
+def test_one_route_matches_parent_profile_route():
+    # ties, plateaus, zero and duplicate increments at scales 1e-300..1e300;
+    # where the peak underflows to 0 both routes read (0.0, 0.0), and where
+    # it overflows both raise
+    rng = np.random.default_rng(73)
+    underflows = overflows = 0
+    for case in range(160):
+        values = _profile_values(rng, case % 4)
+        for scale in (1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300):
+            scaled = values * scale
+            path = make_path(np.linspace(0.0, 1.0, scaled.size), scaled)
+            increments = np.abs(np.diff(scaled))
+            for p in (1.0, 1.01, 1.5, 2.0, 3.0):
+                got = _outcome(seminorm_with_argmax, path, p)
+                assert got == _outcome(_parent_profile_route, path, p)
+                assert (_outcome(partition_sup_delta, increments, p)
+                        == _outcome(_parent_partition_route, increments, p))
+                underflows += got == (0.0, 0.0) and np.ptp(scaled) > 0
+                overflows += isinstance(got, str)
+    assert underflows > 0 and overflows > 0
 
 
 def test_seminorm_at_p_one_is_total_variation_at_delta_zero():

@@ -44,6 +44,19 @@ def test_negative_delta_rejected(tent):
         truncated_variation(tent, -0.1)
 
 
+def test_nan_delta_rejected(tent):
+    # NaN fails every comparison, so a check must ask `not delta >= 0`
+    with pytest.raises(NegativeDeltaError, match="delta must be >= 0"):
+        truncated_variation(tent, float("nan"))
+    with pytest.raises(NegativeDeltaError, match="delta must be >= 0"):
+        tv_profile(tent).value(float("nan"))
+    with pytest.raises(NonPositiveDeltaError, match="delta must be > 0"):
+        optimal_approximation(tent, float("nan"))
+    # an infinite threshold truncates every swing: TV^inf = 0
+    assert truncated_variation(tent, float("inf")) == 0.0
+    assert tv_profile(tent).value(float("inf")) == 0.0
+
+
 def test_matches_bruteforce_oracle():
     for path in random_corpus(seed=11, count=120, max_n=12):
         for delta in DELTAS:
