@@ -31,6 +31,10 @@ from .reports import BoundReport, bound_report
 
 BLOWUP_GUARD = 1e12
 FIELD_PROBE_COUNT = 4097
+# _iterate_window runs windows of at most this many samples on Python floats.
+# That loop is the faster one below about 40 samples (sin, and damped
+# sqrt-abs; NumPy 2.4 on a 2-core Xeon VM); 32 keeps a margin under it.
+SHORT_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -377,6 +381,20 @@ def _cumulative_trapezoid(f_vals, dx, y_start):
 
 
 def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped):
+    """Picard iterates z = y_start + int F(y) dx on one window, to tol.
+
+    (z, iterations) at the first iterate within tol of its predecessor in
+    every sample; BlowupSuspectedError at the first sample beyond
+    BLOWUP_GUARD, NoConvergenceError after max_iter iterates.  A window of
+    at most SHORT_WINDOW samples (the one-step windows of a rough driver)
+    runs the map on Python floats, since NumPy's fixed cost per call
+    dwarfs the arithmetic there; longer windows run it on arrays, whose
+    cost barely grows with the length.  F is evaluated on an array either
+    way, and the cells, the sequential running sum and both tests are the
+    same float operations in the same order, so both give the same bits.
+    """
+    if t.size <= SHORT_WINDOW:
+        return _iterate_short_window(field, t, xv, float(y_start), tol, max_iter, damped)
     dx = np.diff(xv)
     y = np.full(t.size, y_start, dtype=np.float64)
     for it in range(1, max_iter + 1):
@@ -391,6 +409,31 @@ def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped
         if change < tol:
             return z, it
         y = z if not damped else 0.5 * (y + z)
+    raise NoConvergenceError(f"window iteration did not reach {tol} in {max_iter} steps")
+
+
+def _iterate_short_window(field, t, xv, y_start, tol, max_iter, damped):
+    """`_iterate_window` on Python floats, F still evaluated on an array.
+
+    The running sum is sequential, as np.cumsum's; a NaN anywhere fails the
+    tolerance test, as it fails np.max's (Python's max skips a NaN that is
+    not first).  Python floats overflow to inf and give NaN for inf - inf
+    without NumPy's RuntimeWarning.
+    """
+    dx = np.diff(xv).tolist()
+    y = [y_start] * len(t)
+    for it in range(1, max_iter + 1):
+        f = field(np.array(y)).tolist()
+        s = -0.0  # x + -0.0 is x for every float x, as np.cumsum's first sum
+        z = [0.0 + y_start]  # the array loop's 0.0 + y_start: -0.0 becomes 0.0
+        z += [y_start + (s := s + 0.5 * (a + b) * d) for a, b, d in zip(f, f[1:], dx)]
+        for k, v in enumerate(z):
+            if abs(v) > BLOWUP_GUARD:
+                raise BlowupSuspectedError("solution exceeded the overflow guard",
+                                           time=float(t[k]))
+        if all(abs(a - b) < tol for a, b in zip(z, y)):
+            return np.array(z), it
+        y = z if not damped else [0.5 * (a + b) for a, b in zip(y, z)]
     raise NoConvergenceError(f"window iteration did not reach {tol} in {max_iter} steps")
 
 
@@ -416,6 +459,8 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
     if not tol > 0:
         raise BadParameterError("tol must be > 0")
     y0 = float(y0)
+    if not math.isfinite(y0):
+        raise BadParameterError("y0 must be finite")
     times = x.times
 
     boundaries = [0]

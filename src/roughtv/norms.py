@@ -32,7 +32,7 @@ from .truncation import swing_pieces
 def c_p(p) -> float:
     """(p-1)^(p-1) / p^p, the value of sup_delta delta^(p-1)(x-delta)_+ at x=1."""
     p = float(p)
-    if not p > 1:
+    if not 1 < p < math.inf:
         raise BadExponentError("c_p needs p > 1")
     return float((p - 1.0) ** (p - 1.0) / p ** p)
 
@@ -43,7 +43,7 @@ def p_variation(path: SampledPath, p) -> float:
     NonFiniteValueError when the oscillation or the sum overflows float64.
     """
     p = float(p)
-    if not p >= 1:
+    if not 1 <= p < math.inf:
         raise BadExponentError("p-variation needs p >= 1")
     finite_oscillation(path.values)
     with np.errstate(over="ignore"):
@@ -80,7 +80,7 @@ def _largest_peak(coef_a, coef_b, p):
     NonFiniteValueError when the supremum overflows float64.
     """
     p = float(p)
-    if not p >= 1:
+    if not 1 <= p < math.inf:
         raise BadExponentError("seminorm needs p >= 1")
     pm1 = p - 1.0
     best = best_delta = 0.0

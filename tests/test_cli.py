@@ -446,6 +446,26 @@ def test_solve_command(tmp_path, capsys):
     assert abs(sol.values[-1] - np.e) < 1e-6
 
 
+@pytest.mark.parametrize("y0", ["inf", "-inf", "nan"])
+def test_solve_non_finite_y0_exits_two(tmp_path, capsys, y0):
+    x_csv = tmp_path / "x.csv"
+    write_path_csv(tent_path(), x_csv)
+    code, stdout, stderr = run_cli(capsys, "solve", str(x_csv), "--field", "sin",
+                                   f"--y0={y0}", "--p", "1.5")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: BadParameterError: y0 must be finite\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("norm", "seminorm needs p >= 1"),
+    ("pvar", "p-variation needs p >= 1"),
+])
+def test_infinite_p_exits_two(tent_csv, capsys, command, message):
+    code, stdout, stderr = run_cli(capsys, command, tent_csv, "--p", "inf")
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: BadExponentError: {message}\n"
+
+
 def test_thread_budget_env(monkeypatch):
     monkeypatch.setenv("ROUGHTV_THREADS", "3")
     assert thread_budget() == 3

@@ -712,27 +712,45 @@ def _assert_same_outcome(got, want):
 
 
 def _window_drivers():
+    # both sides of the float loop's cutoff, and the one-step window
+    short = equations.SHORT_WINDOW
     rng = np.random.default_rng(801)
     drivers = []
-    for n in (2, 3, 5, 17, 64):
+    for n in (2, 3, 5, 17, 64, short - 1, short, short + 1):
         steps = rng.standard_normal(n - 1)
         drivers.append(np.concatenate(([0.0], np.cumsum(steps / np.linalg.norm(steps)))))
-    for n in (2, 9, 64):
+    for n in (2, 9, 64, short - 1, short, short + 1):
         drivers.append(np.linspace(0.0, 1.0, n))
     return drivers
 
 
-@pytest.mark.parametrize("name", sorted(field_catalog()) + ["explosive"])
+def _beyond(level, value):
+    # u + 1 up to level, value above it: the iterates cross the level
+    return LipschitzField(
+        func=lambda u: np.where(np.asarray(u) > level, value, np.asarray(u) + 1.0),
+        alpha=1.0, order="alpha", lipschitz=1.0,
+    )
+
+
+# a NaN is not first in a window's change (z[0] is y_start), where Python's
+# max would skip it: the window must not be reported as converged
+_WINDOW_FIELDS = dict(field_catalog(), explosive=_explosive(),
+                      nan_above=_beyond(1.5, np.nan), inf_above=_beyond(1.5, np.inf))
+
+
+@pytest.mark.parametrize("name", sorted(_WINDOW_FIELDS))
 def test_iterate_window_matches_reference_loop(name):
-    field = _explosive() if name == "explosive" else field_catalog()[name]
+    field = _WINDOW_FIELDS[name]
     for xv in _window_drivers():
         t = np.linspace(0.25, 0.75, xv.size)
         for y_start in (0.0, 1.0, -2.5):
             for tol in (1e-6, 1e-12):
                 for damped in (False, True):
                     args = (field, t, xv, y_start, tol, 40, damped)
-                    _assert_same_outcome(_outcome(equations._iterate_window, *args),
-                                         _outcome(_reference_iterate_window, *args))
+                    # the arrays' inf - inf warns; Python floats give the NaN silently
+                    with np.errstate(invalid="ignore" if name == "inf_above" else "warn"):
+                        _assert_same_outcome(_outcome(equations._iterate_window, *args),
+                                             _outcome(_reference_iterate_window, *args))
 
 
 def test_iterate_window_errors_match_reference_loop():
