@@ -14,6 +14,7 @@ reuses it; the `cmd_*` handler is looked up by subcommand name on every call.
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
@@ -67,7 +68,8 @@ def _json_scalar(x):
         if math.isinf(x):
             return '"inf"' if x > 0 else '"-inf"'
         return format(x, ".17g")
-    return '"' + str(x).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    # escapes the backslash, the quote and U+0000-U+001F, nothing else
+    return json.dumps(str(x), ensure_ascii=False)
 
 
 def to_json(obj, indent=0) -> str:

@@ -87,16 +87,19 @@ class LipschitzField:
         view, so the caller's own array is never handed back writable.
         """
         arr = np.asarray(values, dtype=np.float64)
-        out = self.func(arr)
-        if (type(out) is np.ndarray and out.dtype == np.float64
-                and out.shape == arr.shape and out.base is None and out is not arr):
-            return out
-        return np.broadcast_to(np.asarray(out, dtype=np.float64),
-                               arr.shape).astype(np.float64, copy=False)
+        return _field_values(self.func(arr), arr)
 
     def composition_alpha(self):
         """The exponent at which F composes: alpha, or 1 for smooth orders."""
         return 1.0 if self.order == "one_plus_alpha" else self.alpha
+
+
+def _field_values(out, arr):
+    """`func`'s output `out` at the float64 array `arr`, by `__call__`'s rule."""
+    if (type(out) is np.ndarray and out.dtype == np.float64
+            and out.shape == arr.shape and out.base is None and out is not arr):
+        return out
+    return np.broadcast_to(np.asarray(out, dtype=np.float64), arr.shape)
 
 
 def _sin_quotient(y, x):
@@ -387,11 +390,12 @@ def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped
     every sample; BlowupSuspectedError at the first sample beyond
     BLOWUP_GUARD, NoConvergenceError after max_iter iterates.  A window of
     at most SHORT_WINDOW samples (the one-step windows of a rough driver)
-    runs the map on Python floats, since NumPy's fixed cost per call
-    dwarfs the arithmetic there; longer windows run it on arrays, whose
-    cost barely grows with the length.  F is evaluated on an array either
-    way, and the cells, the sequential running sum and both tests are the
-    same float operations in the same order, so both give the same bits.
+    runs the map on Python floats, in one pass per iterate, since NumPy's
+    fixed cost per call dwarfs the arithmetic there; longer windows run it
+    on arrays, whose cost barely grows with the length.  F is evaluated on
+    an array either way, and the cells, the sequential running sum and
+    both tests are the same float operations in the same order, so both
+    give the same bits.
     """
     if t.size <= SHORT_WINDOW:
         return _iterate_short_window(field, t, xv, float(y_start), tol, max_iter, damped)
@@ -415,23 +419,36 @@ def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped
 def _iterate_short_window(field, t, xv, y_start, tol, max_iter, damped):
     """`_iterate_window` on Python floats, F still evaluated on an array.
 
-    The running sum is sequential, as np.cumsum's; a NaN anywhere fails the
-    tolerance test, as it fails np.max's (Python's max skips a NaN that is
-    not first).  Python floats overflow to inf and give NaN for inf - inf
-    without NumPy's RuntimeWarning.
+    F's output is coerced by `LipschitzField.__call__`'s rule
+    (`_field_values`).  Each iterate is one pass over the window: the next
+    sample of the running sum, sequential as np.cumsum's, the blow-up guard
+    (so the first sample beyond it is the one reported) and the tolerance
+    test.  A NaN anywhere fails that test, as it fails np.max's.  Python
+    floats overflow to inf and give NaN for inf - inf without NumPy's
+    RuntimeWarning.
     """
-    dx = np.diff(xv).tolist()
-    y = [y_start] * len(t)
+    func = field.func
+    xs = xv.tolist()
+    dx = [b - a for a, b in zip(xs, xs[1:])]  # np.diff's differences
+    n = len(t)
+    y = [y_start] * n
     for it in range(1, max_iter + 1):
-        f = field(np.array(y)).tolist()
-        s = -0.0  # x + -0.0 is x for every float x, as np.cumsum's first sum
+        arr = np.array(y)
+        f = _field_values(func(arr), arr).tolist()
         z = [0.0 + y_start]  # the array loop's 0.0 + y_start: -0.0 becomes 0.0
-        z += [y_start + (s := s + 0.5 * (a + b) * d) for a, b, d in zip(f, f[1:], dx)]
-        for k, v in enumerate(z):
+        s = -0.0  # x + -0.0 is x for every float x, as np.cumsum's first sum
+        within = True
+        for k in range(n):
+            if k:
+                s += 0.5 * (f[k - 1] + f[k]) * dx[k - 1]
+                z.append(y_start + s)
+            v = z[k]
             if abs(v) > BLOWUP_GUARD:
                 raise BlowupSuspectedError("solution exceeded the overflow guard",
                                            time=float(t[k]))
-        if all(abs(a - b) < tol for a, b in zip(z, y)):
+            if not abs(v - y[k]) < tol:
+                within = False
+        if within:
             return np.array(z), it
         y = z if not damped else [0.5 * (a + b) for a, b in zip(y, z)]
     raise NoConvergenceError(f"window iteration did not reach {tol} in {max_iter} steps")
@@ -456,8 +473,8 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
     if not 1.0 < p < 2.0:
         raise BadExponentError("need p in (1; 2)")
     tol = float(tol)
-    if not tol > 0:
-        raise BadParameterError("tol must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise BadParameterError("tol must be finite and > 0")
     y0 = float(y0)
     if not math.isfinite(y0):
         raise BadParameterError("y0 must be finite")

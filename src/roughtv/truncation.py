@@ -106,8 +106,11 @@ def swing_pieces(extrema):
     so a heap pops the breakpoints in increasing order, and the last swing
     left is the oscillation.  These are the 1-D persistence pairs of the
     extrema: O(m log m), no tolerance.  On each piece, b counts the swings
-    still standing and a is their sum.  Returns the lists (breakpoints,
-    coef_a, coef_b) of `TvProfile`, with no piece for a constant path.
+    still standing and a is their sum.  Two extrema are one swing, so they
+    skip the heap: ([0, osc], [osc], [1]), the lists it would build (the
+    one-step windows of a rough driver are nearly all of this kind).
+    Returns the lists (breakpoints, coef_a, coef_b) of `TvProfile`, with no
+    piece for a constant path.
     NonFiniteValueError when the oscillation or the total variation
     overflows float64.
     """
@@ -117,6 +120,8 @@ def swing_pieces(extrema):
         raise NonFiniteValueError("oscillation of the path overflows float64")
     if osc == 0.0:
         return [0.0], [], []
+    if len(extrema) == 2:  # one swing
+        return [0.0, osc], [osc], [1.0]
     levels, counts = _pair_swings(extrema)
     coef_a = list(accumulate(c * level for c, level in zip(counts[::-1], levels[::-1])))
     if coef_a[-1] == math.inf:

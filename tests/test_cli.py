@@ -183,6 +183,14 @@ def tall_tv_csv(tmp_path):
     return str(dest)
 
 
+def test_report_escapes_control_characters(tmp_path, capsys):
+    name = str(tmp_path / 'tab\there "quoted" \\ \x01.csv')
+    write_path_csv(tent_path(), name)
+    code, stdout, _ = run_cli(capsys, "tv", name, "--delta", "0")
+    assert code == 0
+    assert json.loads(stdout)["params"]["input"] == name
+
+
 def test_tv_nan_delta_exits_two(tent_csv, capsys):
     code, stdout, stderr = run_cli(capsys, "tv", tent_csv, "--delta", "nan")
     assert (code, stdout) == (2, "")
@@ -446,14 +454,19 @@ def test_solve_command(tmp_path, capsys):
     assert abs(sol.values[-1] - np.e) < 1e-6
 
 
-@pytest.mark.parametrize("y0", ["inf", "-inf", "nan"])
-def test_solve_non_finite_y0_exits_two(tmp_path, capsys, y0):
+@pytest.mark.parametrize("option, message", [
+    pytest.param("--y0=inf", "y0 must be finite", id="inf"),
+    pytest.param("--y0=-inf", "y0 must be finite", id="-inf"),
+    pytest.param("--y0=nan", "y0 must be finite", id="nan"),
+    pytest.param("--tol=inf", "tol must be finite and > 0", id="tol-inf"),
+])
+def test_solve_non_finite_y0_exits_two(tmp_path, capsys, option, message):
     x_csv = tmp_path / "x.csv"
     write_path_csv(tent_path(), x_csv)
     code, stdout, stderr = run_cli(capsys, "solve", str(x_csv), "--field", "sin",
-                                   f"--y0={y0}", "--p", "1.5")
+                                   option, "--p", "1.5")
     assert (code, stdout) == (2, "")
-    assert stderr == "error: BadParameterError: y0 must be finite\n"
+    assert stderr == f"error: BadParameterError: {message}\n"
 
 
 @pytest.mark.parametrize("command, message", [

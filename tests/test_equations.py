@@ -733,9 +733,12 @@ def _beyond(level, value):
 
 
 # a NaN is not first in a window's change (z[0] is y_start), where Python's
-# max would skip it: the window must not be reported as converged
+# max would skip it: the window must not be reported as converged; a Python
+# scalar and an int array take the coercion of F's output
 _WINDOW_FIELDS = dict(field_catalog(), explosive=_explosive(),
-                      nan_above=_beyond(1.5, np.nan), inf_above=_beyond(1.5, np.inf))
+                      nan_above=_beyond(1.5, np.nan), inf_above=_beyond(1.5, np.inf),
+                      scalar=_field(lambda v: 0.75),
+                      int_array=_field(lambda v: np.floor(v).astype(np.int64)))
 
 
 @pytest.mark.parametrize("name", sorted(_WINDOW_FIELDS))

@@ -1,6 +1,7 @@
 """Property tests (Hypothesis) of the fast functionals against the oracle."""
 
 import io
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from roughtv.oracle import (  # noqa: E402
 )
 from roughtv.pathio import read_path_csv, write_path_csv  # noqa: E402
 from roughtv.paths import make_path  # noqa: E402
-from roughtv.truncation import truncated_variation  # noqa: E402
+from roughtv.truncation import _pair_swings, swing_pieces, truncated_variation  # noqa: E402
 from test_kernels import pvar_sum_reference  # noqa: E402
 from test_paths import read_path_csv_reference, write_path_csv_reference  # noqa: E402
 
@@ -119,3 +120,25 @@ def test_csv_io_equals_reference(data):
     old = read_path_csv_reference(io.StringIO(text))
     assert back.times.tobytes() == path.times.tobytes() == old.times.tobytes()
     assert back.values.tobytes() == path.values.tobytes() == old.values.tobytes()
+
+
+def _heap_swing_pieces(extrema):
+    # swing_pieces' pairing route, which a two-extrema list no longer takes
+    levels, counts = _pair_swings(extrema)
+    coef_a = list(accumulate(c * level for c, level in zip(counts[::-1], levels[::-1])))
+    coef_b = list(accumulate(float(c) for c in counts[::-1]))
+    return [0.0] + levels, coef_a[::-1], coef_b[::-1]
+
+
+_signed_magnitudes = st.builds(
+    lambda m, negative: -m if negative else m,
+    st.floats(1e-300, 1e300), st.booleans(),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(extrema=st.lists(_signed_magnitudes, min_size=2, max_size=2))
+def test_one_swing_pieces_match_the_pairing_route(extrema):
+    want = ([0.0], [], []) if extrema[0] == extrema[1] else _heap_swing_pieces(extrema)
+    # repr tells the float 1.0 from the int 1, and -0.0 from 0.0
+    assert repr(swing_pieces(extrema)) == repr(want)

@@ -15,6 +15,7 @@ from roughtv.oracle import tv_partition_bruteforce
 from roughtv.paths import add_paths, make_path, oscillation, restrict, scale_path
 from roughtv.truncation import (
     optimal_approximation,
+    swing_pieces,
     total_variation,
     truncated_variation,
     tv_profile,
@@ -307,6 +308,8 @@ def test_profile_rejects_overflowing_oscillation():
         tv_profile(path)
     with pytest.raises(NonFiniteValueError):
         p_tv_seminorm(path, 2.0)
+    with pytest.raises(NonFiniteValueError):
+        swing_pieces([-1e308, 1e308])  # a single swing too
 
 
 def test_profile_rejects_overflowing_total_variation():
