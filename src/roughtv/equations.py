@@ -4,8 +4,9 @@ The driver x is a continuous path with finite p-TV seminorm, 1 < p < 2.  For
 a field with an alpha-Lipschitz quotient (order "one_plus_alpha") the
 iteration contracts on windows certified by the two explicit inequalities
 from the uniqueness proof; for a bare alpha-Lipschitz field (order "alpha",
-p - 1 < alpha < 1) windows come from the splitting mesh and the a-priori
-radius R = A R^alpha + B bounds the solution's norm.
+p - 1 < alpha < 1) each window's seminorm is at most the eps of the
+a-priori estimate, and the radius R = A R^alpha + B bounds the solution's
+norm.  One galloping search over the window end finds the windows of both.
 """
 
 import math
@@ -25,12 +26,11 @@ from .errors import (
 )
 from .integrals import d_e_constants
 from .kernels import window_extrema
-from .norms import c_p, extrema_seminorm, p_tv_seminorm
+from .norms import extrema_seminorm, p_tv_seminorm
 from .paths import Mode, SampledPath
 from .reports import BoundReport, bound_report
 
 BLOWUP_GUARD = 1e12
-FIELD_PROBE_COUNT = 4097
 # _iterate_window runs windows of at most this many samples on Python floats.
 # That loop is the faster one below about 40 samples (sin, and damped
 # sqrt-abs; NumPy 2.4 on a 2-core Xeon VM); 32 keeps a margin under it.
@@ -52,7 +52,9 @@ class LipschitzField:
 
     order "alpha": F is globally alpha-Lipschitz with constant `lipschitz`.
     order "one_plus_alpha": F is globally 1-Lipschitz (constant `lipschitz`)
-    and its quotient G is alpha-Lipschitz; the quotient is then mandatory.
+    and its quotient G is alpha-Lipschitz; the quotient is then mandatory,
+    and so is `sup_bound` (a bound on |F|) unless G's Lipschitz constant is
+    0, since the contraction windows are certified from these constants.
     `func` must accept numpy arrays (any ufunc-style callable does).
     """
 
@@ -71,6 +73,10 @@ class LipschitzField:
             raise BadParameterError(f"unknown order {self.order!r}")
         if self.order == "one_plus_alpha" and self.quotient is None:
             raise BadParameterError("order one_plus_alpha requires a quotient")
+        if (self.order == "one_plus_alpha" and self.quotient.lipschitz > 0
+                and self.sup_bound is None):
+            raise BadParameterError(
+                "order one_plus_alpha with a non-constant quotient requires sup_bound")
         if not self.lipschitz >= 0:
             raise BadParameterError("Lipschitz constant must be >= 0")
 
@@ -166,13 +172,6 @@ def estimate_lipschitz(field: LipschitzField, radius, probes=201) -> float:
     return float(np.max(ratios))
 
 
-def probe_sup(field: LipschitzField, radius) -> float:
-    if field.sup_bound is not None:
-        return float(field.sup_bound)
-    grid = np.linspace(-radius, radius, FIELD_PROBE_COUNT)
-    return float(np.max(np.abs(field(grid))))
-
-
 def fixed_point_radius(A, B, alpha) -> float:
     """Least positive solution of R = A R^alpha + B (alpha < 1).
 
@@ -214,13 +213,13 @@ class WindowStep:
     certified: bool
 
 
-def contraction_window(x: SampledPath, field: LipschitzField, start, p,
-                       f_sup=None) -> WindowStep:
+def contraction_window(x: SampledPath, field: LipschitzField, start, p) -> WindowStep:
     """Largest sample-aligned window end on which Picard certifiably contracts.
 
     Certification needs E_{p,p} K_F |x|_{p-TV} <= 1/2 on the window and
     4 E_{p/alpha,p} (|G|_inf + 4 K_G R) |x|_{p-TV} < 1, with
-    R = 2 |F|_inf |x|_{p-TV}.  Both ends of a candidate window are sample
+    R = 2 |F|_inf |x|_{p-TV}, from the field's declared constants
+    (`_contraction_test`).  Both ends of a candidate window are sample
     times, so its seminorm is `extrema_seminorm` of the window's extrema,
     read from one `kernels.window_extrema` of the driver, with no
     restricted path; a galloping search over the window end finds the last
@@ -234,20 +233,23 @@ def contraction_window(x: SampledPath, field: LipschitzField, start, p,
     pos = int(np.searchsorted(times, float(start)))
     if pos >= times.size - 1 or times[pos] != float(start):
         raise OutOfSpanError(f"start {start} is not an interior sample time")
-    if f_sup is None:
-        f_sup = probe_sup(field, 10.0)
     end, certified = _window_end(window_extrema(x.values), times.size - 1, pos, p,
-                                 _contraction_test(field, p, f_sup))
+                                 _contraction_test(field, p))
     return WindowStep(float(times[end]), certified)
 
 
-def _contraction_test(field: LipschitzField, p, f_sup):
-    """The two certification inequalities, as a test of a window's seminorm."""
+def _contraction_test(field: LipschitzField, p):
+    """The two certification inequalities, as a test of a window's seminorm.
+
+    |F|_inf enters only through 4 K_G R, so a quotient with K_G = 0 needs no
+    sup_bound: |F|_inf is taken as 0 there.
+    """
     e_pp = d_e_constants(p, p)[1]
     e_pa = d_e_constants(p / field.alpha, p)[1]
     k_f = field.lipschitz
     g_sup = field.quotient.sup_bound
     k_g = field.quotient.lipschitz
+    f_sup = field.sup_bound if k_g > 0 else 0.0
 
     def contracts(s):
         radius = 2.0 * f_sup * s
@@ -256,19 +258,21 @@ def _contraction_test(field: LipschitzField, p, f_sup):
     return contracts
 
 
-def _window_end(extrema, last, pos, p, contracts):
+def _window_end(extrema, last, pos, p, accept):
     """(end, certified): the last certified end of a window from sample pos.
 
-    Being certified is monotone in the end, since the seminorm cannot fall
-    when the window grows, so a galloping search finds the same end as any
-    other: from lo = pos + 1, probe lo + 1, lo + 2, lo + 4, ... (capped at
-    `last`) up to the first failure, then bisect between the last success
-    and that failure.  A window of L steps costs at most
-    2 ceil(log2(L + 1)) + 2 seminorms, whatever the length of the driver.
+    `accept` tests a window's seminorm: the contraction inequalities, or
+    the order-alpha bound seminorm <= eps.  Being certified is monotone in
+    the end, since the seminorm cannot fall when the window grows, so a
+    galloping search finds the same end as any other: from lo = pos + 1,
+    probe lo + 1, lo + 2, lo + 4, ... (capped at `last`) up to the first
+    failure, then bisect between the last success and that failure.  A
+    window of L steps costs at most 2 ceil(log2(L + 1)) + 2 seminorms,
+    whatever the length of the driver.
     (pos + 1, False) when even the one-step window fails.
     """
     def certified(idx):
-        return contracts(extrema_seminorm(extrema(pos, idx), p))
+        return accept(extrema_seminorm(extrema(pos, idx), p))
 
     lo = pos + 1
     if not certified(lo):
@@ -290,78 +294,6 @@ def _window_end(extrema, last, pos, p, contracts):
         else:
             hi = mid
     return lo, True
-
-
-@dataclass(frozen=True)
-class SplittingMesh:
-    delta: float
-    no_splitting: bool
-
-
-def splitting_mesh(x: SampledPath, p, eps) -> SplittingMesh:
-    """Largest grid-aligned delta with seminorm <= eps on every shorter window.
-
-    A window [t_i; t_j] is ok when its seminorm is at most eps (up to a
-    relative 1e-9).  The driver is reduced once (`kernels.window_extrema`);
-    a window's extrema give its oscillation, and cheap oscillation and
-    variation screens decide most windows before the exact
-    `extrema_seminorm` of those extrema.  Being ok is inherited by
-    subwindows, so the longest ok window starting at t_i ends at an index
-    J_i that never decreases with i: one two-pointer pass finds
-    every J_i with at most 2(n - 1) window checks, since each check either
-    moves the end pointer forward or closes a start.  A window of length
-    >= bound = min_i (t_{J_i + 1} - t_i) fails, and every shorter window is
-    ok, so delta is the longest realised length t_j - t_i strictly below
-    bound (a second pass), or the span when no window fails.  Returns
-    delta = 0 and the no_splitting flag when even a one-step window fails.
-    """
-    p = float(p)
-    eps = float(eps)
-    if not eps > 0:
-        raise BadParameterError("eps must be > 0")
-    times = x.times
-    values = x.values
-    n = times.size
-    if n < 2:
-        return SplittingMesh(0.0, False)
-    eps_hi = eps * (1.0 + 1e-9)
-    eps_p = eps_hi ** p
-    cp = c_p(p) if p > 1 else 1.0
-    prefix_tv = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(values)))))
-    extrema = window_extrema(values)
-
-    def window_ok(i, j):
-        ext = extrema(i, j)
-        osc = max(ext) - min(ext)
-        if osc == 0.0:
-            return True
-        tv0 = prefix_tv[j] - prefix_tv[i]
-        if osc ** (p - 1.0) * tv0 <= eps_p:
-            return True
-        if cp * osc ** p > eps_p:
-            return False
-        return extrema_seminorm(ext, p) <= eps_hi
-
-    bound = math.inf
-    j = 0  # J_i: windows [t_i; t_k] are ok for every k <= j
-    for i in range(n - 1):
-        if j <= i:  # no ok window seen so far covers [t_i; t_{i+1}]
-            if not window_ok(i, i + 1):
-                return SplittingMesh(0.0, True)
-            j = i + 1
-        while j + 1 < n and window_ok(i, j + 1):
-            j += 1
-        if j + 1 < n:
-            bound = min(bound, float(times[j + 1] - times[i]))
-    if bound == math.inf:
-        return SplittingMesh(float(times[-1] - times[0]), False)
-    delta = 0.0
-    j = 0
-    for i in range(n - 1):
-        while j + 1 < n and times[j + 1] - times[i] < bound:
-            j += 1
-        delta = max(delta, float(times[j] - times[i]))
-    return SplittingMesh(delta, False)
 
 
 @dataclass(frozen=True)
@@ -458,14 +390,30 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
                  max_iter=80) -> OdeSolution:
     """Solve y = y0 + int F(y) dx window by window on x's own grid.
 
-    Windows come from the contraction window search (order one_plus_alpha,
-    over one `kernels.window_extrema` of the driver, with the certification
-    constants computed once) or from the splitting mesh sized to make the
-    a-priori coefficient A <= 1/2 (order alpha, which also requires
-    p - 1 < alpha).  Each window iterates the integral map with the
-    trapezoid rule (both paths piecewise linear) and chains its terminal
-    value into the next window; a damped retry y <- (y + Ty)/2 covers the
-    nonsmooth fields before giving up.
+    Each window is the longest one from the previous window's end that
+    passes a test of its seminorm, found by the galloping search
+    `_window_end` over one `kernels.window_extrema` of the driver.  The test
+    is fixed once per solve from the field's declared constants: the two
+    contraction inequalities (order one_plus_alpha), or seminorm <= eps =
+    1/(2 (E + 1) K), E = E_{p/alpha,p}, up to a relative 1e-9 (order alpha,
+    which also requires p - 1 < alpha).
+
+    The order-alpha test is the a-priori estimate of the existence proof,
+    read on one window I = [s; t].  The Loeve-Young inequality and the
+    composition bound |F(y)|_{p/alpha-TV,I} <= K |y|_{p-TV,I}^alpha give
+    every solution |y|_{p-TV,I} <= (|F(y(s))| + E K |y|_{p-TV,I}^alpha)
+    |x|_{p-TV,I}, so |x|_{p-TV,I} <= eps bounds the coefficient
+    (E + 1) K |x|_{p-TV,I} of the a-priori bound on I by 1/2.  The estimate
+    reads only I's own seminorm: it never asks the windows to be of equal
+    length, so the longest passing window from each start serves as well as
+    a uniform mesh, and takes fewer windows.  NoSplittingError when even a
+    one-step window fails.  (`solution_radius` bounds the whole solution
+    from the whole driver's seminorm, whatever the windows.)
+
+    Each window iterates the integral map with the trapezoid rule (both
+    paths piecewise linear) and chains its terminal value into the next
+    window; a damped retry y <- (y + Ty)/2 covers the nonsmooth fields
+    before giving up.
     """
     if x.mode is not Mode.LINEAR:
         raise BadParameterError("driver must be piecewise linear (continuous)")
@@ -479,32 +427,27 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
     if not math.isfinite(y0):
         raise BadParameterError("y0 must be finite")
     times = x.times
+    last = times.size - 1
 
-    boundaries = [0]
     if field.order == "one_plus_alpha":
-        extrema = window_extrema(x.values)
-        f_sup = probe_sup(field, 10.0 * (abs(y0) + 1.0))
-        contracts = _contraction_test(field, p, f_sup)
-        last = times.size - 1
-        while boundaries[-1] < last:
-            boundaries.append(_window_end(extrema, last, boundaries[-1], p, contracts)[0])
+        accept = _contraction_test(field, p)
+    elif not p - 1.0 < field.alpha:
+        raise BadAlphaError("order alpha solving needs p - 1 < alpha")
     else:
-        if not p - 1.0 < field.alpha:
-            raise BadAlphaError("order alpha solving needs p - 1 < alpha")
-        if field.lipschitz == 0.0:
-            boundaries.append(times.size - 1)
-        else:
-            e_pa = d_e_constants(p / field.alpha, p)[1]
-            eps = 0.5 / ((e_pa + 1.0) * field.lipschitz)
-            mesh = splitting_mesh(x, p, eps)
-            if mesh.no_splitting or mesh.delta <= 0.0:
-                raise NoSplittingError(
-                    f"driver admits no window with seminorm below {eps}"
-                )
-            while boundaries[-1] < times.size - 1:
-                i = boundaries[-1]
-                j = int(np.searchsorted(times, times[i] + mesh.delta, side="right")) - 1
-                boundaries.append(max(j, i + 1))
+        # K = 0: F is constant, and the whole driver is one window
+        k = field.lipschitz
+        eps = 0.5 / ((d_e_constants(p / field.alpha, p)[1] + 1.0) * k) if k > 0 else math.inf
+        eps_hi = eps * (1.0 + 1e-9)
+
+        def accept(s):
+            return s <= eps_hi
+    extrema = window_extrema(x.values)
+    boundaries = [0]
+    while boundaries[-1] < last:
+        end, certified = _window_end(extrema, last, boundaries[-1], p, accept)
+        if not certified and field.order == "alpha":
+            raise NoSplittingError(f"driver admits no window with seminorm below {eps}")
+        boundaries.append(end)
 
     n_windows = len(boundaries) - 1
     window_tol = tol / (2.0 * max(1, n_windows))

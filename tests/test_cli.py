@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -467,6 +468,20 @@ def test_solve_non_finite_y0_exits_two(tmp_path, capsys, option, message):
                                    option, "--p", "1.5")
     assert (code, stdout) == (2, "")
     assert stderr == f"error: BadParameterError: {message}\n"
+
+
+def test_solve_overflowing_window_seminorm_exits_two(tmp_path, capsys):
+    # every window's oscillation is finite, but its seminorm at p = 1.05
+    # overflows float64: an error line, no traceback and no NumPy warning
+    x_csv = tmp_path / "x.csv"
+    x_csv.write_text("t,value\n0,0\n0.5,1.7e308\n1,0\n1.5,-1.7e308\n2,0\n2.5,1.7e308\n3,0\n",
+                     encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stdout, stderr = run_cli(capsys, "solve", str(x_csv), "--field", "sqrt-abs",
+                                       "--y0", "1", "--p", "1.05", "--tol", "1e-8")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: NonFiniteValueError: p-TV seminorm overflows float64\n"
 
 
 @pytest.mark.parametrize("command, message", [

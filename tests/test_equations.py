@@ -1,5 +1,5 @@
+import collections
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -9,7 +9,6 @@ from roughtv import equations, kernels
 from roughtv.equations import (
     LipschitzField,
     Quotient,
-    SplittingMesh,
     WindowStep,
     composition_norm_check,
     contraction_window,
@@ -18,7 +17,6 @@ from roughtv.equations import (
     fixed_point_radius,
     picard_solve,
     solution_radius,
-    splitting_mesh,
 )
 from roughtv.errors import (
     BadAlphaError,
@@ -28,7 +26,7 @@ from roughtv.errors import (
     NoSplittingError,
 )
 from roughtv.integrals import d_e_constants
-from roughtv.norms import c_p, extrema_seminorm, p_tv_seminorm, seminorm_on, tv_p_full_norm
+from roughtv.norms import extrema_seminorm, p_tv_seminorm, seminorm_on, tv_p_full_norm
 from roughtv.paths import (
     constant_path,
     gen_brownian,
@@ -114,6 +112,9 @@ def test_field_validation():
         LipschitzField(np.sin, alpha=1.5, order="alpha", lipschitz=1.0)
     with pytest.raises(BadParameterError):
         LipschitzField(np.sin, alpha=1.0, order="one_plus_alpha", lipschitz=1.0)
+    # a quotient with K_G > 0 brings |F|_inf into the certification
+    with pytest.raises(BadParameterError, match="requires sup_bound"):
+        dataclasses.replace(field_catalog()["sin"], sup_bound=None)
 
 
 # ---------------------------------------------------------------------------
@@ -165,152 +166,11 @@ def test_contraction_window_positive_and_monotone():
     assert smaller.end >= step.end
 
 
-def test_splitting_mesh_examples():
-    x = identity_path(101)
-    mesh = splitting_mesh(x, 2.0, 0.5)
-    assert mesh.delta == pytest.approx(1.0, abs=1e-12) and not mesh.no_splitting
-    const = constant_path(3.0, 0.0, 1.0)
-    assert splitting_mesh(const, 2.0, 0.01).delta == 1.0
-
-
 def test_splitting_mesh_zigzag_obstruction():
-    phi = gen_zigzag(1.5, 5)
-    # each level band carries seminorm >= 1, so eps below 1 forces delta
-    # under the widest level width (or outright failure)
-    mesh = splitting_mesh(phi, 1.5, 0.9)
-    assert mesh.no_splitting or mesh.delta < 0.5
-
-
-def _bisection_mesh(x, p, eps):
-    """The splitting mesh found by bisection over delta, as the package once
-    did: `feasible(delta)` checks the longest window of length <= delta from
-    every start, 60 halvings narrow delta, and the result snaps down to the
-    longest realised window length <= the last feasible delta.  Windows are
-    judged on restricted paths (`seminorm_on`); `window_ok` is memoised
-    only because the halvings revisit the same windows.
-    """
-    p = float(p)
-    eps = float(eps)
-    times = x.times
-    values = x.values
-    n = times.size
-    if n < 2:
-        return SplittingMesh(0.0, False)
-    span = float(times[-1] - times[0])
-    eps_hi = eps * (1.0 + 1e-9)
-    eps_p = eps_hi ** p
-    cp = c_p(p) if p > 1 else 1.0
-    prefix_tv = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(values)))))
-
-    @functools.cache
-    def window_ok(i, j):
-        seg = values[i:j + 1]
-        osc = float(np.max(seg) - np.min(seg))
-        if osc == 0.0:
-            return True
-        if p == 1.0:
-            return prefix_tv[j] - prefix_tv[i] <= eps_hi
-        tv0 = prefix_tv[j] - prefix_tv[i]
-        if osc ** (p - 1.0) * tv0 <= eps_p:
-            return True
-        if cp * osc ** p > eps_p:
-            return False
-        return seminorm_on(x, times[i], times[j], p) <= eps_hi
-
-    for i in range(n - 1):
-        if not window_ok(i, i + 1):
-            return SplittingMesh(0.0, True)
-
-    def feasible(delta):
-        j = 0
-        for i in range(n - 1):
-            if j < i + 1:
-                j = i + 1
-            while j + 1 < n and times[j + 1] - times[i] <= delta:
-                j += 1
-            if times[j] - times[i] <= delta and not window_ok(i, j):
-                return False
-        return True
-
-    if feasible(span):
-        return SplittingMesh(span, False)
-    lo = float(np.min(np.diff(times)))
-    hi = span
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    j = 0
-    found = 0.0
-    for i in range(n - 1):
-        if j < i + 1:
-            j = i + 1
-        while j + 1 < n and times[j + 1] - times[i] <= lo:
-            j += 1
-        if times[j] - times[i] <= lo:
-            found = max(found, float(times[j] - times[i]))
-    return SplittingMesh(found, False)
-
-
-def _mesh_case(rng):
-    """A seeded (path, p, eps): a walk at scale 1e-3..10, an integer path
-    with ties and plateaus, or a monotone path, on a uniform or random grid;
-    eps is a random window's seminorm times 0.3, 0.9, 1 or 1.5."""
-    n = int(rng.integers(2, 41))
-    kind = int(rng.integers(0, 3))
-    if kind == 0:
-        values = np.cumsum(rng.normal(size=n)) * 10.0 ** rng.uniform(-3.0, 1.0)
-    elif kind == 1:
-        values = np.cumsum(rng.integers(-1, 2, size=n)).astype(float)
-    else:
-        values = np.cumsum(np.abs(rng.normal(size=n))) * 10.0 ** rng.uniform(-3.0, 1.0)
-    if rng.random() < 0.5:
-        times = np.linspace(0.0, float(rng.uniform(0.5, 3.0)), n)
-    else:
-        times = np.cumsum(rng.uniform(0.05, 1.0, size=n))
-    x = make_path(times, values)
-    p = float(rng.choice([1.0, 1.25, 1.5, 1.9]))
-    i = int(rng.integers(0, n - 1))
-    j = int(rng.integers(i + 1, n))
-    eps = seminorm_on(x, times[i], times[j], p) * float(rng.choice([0.3, 0.9, 1.0, 1.5]))
-    return x, p, (eps if eps > 0.0 else float(rng.uniform(0.1, 1.0)))
-
-
-def test_splitting_mesh_matches_bisection_reference():
-    rng = np.random.default_rng(52)
-    outcomes = {"no-split": 0, "split": 0, "span": 0}
-    for _ in range(600):
-        x, p, eps = _mesh_case(rng)
-        mesh = splitting_mesh(x, p, eps)
-        assert mesh == _bisection_mesh(x, p, eps)
-        if mesh.no_splitting:
-            outcomes["no-split"] += 1
-        elif mesh.delta == x.b - x.a:
-            outcomes["span"] += 1
-        else:
-            outcomes["split"] += 1
-    assert min(outcomes.values()) >= 30, outcomes
-
-
-def test_splitting_mesh_work_is_linear(monkeypatch):
-    # the sqrt-abs solve's mesh: at most two window seminorms per sample
-    # (the bisection took 6,396 on this path)
-    calls = []
-    counted = equations.extrema_seminorm
-
-    def counting(extrema, p):
-        calls.append(len(extrema))
-        return counted(extrema, p)
-
-    monkeypatch.setattr(equations, "extrema_seminorm", counting)
-    x = identity_path(513)
-    field = field_catalog()["sqrt-abs"]
-    eps = 0.5 / ((d_e_constants(1.25 / field.alpha, 1.25)[1] + 1.0) * field.lipschitz)
-    mesh = splitting_mesh(x, 1.25, eps)
-    assert not mesh.no_splitting and 0.0 < mesh.delta < 1.0
-    assert 0 < len(calls) <= 2 * len(x)
+    # each level band of the zigzag carries seminorm >= 1, far above the
+    # eps = 0.039 of sqrt-abs at p = 1.25: the driver splits into no windows
+    with pytest.raises(NoSplittingError):
+        picard_solve(gen_zigzag(1.5, 5), field_catalog()["sqrt-abs"], 1.0, 1.25, 1e-8)
 
 
 def test_contraction_window_matches_restricting_reference():
@@ -354,83 +214,50 @@ def _slice_seminorm(values, p):
     return extrema_seminorm(kernels.reduce_to_extrema(values).tolist(), p)
 
 
-def _slice_contraction_window(x, field, start, p, f_sup):
-    """contraction_window as it was: the seminorm of each value slice,
-    the whole rest checked first, then a binary search."""
-    times = x.times
-    pos = int(np.searchsorted(times, float(start)))
+def _slice_contraction_test(field, p):
+    """The contraction inequalities on a window's seminorm, |F|_inf taken
+    as the declared sup_bound (or 0 when K_G = 0)."""
     e_pp = d_e_constants(p, p)[1]
     e_pa = d_e_constants(p / field.alpha, p)[1]
     k_f = field.lipschitz
     g_sup = field.quotient.sup_bound
     k_g = field.quotient.lipschitz
+    f_sup = field.sup_bound if k_g > 0 else 0.0
 
-    def certified(idx):
-        s = _slice_seminorm(x.values[pos:idx + 1], p)
+    def certified(s):
         radius = 2.0 * f_sup * s
         return (e_pp * k_f * s <= 0.5) and (4.0 * e_pa * (g_sup + 4.0 * k_g * radius) * s < 1.0)
 
+    return certified
+
+
+def _slice_alpha_test(field, p):
+    """The order-alpha window bound: seminorm <= eps = 1/(2 (E + 1) K),
+    up to a relative 1e-9."""
+    eps = 0.5 / ((d_e_constants(p / field.alpha, p)[1] + 1.0) * field.lipschitz)
+    return lambda s: s <= eps * (1.0 + 1e-9)
+
+
+def _slice_window_end(x, pos, p, accept):
+    """(end, certified) of the longest window from sample pos whose value
+    slice's seminorm passes `accept`, as the contraction search once found
+    it: the one-step window, then the whole rest, then a binary search."""
+    def certified(idx):
+        return accept(_slice_seminorm(x.values[pos:idx + 1], p))
+
     lo = pos + 1
     if not certified(lo):
-        return WindowStep(float(times[lo]), False)
-    hi = times.size - 1
+        return lo, False
+    hi = x.times.size - 1
     if certified(hi):
-        return WindowStep(float(times[hi]), True)
+        return hi, True
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if certified(mid):
             lo = mid
         else:
             hi = mid
-    return WindowStep(float(times[lo]), True)
-
-
-def _slice_splitting_mesh(x, p, eps):
-    """splitting_mesh as it was: oscillation and seminorm of each value slice."""
-    p = float(p)
-    eps = float(eps)
-    times = x.times
-    values = x.values
-    n = times.size
-    if n < 2:
-        return SplittingMesh(0.0, False)
-    eps_hi = eps * (1.0 + 1e-9)
-    eps_p = eps_hi ** p
-    cp = c_p(p) if p > 1 else 1.0
-    prefix_tv = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(values)))))
-
-    def window_ok(i, j):
-        seg = values[i:j + 1]
-        osc = float(seg.max()) - float(seg.min())
-        if osc == 0.0:
-            return True
-        tv0 = prefix_tv[j] - prefix_tv[i]
-        if osc ** (p - 1.0) * tv0 <= eps_p:
-            return True
-        if cp * osc ** p > eps_p:
-            return False
-        return _slice_seminorm(seg, p) <= eps_hi
-
-    bound = math.inf
-    j = 0
-    for i in range(n - 1):
-        if j <= i:
-            if not window_ok(i, i + 1):
-                return SplittingMesh(0.0, True)
-            j = i + 1
-        while j + 1 < n and window_ok(i, j + 1):
-            j += 1
-        if j + 1 < n:
-            bound = min(bound, float(times[j + 1] - times[i]))
-    if bound == math.inf:
-        return SplittingMesh(float(times[-1] - times[0]), False)
-    delta = 0.0
-    j = 0
-    for i in range(n - 1):
-        while j + 1 < n and times[j + 1] - times[i] < bound:
-            j += 1
-        delta = max(delta, float(times[j] - times[i]))
-    return SplittingMesh(delta, False)
+    return lo, True
 
 
 def _rough_driver(rng, n):
@@ -449,10 +276,8 @@ def _search_cases():
         x = _rough_driver(rng, n)
         cases += [(x, "sin", 1.0, 1.5), (x, "identity", 0.5 + 0.1 * k, 1.5)]
         # sqrt-abs splits a rough walk of quadratic variation 1 into
-        # one-step windows at best, so it drives a flatter one; its mesh
-        # takes seconds at 4,097 samples
-        if n <= 1025:
-            cases.append((scale_path(x, 0.05), "sqrt-abs", 1.0 + k % 3, 1.25))
+        # one-step windows at best, so it drives a flatter one
+        cases.append((scale_path(x, 0.05), "sqrt-abs", 1.0 + k % 3, 1.25))
     for n in (24, 513, 1025):
         x = identity_path(n)
         cases += [(x, "sin", 1.0, 1.5), (x, "identity", 1.0, 1.5), (x, "sqrt-abs", 2.0, 1.25)]
@@ -472,14 +297,13 @@ def test_picard_solve_matches_slice_window_searches(monkeypatch):
     solved = 0
     for (x, name, y0, p), sol in zip(cases, got):
         field = field_catalog()[name]
-        f_sup = equations.probe_sup(field, 10.0 * (abs(y0) + 1.0))
+        test = _slice_contraction_test if field.order == "one_plus_alpha" else _slice_alpha_test
+        accept = test(field, p)
 
-        def slice_window_end(extrema, last, pos, p_, contracts):
-            step = _slice_contraction_window(x, field, x.times[pos], p, f_sup)
-            return int(np.searchsorted(x.times, step.end)), step.certified
+        def slice_window_end(extrema, last, pos, p_, accept_):
+            return _slice_window_end(x, pos, p, accept)
 
         monkeypatch.setattr(equations, "_window_end", slice_window_end)
-        monkeypatch.setattr(equations, "splitting_mesh", _slice_splitting_mesh)
         ref = _solve_outcome(x, field, y0, p)
         monkeypatch.undo()
         if isinstance(ref, tuple):
@@ -495,7 +319,8 @@ def test_picard_solve_matches_slice_window_searches(monkeypatch):
 
 def test_window_search_certifications_are_logarithmic(monkeypatch):
     # at most 2 ceil(log2(L + 1)) + 2 seminorms for a window of L steps,
-    # whatever the length of the driver
+    # whatever the length of the driver, for the contraction test (sin) and
+    # the order-alpha bound (sqrt-abs, on the flatter drivers it splits)
     calls = []
     counted = equations.extrema_seminorm
 
@@ -507,21 +332,23 @@ def test_window_search_certifications_are_logarithmic(monkeypatch):
     rng = np.random.default_rng(804)
     drivers = [_rough_driver(rng, n) for n in (24, 513, 4097, 16385)]
     drivers += [gen_brownian(4097, 1.0, 7), identity_path(4097)]
-    windows = 0
-    for x in drivers:
-        field = field_catalog()["sin"]
+    cat = field_catalog()
+    cases = [(x, 1.5, equations._contraction_test(cat["sin"], 1.5)) for x in drivers]
+    cases += [(scale_path(x, 0.05), 1.25, _slice_alpha_test(cat["sqrt-abs"], 1.25))
+              for x in drivers]
+    windows = collections.Counter()
+    for x, p, accept in cases:
         extrema = equations.window_extrema(x.values)
-        contracts = equations._contraction_test(field, 1.5, field.sup_bound)
         last = x.times.size - 1
         pos = 0
         while pos < last:
             calls.clear()
-            end, _ = equations._window_end(extrema, last, pos, 1.5, contracts)
+            end, certified = equations._window_end(extrema, last, pos, p, accept)
             steps = end - pos
             assert len(calls) <= 2 * math.ceil(math.log2(steps + 1)) + 2, (len(x), pos, end)
             pos = end
-            windows += 1
-    assert windows > 500
+            windows[p, certified, steps > 1] += 1
+    assert windows[1.5, True, True] > 500 and windows[1.25, True, True] > 50, windows
 
 
 def test_driver_is_reduced_once_per_solve(monkeypatch):
@@ -539,46 +366,57 @@ def test_driver_is_reduced_once_per_solve(monkeypatch):
     builds.clear()
     sol = picard_solve(identity_path(513), field_catalog()["sqrt-abs"], 1.0, 1.25, 1e-8)
     assert len(sol.windows) > 10 and builds == [513]
-    builds.clear()
-    mesh = splitting_mesh(x, 1.25, 0.3)
-    assert not mesh.no_splitting and builds == [513]
 
 
-def _counting_probe_sup(monkeypatch):
-    radii = []
-    counted = equations.probe_sup
+def _counting_calls(field):
+    """`field` with F wrapped to record the size of every argument."""
+    sizes = []
+    func = field.func
 
-    def counting(field, radius):
-        radii.append(radius)
-        return counted(field, radius)
+    def counted(u):
+        sizes.append(np.size(u))
+        return func(u)
 
-    monkeypatch.setattr(equations, "probe_sup", counting)
-    return radii
+    return dataclasses.replace(field, func=counted), sizes
 
 
-def test_alpha_order_solve_makes_no_sup_probe(monkeypatch):
-    # the splitting mesh never reads sup |F|, so sqrt-abs (no sup_bound) is
-    # not evaluated on the probe grid
-    radii = _counting_probe_sup(monkeypatch)
-    sol = picard_solve(identity_path(129), field_catalog()["sqrt-abs"], 1.0, 1.25, 1e-8)
-    assert sol.converged and len(sol.windows) > 1
-    assert radii == []
+def _iterate_and_residual_sizes(x, sol):
+    # F on each window once per iterate, then on the whole solution for the
+    # residual: no evaluation on a probe grid
+    ends = np.searchsorted(x.times, sol.windows)
+    sizes = []
+    for length, its in zip(np.diff(ends) + 1, sol.iterations):
+        sizes += [int(length)] * its
+    return sizes + [len(x)]
+
+
+def test_alpha_order_solve_makes_no_sup_probe():
+    # the order-alpha windows never read sup |F| (sqrt-abs declares none)
+    field, sizes = _counting_calls(field_catalog()["sqrt-abs"])
+    x = identity_path(129)
+    sol = picard_solve(x, field, 1.0, 1.25, 1e-8)
+    assert sol.converged and len(sol.windows) > 2
+    assert sizes == _iterate_and_residual_sizes(x, sol)
 
 
 @pytest.mark.parametrize("name", ["sin", "identity"])
-def test_contraction_solve_probes_sup_once(monkeypatch, name):
-    # one probe at radius 10 (|y0| + 1); a field declaring that probed value
-    # as its sup_bound solves to the same values, windows and residual
-    radii = _counting_probe_sup(monkeypatch)
-    field = field_catalog()[name]
+def test_contraction_solve_makes_no_sup_probe(name):
+    # the windows rest on declared constants: F is never sampled for its sup,
+    # and with K_G = 0 (identity) the sup does not enter, so any declared
+    # value gives the same solve
+    field, sizes = _counting_calls(field_catalog()[name])
     x = _rough_driver(np.random.default_rng(806), 257)
     sol = picard_solve(x, field, -2.0, 1.5, 1e-8)
-    assert radii == [30.0]
-    declared = dataclasses.replace(field, sup_bound=equations.probe_sup(field, 30.0))
-    ref = picard_solve(x, declared, -2.0, 1.5, 1e-8)
-    assert np.array_equal(sol.path.values, ref.path.values)
-    assert sol.windows == ref.windows and sol.iterations == ref.iterations
-    assert sol.residual == ref.residual
+    assert sol.converged and len(sol.windows) > 10
+    assert sizes == _iterate_and_residual_sizes(x, sol)
+    if field.quotient.lipschitz > 0:
+        with pytest.raises(BadParameterError, match="requires sup_bound"):
+            dataclasses.replace(field, sup_bound=None)
+    else:
+        ref = picard_solve(x, dataclasses.replace(field, sup_bound=1e300), -2.0, 1.5, 1e-8)
+        assert np.array_equal(sol.path.values, ref.path.values)
+        assert sol.windows == ref.windows and sol.iterations == ref.iterations
+        assert sol.residual == ref.residual
 
 
 # ---------------------------------------------------------------------------
