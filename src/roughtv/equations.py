@@ -410,6 +410,11 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
     one-step window fails.  (`solution_radius` bounds the whole solution
     from the whole driver's seminorm, whatever the windows.)
 
+    An order one_plus_alpha solve does not stop there: when even the
+    one-step window fails the contraction test, it iterates that window
+    uncertified.  `converged` then means only residual < tol, not that every
+    window was a certified contraction.
+
     Each window iterates the integral map with the trapezoid rule (both
     paths piecewise linear) and chains its terminal value into the next
     window; a damped retry y <- (y + Ty)/2 covers the nonsmooth fields

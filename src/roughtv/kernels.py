@@ -2,8 +2,8 @@
 
 `reduce_to_extrema` keeps the endpoints and turning points of a sample
 sequence; the absolute differences of consecutive extrema are its swings,
-the alternating monotone runs that `truncation.tv_profile` pairs off
-smallest-first.  `window_extrema` reduces a sequence once and then reads
+the alternating monotone runs that `truncation.swing_pieces` pairs off in
+one stack pass.  `window_extrema` reduces a sequence once and then reads
 the extrema of any window of it, as the Picard window searches need.
 `tv_delta` evaluates the truncated variation at one threshold in a single
 pass, `pvar_sum` the p-variation by a dynamic program pruned to backward

@@ -7,7 +7,6 @@ functions and therefore convex, nonincreasing and piecewise affine, which is
 what `tv_profile` reconstructs exactly.
 """
 
-import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -102,13 +101,20 @@ def swing_pieces(extrema):
     smallest swing s, TV^delta is their sum minus their number times delta.
     From delta = s on, s stops paying: at an end of the path it is dropped,
     inside it fuses with its neighbours l and r into the one swing
-    l - s + r >= s.  The shorter chain has the same TV^delta for delta >= s,
-    so a heap pops the breakpoints in increasing order, and the last swing
-    left is the oscillation.  These are the 1-D persistence pairs of the
-    extrema: O(m log m), no tolerance.  On each piece, b counts the swings
-    still standing and a is their sum.  Two extrema are one swing, so they
-    skip the heap: ([0, osc], [osc], [1]), the lists it would build (the
-    one-step windows of a rough driver are nearly all of this kind).
+    l - s + r >= s.  Any swing no longer than its neighbours may go first,
+    since the breakpoints of TV^delta do not depend on the order, so one
+    stack pass retires them, as rainflow counting does (ASTM E1049-85;
+    I. Rychlik, Int. J. Fatigue 9, 1987): push each extremum, and while
+    the newest swing is at least the one before it, retire that one, by
+    dropping the first extremum (count 1) or fusing its two extrema away
+    (count 2).  The swings left on the stack strictly decrease and retire
+    one by one; the largest is the oscillation.  These are the 1-D
+    persistence pairs of the extrema: one O(m) pass, one sort of the
+    distinct levels, no tolerance, and every level is |v_a - v_b| of two
+    input floats.  On each piece, b counts the swings still standing and a
+    is their sum.  Two extrema are one swing, so they skip the stack:
+    ([0, osc], [osc], [1]), the lists it would build (the one-step windows
+    of a rough driver are nearly all of this kind).
     Returns the lists (breakpoints, coef_a, coef_b) of `TvProfile`, with no
     piece for a constant path.
     NonFiniteValueError when the oscillation or the total variation
@@ -122,46 +128,25 @@ def swing_pieces(extrema):
         return [0.0], [], []
     if len(extrema) == 2:  # one swing
         return [0.0, osc], [osc], [1.0]
-    levels, counts = _pair_swings(extrema)
+    retired = {}  # swing level -> swings retired there
+    s = []
+    for x in extrema:
+        s.append(x)
+        while len(s) > 2 and abs(x - s[-2]) >= (y := abs(s[-2] - s[-3])):
+            if len(s) == 3:  # y starts at the first extremum
+                retired[y] = retired.get(y, 0) + 1
+                del s[0]
+            else:  # inner y: its two extrema fuse away
+                retired[y] = retired.get(y, 0) + 2
+                del s[-3:-1]
+    for a, b in zip(s, s[1:]):
+        y = abs(b - a)
+        retired[y] = retired.get(y, 0) + 1
+    levels = sorted(retired)
+    counts = [retired[level] for level in levels]
     coef_a = list(accumulate(c * level for c, level in zip(counts[::-1], levels[::-1])))
     if coef_a[-1] == math.inf:
         raise NonFiniteValueError("total variation of the path overflows float64")
     # every partial sum of the counts is an exact integer in float64
     coef_b = list(accumulate(float(c) for c in counts[::-1]))
     return [0.0] + levels, coef_a[::-1], coef_b[::-1]
-
-
-def _pair_swings(v):
-    """Pair off the swings of the extrema v, smallest first: (levels, counts)."""
-    m = len(v)
-    prev = list(range(-1, m - 1))
-    succ = list(range(1, m)) + [-1]  # -2 marks a removed extremum
-    heap = [(abs(v[i + 1] - v[i]), i, i + 1) for i in range(m - 1)]
-    heapq.heapify(heap)
-    levels = []  # distinct popped swings, increasing
-    counts = []  # swings retired at each level
-    while heap:
-        s, i, j = heapq.heappop(heap)
-        if succ[i] != j:
-            continue  # stale: the swing i -> j no longer exists
-        h, k = prev[i], succ[j]
-        if h == -1:  # first swing: drop the first extremum
-            prev[j] = -1
-            succ[i] = -2
-            retired = 1
-        elif k == -1:  # last swing: drop the last extremum
-            succ[i] = -1
-            succ[j] = -2
-            retired = 1
-        else:  # inner swing: h -> i -> j -> k becomes h -> k
-            succ[h] = k
-            prev[k] = h
-            succ[i] = succ[j] = -2
-            heapq.heappush(heap, (abs(v[k] - v[h]), h, k))
-            retired = 2
-        if levels and levels[-1] == s:
-            counts[-1] += retired
-        else:
-            levels.append(s)
-            counts.append(retired)
-    return levels, counts

@@ -1,5 +1,6 @@
 """Property tests (Hypothesis) of the fast functionals against the oracle."""
 
+import heapq
 import io
 from itertools import accumulate
 
@@ -10,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from roughtv.kernels import pvar_sum  # noqa: E402
+from roughtv.kernels import pvar_sum, reduce_to_extrema  # noqa: E402
 from roughtv.norms import p_variation, seminorm_with_argmax  # noqa: E402
 from roughtv.oracle import (  # noqa: E402
     pvar_bruteforce,
@@ -18,9 +19,9 @@ from roughtv.oracle import (  # noqa: E402
     tv_partition_bruteforce,
 )
 from roughtv.pathio import read_path_csv, write_path_csv  # noqa: E402
-from roughtv.paths import make_path  # noqa: E402
-from roughtv.truncation import _pair_swings, swing_pieces, truncated_variation  # noqa: E402
-from test_kernels import pvar_sum_reference  # noqa: E402
+from roughtv.paths import gen_brownian, gen_zigzag, make_path  # noqa: E402
+from roughtv.truncation import swing_pieces, truncated_variation  # noqa: E402
+from test_kernels import contracting_zigzag, pvar_sum_reference  # noqa: E402
 from test_paths import read_path_csv_reference, write_path_csv_reference  # noqa: E402
 
 # small integers give exact ties, plateaus and monotone runs
@@ -122,8 +123,46 @@ def test_csv_io_equals_reference(data):
     assert back.values.tobytes() == path.values.tobytes() == old.values.tobytes()
 
 
-def _heap_swing_pieces(extrema):
-    # swing_pieces' pairing route, which a two-extrema list no longer takes
+def _pair_swings(v):
+    """Pair off the swings of the extrema v, smallest first: (levels, counts)."""
+    m = len(v)
+    prev = list(range(-1, m - 1))
+    succ = list(range(1, m)) + [-1]  # -2 marks a removed extremum
+    heap = [(abs(v[i + 1] - v[i]), i, i + 1) for i in range(m - 1)]
+    heapq.heapify(heap)
+    levels = []  # distinct popped swings, increasing
+    counts = []  # swings retired at each level
+    while heap:
+        s, i, j = heapq.heappop(heap)
+        if succ[i] != j:
+            continue  # stale: the swing i -> j no longer exists
+        h, k = prev[i], succ[j]
+        if h == -1:  # first swing: drop the first extremum
+            prev[j] = -1
+            succ[i] = -2
+            retired = 1
+        elif k == -1:  # last swing: drop the last extremum
+            succ[i] = -1
+            succ[j] = -2
+            retired = 1
+        else:  # inner swing: h -> i -> j -> k becomes h -> k
+            succ[h] = k
+            prev[k] = h
+            succ[i] = succ[j] = -2
+            heapq.heappush(heap, (abs(v[k] - v[h]), h, k))
+            retired = 2
+        if levels and levels[-1] == s:
+            counts[-1] += retired
+        else:
+            levels.append(s)
+            counts.append(retired)
+    return levels, counts
+
+
+def swing_pieces_reference(extrema):
+    # an independent pairing: a heap pops the smallest swing left each time
+    if max(extrema) == min(extrema):
+        return [0.0], [], []
     levels, counts = _pair_swings(extrema)
     coef_a = list(accumulate(c * level for c, level in zip(counts[::-1], levels[::-1])))
     coef_b = list(accumulate(float(c) for c in counts[::-1]))
@@ -137,8 +176,29 @@ _signed_magnitudes = st.builds(
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(extrema=st.lists(_signed_magnitudes, min_size=2, max_size=2))
-def test_one_swing_pieces_match_the_pairing_route(extrema):
-    want = ([0.0], [], []) if extrema[0] == extrema[1] else _heap_swing_pieces(extrema)
+@given(values=st.one_of(
+    st.lists(st.integers(-3, 3).map(float), min_size=2, max_size=40),
+    st.lists(_signed_magnitudes, min_size=2, max_size=40),
+))
+def test_swing_pieces_match_the_heap_pairing(values):
+    extrema = reduce_to_extrema(np.asarray(values)).tolist()
     # repr tells the float 1.0 from the int 1, and -0.0 from 0.0
-    assert repr(swing_pieces(extrema)) == repr(want)
+    assert repr(swing_pieces(extrema)) == repr(swing_pieces_reference(extrema))
+
+
+def _expanding_zigzag(count):
+    # 0, 1, -1, 1.001, -1.001, ...: every push retires the first swing
+    heights = 1.0 + 0.001 * np.arange(count)
+    return np.concatenate(([0.0], np.column_stack((heights, -heights)).ravel()))
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(contracting_zigzag(2000), id="contracting-zigzag"),
+    pytest.param(_expanding_zigzag(2000), id="expanding-zigzag"),
+    pytest.param(gen_zigzag(1.5, 6).values, id="nested-zigzag"),
+    pytest.param(gen_brownian(65537, 1, 7).values, id="brownian-65537"),
+])
+def test_swing_pieces_match_the_heap_pairing_at_extreme_depths(values):
+    # the stack grows to every extremum, stays at three, or fuses inner swings
+    extrema = reduce_to_extrema(values).tolist()
+    assert swing_pieces(extrema) == swing_pieces_reference(extrema)
