@@ -22,7 +22,6 @@ from .errors import (
     NoConvergenceError,
     NonFiniteValueError,
     NoSplittingError,
-    OutOfSpanError,
 )
 from .integrals import d_e_constants
 from .kernels import window_extrema
@@ -154,24 +153,6 @@ def field_catalog():
     }
 
 
-def estimate_lipschitz(field: LipschitzField, radius, probes=201) -> float:
-    """Max of |F(u)-F(v)| / |u-v|^alpha over a deterministic probe grid.
-
-    A sanity check of the declared constant, not a proof.
-    """
-    radius = float(radius)
-    if not radius > 0 or int(probes) < 2:
-        raise BadParameterError("need radius > 0 and probes >= 2")
-    grid = np.linspace(-radius, radius, int(probes))
-    fv = field(grid)
-    du = np.abs(grid[:, None] - grid[None, :])
-    df = np.abs(fv[:, None] - fv[None, :])
-    mask = du > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(mask, df / du ** field.alpha, 0.0)
-    return float(np.max(ratios))
-
-
 def fixed_point_radius(A, B, alpha) -> float:
     """Least positive solution of R = A R^alpha + B (alpha < 1).
 
@@ -184,7 +165,7 @@ def fixed_point_radius(A, B, alpha) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise BadAlphaError("need 0 < alpha < 1 for an a-priori radius")
-    if A < 0 or B < 0:
+    if not (A >= 0 and B >= 0):  # NaN too
         raise BadParameterError("A and B must be >= 0")
     if A == 0.0:
         return B
@@ -207,55 +188,38 @@ def fixed_point_radius(A, B, alpha) -> float:
     return hi
 
 
-@dataclass(frozen=True)
-class WindowStep:
-    end: float
-    certified: bool
+def _window_test(field: LipschitzField, p):
+    """(accept, eps): the test of a window's seminorm s, fixed once per solve.
 
-
-def contraction_window(x: SampledPath, field: LipschitzField, start, p) -> WindowStep:
-    """Largest sample-aligned window end on which Picard certifiably contracts.
-
-    Certification needs E_{p,p} K_F |x|_{p-TV} <= 1/2 on the window and
-    4 E_{p/alpha,p} (|G|_inf + 4 K_G R) |x|_{p-TV} < 1, with
-    R = 2 |F|_inf |x|_{p-TV}, from the field's declared constants
-    (`_contraction_test`).  Both ends of a candidate window are sample
-    times, so its seminorm is `extrema_seminorm` of the window's extrema,
-    read from one `kernels.window_extrema` of the driver, with no
-    restricted path; a galloping search over the window end finds the last
-    certified end (`_window_end`).  Falls back to the single-step window
-    (uncertified) when even that fails.
+    Order one_plus_alpha: the two contraction inequalities of the
+    uniqueness proof, from the field's declared constants,
+    E_{p,p} K_F s <= 1/2 and 4 E_{p/alpha,p} (|G|_inf + 4 K_G R) s < 1 with
+    R = 2 |F|_inf s.  |F|_inf enters only through 4 K_G R, so a quotient
+    with K_G = 0 needs no sup_bound: |F|_inf is taken as 0 there.  eps is
+    None.
+    Order alpha, which needs p - 1 < alpha: s <= eps = 1/(2 (E + 1) K),
+    E = E_{p/alpha,p}, up to a relative 1e-9.  K = 0 makes F constant, eps
+    infinite and the whole driver one window.
     """
-    if field.order != "one_plus_alpha":
-        raise BadParameterError("contraction windows need an order one_plus_alpha field")
-    p = float(p)
-    times = x.times
-    pos = int(np.searchsorted(times, float(start)))
-    if pos >= times.size - 1 or times[pos] != float(start):
-        raise OutOfSpanError(f"start {start} is not an interior sample time")
-    end, certified = _window_end(window_extrema(x.values), times.size - 1, pos, p,
-                                 _contraction_test(field, p))
-    return WindowStep(float(times[end]), certified)
+    if field.order == "one_plus_alpha":
+        e_pp = d_e_constants(p, p)[1]
+        e_pa = d_e_constants(p / field.alpha, p)[1]
+        k_f = field.lipschitz
+        g_sup = field.quotient.sup_bound
+        k_g = field.quotient.lipschitz
+        f_sup = field.sup_bound if k_g > 0 else 0.0
 
+        def contracts(s):
+            radius = 2.0 * f_sup * s
+            return (e_pp * k_f * s <= 0.5) and (4.0 * e_pa * (g_sup + 4.0 * k_g * radius) * s < 1.0)
 
-def _contraction_test(field: LipschitzField, p):
-    """The two certification inequalities, as a test of a window's seminorm.
-
-    |F|_inf enters only through 4 K_G R, so a quotient with K_G = 0 needs no
-    sup_bound: |F|_inf is taken as 0 there.
-    """
-    e_pp = d_e_constants(p, p)[1]
-    e_pa = d_e_constants(p / field.alpha, p)[1]
-    k_f = field.lipschitz
-    g_sup = field.quotient.sup_bound
-    k_g = field.quotient.lipschitz
-    f_sup = field.sup_bound if k_g > 0 else 0.0
-
-    def contracts(s):
-        radius = 2.0 * f_sup * s
-        return (e_pp * k_f * s <= 0.5) and (4.0 * e_pa * (g_sup + 4.0 * k_g * radius) * s < 1.0)
-
-    return contracts
+        return contracts, None
+    if not p - 1.0 < field.alpha:
+        raise BadAlphaError("order alpha solving needs p - 1 < alpha")
+    k = field.lipschitz
+    eps = 0.5 / ((d_e_constants(p / field.alpha, p)[1] + 1.0) * k) if k > 0 else math.inf
+    eps_hi = eps * (1.0 + 1e-9)
+    return (lambda s: s <= eps_hi), eps
 
 
 def _window_end(extrema, last, pos, p, accept):
@@ -392,10 +356,10 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
 
     Each window is the longest one from the previous window's end that
     passes a test of its seminorm, found by the galloping search
-    `_window_end` over one `kernels.window_extrema` of the driver.  The test
-    is fixed once per solve from the field's declared constants: the two
-    contraction inequalities (order one_plus_alpha), or seminorm <= eps =
-    1/(2 (E + 1) K), E = E_{p/alpha,p}, up to a relative 1e-9 (order alpha,
+    `_window_end` over one `kernels.window_extrema` of the driver.
+    `_window_test` fixes the test once per solve from the field's declared
+    constants: the two contraction inequalities (order one_plus_alpha), or
+    seminorm <= eps = 1/(2 (E + 1) K), E = E_{p/alpha,p} (order alpha,
     which also requires p - 1 < alpha).
 
     The order-alpha test is the a-priori estimate of the existence proof,
@@ -434,18 +398,7 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
     times = x.times
     last = times.size - 1
 
-    if field.order == "one_plus_alpha":
-        accept = _contraction_test(field, p)
-    elif not p - 1.0 < field.alpha:
-        raise BadAlphaError("order alpha solving needs p - 1 < alpha")
-    else:
-        # K = 0: F is constant, and the whole driver is one window
-        k = field.lipschitz
-        eps = 0.5 / ((d_e_constants(p / field.alpha, p)[1] + 1.0) * k) if k > 0 else math.inf
-        eps_hi = eps * (1.0 + 1e-9)
-
-        def accept(s):
-            return s <= eps_hi
+    accept, eps = _window_test(field, p)
     extrema = window_extrema(x.values)
     boundaries = [0]
     while boundaries[-1] < last:

@@ -386,7 +386,10 @@ def d_e_constants(p, q):
 
     E is implemented exactly as printed, E = (p-1)^(1-1/p) p^-1 D, and is
     reported informationally by the checks (only the D-form is asserted).
-    Memoised: each Picard window asks for the same two pairs again.
+    Memoised: every solve asks once or twice (79 calls in one benchmark
+    picard-solve cycle) and every integral-norm check once, for few
+    distinct pairs, and an uncached call sums two ladder series (about
+    9 us on a 2-core Xeon VM, Python 3.11).
     """
     p, q = require_young_regime(p, q)
     one, two = _constant_series(p, q, lead=1.0)

@@ -4,7 +4,7 @@
 sequence; the absolute differences of consecutive extrema are its swings,
 the alternating monotone runs that `truncation.swing_pieces` pairs off in
 one stack pass.  `window_extrema` reduces a sequence once and then reads
-the extrema of any window of it, as the Picard window searches need.
+the extrema of any window of it, as the Picard window search needs.
 `tv_delta` evaluates the truncated variation at one threshold in a single
 pass, `pvar_sum` the p-variation by a dynamic program pruned to backward
 records (exact, quadratic only in the worst case), and `lazy_band` the
@@ -43,11 +43,10 @@ def reduce_to_extrema(values):
 
     Sums of |increment|^p (p >= 1) and of (|increment| - delta)_+ over
     subsequences are both maximised on the reduced sequence, because merging
-    same-sign increments can only increase either sum.
+    same-sign increments can only increase either sum.  A constant
+    sequence, of any length, reduces to its first sample.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.size <= 2:
-        return v.copy()
     # drop plateaus, then keep the first point plus the end of every
     # maximal same-direction run
     w = v[_plateau_starts(v)]
@@ -65,8 +64,8 @@ def window_extrema(values):
     window are w[a..b], b = run[j]; an inner point of that run turns exactly
     when it turns in w.  So extrema(i, j) is w[a], the turning values
     strictly between a and b (two bisections), and w[b]: as Python floats,
-    equal to reduce_to_extrema(values[i:j+1]).tolist() whenever the window
-    is not constant, and [values[i]] when it is.
+    equal to reduce_to_extrema(values[i:j+1]).tolist(), which is
+    [values[i]] when the window is constant.
     """
     v = np.asarray(values, dtype=np.float64)
     keep = _plateau_starts(v)
@@ -152,7 +151,8 @@ def pvar_sum(values, p):
     Dynamic program over the extrema-reduced sequence v: best[j], the V^p of
     v[:j+1], is the max over i < j of best[i] + |v[j] - v[i]|^p, and the
     optimal subsequence always ends at the last sample, so best[-1] is the
-    answer.  p = 1 short-circuits to the total variation.
+    answer.  p = 1 short-circuits to the total variation, `tv_delta` at
+    delta = 0, so V^1 and TV^0 are the same sum in the same order.
 
     Only backward records are scanned.  best never decreases, so i is
     dominated by any later i' whose value is at least as far from v[j].  At a
@@ -168,12 +168,12 @@ def pvar_sum(values, p):
     The worst case stays quadratic: in a contracting zigzag every extremum
     stays a record.
     """
+    if p == 1.0:
+        return tv_delta(values, 0.0)
     v = reduce_to_extrema(values)
     n = v.size
     if n < 2:
         return 0.0
-    if p == 1.0:
-        return float(np.sum(np.abs(np.diff(v))))
     xs = v.tolist()
     # each stack: values and best in arrays for the scan, values in a list
     # for the pops; a new maximum goes only onto the maxima stack (on the

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from roughtv import cli
 from roughtv.cli import BOUND_VARIANTS, main, thread_budget, to_json
 from roughtv.errors import BadParameterError
 from roughtv.pathio import read_path_csv, write_path_csv
-from roughtv.paths import Mode, tent_path
+from roughtv.paths import Mode, gen_brownian, tent_path
 from roughtv.reports import PASS_SLACK
 
 
@@ -247,6 +248,17 @@ def test_pvar_command(tent_csv, capsys):
     code, stdout, _ = run_cli(capsys, "pvar", tent_csv, "--p", "2")
     assert code == 0
     assert '"pvar": 2' in stdout
+
+
+def test_pvar_p_one_prints_the_tv_digits(tmp_path, capsys):
+    dest = tmp_path / "walk.csv"
+    write_path_csv(gen_brownian(1000, 1.0, 0), dest)
+    code, stdout, _ = run_cli(capsys, "pvar", str(dest), "--p", "1")
+    assert code == 0
+    pvar = re.search(r'"pvar": ([^,\s]+)', stdout).group(1)
+    code, stdout, _ = run_cli(capsys, "tv", str(dest), "--delta", "0")
+    assert code == 0
+    assert re.search(r'"tv": ([^,\s]+)', stdout).group(1) == pvar
 
 
 def test_constant_csv_zeroes(tmp_path, capsys):

@@ -9,10 +9,7 @@ from roughtv import equations, kernels
 from roughtv.equations import (
     LipschitzField,
     Quotient,
-    WindowStep,
     composition_norm_check,
-    contraction_window,
-    estimate_lipschitz,
     field_catalog,
     fixed_point_radius,
     picard_solve,
@@ -38,7 +35,7 @@ from roughtv.paths import (
 
 
 # ---------------------------------------------------------------------------
-# fields and Lipschitz probing
+# fields
 # ---------------------------------------------------------------------------
 def test_catalog_fields_satisfy_declared_constants():
     rng = np.random.default_rng(50)
@@ -99,14 +96,6 @@ def test_field_call_never_hands_back_the_input(field):
     assert np.array_equal(u, before)
 
 
-def test_estimate_lipschitz_examples():
-    cat = field_catalog()
-    assert estimate_lipschitz(cat["identity"], 1.0) == pytest.approx(1.0, abs=1e-12)
-    est = estimate_lipschitz(cat["sqrt-abs"], 1.0, probes=2001)
-    assert est <= 1.0 + 1e-9 and est >= 0.99
-    assert estimate_lipschitz(cat["constant"], 5.0) == 0.0
-
-
 def test_field_validation():
     with pytest.raises(BadAlphaError):
         LipschitzField(np.sin, alpha=1.5, order="alpha", lipschitz=1.0)
@@ -133,6 +122,10 @@ def test_fixed_point_radius_examples():
         assert r == pytest.approx(a * r ** alpha + b, rel=1e-15, abs=0.0)
     with pytest.raises(BadAlphaError):
         fixed_point_radius(1.0, 1.0, 1.0)
+    # NaN is rejected as a negative value is: a NaN A once doubled forever
+    for a, b in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(BadParameterError, match="A and B must be >= 0"):
+            fixed_point_radius(a, b, 0.5)
 
 
 def test_fixed_point_radius_is_fixed_point():
@@ -149,21 +142,21 @@ def test_fixed_point_radius_is_fixed_point():
 # windows and splitting
 # ---------------------------------------------------------------------------
 def test_contraction_window_flat_stretch():
-    # x constant on [0; 0.5]: the window must reach past the flat stretch
+    # x constant on [0; 0.5]: the first window must reach past the flat stretch
     t = np.linspace(0.0, 1.0, 101)
     v = np.maximum(t - 0.5, 0.0)
     x = make_path(t, v)
-    step = contraction_window(x, field_catalog()["sin"], 0.0, 1.5)
-    assert step.certified and step.end > 0.5
+    sol = picard_solve(x, field_catalog()["sin"], 1.0, 1.5, 1e-8)
+    assert sol.converged and sol.windows[1] > 0.5
 
 
 def test_contraction_window_positive_and_monotone():
     x = identity_path(101)
     sin_field = field_catalog()["sin"]
-    step = contraction_window(x, sin_field, 0.0, 1.5)
-    assert step.end > 0.0
-    smaller = contraction_window(scale_path(x, 0.1), sin_field, 0.0, 1.5)
-    assert smaller.end >= step.end
+    sol = picard_solve(x, sin_field, 1.0, 1.5, 1e-8)
+    assert sol.windows[1] > 0.0
+    smaller = picard_solve(scale_path(x, 0.1), sin_field, 1.0, 1.5, 1e-8)
+    assert smaller.windows[1] >= sol.windows[1]
 
 
 def test_splitting_mesh_zigzag_obstruction():
@@ -174,7 +167,8 @@ def test_splitting_mesh_zigzag_obstruction():
 
 
 def test_contraction_window_matches_restricting_reference():
-    # the binary search on restricted paths (`seminorm_on`) gives the same step
+    # the binary search on restricted paths (`seminorm_on`) gives the same
+    # window as the galloping search over the driver's extrema
     sin_field = field_catalog()["sin"]
     rng = np.random.default_rng(53)
     for _ in range(40):
@@ -189,12 +183,14 @@ def test_contraction_window_matches_restricting_reference():
             s = seminorm_on(x, times[pos], times[idx], p)
             return (e_pp * s <= 0.5) and (4.0 * e_pp * (1.0 + 8.0 * f_sup * s) * s < 1.0)
 
+        extrema = kernels.window_extrema(x.values)
+        accept = equations._window_test(sin_field, p)[0]
         for pos in range(n - 1):
             lo, hi = pos + 1, n - 1
             if not certified(pos, lo):
-                expected = WindowStep(float(times[lo]), False)
+                expected = (lo, False)
             elif certified(pos, hi):
-                expected = WindowStep(float(times[hi]), True)
+                expected = (hi, True)
             else:
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
@@ -202,8 +198,8 @@ def test_contraction_window_matches_restricting_reference():
                         lo = mid
                     else:
                         hi = mid
-                expected = WindowStep(float(times[lo]), True)
-            assert contraction_window(x, sin_field, times[pos], p) == expected
+                expected = (lo, True)
+            assert equations._window_end(extrema, n - 1, pos, p, accept) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +329,7 @@ def test_window_search_certifications_are_logarithmic(monkeypatch):
     drivers = [_rough_driver(rng, n) for n in (24, 513, 4097, 16385)]
     drivers += [gen_brownian(4097, 1.0, 7), identity_path(4097)]
     cat = field_catalog()
-    cases = [(x, 1.5, equations._contraction_test(cat["sin"], 1.5)) for x in drivers]
+    cases = [(x, 1.5, equations._window_test(cat["sin"], 1.5)[0]) for x in drivers]
     cases += [(scale_path(x, 0.05), 1.25, _slice_alpha_test(cat["sqrt-abs"], 1.25))
               for x in drivers]
     windows = collections.Counter()

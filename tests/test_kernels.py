@@ -12,7 +12,11 @@ def pvar_sum_reference(values, p):
     if n < 2:
         return 0.0
     if p == 1.0:
-        return float(np.sum(np.abs(np.diff(v))))
+        # the swings added left to right, as the total variation adds them
+        total = 0.0
+        for a, b in zip(v[:-1].tolist(), v[1:].tolist()):
+            total += abs(b - a)
+        return total
     best = np.zeros(n, dtype=np.float64)
     for j in range(1, n):
         best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
@@ -180,6 +184,18 @@ def test_window_extrema_equal_reduced_slices():
                     assert extrema(i, j) == kernels.reduce_to_extrema(seg).tolist()
                     windows += 1
     assert windows > 10000 and constant > 100
+
+
+def test_reduce_to_extrema_equals_whole_window_extrema():
+    # a constant sequence reduces to one sample whatever its length, as
+    # window_extrema reads it
+    constants = [[c] * n for n in range(1, 6) for c in (1.0, 0.0, -2.5)]
+    constants += [[-0.0, 0.0], [0.0, -0.0, 0.0], [1e308] * 3]
+    for v in [np.asarray(c) for c in constants] + _window_paths(62):
+        reduced = kernels.reduce_to_extrema(v).tolist()
+        assert repr(reduced) == repr(kernels.window_extrema(v)(0, v.size - 1))
+        if np.all(v == v[0]):
+            assert len(reduced) == 1
 
 
 def test_reduce_to_extrema_compares_without_overflow():

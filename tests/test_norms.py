@@ -55,6 +55,13 @@ def test_pvar_matches_bruteforce():
             assert abs(p_variation(path, p) - pvar_bruteforce(path, p)) <= 1e-10
 
 
+def test_pvar_at_one_is_total_variation_bitwise():
+    # V^1 and TV^0 add the same swings in the same order
+    for seed in range(200):
+        walk = gen_brownian(1000, 1.0, seed)
+        assert p_variation(walk, 1.0) == total_variation(walk)
+
+
 def test_pvar_rejects_overflowing_oscillation():
     huge = make_path([0.0, 0.5, 1.0], [-1e308, 1e308, 0.0])
     with pytest.raises(NonFiniteValueError):

@@ -160,9 +160,8 @@ def _pair_swings(v):
 
 
 def swing_pieces_reference(extrema):
-    # an independent pairing: a heap pops the smallest swing left each time
-    if max(extrema) == min(extrema):
-        return [0.0], [], []
+    # an independent pairing: a heap pops the smallest swing left each time;
+    # a constant path's one extremum pairs nothing
     levels, counts = _pair_swings(extrema)
     coef_a = list(accumulate(c * level for c, level in zip(counts[::-1], levels[::-1])))
     coef_b = list(accumulate(float(c) for c in counts[::-1]))
