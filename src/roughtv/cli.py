@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--name", default="identity")
     p_gen.add_argument("--value", type=float, default=0.0)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--format", default="csv", choices=("csv",))
 
     for name in ("tv", "pvar", "norm"):
         sp = sub.add_parser(name, help=f"evaluate {name} on a CSV path")
@@ -330,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             sp.add_argument("--p", type=float, required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", default="json", choices=("json",))
 
     p_b = sub.add_parser("bounds", help="verify an integral inequality")
     p_b.add_argument("f")
@@ -350,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--tol", type=float, default=1e-8)
     p_s.add_argument("--mode", default="linear", choices=("linear",))
     p_s.add_argument("--out", default=None)
-    p_s.add_argument("--format", default="csv", choices=("csv",))
     return parser
 
 

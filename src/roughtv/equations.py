@@ -38,9 +38,8 @@ SHORT_WINDOW = 32
 
 @dataclass(frozen=True)
 class Quotient:
-    """G with F(y) - F(x) = G(y, x)(y - x), its Lipschitz constant and sup."""
+    """The declared constants of G, F(y) - F(x) = G(y, x)(y - x): K_G and |G|_inf."""
 
-    func: object
     lipschitz: float
     sup_bound: float
 
@@ -63,7 +62,6 @@ class LipschitzField:
     lipschitz: float
     quotient: Quotient = None
     sup_bound: float = None
-    name: str = ""
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -107,48 +105,31 @@ def _field_values(out, arr):
     return np.broadcast_to(np.asarray(out, dtype=np.float64), arr.shape)
 
 
-def _sin_quotient(y, x):
-    y = np.asarray(y, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    diff = y - x
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(diff != 0.0, (np.sin(y) - np.sin(x)) / np.where(diff == 0, 1, diff),
-                       np.cos(x))
-    return out
-
-
 def field_catalog():
     """Built-in fields selectable by name (CLI and tests)."""
     return {
         "identity": LipschitzField(
             func=lambda u: np.asarray(u, dtype=np.float64),
             alpha=1.0, order="one_plus_alpha", lipschitz=1.0,
-            quotient=Quotient(lambda y, x: np.ones_like(np.asarray(y, dtype=np.float64)),
-                              lipschitz=0.0, sup_bound=1.0),
-            name="identity",
+            quotient=Quotient(lipschitz=0.0, sup_bound=1.0),
         ),
         "sin": LipschitzField(
             func=np.sin, alpha=1.0, order="one_plus_alpha", lipschitz=1.0,
-            quotient=Quotient(_sin_quotient, lipschitz=1.0, sup_bound=1.0),
-            sup_bound=1.0, name="sin",
+            quotient=Quotient(lipschitz=1.0, sup_bound=1.0), sup_bound=1.0,
         ),
         "sqrt-abs": LipschitzField(
             func=lambda u: np.sqrt(np.abs(np.asarray(u, dtype=np.float64))),
-            alpha=0.5, order="alpha", lipschitz=1.0, name="sqrt-abs",
+            alpha=0.5, order="alpha", lipschitz=1.0,
         ),
         "constant": LipschitzField(
             func=lambda u: np.ones_like(np.asarray(u, dtype=np.float64)),
             alpha=1.0, order="one_plus_alpha", lipschitz=0.0,
-            quotient=Quotient(lambda y, x: np.zeros_like(np.asarray(y, dtype=np.float64)),
-                              lipschitz=0.0, sup_bound=0.0),
-            sup_bound=1.0, name="constant",
+            quotient=Quotient(lipschitz=0.0, sup_bound=0.0), sup_bound=1.0,
         ),
         "zero": LipschitzField(
             func=lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
             alpha=1.0, order="one_plus_alpha", lipschitz=0.0,
-            quotient=Quotient(lambda y, x: np.zeros_like(np.asarray(y, dtype=np.float64)),
-                              lipschitz=0.0, sup_bound=0.0),
-            sup_bound=0.0, name="zero",
+            quotient=Quotient(lipschitz=0.0, sup_bound=0.0), sup_bound=0.0,
         ),
     }
 

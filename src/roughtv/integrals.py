@@ -162,8 +162,9 @@ class TruncationLadder:
     theta_minus1: float = None
 
     def __post_init__(self):
-        etas = np.ascontiguousarray(self.etas, dtype=np.float64)
-        thetas = np.ascontiguousarray(self.thetas, dtype=np.float64)
+        # copies, so freezing them below leaves the caller's arrays writable
+        etas = np.array(self.etas, dtype=np.float64, ndmin=1)
+        thetas = np.array(self.thetas, dtype=np.float64, ndmin=1)
         if etas.size != thetas.size or etas.size == 0:
             raise NonMonotoneLadderError("ladders must be paired and nonempty")
         for name, seq in (("eta", etas), ("theta", thetas)):
@@ -293,7 +294,7 @@ def _capped(total):
 
 
 def _require_leading(value, osc, message):
-    if value is None or abs(value - osc) > 1e-9:
+    if value != osc:  # None too
         raise LadderMismatchError(message)
 
 
@@ -320,13 +321,6 @@ def lemma_sum_bound(f, g, tagged: TaggedPartition, deltas, epsilons) -> float:
     delta_{-1} is sup |f - f(c)| on the partition's own span [c; d].
     """
     check_same_span(f, g)
-    deltas = np.asarray(deltas, dtype=np.float64)
-    epsilons = np.asarray(epsilons, dtype=np.float64)
-    if deltas.size != epsilons.size or deltas.size == 0:
-        raise NonMonotoneLadderError("delta/epsilon ladders must be paired")
-    for name, seq in (("delta", deltas), ("epsilon", epsilons)):
-        if np.any(seq < 0) or np.any(np.diff(seq) > 0):
-            raise NonMonotoneLadderError(f"{name} ladder must be nonincreasing >= 0")
     grid = merge_times(f, g)
     part = tagged.partition
     part.validate_for(len(grid))
@@ -334,10 +328,11 @@ def lemma_sum_bound(f, g, tagged: TaggedPartition, deltas, epsilons) -> float:
     d = float(grid[part.indices[-1]])
     f_cd = restrict(f, c, d)
     g_cd = restrict(g, c, d)
+    ladder = TruncationLadder(deltas, epsilons, eta_minus1=osc_from_start(f_cd))
     # the ladder stops at r = size - 1, where the remainder replaces the tail
-    bound, _, _ = _ladder_series(osc_from_start(f_cd), deltas, epsilons,
-                                 tv_profile(f_cd), tv_profile(g_cd), terms=deltas.size)
-    bound += part.n_cells * deltas[-1] * epsilons[-1]
+    bound, _, _ = _ladder_series(ladder.eta_minus1, ladder.etas, ladder.thetas,
+                                 tv_profile(f_cd), tv_profile(g_cd), terms=len(ladder))
+    bound += part.n_cells * ladder.etas[-1] * ladder.thetas[-1]
     return float(bound)
 
 
@@ -399,29 +394,27 @@ def d_e_constants(p, q):
     return d, e
 
 
-XI_COUNT = 8
-
-
 def _tag_gaps(f, g):
     """int f dg with its gaps from the tagged single-cell sums f(xi) dg.
 
-    Returns (integral, |int f dg - f(a) dg|, the largest |int f dg - f(xi) dg|
-    over XI_COUNT tags xi spread evenly over the merged grid, that xi).  The
-    first tag is a, so NonFiniteValueError when f(a) dg or any f(xi) dg
-    overflows float64, as for the cells of the integral.
+    Returns (integral, |int f dg - f(a) dg|, the sup over xi in [a; b] of
+    |int f dg - f(xi) dg|, an xi attaining it).  f(xi) fills [min f; max f],
+    both ends taken at samples (interpolation and steps never leave the
+    sample range), and |I - y dg| is convex in y, so the sup is at the first
+    sample where f is largest or the first where it is smallest, the earlier
+    on a tie.  NonFiniteValueError when max f dg or min f dg, and so when
+    any f(xi) dg, overflows float64.
     """
     integral = rs_integral(f, g).value
     dg = float(g.values[-1] - g.values[0])
-    left = abs(integral - float(f.values[0]) * dg)
-    grid = merge_times(f, g)
-    xi_times = grid[np.unique(np.linspace(0, grid.size - 1, XI_COUNT).astype(int))]
-    with np.errstate(over="ignore"):
-        tagged = f.values_at(xi_times) * dg
-        gaps = np.abs(integral - tagged)
-    if not np.all(np.isfinite(tagged)):
+    ends = sorted((int(np.argmax(f.values)), int(np.argmin(f.values))))
+    tagged = [float(f.values[i]) * dg for i in ends]
+    if not all(map(math.isfinite, tagged)):
         raise NonFiniteValueError("tagged sum f(xi) dg overflows float64")
-    worst = int(np.argmax(gaps))
-    return integral, left, float(gaps[worst]), float(xi_times[worst])
+    gaps = [abs(integral - t) for t in tagged]
+    worst = int(gaps[1] > gaps[0])
+    left = abs(integral - float(f.values[0]) * dg)
+    return integral, left, gaps[worst], float(f.times[ends[worst]])
 
 
 def _left_factor(const, norm_f, osc_f, p, q):
@@ -488,7 +481,7 @@ def young_series_check(f, g, p, q) -> BoundReport:
 
 
 def min_series_check(f, g, p, q) -> BoundReport:
-    """|int f dg - f(xi) dg| <= 2 min(S, S~) over sampled tags xi."""
+    """|int f dg - f(xi) dg| <= 2 min(S, S~) at the worst tag xi in [a; b]."""
     ladder_s, ladder_st = default_ladder_pair(f, g, p, q)
     s = young_bound_S(f, g, ladder_s)
     st = young_bound_S_tilde(f, g, ladder_st)

@@ -15,6 +15,7 @@ from roughtv.errors import (
 from roughtv.integrals import (
     IntegralResult,
     TruncationLadder,
+    _tag_gaps,
     d_e_constants,
     default_ladder_pair,
     indefinite_integral,
@@ -42,6 +43,7 @@ from roughtv.paths import (
     merge_times,
     osc_from_start,
     restrict,
+    scale_path,
     tent_path,
 )
 from roughtv.reports import bound_report
@@ -174,10 +176,10 @@ def test_indefinite_endpoint_matches_rs_integral():
         assert ind.values[-1] == pytest.approx(rs_integral(f, g).value, abs=1e-12)
 
 
-def _random_pair_path(rng, mode):
+def _random_pair_path(rng, mode, min_n=8):
     # random walk at random times; the last step is flat, so two step paths
     # never share the jump at t = 1
-    n = int(rng.integers(8, 40))
+    n = int(rng.integers(min_n, 40))
     times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]))
     values = np.cumsum(rng.standard_normal(n)) / np.sqrt(n)
     values[-1] = values[-2]
@@ -322,6 +324,20 @@ def test_young_bound_finite_ladder_reduces_to_lemma_sum(tent):
     assert young_bound_S(tent, g, lad) == pytest.approx(expected, rel=1e-12)
 
 
+def test_leading_term_is_compared_exactly():
+    # sup |f - f(a)| = 1e-12 is not 0, however small: a ladder that claims 0
+    # would give a bound of 0 on a nonzero gap
+    tiny = scale_path(tent_path(), 1e-12)
+    g = identity_path(3, horizon=2.0)
+    lad = TruncationLadder([0.0], [0.0], eta_minus1=0.0, theta_minus1=0.0)
+    with pytest.raises(LadderMismatchError):
+        young_bound_S(tiny, g, lad)
+    with pytest.raises(LadderMismatchError):
+        gamma_level_check(tiny, g, lad)
+    with pytest.raises(LadderMismatchError):
+        young_bound_S_tilde(g, scale_path(g, 1e-12), lad)
+
+
 def test_young_series_tent_identity(tent):
     g = identity_path(3, horizon=2.0)
     rep = young_series_check(tent, g, 1.5, 1.5)
@@ -387,6 +403,31 @@ def test_lemma_sum_bound_rejects_increasing_ladder(tent):
     tagged = TaggedPartition(Partition((0, 2)), (1,))
     with pytest.raises(NonMonotoneLadderError):
         lemma_sum_bound(tent, g, tagged, [0.1, 0.2], [0.1, 0.05])
+
+
+@pytest.mark.parametrize("deltas,epsilons", [
+    pytest.param([math.inf], [1.0], id="delta-inf"),
+    pytest.param([math.nan], [1.0], id="delta-nan"),
+    pytest.param([1.0], [math.inf], id="epsilon-inf"),
+    pytest.param([1.0], [math.nan], id="epsilon-nan"),
+])
+def test_lemma_sum_bound_rejects_non_finite_ladder(tent, deltas, epsilons):
+    # an inf term made a vacuous inf bound, a NaN one a NegativeDeltaError
+    g = identity_path(3, horizon=2.0)
+    tagged = TaggedPartition(Partition((0, 2)), (1,))
+    with pytest.raises(NonMonotoneLadderError, match="finite"):
+        lemma_sum_bound(tent, g, tagged, deltas, epsilons)
+
+
+def test_ladders_leave_the_callers_arrays_writable(tent):
+    g = identity_path(3, horizon=2.0)
+    tagged = TaggedPartition(Partition((0, 2)), (1,))
+    deltas = np.array([0.5, 0.25])
+    epsilons = np.array([0.4, 0.2])
+    lemma_sum_bound(tent, g, tagged, deltas, epsilons)
+    lad = TruncationLadder(deltas, epsilons, eta_minus1=1.0)
+    assert deltas.flags.writeable and epsilons.flags.writeable
+    assert not lad.etas.flags.writeable and not lad.thetas.flags.writeable
 
 
 def test_lemma_sum_bound_extension_consistency():
@@ -585,6 +626,40 @@ def test_d_e_constants_relations():
 # ---------------------------------------------------------------------------
 # Loeve-Young checks
 # ---------------------------------------------------------------------------
+def _tag_gap_pairs():
+    for seed in range(200):  # the pairs of acceptance criterion 9
+        yield gen_brownian(128, 1.0, 2000 + 2 * seed), gen_brownian(128, 1.0, 2001 + 2 * seed)
+    rng = np.random.default_rng(19)
+    for k in range(200):
+        f_mode, g_mode = list(Mode)[k % 2], list(Mode)[k // 2 % 2]
+        yield _random_pair_path(rng, f_mode, 2), _random_pair_path(rng, g_mode, 2)
+
+
+def test_tag_gap_is_the_sup_over_every_tag():
+    # the xi form's lhs is the sup over every tag xi in [a; b]: it equals the
+    # brute-force max over f's samples, and no merged-grid time beats it
+    for f, g in _tag_gap_pairs():
+        integral, left, worst, xi = _tag_gaps(f, g)
+        dg = g.values[-1] - g.values[0]
+        at_samples = np.abs(integral - f.values * dg)
+        assert worst == at_samples.max()
+        assert left == at_samples[0]
+        i = int(np.searchsorted(f.times, xi))
+        assert f.times[i] == xi and at_samples[i] == worst
+        assert i in (int(np.argmax(f.values)), int(np.argmin(f.values)))
+        at_grid = np.abs(integral - f.values_at(merge_times(f, g)) * dg).max()
+        assert abs(worst - at_grid) <= 1e-12 * at_grid
+
+
+def test_tag_gap_takes_the_earlier_extremum_on_a_tie():
+    # dg = 0: every tag gives the same gap |int f dg|, so xi is the first of
+    # f's first maximum and first minimum
+    f = make_path([0.0, 0.25, 0.5, 0.75, 1.0], [0.5, -1.0, 2.0, -1.0, 2.0])
+    g = make_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+    integral, left, worst, xi = _tag_gaps(f, g)
+    assert worst == left == abs(integral) and xi == 0.25
+
+
 def test_loeve_constant_integrand():
     f = constant_path(4.0, 0.0, 1.0)
     g = gen_brownian(65, 1.0, seed=7)
