@@ -278,7 +278,7 @@ def _fields():
 
 
 def cmd_solve(args) -> int:
-    x = read_path_csv(args.x, Mode(args.mode))
+    x = read_path_csv(args.x)
     catalog = _fields()
     if args.field not in catalog:
         raise BadParameterError(
@@ -288,7 +288,7 @@ def cmd_solve(args) -> int:
     if args.out:
         write_path_csv(sol.path, args.out)
     params = {"x": args.x, "field": args.field, "y0": args.y0, "p": args.p,
-              "tol": args.tol, "mode": args.mode}
+              "tol": args.tol}
     results = {
         "terminal": float(sol.path.values[-1]),
         "converged": sol.converged,
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--y0", type=float, default=0.0)
     p_s.add_argument("--p", type=float, default=1.5)
     p_s.add_argument("--tol", type=float, default=1e-8)
-    p_s.add_argument("--mode", default="linear", choices=("linear",))
     p_s.add_argument("--out", default=None)
     return parser
 

@@ -81,10 +81,6 @@ class InvalidPartitionError(RoughTVError):
     """Partition or tag indices invalid for the grid."""
 
 
-class LadderMismatchError(RoughTVError):
-    """Truncation ladder's leading term disagrees with the path it bounds."""
-
-
 class NonMonotoneLadderError(RoughTVError):
     """Truncation sequences must be nonincreasing and nonnegative."""
 

@@ -7,6 +7,8 @@ The existence estimate pairs two nonincreasing truncation ladders (eta_k),
 
 with eta_{-1} = sup |f - f(a)|; finite S bounds |int f dg - f(a)(g(b)-g(a))|.
 The symmetric series S~ swaps the roles (theta_{-1} = sup |g(b) - g(t)|).
+Both leading terms are properties of the paths, so the series read them off
+the paths and a ladder holds only (eta_k)_{k>=0} and (theta_k)_{k>=0}.
 Geometric ladders with doubly-exponential decay make S finite whenever both
 paths carry finite p-TV norms in the Young regime 1/p + 1/q > 1, which is
 where the explicit Loeve-Young type constants below come from.
@@ -23,7 +25,6 @@ from .errors import (
     BadParameterError,
     CommonDiscontinuityError,
     InvalidPartitionError,
-    LadderMismatchError,
     NonFiniteValueError,
     NonMonotoneLadderError,
 )
@@ -150,16 +151,10 @@ def indefinite_integral(f: SampledPath, g: SampledPath) -> SampledPath:
 
 @dataclass(frozen=True)
 class TruncationLadder:
-    """Paired nonincreasing truncation sequences plus the two leading terms.
-
-    eta_minus1 plays sup |f - f(a)| in the S series; theta_minus1 (when set)
-    plays sup |g(b) - g(t)| in the symmetric series.
-    """
+    """Paired nonincreasing truncation sequences: etas truncate f, thetas g."""
 
     etas: np.ndarray
     thetas: np.ndarray
-    eta_minus1: float
-    theta_minus1: float = None
 
     def __post_init__(self):
         # copies, so freezing them below leaves the caller's arrays writable
@@ -172,10 +167,6 @@ class TruncationLadder:
                 raise NonMonotoneLadderError(f"{name} terms must be finite and >= 0")
             if np.any(np.diff(seq) > 0):
                 raise NonMonotoneLadderError(f"{name} sequence must be nonincreasing")
-        if not self.eta_minus1 >= 0:
-            raise NonMonotoneLadderError("eta_minus1 must be >= 0")
-        if self.theta_minus1 is not None and not self.theta_minus1 >= 0:
-            raise NonMonotoneLadderError("theta_minus1 must be >= 0")
         etas.flags.writeable = False
         thetas.flags.writeable = False
         object.__setattr__(self, "etas", etas)
@@ -200,7 +191,8 @@ def ladder_geometric(p, q, beta, gamma) -> TruncationLadder:
         eta_{k-1} = beta  * 2^(-r^k + 1)
         theta_k   = gamma * 2^(-r^k * alpha/(q-1))
 
-    truncated once both streams underflow to zero.
+    truncated once both streams underflow to zero.  `default_ladder_pair`
+    picks beta = sup |f - f(a)|, so eta_{-1} = beta.
     """
     p, q = require_young_regime(p, q)
     if not (beta >= 0 and gamma >= 0):
@@ -222,7 +214,7 @@ def ladder_geometric(p, q, beta, gamma) -> TruncationLadder:
         if k > SERIES_MAX_TERMS:
             raise BadExponentsError("(p, q) too close to the Young regime boundary")
         power *= ratio
-    return TruncationLadder(np.asarray(etas), np.asarray(thetas), eta_minus1=float(beta))
+    return TruncationLadder(etas, thetas)
 
 
 def default_ladder_pair(f: SampledPath, g: SampledPath, p, q):
@@ -241,13 +233,7 @@ def default_ladder_pair(f: SampledPath, g: SampledPath, p, q):
     beta_g = osc_from_end(g)
     gamma_g = (vp_f / vq_g) ** (1.0 / p) * beta_g ** (q / p) if vp_f > 0 and vq_g > 0 else 1.0
     mirror = ladder_geometric(q, p, beta_g, gamma_g)
-    ladder_st = TruncationLadder(
-        etas=mirror.thetas,
-        thetas=mirror.etas,
-        eta_minus1=float(mirror.thetas[0]),
-        theta_minus1=float(beta_g),
-    )
-    return ladder_s, ladder_st
+    return ladder_s, TruncationLadder(etas=mirror.thetas, thetas=mirror.etas)
 
 
 def _ldexp_capped(x, k):
@@ -293,24 +279,15 @@ def _capped(total):
     return math.inf if total > OVERFLOW_GUARD else total
 
 
-def _require_leading(value, osc, message):
-    if value != osc:  # None too
-        raise LadderMismatchError(message)
-
-
 def young_bound_S(f: SampledPath, g: SampledPath, ladder: TruncationLadder) -> float:
-    """The series S for this pair; requires eta_minus1 = sup |f - f(a)|."""
-    _require_leading(ladder.eta_minus1, osc_from_start(f),
-                     "eta_minus1 must equal sup |f - f(a)| for the existence estimate")
-    return _capped(_ladder_series(ladder.eta_minus1, ladder.etas, ladder.thetas,
+    """The series S for this pair, led by eta_{-1} = sup |f - f(a)|."""
+    return _capped(_ladder_series(osc_from_start(f), ladder.etas, ladder.thetas,
                                   tv_profile(f), tv_profile(g))[0])
 
 
 def young_bound_S_tilde(f: SampledPath, g: SampledPath, ladder: TruncationLadder) -> float:
-    """The mirrored series S~; requires theta_minus1 = sup |g(b) - g(t)|."""
-    _require_leading(ladder.theta_minus1, osc_from_end(g),
-                     "theta_minus1 must equal sup |g(b) - g(t)| for the symmetric estimate")
-    return _capped(_ladder_series(ladder.theta_minus1, ladder.thetas, ladder.etas,
+    """The mirrored series S~, led by theta_{-1} = sup |g(b) - g(t)|."""
+    return _capped(_ladder_series(osc_from_end(g), ladder.thetas, ladder.etas,
                                   tv_profile(g), tv_profile(f))[0])
 
 
@@ -328,12 +305,12 @@ def lemma_sum_bound(f, g, tagged: TaggedPartition, deltas, epsilons) -> float:
     d = float(grid[part.indices[-1]])
     f_cd = restrict(f, c, d)
     g_cd = restrict(g, c, d)
-    ladder = TruncationLadder(deltas, epsilons, eta_minus1=osc_from_start(f_cd))
+    ladder = TruncationLadder(deltas, epsilons)
     # the ladder stops at r = size - 1, where the remainder replaces the tail
-    bound, _, _ = _ladder_series(ladder.eta_minus1, ladder.etas, ladder.thetas,
+    bound, _, _ = _ladder_series(osc_from_start(f_cd), ladder.etas, ladder.thetas,
                                  tv_profile(f_cd), tv_profile(g_cd), terms=len(ladder))
-    bound += part.n_cells * ladder.etas[-1] * ladder.thetas[-1]
-    return float(bound)
+    # Python floats: an overflowing remainder is inf without a NumPy warning
+    return bound + part.n_cells * float(ladder.etas[-1]) * float(ladder.thetas[-1])
 
 
 def _series_sum(term):
@@ -534,9 +511,7 @@ def gamma_level_check(f, g, ladder: TruncationLadder) -> BoundReport:
     gamma = 2 sum 2^k theta_k TV^{eta_k}(f); the bound is
     sum 2^k eta_{k-1} TV^{theta_k}(g) with eta_{-1} = sup |f - f(a)|.
     """
-    _require_leading(ladder.eta_minus1, osc_from_start(f),
-                     "eta_minus1 must equal sup |f - f(a)|")
-    _, g_side, f_side = _ladder_series(ladder.eta_minus1, ladder.etas, ladder.thetas,
+    _, g_side, f_side = _ladder_series(osc_from_start(f), ladder.etas, ladder.thetas,
                                        tv_profile(f), tv_profile(g))
     gamma = 2.0 * f_side
     rhs = _capped(g_side) if math.isfinite(gamma) else math.inf

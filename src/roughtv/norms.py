@@ -9,7 +9,9 @@ At p = 1 every peak sits at delta = 0 and the largest is the total variation.
 Every seminorm takes one route: the path's extrema
 (`kernels.reduce_to_extrema`, as Python floats), their pieces
 (`truncation.swing_pieces`), then the largest peak over those pieces, with
-no `TvProfile` in between.
+no `TvProfile` in between.  At p = 1 the pieces only guard the overflow and
+the total variation is summed in path order (`kernels.tv_delta` at 0), so
+that it has the bits of `total_variation` and of V^1.
 """
 
 import math
@@ -122,6 +124,8 @@ def extrema_seminorm(extrema, p) -> float:
 
 def _extrema_peak(extrema, p):
     _, coef_a, coef_b = swing_pieces(extrema)
+    if p == 1:  # TV^0, summed in path order as `total_variation` sums it
+        return kernels.tv_delta(extrema, 0.0), 0.0
     return _largest_peak(coef_a, coef_b, p)
 
 

@@ -73,9 +73,7 @@ class TvProfile:
         bp = self.breakpoints
         if self.coef_a.size == 0 or delta >= bp[-1]:
             return 0.0
-        j = min(bisect_right(bp, delta) - 1, self.coef_a.size - 1)
-        if j < 0:
-            j = 0
+        j = bisect_right(bp, delta) - 1
         return max(float(self.coef_a[j] - self.coef_b[j] * delta), 0.0)
 
     @property

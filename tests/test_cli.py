@@ -567,12 +567,14 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
         ("--help",),
         ("solve", "--help"),
         (),
-        # only bounds has a --format, for its svg sweep
+        # only bounds has a --format, for its svg sweep, and solve reads
+        # linear paths only, so it has no --mode
         ("gen", "zigzag", "--out", str(tmp_path / "z.csv"), "--format", "csv"),
         ("tv", f_csv, "--delta", "0.1", "--format", "json"),
         ("pvar", f_csv, "--p", "2", "--format", "json"),
         ("norm", f_csv, "--p", "1.5", "--format", "json"),
         ("solve", f_csv, "--field", "sin", "--format", "csv"),
+        ("solve", f_csv, "--field", "sin", "--mode", "linear"),
     ]
     reused = [_run_caught(capsys, argv) for argv in argvs]
     reused_svg = svg.read_bytes()
@@ -584,7 +586,7 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
     assert [code for code, _, _ in reused] == [
         0, 0, 0, 0, 0, 0, 0, 2, ("SystemExit", 2), ("SystemExit", 2),
         ("SystemExit", 2), ("SystemExit", 0), ("SystemExit", 0), ("SystemExit", 2),
-    ] + [("SystemExit", 2)] * 5
+    ] + [("SystemExit", 2)] * 6
 
 
 def test_main_runs_the_current_handler(tent_csv, capsys, monkeypatch):

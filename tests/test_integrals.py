@@ -7,7 +7,6 @@ import pytest
 from roughtv.errors import (
     BadExponentsError,
     CommonDiscontinuityError,
-    LadderMismatchError,
     NonFiniteValueError,
     NonMonotoneLadderError,
     SpanMismatchError,
@@ -41,6 +40,7 @@ from roughtv.paths import (
     identity_path,
     make_path,
     merge_times,
+    osc_from_end,
     osc_from_start,
     restrict,
     scale_path,
@@ -255,7 +255,6 @@ def test_left_sum_refinement_error_shrinks():
 def test_ladder_geometric_shape():
     lad = ladder_geometric(1.5, 1.5, beta=2.0, gamma=1.0)
     # alpha = 0.75, ratio = 2.25
-    assert lad.eta_minus1 == 2.0
     assert lad.etas[0] == pytest.approx(2.0 * 2.0 ** (-2.25 + 1.0), rel=1e-12)
     assert lad.thetas[0] == pytest.approx(2.0 ** (-0.75 / 0.5), rel=1e-12)
     pos = lad.etas[lad.etas > 0]
@@ -270,15 +269,15 @@ def test_ladder_rejects_outside_regime():
 
 def test_ladder_validation():
     with pytest.raises(NonMonotoneLadderError):
-        TruncationLadder(np.asarray([1.0, 2.0]), np.asarray([1.0, 0.5]), 1.0)
+        TruncationLadder(np.asarray([1.0, 2.0]), np.asarray([1.0, 0.5]))
     with pytest.raises(NonMonotoneLadderError):
-        TruncationLadder(np.asarray([1.0]), np.asarray([1.0, 0.5]), 1.0)
+        TruncationLadder(np.asarray([1.0]), np.asarray([1.0, 0.5]))
 
 
 def test_young_bound_constant_pair():
     const_f = constant_path(2.0, 0.0, 1.0)
     const_g = constant_path(5.0, 0.0, 1.0)
-    lad = TruncationLadder(np.asarray([0.0]), np.asarray([0.0]), eta_minus1=0.0)
+    lad = TruncationLadder(np.asarray([0.0]), np.asarray([0.0]))
     assert young_bound_S(const_f, const_g, lad) == 0.0
 
 
@@ -287,7 +286,7 @@ def test_young_bound_constant_integrator_keeps_second_sum(tent):
     g = constant_path(7.0, 0.0, 2.0)
     etas = np.asarray([0.5, 0.25, 0.0])
     thetas = np.asarray([0.4, 0.2, 0.0])
-    lad = TruncationLadder(etas, thetas, eta_minus1=osc_from_start(tent))
+    lad = TruncationLadder(etas, thetas)
     expected = sum(
         2.0 ** k * thetas[k] * truncated_variation(tent, etas[k])
         for k in range(3)
@@ -298,15 +297,8 @@ def test_young_bound_constant_integrator_keeps_second_sum(tent):
 def test_young_bound_diverges_to_inf_flag(tent):
     g = identity_path(3, horizon=2.0)
     huge = np.full(600, 1e200)
-    lad = TruncationLadder(huge, huge, eta_minus1=osc_from_start(tent))
+    lad = TruncationLadder(huge, huge)
     assert young_bound_S(tent, g, lad) == math.inf
-
-
-def test_young_bound_requires_matching_eta(tent):
-    g = identity_path(3, horizon=2.0)
-    lad = TruncationLadder(np.asarray([0.1]), np.asarray([0.1]), eta_minus1=0.3)
-    with pytest.raises(LadderMismatchError):
-        young_bound_S(tent, g, lad)
 
 
 def test_young_bound_finite_ladder_reduces_to_lemma_sum(tent):
@@ -314,8 +306,7 @@ def test_young_bound_finite_ladder_reduces_to_lemma_sum(tent):
     #                                  + 2 eta0 TV^0(g)
     g = identity_path(9, horizon=2.0)
     eta0, theta0 = 0.4, 0.3
-    lad = TruncationLadder(np.asarray([eta0, 0.0]), np.asarray([theta0, 0.0]),
-                           eta_minus1=osc_from_start(tent))
+    lad = TruncationLadder(np.asarray([eta0, 0.0]), np.asarray([theta0, 0.0]))
     expected = (
         osc_from_start(tent) * truncated_variation(g, theta0)
         + theta0 * truncated_variation(tent, eta0)
@@ -324,18 +315,18 @@ def test_young_bound_finite_ladder_reduces_to_lemma_sum(tent):
     assert young_bound_S(tent, g, lad) == pytest.approx(expected, rel=1e-12)
 
 
-def test_leading_term_is_compared_exactly():
-    # sup |f - f(a)| = 1e-12 is not 0, however small: a ladder that claims 0
-    # would give a bound of 0 on a nonzero gap
+def test_leading_term_is_read_off_the_path():
+    # sup |f - f(a)| = 1e-12 is not 0, however small: with the zero ladder
+    # only the leading term times TV^0 of the other path survives, so no
+    # bound is 0 on a nonzero gap
     tiny = scale_path(tent_path(), 1e-12)
     g = identity_path(3, horizon=2.0)
-    lad = TruncationLadder([0.0], [0.0], eta_minus1=0.0, theta_minus1=0.0)
-    with pytest.raises(LadderMismatchError):
-        young_bound_S(tiny, g, lad)
-    with pytest.raises(LadderMismatchError):
-        gamma_level_check(tiny, g, lad)
-    with pytest.raises(LadderMismatchError):
-        young_bound_S_tilde(g, scale_path(g, 1e-12), lad)
+    lad = TruncationLadder([0.0], [0.0])
+    tv_g = total_variation(g)
+    assert young_bound_S(tiny, g, lad) == 1e-12 * tv_g > 0
+    assert gamma_level_check(tiny, g, lad).rhs == 1e-12 * tv_g > 0
+    # sup |g(b) - g(t)| of the scaled g is 1e-12 TV^0(g)
+    assert young_bound_S_tilde(g, scale_path(g, 1e-12), lad) == 1e-12 * tv_g * tv_g > 0
 
 
 def test_young_series_tent_identity(tent):
@@ -419,13 +410,21 @@ def test_lemma_sum_bound_rejects_non_finite_ladder(tent, deltas, epsilons):
         lemma_sum_bound(tent, g, tagged, deltas, epsilons)
 
 
+def test_lemma_sum_bound_remainder_overflows_to_inf_without_a_warning(tent):
+    # the remainder n * delta_r * epsilon_r overflows: inf, with no warning
+    g = identity_path(3, horizon=2.0)
+    grid = merge_times(tent, g)
+    tagged = _uniform_tagged(len(grid), len(grid) - 1, "left")
+    assert lemma_sum_bound(tent, g, tagged, [1e300], [1e300]) == math.inf
+
+
 def test_ladders_leave_the_callers_arrays_writable(tent):
     g = identity_path(3, horizon=2.0)
     tagged = TaggedPartition(Partition((0, 2)), (1,))
     deltas = np.array([0.5, 0.25])
     epsilons = np.array([0.4, 0.2])
     lemma_sum_bound(tent, g, tagged, deltas, epsilons)
-    lad = TruncationLadder(deltas, epsilons, eta_minus1=1.0)
+    lad = TruncationLadder(deltas, epsilons)
     assert deltas.flags.writeable and epsilons.flags.writeable
     assert not lad.etas.flags.writeable and not lad.thetas.flags.writeable
 
@@ -504,12 +503,12 @@ def _ref_ladder_sum(terms):
 
 
 def _ref_S(f, g, ladder):
-    return _ref_ladder_sum(_ref_ladder_terms(ladder.eta_minus1, ladder.etas, ladder.thetas,
+    return _ref_ladder_sum(_ref_ladder_terms(osc_from_start(f), ladder.etas, ladder.thetas,
                                              tv_profile(f), tv_profile(g)))
 
 
 def _ref_S_tilde(f, g, ladder):
-    return _ref_ladder_sum(_ref_ladder_terms(ladder.theta_minus1, ladder.thetas, ladder.etas,
+    return _ref_ladder_sum(_ref_ladder_terms(osc_from_end(g), ladder.thetas, ladder.etas,
                                              tv_profile(g), tv_profile(f)))
 
 
@@ -534,7 +533,7 @@ def _ref_gamma(f, g, ladder):
     """(gamma, rhs) of the loop that stopped once the g-side passed 1e300."""
     gamma = 0.0
     rhs = 0.0
-    for g_term, f_term in _ref_ladder_terms(ladder.eta_minus1, ladder.etas, ladder.thetas,
+    for g_term, f_term in _ref_ladder_terms(osc_from_start(f), ladder.etas, ladder.thetas,
                                             tv_profile(f), tv_profile(g)):
         gamma += 2.0 * f_term
         rhs += g_term
@@ -571,7 +570,7 @@ def test_ladder_series_equals_the_replaced_loops(p, q):
 def test_ladder_series_equals_the_replaced_loops_past_the_guard(tent):
     g = identity_path(3, horizon=2.0)
     huge = np.full(600, 1e200)
-    lad = TruncationLadder(huge, huge, eta_minus1=osc_from_start(tent))
+    lad = TruncationLadder(huge, huge)
     assert young_bound_S(tent, g, lad) == _ref_S(tent, g, lad) == math.inf
     rep = gamma_level_check(tent, g, lad)
     # every f-side term truncates at level 1e200, so gamma is 0
@@ -584,9 +583,9 @@ def test_gamma_sums_the_whole_f_side_series(tent):
     g = gen_brownian(33, 2.0, seed=3)
     etas = np.asarray([5e300] + [1e-3] * 10 + [0.0])
     thetas = np.asarray([1e-2] * 11 + [0.0])
-    lad = TruncationLadder(etas, thetas, eta_minus1=osc_from_start(tent))
+    lad = TruncationLadder(etas, thetas)
     f_side = 0.0
-    for _, second in _ref_ladder_terms(lad.eta_minus1, etas, thetas,
+    for _, second in _ref_ladder_terms(osc_from_start(tent), etas, thetas,
                                        tv_profile(tent), tv_profile(g)):
         f_side += second
     rep = gamma_level_check(tent, g, lad)
