@@ -365,8 +365,12 @@ def d_e_constants(p, q):
     """
     p, q = require_young_regime(p, q)
     one, two = _constant_series(p, q, lead=1.0)
-    d_tilde = one * two ** (q - 1.0)
-    d = d_tilde ** (1.0 / q)
+    d = (one * two ** (q - 1.0)) ** (1.0 / q)
+    if math.isinf(d):
+        # near p = q = 2 the product overflows before its root; the split
+        # form is the same quantity, used only here so every finite D keeps
+        # its bits
+        d = one ** (1.0 / q) * two ** ((q - 1.0) / q)
     e = (p - 1.0) ** (1.0 - 1.0 / p) / p * d
     return d, e
 

@@ -8,12 +8,24 @@ the extrema of any window of it, as the Picard window search needs.
 `tv_delta` evaluates the truncated variation at one threshold in a single
 pass, `pvar_sum` the p-variation by a dynamic program pruned to backward
 records (exact, quadratic only in the worst case), and `lazy_band` the
-band-following approximation.
+band-following approximation.  Where a loop's steps are short, it runs on
+Python floats, whose IEEE operations are those of NumPy's float64 ones
+without NumPy's fixed cost per call: `tv_delta` always, `pvar_sum` on
+every stack of at most SHORT_STACK records, with all its powers taken in
+one array beforehand.
 """
 
 from bisect import bisect_left, bisect_right
+from operator import add
 
 import numpy as np
+
+# pvar_sum scans a stack of at most this many records on Python floats, a
+# longer one in arrays.  Per step, the two scans cost the same at about 24
+# records (p = 1.5 and 2; NumPy 2.4 on a 2-core Xeon VM): the array scan's
+# four NumPy calls cost about 4-6 us at any length, the float scan about
+# 0.2 us a record.
+SHORT_STACK = 24
 
 
 def backend_name():
@@ -160,13 +172,26 @@ def pvar_sum(values, p):
     that rule if v[i] <= v[j], and because best[j-1] >= best[i] +
     |v[j-1] - v[i]|^p if v[i] > v[j].  So the survivors are the strict suffix
     minima of v[:j], a monotone stack updated in amortised O(1), and a
-    falling step reads the stack of suffix maxima.  Float
-    subtraction, ``**`` and addition are monotone, so the pruned max is
-    bit-for-bit the full one, provided the terms are computed as the full
-    scan computes them, in NumPy array arithmetic (Python's float ``**`` can
-    differ from NumPy's array ``**`` in the last bit).
-    The worst case stays quadratic: in a contracting zigzag every extremum
-    stays a record.
+    falling step reads the stack of suffix maxima.  Float subtraction,
+    ``**`` and addition are monotone, so the pruned max is bit-for-bit the
+    full one, provided the terms are computed as the full scan computes
+    them, in NumPy array arithmetic (Python's float ``**`` can differ from
+    NumPy's array ``**`` in the last bit).
+
+    The pops read only values, never best, so the records each step scans
+    are known before the program runs, and the work is two passes.  The
+    first replays the stacks on the values alone and lists the differences
+    |v[j] - v[i]| of every step whose stack holds at most SHORT_STACK
+    records, in scan order; one array ``**`` turns them all into terms.
+    The second runs the program: a short step adds the precomputed terms to
+    its stack's best values and takes the max on Python floats, a longer
+    one computes its terms and the max in arrays.  The bits
+    are those of the full scan: NumPy's float64 ``**`` is elementwise, so a
+    term has the same bits in one long array as in a short one; Python's
+    float ``-``, ``+`` and ``max`` are the IEEE operations of NumPy's
+    float64 ones; and every sum is of nonnegative terms, so no NaN reaches
+    the max.  The worst case stays quadratic: in a contracting zigzag every
+    extremum stays a record.
     """
     if p == 1.0:
         return tv_delta(values, 0.0)
@@ -175,35 +200,79 @@ def pvar_sum(values, p):
     if n < 2:
         return 0.0
     xs = v.tolist()
-    # each stack: values and best in arrays for the scan, values in a list
-    # for the pops; a new maximum goes only onto the maxima stack (on the
-    # minima stack the next step would pop it unread), a new minimum only
-    # onto the minima stack
-    lo_v, lo_b, lo = np.empty(n), np.empty(n), [xs[0]]
-    hi_v, hi_b, hi = np.empty(n), np.empty(n), [xs[0]]
-    lo_v[0] = hi_v[0] = xs[0]
-    lo_b[0] = hi_b[0] = 0.0
+    # pass 1: the stacks of values alone, and the differences of the short
+    # steps; a new maximum goes only onto the maxima stack (on the minima
+    # stack the next step would pop it unread), a new minimum only onto the
+    # minima stack
+    diffs = []
+    lo, hi = [xs[0]], [xs[0]]
+    arrays = False
+    for j in range(1, n):
+        x = xs[j]
+        if x > xs[j - 1]:
+            k = len(lo)
+            if k <= SHORT_STACK:
+                diffs += [x - u for u in lo]
+            else:
+                arrays = True
+            while hi and hi[-1] <= x:
+                hi.pop()
+            hi.append(x)
+        else:
+            k = len(hi)
+            if k <= SHORT_STACK:
+                diffs += [u - x for u in hi]
+            else:
+                arrays = True
+            while lo and lo[-1] >= x:
+                lo.pop()
+            lo.append(x)
+    terms = (np.array(diffs) ** p).tolist()
+    # pass 2: the program; each stack keeps its values and best in lists,
+    # and in arrays too when some step scans more than SHORT_STACK records
+    if arrays:
+        lo_v, lo_b = np.empty(n), np.empty(n)
+        hi_v, hi_b = np.empty(n), np.empty(n)
+        lo_v[0] = hi_v[0] = xs[0]
+        lo_b[0] = hi_b[0] = 0.0
+    lo, lo_best = [xs[0]], [0.0]
+    hi, hi_best = [xs[0]], [0.0]
+    s = 0
     best = 0.0
     for j in range(1, n):
         x = xs[j]
         if x > xs[j - 1]:
             k = len(lo)
-            best = (lo_b[:k] + (x - lo_v[:k]) ** p).max()
+            if k <= SHORT_STACK:
+                best = max(map(add, lo_best, terms[s:s + k]))
+                s += k
+            else:
+                best = (lo_b[:k] + (x - lo_v[:k]) ** p).max()
             while hi and hi[-1] <= x:
                 hi.pop()
+                hi_best.pop()
             k = len(hi)
             hi.append(x)
-            hi_v[k] = x
-            hi_b[k] = best
+            hi_best.append(best)
+            if arrays:
+                hi_v[k] = x
+                hi_b[k] = best
         else:
             k = len(hi)
-            best = (hi_b[:k] + (hi_v[:k] - x) ** p).max()
+            if k <= SHORT_STACK:
+                best = max(map(add, hi_best, terms[s:s + k]))
+                s += k
+            else:
+                best = (hi_b[:k] + (hi_v[:k] - x) ** p).max()
             while lo and lo[-1] >= x:
                 lo.pop()
+                lo_best.pop()
             k = len(lo)
             lo.append(x)
-            lo_v[k] = x
-            lo_b[k] = best
+            lo_best.append(best)
+            if arrays:
+                lo_v[k] = x
+                lo_b[k] = best
     return float(best)
 
 

@@ -170,7 +170,8 @@ def embedding_bound(path: SampledPath, p, q) -> BoundReport:
     if not (q > p >= 1):
         raise BadExponentOrderError("needs q > p >= 1")
     lhs = p_var_seminorm(path, q)
-    const = (2.0 ** (q + p - 1.0) / (2.0 ** (q - p) - 1.0)) ** (1.0 / q)
+    # 2^(q+p-1) / (2^(q-p) - 1) with 2^(q-p) divided out, so no power overflows
+    const = (2.0 ** (2.0 * p - 1.0) / -math.expm1((p - q) * math.log(2.0))) ** (1.0 / q)
     osc = oscillation(path)
     sem = p_tv_seminorm(path, p)
     rhs = const * osc ** (1.0 - p / q) * sem ** (p / q)

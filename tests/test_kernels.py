@@ -126,6 +126,63 @@ def test_pvar_sum_equals_dp_on_nested_zigzag(p):
     assert kernels.pvar_sum(v, p) == pvar_sum_reference(v, p)
 
 
+def _scanned_stack_sizes(values):
+    """The number of records each step of pvar_sum scans, replayed on values."""
+    xs = kernels.reduce_to_extrema(values).tolist()
+    lo, hi = [xs[0]], [xs[0]]
+    sizes = []
+    for prev, x in zip(xs, xs[1:]):
+        if x > prev:
+            sizes.append(len(lo))
+            while hi and hi[-1] <= x:
+                hi.pop()
+            hi.append(x)
+        else:
+            sizes.append(len(hi))
+            while lo and lo[-1] >= x:
+                lo.pop()
+            lo.append(x)
+    return sizes
+
+
+def _mixed_stacks():
+    # zigzag records outlast the walk inside them; the larger zigzag after
+    # it pops them all and builds long stacks again
+    short = kernels.SHORT_STACK
+    zigzag = contracting_zigzag(4 * short)
+    walk = 4.0 * gen_brownian(512, 1.0, 21).values
+    return np.concatenate((zigzag, walk, 3.0 * zigzag))
+
+
+def test_mixed_stacks_cross_short_stack_both_ways():
+    long_steps = np.asarray(_scanned_stack_sizes(_mixed_stacks())) > kernels.SHORT_STACK
+    changes = np.diff(long_steps.astype(int))
+    assert 1 in changes and -1 in changes
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0])
+def test_pvar_sum_equals_dp_across_short_stack(p):
+    short = kernels.SHORT_STACK
+    for v in (_mixed_stacks(), contracting_zigzag(short), contracting_zigzag(short + 1)):
+        assert kernels.pvar_sum(v, p) == pvar_sum_reference(v, p)
+    assert max(_scanned_stack_sizes(contracting_zigzag(short))) == short
+    assert max(_scanned_stack_sizes(contracting_zigzag(short + 1))) == short + 1
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0])
+def test_array_power_is_elementwise(p):
+    # pvar_sum raises all short-step differences in one array: each term
+    # must have the bits it has in an array of its own
+    rng = np.random.default_rng(5)
+    d = np.concatenate((rng.uniform(0.0, 4.0, 4099),
+                        10.0 ** rng.uniform(-300.0, 300.0, 1000) / p,
+                        [5e-324, 1.0, 2.0, 1.7976931348623157e308]))
+    with np.errstate(over="ignore"):
+        whole = d ** p
+        for i in range(d.size):
+            assert whole[i] == (d[i:i + 1] ** p)[0]
+
+
 def test_tv_delta_equals_numpy_scalar_loop():
     arrays = _random_arrays(11)
     # seeded walks at several magnitudes, subnormal ones included

@@ -301,6 +301,13 @@ def test_embedding_order_enforced(tent):
         embedding_bound(tent, 2.0, 1.5)
 
 
+def test_embedding_large_q(tent):
+    # the constant (2^(q+p-1) / (2^(q-p) - 1))^(1/q) tends to 2^((2p-1)/q)
+    rep = embedding_bound(tent, 1.5, 1100.0)
+    assert rep.constant_used == pytest.approx(4.0 ** (1.0 / 1100.0), rel=1e-12)
+    assert rep.passed
+
+
 def test_embedding_random_walks():
     for seed in range(40):
         walk = gen_brownian(64, 1.0, seed)
