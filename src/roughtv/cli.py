@@ -112,9 +112,6 @@ def render_svg(series, title, xlabel, ylabel) -> str:
     ml, mr, mt, mb = 70, 20, 40, 50
     xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    ys_all = ys_all[np.isfinite(ys_all)]
-    if ys_all.size == 0:
-        ys_all = np.asarray([0.0, 1.0])
     x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
     y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
@@ -148,7 +145,6 @@ def render_svg(series, title, xlabel, ylabel) -> str:
         pts = " ".join(
             f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
             for x, y in zip(xs, ys)
-            if math.isfinite(float(y))
         )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'

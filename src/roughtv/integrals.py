@@ -14,6 +14,7 @@ paths carry finite p-TV norms in the Young regime 1/p + 1/q > 1, which is
 where the explicit Loeve-Young type constants below come from.
 """
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -47,7 +48,6 @@ from .reports import BoundReport, bound_report
 from .truncation import tv_profile
 
 SERIES_MAX_TERMS = 100000
-OVERFLOW_GUARD = 1e300
 
 
 def require_young_regime(p, q):
@@ -224,16 +224,31 @@ def default_ladder_pair(f: SampledPath, g: SampledPath, p, q):
     symmetric ladder is the mirrored construction keyed to sup |g(b) - g(t)|.
     """
     p, q = require_young_regime(p, q)
-    vp_f = p_var_seminorm(f, p) ** p
-    vq_g = p_var_seminorm(g, q) ** q
+    pv_f = p_var_seminorm(f, p)
+    pv_g = p_var_seminorm(g, q)
     beta = osc_from_start(f)
-    gamma = (vq_g / vp_f) ** (1.0 / q) * beta ** (p / q) if vp_f > 0 and vq_g > 0 else 1.0
-    ladder_s = ladder_geometric(p, q, beta, gamma)
+    ladder_s = ladder_geometric(p, q, beta, _balance(pv_f, p, pv_g, q, beta))
 
     beta_g = osc_from_end(g)
-    gamma_g = (vp_f / vq_g) ** (1.0 / p) * beta_g ** (q / p) if vp_f > 0 and vq_g > 0 else 1.0
-    mirror = ladder_geometric(q, p, beta_g, gamma_g)
+    mirror = ladder_geometric(q, p, beta_g, _balance(pv_g, q, pv_f, p, beta_g))
     return ladder_s, TruncationLadder(etas=mirror.thetas, thetas=mirror.etas)
+
+
+def _balance(pv_x, p, pv_y, q, beta):
+    """(V^q(y) / V^p(x))^(1/q) beta^(p/q), or 1 when either V underflows to 0.
+
+    Where that form overflows (extreme scales, or p/q > 1 with a large beta),
+    the same quantity is taken as pv_y (beta / pv_x)^(p/q), which stays below
+    pv_y since beta <= pv_x; every finite gamma keeps its bits.
+    """
+    vp_x, vq_y = pv_x ** p, pv_y ** q
+    if not (vp_x > 0 and vq_y > 0):
+        return 1.0
+    with contextlib.suppress(OverflowError):  # beta^(p/q)
+        gamma = (vq_y / vp_x) ** (1.0 / q) * beta ** (p / q)
+        if math.isfinite(gamma):
+            return gamma
+    return pv_y * (beta / pv_x) ** (p / q)
 
 
 def _ldexp_capped(x, k):
@@ -275,20 +290,16 @@ def _ladder_series(x_minus1, xs, ys, prof_x, prof_y, terms=None):
     return total, first_sum, second_sum
 
 
-def _capped(total):
-    return math.inf if total > OVERFLOW_GUARD else total
-
-
 def young_bound_S(f: SampledPath, g: SampledPath, ladder: TruncationLadder) -> float:
     """The series S for this pair, led by eta_{-1} = sup |f - f(a)|."""
-    return _capped(_ladder_series(osc_from_start(f), ladder.etas, ladder.thetas,
-                                  tv_profile(f), tv_profile(g))[0])
+    return _ladder_series(osc_from_start(f), ladder.etas, ladder.thetas,
+                          tv_profile(f), tv_profile(g))[0]
 
 
 def young_bound_S_tilde(f: SampledPath, g: SampledPath, ladder: TruncationLadder) -> float:
     """The mirrored series S~, led by theta_{-1} = sup |g(b) - g(t)|."""
-    return _capped(_ladder_series(osc_from_end(g), ladder.thetas, ladder.etas,
-                                  tv_profile(g), tv_profile(f))[0])
+    return _ladder_series(osc_from_end(g), ladder.thetas, ladder.etas,
+                          tv_profile(g), tv_profile(f))[0]
 
 
 def lemma_sum_bound(f, g, tagged: TaggedPartition, deltas, epsilons) -> float:
@@ -317,17 +328,21 @@ def _series_sum(term):
     """Sum of term(k) over k >= 0, up to the first term that cannot change it.
 
     The terms 2^(k + c - d r^k), d > 0 and r > 1, rise and then fall, so
-    only smaller terms follow one too small to change the float total.
+    only smaller terms follow one too small to change the float total.  The
+    sum is the float total, never capped: a term whose power overflows
+    counts as inf, and an inf total stops the sum, since nothing changes it.
+    A report built on an inf constant raises NonFiniteValueError.
     """
     total = 0.0
     k = 0
     while True:
-        t = term(k)
+        try:
+            t = term(k)
+        except OverflowError:
+            t = math.inf
         if total + t == total:
             return total
         total += t
-        if total > OVERFLOW_GUARD:
-            return math.inf
         k += 1
         if k > SERIES_MAX_TERMS:
             raise BadExponentsError("series did not settle; regime too extreme")
@@ -365,11 +380,13 @@ def d_e_constants(p, q):
     """
     p, q = require_young_regime(p, q)
     one, two = _constant_series(p, q, lead=1.0)
-    d = (one * two ** (q - 1.0)) ** (1.0 / q)
+    d = math.inf
+    with contextlib.suppress(OverflowError):  # two^(q-1) with q > 2
+        d = (one * two ** (q - 1.0)) ** (1.0 / q)
     if math.isinf(d):
-        # near p = q = 2 the product overflows before its root; the split
-        # form is the same quantity, used only here so every finite D keeps
-        # its bits
+        # near the regime boundary the product overflows before its root;
+        # the split form is the same quantity, used only here so every
+        # finite D keeps its bits
         d = one ** (1.0 / q) * two ** ((q - 1.0) / q)
     e = (p - 1.0) ** (1.0 - 1.0 / p) / p * d
     return d, e
@@ -403,54 +420,43 @@ def _left_factor(const, norm_f, osc_f, p, q):
     return const * norm_f ** (p - p / q) * osc_f ** (1.0 + p / q - p)
 
 
-def loeve_young_reports(f, g, p, q):
-    """All six Loeve-Young style reports for the pair, sharing the norms.
+_SEMINORMS = {"pvar": p_var_seminorm, "ptv": p_tv_seminorm}
+_LOEVE_FORMS = {"left": "left", "right": "right-symmetric", "xi": "midpoint-xi"}
 
-    Keys are "<family>/<form>" for family in {pvar, ptv} and form in
-    {left, right-symmetric, midpoint-xi}; each ptv rhs is also dominated by
-    the matching pvar rhs, which the extras record for cross-assertions.
+
+def _loeve_young_report(f, g, p, q, family, form):
+    """One Loeve-Young style report, from `family`'s two seminorms alone.
+
+    family is "pvar" or "ptv", form one of `_LOEVE_FORMS`' values; every ptv
+    rhs is dominated by the matching pvar rhs.
     """
     p, q = require_young_regime(p, q)
-    integral, lhs_left, lhs_xi, worst_xi = _tag_gaps(f, g)
+    integral, lhs, lhs_xi, worst_xi = _tag_gaps(f, g)
     c_const = loeve_young_constant(p, q)
-    norms = {
-        "pvar": (p_var_seminorm(f, p), p_var_seminorm(g, q)),
-        "ptv": (p_tv_seminorm(f, p), p_tv_seminorm(g, q)),
-    }
-    osc_f = oscillation(f)
-    osc_g = oscillation(g)
-    e_f = 1.0 + p / q - p
-    e_g = 1.0 + q / p - q
+    nf, ng = _SEMINORMS[family](f, p), _SEMINORMS[family](g, q)
+    osc_f, osc_g = oscillation(f), oscillation(g)
+    extras = {"integral": integral}
+    if form == "left":
+        rhs = _left_factor(c_const, nf, osc_f, p, q) * ng
+    elif form == "right-symmetric":
+        rhs = c_const * nf * ng ** (q - q / p) * osc_g ** (1.0 + q / p - q)
+    else:
+        lhs = lhs_xi
+        extras["worst_xi"] = worst_xi
+        rhs = 0.0 if nf == 0.0 or ng == 0.0 else 2.0 * c_const * nf * ng * min(
+            (osc_f / nf) ** (1.0 + p / q - p), (osc_g / ng) ** (1.0 + q / p - q))
+    return bound_report(lhs, rhs, c_const, f"loeve-{family}-{form}", extras)
 
-    def rhs_for(family, form):
-        nf, ng = norms[family]
-        if form == "left":
-            return _left_factor(c_const, nf, osc_f, p, q) * ng
-        if form == "right-symmetric":
-            return c_const * nf * ng ** (q - q / p) * osc_g ** e_g
-        if nf == 0.0 or ng == 0.0:
-            return 0.0
-        return (
-            2.0 * c_const * nf * ng
-            * min((osc_f / nf) ** e_f, (osc_g / ng) ** e_g)
-        )
 
-    out = {}
-    for form, lhs in (("left", lhs_left), ("right-symmetric", lhs_left),
-                      ("midpoint-xi", lhs_xi)):
-        extras = {
-            "integral": integral,
-            "rhs_pvar": rhs_for("pvar", form),
-            "rhs_ptv": rhs_for("ptv", form),
-        }
-        if form == "midpoint-xi":
-            extras["worst_xi"] = worst_xi
-        for family in ("pvar", "ptv"):
-            out[f"{family}/{form}"] = bound_report(
-                lhs, extras[f"rhs_{family}"], c_const,
-                f"loeve-{family}-{form}", extras,
-            )
-    return out
+def loeve_young_reports(f, g, p, q):
+    """All six Loeve-Young style reports for the pair.
+
+    Keys are "<family>/<form>" for family in {pvar, ptv} and form in
+    {left, right-symmetric, midpoint-xi}; each report is the one `bounds`
+    prints for its variant.
+    """
+    return {f"{family}/{form}": _loeve_young_report(f, g, p, q, family, form)
+            for form in _LOEVE_FORMS.values() for family in _SEMINORMS}
 
 
 def young_series_check(f, g, p, q) -> BoundReport:
@@ -518,23 +524,15 @@ def gamma_level_check(f, g, ladder: TruncationLadder) -> BoundReport:
     _, g_side, f_side = _ladder_series(osc_from_start(f), ladder.etas, ladder.thetas,
                                        tv_profile(f), tv_profile(g))
     gamma = 2.0 * f_side
-    rhs = _capped(g_side) if math.isfinite(gamma) else math.inf
     shifted = shift_path(f, -float(f.values[0]))
-    ind = indefinite_integral(shifted, g)
-    lhs = tv_profile(ind).value(gamma) if math.isfinite(gamma) else 0.0
-    return bound_report(lhs, rhs, gamma, "gamma-level", {"gamma": gamma})
+    lhs = tv_profile(indefinite_integral(shifted, g)).value(gamma)
+    return bound_report(lhs, g_side, gamma, "gamma-level", {"gamma": gamma})
 
 
 # Every `roughtv bounds --variant`, in the order its usage message lists them.
 BOUND_CHECKS = {
-    "loeve-pvar-left": lambda f, g, p, q: loeve_young_reports(f, g, p, q)["pvar/left"],
-    "loeve-pvar-right":
-        lambda f, g, p, q: loeve_young_reports(f, g, p, q)["pvar/right-symmetric"],
-    "loeve-pvar-xi": lambda f, g, p, q: loeve_young_reports(f, g, p, q)["pvar/midpoint-xi"],
-    "loeve-ptv-left": lambda f, g, p, q: loeve_young_reports(f, g, p, q)["ptv/left"],
-    "loeve-ptv-right":
-        lambda f, g, p, q: loeve_young_reports(f, g, p, q)["ptv/right-symmetric"],
-    "loeve-ptv-xi": lambda f, g, p, q: loeve_young_reports(f, g, p, q)["ptv/midpoint-xi"],
+    **{f"loeve-{fam}-{name}": functools.partial(_loeve_young_report, family=fam, form=form)
+       for fam in _SEMINORMS for name, form in _LOEVE_FORMS.items()},
     "young-s": young_series_check,
     "min-series": min_series_check,
     "integral-ptv-theorem": lambda f, g, p, q: integral_norm_check(f, g, p, q, "ptv-theorem"),

@@ -56,7 +56,7 @@ class SampledPath:
             raise LengthMismatchError("a path needs at least one sample")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise NonFiniteValueError("times and values must be finite")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):  # np.diff(t) overflows past max float
             raise NonMonotoneTimesError("times must be strictly increasing")
         t.flags.writeable = False
         v.flags.writeable = False

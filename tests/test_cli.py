@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import warnings
@@ -11,7 +12,7 @@ from roughtv import cli
 from roughtv.cli import BOUND_VARIANTS, main, thread_budget, to_json
 from roughtv.errors import BadParameterError
 from roughtv.pathio import read_path_csv, write_path_csv
-from roughtv.paths import Mode, gen_brownian, tent_path
+from roughtv.paths import Mode, gen_brownian, scale_path, tent_path
 from roughtv.reports import PASS_SLACK
 
 
@@ -242,6 +243,48 @@ def test_bounds_overflowing_tagged_sum_exits_two(tmp_path, capsys, variant):
     assert code == 2
     assert stdout == ""
     assert stderr == "error: NonFiniteValueError: tagged sum f(xi) dg overflows float64\n"
+
+
+def _write_pair(tmp_path, f, g):
+    f_csv = tmp_path / "f.csv"
+    g_csv = tmp_path / "g.csv"
+    write_path_csv(f, f_csv)
+    write_path_csv(g, g_csv)
+    return str(f_csv), str(g_csv)
+
+
+def test_young_s_reports_its_finite_sum_past_1e300(tmp_path, capsys):
+    # S = 1.2e300 is finite, so the report carries it: an inf rhs checks nothing
+    pair = _write_pair(tmp_path, scale_path(gen_brownian(6, 1.0, 1), 1e150),
+                       scale_path(gen_brownian(6, 1.0, 2), 7.5e149))
+    code, stdout, _ = run_cli(capsys, "bounds", *pair, "--p", "1.5", "--q", "1.05",
+                              "--variant", "young-s")
+    assert code == 0
+    assert '"rhs": 1.2058103472642348e+300,' in stdout
+
+
+@pytest.mark.parametrize("variant", BOUND_VARIANTS)
+def test_bounds_against_an_overflowing_rhs_exit_two(tmp_path, capsys, variant):
+    # near the regime boundary C, D and E overflow: no bound passes against inf
+    pair = _write_pair(tmp_path, gen_brownian(64, 1.0, 1), gen_brownian(64, 1.0, 2))
+    code, stdout, stderr = run_cli(capsys, "bounds", *pair, "--p", "1.999", "--q", "1.999",
+                                   "--variant", variant)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: NonFiniteValueError: ") and stderr.count("\n") == 1
+
+
+def test_ptv_bound_stands_where_the_pvar_bound_overflows(tmp_path, capsys):
+    # C |f|_p-var |g|_q-var is about 1e308 and overflows, while every p-TV rhs
+    # stays finite: a ptv variant reads no p-variation seminorm
+    pair = _write_pair(tmp_path, scale_path(gen_brownian(256, 1.0, 100), 1.585e147),
+                       scale_path(gen_brownian(256, 1.0, 200), 1.585e147))
+    argv = ("bounds", *pair, "--p", "1.9", "--q", "1.9", "--variant")
+    code, stdout, _ = run_cli(capsys, *argv, "loeve-ptv-left")
+    rhs = json.loads(stdout)["results"]["rhs"]
+    assert code == 0 and isinstance(rhs, float) and math.isfinite(rhs)
+    code, stdout, stderr = run_cli(capsys, *argv, "loeve-pvar-left")
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: NonFiniteValueError: loeve-pvar-left: ")
 
 
 def test_pvar_command(tent_csv, capsys):

@@ -46,7 +46,7 @@ from roughtv.paths import (
     scale_path,
     tent_path,
 )
-from roughtv.reports import bound_report
+from roughtv.reports import PASS_SLACK, bound_report
 from roughtv.truncation import total_variation, truncated_variation, tv_profile
 
 
@@ -274,6 +274,18 @@ def test_ladder_validation():
         TruncationLadder(np.asarray([1.0]), np.asarray([1.0, 0.5]))
 
 
+def test_default_ladders_balance_at_extreme_scales():
+    # (V^p(f) / V^q(g))^(1/p) overflows for the mirrored ladder at these
+    # scales, but gamma itself is finite and scales with f, so the ladder is
+    # the unit pair's, rescaled
+    f = gen_brownian(45, 1.0, seed=21)
+    g = gen_brownian(26, 1.0, seed=22)
+    _, unit = default_ladder_pair(f, g, 1.9, 1.9)
+    _, far = default_ladder_pair(scale_path(f, 1e100), scale_path(g, 1e-100), 1.9, 1.9)
+    np.testing.assert_allclose(far.etas[:8], 1e100 * unit.etas[:8], rtol=1e-12)
+    np.testing.assert_allclose(far.thetas[:8], 1e-100 * unit.thetas[:8], rtol=1e-12)
+
+
 def test_young_bound_constant_pair():
     const_f = constant_path(2.0, 0.0, 1.0)
     const_g = constant_path(5.0, 0.0, 1.0)
@@ -497,8 +509,6 @@ def _ref_ladder_sum(terms):
     for first, second in terms:
         total += first
         total += second
-        if total > 1e300:
-            return math.inf
     return total
 
 
@@ -530,16 +540,13 @@ def _ref_lemma(f, g, tagged, deltas, epsilons):
 
 
 def _ref_gamma(f, g, ladder):
-    """(gamma, rhs) of the loop that stopped once the g-side passed 1e300."""
+    """(gamma, rhs) of the loop that summed both sides term by term."""
     gamma = 0.0
     rhs = 0.0
     for g_term, f_term in _ref_ladder_terms(osc_from_start(f), ladder.etas, ladder.thetas,
                                             tv_profile(f), tv_profile(g)):
         gamma += 2.0 * f_term
         rhs += g_term
-        if not math.isfinite(gamma) or rhs > 1e300:
-            rhs = math.inf
-            break
     return gamma, rhs
 
 
@@ -571,28 +578,32 @@ def test_ladder_series_equals_the_replaced_loops_past_the_guard(tent):
     g = identity_path(3, horizon=2.0)
     huge = np.full(600, 1e200)
     lad = TruncationLadder(huge, huge)
+    # 2^k 1e200 overflows: the series is truly divergent, so it sums to inf
     assert young_bound_S(tent, g, lad) == _ref_S(tent, g, lad) == math.inf
-    rep = gamma_level_check(tent, g, lad)
-    # every f-side term truncates at level 1e200, so gamma is 0
-    assert (rep.extras["gamma"], rep.rhs) == _ref_gamma(tent, g, lad) == (0.0, math.inf)
+    # every f-side term truncates at level 1e200, so gamma is 0, but the g-side
+    # rhs is inf, and a bound against inf checks nothing
+    assert _ref_gamma(tent, g, lad) == (0.0, math.inf)
+    with pytest.raises(NonFiniteValueError, match="gamma-level"):
+        gamma_level_check(tent, g, lad)
 
 
 def test_gamma_sums_the_whole_f_side_series(tent):
-    # the g-side passes 1e300 at k = 1; gamma is still 2 sum 2^k theta_k TV^{eta_k}(f)
-    # over the whole ladder, where the replaced loop stopped and kept a partial sum
+    # the g-side passes 1e300 at k = 1 and stays finite; gamma is
+    # 2 sum 2^k theta_k TV^{eta_k}(f) and the rhs the g-side sum, each over
+    # the whole ladder
     g = gen_brownian(33, 2.0, seed=3)
     etas = np.asarray([5e300] + [1e-3] * 10 + [0.0])
     thetas = np.asarray([1e-2] * 11 + [0.0])
     lad = TruncationLadder(etas, thetas)
-    f_side = 0.0
-    for _, second in _ref_ladder_terms(osc_from_start(tent), etas, thetas,
-                                       tv_profile(tent), tv_profile(g)):
+    f_side = g_side = 0.0
+    for first, second in _ref_ladder_terms(osc_from_start(tent), etas, thetas,
+                                           tv_profile(tent), tv_profile(g)):
+        g_side += first
         f_side += second
     rep = gamma_level_check(tent, g, lad)
     assert rep.extras["gamma"] == 2.0 * f_side
-    assert rep.rhs == math.inf and rep.passed
-    partial, _ = _ref_gamma(tent, g, lad)
-    assert partial < rep.extras["gamma"]
+    assert rep.rhs == g_side and 1e301 < rep.rhs < math.inf and rep.passed
+    assert (rep.extras["gamma"], rep.rhs) == _ref_gamma(tent, g, lad)
 
 
 def test_rs_sum_span_mismatch(tent):
@@ -615,8 +626,9 @@ def test_loeve_young_constant_values():
 
 
 def test_d_e_constants_relations():
-    # at (1.99, 1.99) D is about 2.2e267, but its unsplit product overflows
-    for p, q in ((1.5, 1.5), (1.9, 1.9), (1.2, 1.8), (1.99, 1.99)):
+    # at (1.99, 1.99) D is about 2.2e267, but its unsplit product overflows;
+    # at (1.05, 17.5) two^(q-1) overflows a Python float, which raises
+    for p, q in ((1.5, 1.5), (1.9, 1.9), (1.2, 1.8), (1.99, 1.99), (1.05, 17.5)):
         d, e = d_e_constants(p, q)
         assert d > 0.0 and math.isfinite(d)
         assert e == pytest.approx((p - 1.0) ** (1.0 - 1.0 / p) / p * d, rel=1e-12)
@@ -713,9 +725,19 @@ def test_young_regime_guard():
         loeve_young_reports(f, g, 3.0, 3.0)
 
 
-def test_nan_margin_is_not_a_verdict():
-    inf = float("inf")
-    with pytest.raises(NonFiniteValueError, match="min-series: margin"):
-        bound_report(inf, inf, inf, "min-series")
-    rep = bound_report(1.0, inf, inf, "young-s")
-    assert rep.passed and rep.margin == inf
+@pytest.mark.parametrize("lhs,rhs,constant", [
+    pytest.param(1.0, math.inf, 1.0, id="inf-rhs"),
+    pytest.param(1.0, 2.0, math.inf, id="inf-constant"),
+    pytest.param(math.nan, 2.0, 1.0, id="nan-lhs"),
+    pytest.param(math.inf, math.inf, math.inf, id="inf-over-inf"),
+])
+def test_non_finite_report_is_not_a_verdict(lhs, rhs, constant):
+    with pytest.raises(NonFiniteValueError, match="young-s: "):
+        bound_report(lhs, rhs, constant, "young-s")
+
+
+def test_finite_report_passes_up_to_the_slack():
+    within = bound_report(1.0 + 0.5 * PASS_SLACK, 1.0, 1.0, "young-s")
+    assert within.passed and math.isfinite(within.margin)
+    beyond = bound_report(1.0 + 2.0 * PASS_SLACK, 1.0, 1.0, "young-s")
+    assert not beyond.passed

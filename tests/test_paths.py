@@ -40,6 +40,8 @@ from roughtv.truncation import total_variation
 def test_make_path_minimal():
     p = make_path([0.0, 1.0], [0.0, 1.0])
     assert len(p) == 2 and p.mode is Mode.LINEAR
+    # times whose span overflows float64 are still ordered, with no NumPy warning
+    assert len(make_path([-1e308, 1.7976931348623157e308], [0.0, 0.0])) == 2
 
 
 def test_make_path_rejects_bad_input():

@@ -2,6 +2,7 @@
 
 import heapq
 import io
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -11,6 +12,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from roughtv.errors import NonFiniteValueError  # noqa: E402
+from roughtv.integrals import BOUND_CHECKS  # noqa: E402
 from roughtv.kernels import pvar_sum, reduce_to_extrema  # noqa: E402
 from roughtv.norms import p_variation, seminorm_with_argmax  # noqa: E402
 from roughtv.oracle import (  # noqa: E402
@@ -201,3 +204,22 @@ def test_swing_pieces_match_the_heap_pairing_at_extreme_depths(values):
     # the stack grows to every extremum, stays at three, or fuses inner swings
     extrema = reduce_to_extrema(values).tolist()
     assert swing_pieces(extrema) == swing_pieces_reference(extrema)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(f_values=_values, g_values=_values,
+       f_exponent=st.integers(-150, 150), g_exponent=st.integers(-150, 150),
+       p=st.sampled_from([1.05, 1.5, 1.9, 2.5, 4.0]),
+       slack=st.sampled_from([0.01, 0.1, 0.5, 0.9]))
+def test_every_bound_report_is_finite_or_raises(f_values, g_values, f_exponent, g_exponent,
+                                                p, slack):
+    # 1/p + 1/q = 1 + slack/p: the Young regime, near its boundary at slack 0.01
+    q = 1.0 / (1.0 - (1.0 - slack) / p)
+    f = _scaled_path(f_values, f_exponent)
+    g = _scaled_path(np.resize(g_values, len(f_values)).tolist(), g_exponent)
+    for name, check in BOUND_CHECKS.items():
+        try:
+            rep = check(f, g, p, q)
+        except NonFiniteValueError:
+            continue
+        assert all(map(math.isfinite, (rep.lhs, rep.rhs, rep.margin, rep.constant_used))), name
