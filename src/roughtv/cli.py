@@ -199,8 +199,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load(args, attr="input"):
-    return read_path_csv(getattr(args, attr), Mode(args.mode))
+def _load(args):
+    return read_path_csv(args.input, Mode(args.mode))
 
 
 def cmd_tv(args) -> int:

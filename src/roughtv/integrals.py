@@ -195,8 +195,8 @@ def ladder_geometric(p, q, beta, gamma) -> TruncationLadder:
     picks beta = sup |f - f(a)|, so eta_{-1} = beta.
     """
     p, q = require_young_regime(p, q)
-    if not (beta >= 0 and gamma >= 0):
-        raise NonMonotoneLadderError("beta and gamma must be >= 0")
+    if not (0 <= beta < math.inf and 0 <= gamma < math.inf):
+        raise NonMonotoneLadderError("beta and gamma must be finite and >= 0")
     alpha, ratio = _ladder_rates(p, q)
     theta_exp = alpha / (q - 1.0)
     etas = []

@@ -10,9 +10,15 @@ pass, `pvar_sum` the p-variation by a dynamic program pruned to backward
 records (exact, quadratic only in the worst case), and `lazy_band` the
 band-following approximation.  Where a loop's steps are short, it runs on
 Python floats, whose IEEE operations are those of NumPy's float64 ones
-without NumPy's fixed cost per call: `tv_delta` always, `pvar_sum` on
-every stack of at most SHORT_STACK records, with all its powers taken in
-one array beforehand.
+without NumPy's fixed cost per call: `tv_delta` and `lazy_band` always,
+`pvar_sum` on every stack of at most SHORT_STACK records, with all its
+powers taken in one array beforehand.
+
+Both functionals are unchanged when the path is negated, so each loop is
+written once, in oriented coordinates, with one body for rising and
+falling steps (a falling step is a rising step of the negated values;
+negation is exact).  `tv_delta` and `lazy_band` share the search for the
+first run that spans more than delta.
 """
 
 from bisect import bisect_left, bisect_right
@@ -98,63 +104,56 @@ def window_extrema(values):
     return extrema
 
 
+def _first_run(xs, delta):
+    """The first k at which xs[:k+1] spans more than delta, with its lo and hi.
+
+    The first committed run ends at xs[k]; it rises when xs[k] == hi.  When
+    no prefix spans more than delta, k is len(xs) and lo, hi are the
+    extremes of all of xs.
+    """
+    lo = hi = xs[0]
+    for k in range(1, len(xs)):
+        x = xs[k]
+        if x > hi:
+            hi = x
+        elif x < lo:
+            lo = x
+        if hi - lo > delta:
+            return k, lo, hi
+    return len(xs), lo, hi
+
+
 def tv_delta(values, delta):
     """Exact truncated variation of the sample sequence, one forward pass.
 
     Tracks the running extremum since the last committed turning point and
     commits a directed run once the drawdown/drawup exceeds delta; each
-    completed alternation of size s contributes (s - delta).  The pass runs
-    over the extrema-reduced sequence, which commits the same float values,
-    converted to Python floats: the IEEE operations are those of the NumPy
-    scalars, without their per-operation overhead, and an overflowing sum
-    becomes inf without a warning.
+    completed alternation of size h contributes (h - delta).  One loop body
+    serves both directions: s = +1 on a rising run and -1 on a falling one,
+    and every difference it compares or adds is multiplied by s.  Negating
+    a float is exact and the differences cannot round to zero unless equal,
+    so each decision and each sum is that of the direct comparison.  The
+    pass runs over the extrema-reduced sequence, which commits the same
+    float values, converted to Python floats: the IEEE operations are those
+    of the NumPy scalars, without their per-operation overhead, and an
+    overflowing sum becomes inf (of the right sign) without a warning.
     """
     v = reduce_to_extrema(values).tolist()
     n = len(v)
     if n < 2:
         return 0.0
+    k, lo, hi = _first_run(v, delta)
+    if k == n:
+        return 0.0
+    s, anchor, cur = (1.0, lo, hi) if v[k] == hi else (-1.0, hi, lo)
     total = 0.0
-    lo = hi = v[0]
-    anchor = 0.0
-    cur = 0.0
-    direction = 0
-    for j in range(1, n):
-        x = v[j]
-        if direction == 0:
-            if x > hi:
-                hi = x
-            elif x < lo:
-                lo = x
-            if hi - lo > delta:
-                if x == hi:
-                    direction = 1
-                    anchor = lo
-                    cur = hi
-                else:
-                    direction = -1
-                    anchor = hi
-                    cur = lo
-        elif direction == 1:
-            if x > cur:
-                cur = x
-            elif cur - x > delta:
-                total += cur - anchor - delta
-                anchor = cur
-                cur = x
-                direction = -1
-        else:
-            if x < cur:
-                cur = x
-            elif x - cur > delta:
-                total += anchor - cur - delta
-                anchor = cur
-                cur = x
-                direction = 1
-    if direction == 1:
-        total += cur - anchor - delta
-    elif direction == -1:
-        total += anchor - cur - delta
-    return float(total)
+    for x in v[k + 1:]:
+        if s * (x - cur) > 0.0:
+            cur = x
+        elif s * (cur - x) > delta:
+            total += s * (cur - anchor) - delta
+            anchor, cur, s = cur, x, -s
+    return float(total + (s * (cur - anchor) - delta))
 
 
 def pvar_sum(values, p):
@@ -178,20 +177,30 @@ def pvar_sum(values, p):
     them, in NumPy array arithmetic (Python's float ``**`` can differ from
     NumPy's array ``**`` in the last bit).
 
+    The steps of v alternate, so one loop body serves both directions: it
+    runs on y = s * v, where the sign s alternates along v and is +1 at the
+    end of every rising step, and keeps each stack in the orientation of
+    the steps that scan it (the maxima negated).  Every step then scans its
+    stack with the differences y - u, pops the other stack while its top is
+    >= -y and pushes -y there, and the two stacks swap roles.  Negating a
+    float is exact, so -x - (-u) has the bits of u - x and each comparison
+    is the direct one.
+
     The pops read only values, never best, so the records each step scans
     are known before the program runs, and the work is two passes.  The
-    first replays the stacks on the values alone and lists the differences
-    |v[j] - v[i]| of every step whose stack holds at most SHORT_STACK
-    records, in scan order; one array ``**`` turns them all into terms.
-    The second runs the program: a short step adds the precomputed terms to
-    its stack's best values and takes the max on Python floats, a longer
-    one computes its terms and the max in arrays.  The bits
-    are those of the full scan: NumPy's float64 ``**`` is elementwise, so a
-    term has the same bits in one long array as in a short one; Python's
-    float ``-``, ``+`` and ``max`` are the IEEE operations of NumPy's
-    float64 ones; and every sum is of nonnegative terms, so no NaN reaches
-    the max.  The worst case stays quadratic: in a contracting zigzag every
-    extremum stays a record.
+    first replays the stacks on the values alone; it notes where each step
+    pushes its record and lists the differences of every step whose stack
+    holds at most SHORT_STACK records, in scan order; one array ``**``
+    turns them all into terms.  The second runs the program, cutting each
+    stack back to where the first pass pushed: a short step adds the
+    precomputed terms to its stack's best values and takes the max on
+    Python floats, a longer one computes its terms and the max in arrays.
+    The bits are those of the full scan: NumPy's float64 ``**`` is
+    elementwise, so a term has the same bits in one long array as in a
+    short one; Python's float ``-``, ``+`` and ``max`` are the IEEE
+    operations of NumPy's float64 ones; and every sum is of nonnegative
+    terms, so no NaN reaches the max.  The worst case stays quadratic: in a
+    contracting zigzag every extremum stays a record.
     """
     if p == 1.0:
         return tv_delta(values, 0.0)
@@ -199,80 +208,52 @@ def pvar_sum(values, p):
     n = v.size
     if n < 2:
         return 0.0
-    xs = v.tolist()
-    # pass 1: the stacks of values alone, and the differences of the short
-    # steps; a new maximum goes only onto the maxima stack (on the minima
-    # stack the next step would pop it unread), a new minimum only onto the
-    # minima stack
+    s = 1.0 if v[1] > v[0] else -1.0
+    ys = (v * np.resize([-s, s], n)).tolist()
+    # pass 1: the stacks of values alone, where each step pushes, and the
+    # differences of the short steps; a step's value goes only onto the
+    # other stack, which the next step scans (on its own stack the next step
+    # would pop it unread)
     diffs = []
-    lo, hi = [xs[0]], [xs[0]]
+    tops = []
+    scan, other = [-ys[0]], [ys[0]]
     arrays = False
-    for j in range(1, n):
-        x = xs[j]
-        if x > xs[j - 1]:
-            k = len(lo)
-            if k <= SHORT_STACK:
-                diffs += [x - u for u in lo]
-            else:
-                arrays = True
-            while hi and hi[-1] <= x:
-                hi.pop()
-            hi.append(x)
+    for y in ys[1:]:
+        if len(scan) <= SHORT_STACK:
+            diffs += [y - u for u in scan]
         else:
-            k = len(hi)
-            if k <= SHORT_STACK:
-                diffs += [u - x for u in hi]
-            else:
-                arrays = True
-            while lo and lo[-1] >= x:
-                lo.pop()
-            lo.append(x)
+            arrays = True
+        y = -y
+        while other and other[-1] >= y:
+            other.pop()
+        tops.append(len(other))
+        other.append(y)
+        scan, other = other, scan
     terms = (np.array(diffs) ** p).tolist()
-    # pass 2: the program; each stack keeps its values and best in lists,
-    # and in arrays too when some step scans more than SHORT_STACK records
+    # pass 2: the program; each stack keeps its best values in a list, and
+    # its values and best in arrays too when some step scans more than
+    # SHORT_STACK records
+    scan, other = ([0.0], None, None), ([0.0], None, None)
     if arrays:
-        lo_v, lo_b = np.empty(n), np.empty(n)
-        hi_v, hi_b = np.empty(n), np.empty(n)
-        lo_v[0] = hi_v[0] = xs[0]
-        lo_b[0] = hi_b[0] = 0.0
-    lo, lo_best = [xs[0]], [0.0]
-    hi, hi_best = [xs[0]], [0.0]
-    s = 0
+        scan = ([0.0], np.full(n, -ys[0]), np.zeros(n))
+        other = ([0.0], np.full(n, ys[0]), np.zeros(n))
+    t = 0
     best = 0.0
-    for j in range(1, n):
-        x = xs[j]
-        if x > xs[j - 1]:
-            k = len(lo)
-            if k <= SHORT_STACK:
-                best = max(map(add, lo_best, terms[s:s + k]))
-                s += k
-            else:
-                best = (lo_b[:k] + (x - lo_v[:k]) ** p).max()
-            while hi and hi[-1] <= x:
-                hi.pop()
-                hi_best.pop()
-            k = len(hi)
-            hi.append(x)
-            hi_best.append(best)
-            if arrays:
-                hi_v[k] = x
-                hi_b[k] = best
+    for y, k in zip(ys[1:], tops):
+        bests, vals_a, bests_a = scan
+        m = len(bests)
+        if m <= SHORT_STACK:
+            best = max(map(add, bests, terms[t:t + m]))
+            t += m
         else:
-            k = len(hi)
-            if k <= SHORT_STACK:
-                best = max(map(add, hi_best, terms[s:s + k]))
-                s += k
-            else:
-                best = (hi_b[:k] + (hi_v[:k] - x) ** p).max()
-            while lo and lo[-1] >= x:
-                lo.pop()
-                lo_best.pop()
-            k = len(lo)
-            lo.append(x)
-            lo_best.append(best)
-            if arrays:
-                lo_v[k] = x
-                lo_b[k] = best
+            best = (bests_a[:m] + (y - vals_a[:m]) ** p).max()
+        bests, vals_a, bests_a = other
+        del bests[k:]
+        bests.append(best)
+        if arrays:
+            vals_a[k] = -y
+            bests_a[k] = best
+        scan, other = other, scan
     return float(best)
 
 
@@ -284,34 +265,26 @@ def lazy_band(values, delta):
     one that makes the first forced move cost exactly (first swing - delta):
     min + delta/2 when the first committed run goes up, max - delta/2 when it
     goes down, and the clamped initial value when there is no run at all.
+    The loop runs on Python floats, with the IEEE operations of NumPy's.
     """
     v = np.asarray(values, dtype=np.float64)
-    n = v.size
-    out = np.empty(n, dtype=np.float64)
-    if n == 0:
+    out = np.empty(v.size, dtype=np.float64)
+    if v.size == 0:
         return out
+    xs = v.tolist()
     half = 0.5 * delta
-    lo = hi = v[0]
-    k = -1
-    for j in range(1, n):
-        x = v[j]
-        if x > hi:
-            hi = x
-        elif x < lo:
-            lo = x
-        if hi - lo > delta:
-            k = j
-            break
-    if k < 0:
-        out[:] = min(max(v[0], hi - half), lo + half)
+    k, lo, hi = _first_run(xs, delta)
+    if k == len(xs):
+        out[:] = min(max(xs[0], hi - half), lo + half)
         return out
-    g = (lo + half) if v[k] == hi else (hi - half)
+    g = (lo + half) if xs[k] == hi else (hi - half)
     out[:k] = g
-    for j in range(k, n):
-        x = v[j]
+    band = []
+    for x in xs[k:]:
         if x > g + half:
             g = x - half
         elif x < g - half:
             g = x + half
-        out[j] = g
+        band.append(g)
+    out[k:] = band
     return out

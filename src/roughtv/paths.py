@@ -151,13 +151,21 @@ def finite_oscillation(values) -> float:
 
 
 def osc_from_start(path: SampledPath) -> float:
-    """sup over t of |f(t) - f(a)|."""
-    return float(np.max(np.abs(path.values - path.values[0])))
+    """sup over t of |f(t) - f(a)|.
+
+    Taken in Python floats, as `oscillation` is: rounding is monotone, so
+    the larger of max - f(a) and f(a) - min has the bits of the largest
+    |f(t) - f(a)|, and an overflow is inf without NumPy's warning.  The
+    leading 0.0 makes a -0.0 difference read +0.0, as an absolute value does.
+    """
+    v0 = float(path.values[0])
+    return max(0.0, float(path.values.max()) - v0, v0 - float(path.values.min()))
 
 
 def osc_from_end(path: SampledPath) -> float:
-    """sup over t of |f(b) - f(t)|."""
-    return float(np.max(np.abs(path.values[-1] - path.values)))
+    """sup over t of |f(b) - f(t)|, in Python floats as `osc_from_start`."""
+    v1 = float(path.values[-1])
+    return max(0.0, v1 - float(path.values.min()), float(path.values.max()) - v1)
 
 
 def gen_brownian(n, horizon, seed) -> SampledPath:

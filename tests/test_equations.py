@@ -469,6 +469,31 @@ def test_picard_alpha_order_membership():
     assert tv_p_full_norm(sol.path, 1.25).full_norm <= radius + 1e-9
 
 
+def test_picard_damped_retry_rescues_a_nonsmooth_window(monkeypatch):
+    # sqrt-abs near 0: the plain iteration of the first window does not
+    # settle in max_iter steps, the damped y <- (y + Ty)/2 does
+    x = scale_path(gen_brownian(9, 1.0, 1), 0.05)
+    field = field_catalog()["sqrt-abs"]
+    iterate = equations._iterate_window
+    damped_flags = []
+
+    def recording(field, t, xv, y_start, tol, max_iter, damped):
+        damped_flags.append(damped)
+        return iterate(field, t, xv, y_start, tol, max_iter, damped)
+
+    monkeypatch.setattr(equations, "_iterate_window", recording)
+    sol = picard_solve(x, field, 1e-6, 1.25, 1e-8)
+    assert sol.converged and sol.residual < 1e-8
+    assert damped_flags[:2] == [False, True]
+
+    def undamped(field, t, xv, y_start, tol, max_iter, damped):
+        return iterate(field, t, xv, y_start, tol, max_iter, False)
+
+    monkeypatch.setattr(equations, "_iterate_window", undamped)
+    with pytest.raises(NoConvergenceError):
+        picard_solve(x, field, 1e-6, 1.25, 1e-8)
+
+
 def test_picard_rejects_bad_driver_and_exponent():
     step = make_path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], "step")
     with pytest.raises(BadParameterError):

@@ -274,6 +274,14 @@ def test_ladder_validation():
         TruncationLadder(np.asarray([1.0]), np.asarray([1.0, 0.5]))
 
 
+@pytest.mark.parametrize("beta,gamma", [(math.inf, 1.0), (1.0, math.inf)])
+def test_ladder_geometric_rejects_non_finite_scales(beta, gamma):
+    # an inf scale made inf * 0 = NaN terms that never reach 0, so the loop
+    # ran SERIES_MAX_TERMS steps and blamed the exponents
+    with pytest.raises(NonMonotoneLadderError, match="finite"):
+        ladder_geometric(1.5, 1.5, beta, gamma)
+
+
 def test_default_ladders_balance_at_extreme_scales():
     # (V^p(f) / V^q(g))^(1/p) overflows for the mirrored ladder at these
     # scales, but gamma itself is finite and scales with f, so the ladder is
@@ -716,6 +724,20 @@ def test_gamma_level_check_random_pair():
     ladder, _ = default_ladder_pair(f, g, 1.9, 1.9)
     rep = gamma_level_check(f, g, ladder)
     assert rep.passed
+
+
+def test_series_reject_an_overflowing_oscillation():
+    # sup |f - f(a)| and sup |f(b) - f| overflow: inf in Python floats, then
+    # NonFiniteValueError, with no NumPy overflow warning on the way
+    f = make_path([0.0, 0.5, 1.0], [-1e308, 1e308, 0.0])
+    g = make_path([0.0, 0.3, 1.0], [0.0, 1.0, 2.0])
+    assert osc_from_start(f) == math.inf and osc_from_end(f) == 1e308
+    assert osc_from_end(make_path([0.0, 0.5, 1.0], [0.0, 1e308, -1e308])) == math.inf
+    ladder = ladder_geometric(1.5, 1.5, 1.0, 1.0)
+    with pytest.raises(NonFiniteValueError):
+        young_bound_S(f, g, ladder)
+    with pytest.raises(NonFiniteValueError):
+        gamma_level_check(f, g, ladder)
 
 
 def test_young_regime_guard():

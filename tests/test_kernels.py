@@ -73,6 +73,40 @@ def tv_delta_reference(values, delta):
     return float(total)
 
 
+def lazy_band_reference(values, delta):
+    """The band loop over NumPy scalars, as before it ran over Python floats."""
+    v = np.asarray(values, dtype=np.float64)
+    n = v.size
+    out = np.empty(n, dtype=np.float64)
+    if n == 0:
+        return out
+    half = 0.5 * delta
+    lo = hi = v[0]
+    k = -1
+    for j in range(1, n):
+        x = v[j]
+        if x > hi:
+            hi = x
+        elif x < lo:
+            lo = x
+        if hi - lo > delta:
+            k = j
+            break
+    if k < 0:
+        out[:] = min(max(v[0], hi - half), lo + half)
+        return out
+    g = (lo + half) if v[k] == hi else (hi - half)
+    out[:k] = g
+    for j in range(k, n):
+        x = v[j]
+        if x > g + half:
+            g = x - half
+        elif x < g - half:
+            g = x + half
+        out[j] = g
+    return out
+
+
 def contracting_zigzag(count):
     # 0, 10, -10, 9.999, -9.999, ...: every extremum stays a backward record
     heights = 10.0 - 0.001 * np.arange(count)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from roughtv.errors import NonFiniteValueError  # noqa: E402
 from roughtv.integrals import BOUND_CHECKS  # noqa: E402
-from roughtv.kernels import pvar_sum, reduce_to_extrema  # noqa: E402
+from roughtv.kernels import lazy_band, pvar_sum, reduce_to_extrema, tv_delta  # noqa: E402
 from roughtv.norms import p_variation, seminorm_with_argmax  # noqa: E402
 from roughtv.oracle import (  # noqa: E402
     pvar_bruteforce,
@@ -24,7 +24,12 @@ from roughtv.oracle import (  # noqa: E402
 from roughtv.pathio import read_path_csv, write_path_csv  # noqa: E402
 from roughtv.paths import gen_brownian, gen_zigzag, make_path  # noqa: E402
 from roughtv.truncation import swing_pieces, truncated_variation  # noqa: E402
-from test_kernels import contracting_zigzag, pvar_sum_reference  # noqa: E402
+from test_kernels import (  # noqa: E402
+    contracting_zigzag,
+    lazy_band_reference,
+    pvar_sum_reference,
+    tv_delta_reference,
+)
 from test_paths import read_path_csv_reference, write_path_csv_reference  # noqa: E402
 
 # small integers give exact ties, plateaus and monotone runs
@@ -97,6 +102,39 @@ def test_pvar_sum_equals_quadratic_dp(values, exponent, p):
     if len(values) <= 12 and np.isfinite(fast) and len(values) >= 2:
         path = make_path(np.linspace(0.0, 1.0, len(values)), v)
         assert fast == pytest.approx(pvar_bruteforce(path, p), rel=1e-12, abs=0.0)
+
+
+# integer ties and plateaus, uniform values with subnormals, and signed zeros
+_kernel_values = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=0, max_size=40),
+    st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=40),
+    st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0]), min_size=0, max_size=12),
+)
+
+
+def _kernel_deltas(v, scale):
+    # 0, deltas equal to integer swings, the oscillation and beyond it
+    osc = float(v.max()) - float(v.min()) if v.size else 0.0
+    return [0.0, 0.5 * scale, scale, 2.0 * scale, 0.25 * osc, osc, 1.5 * osc]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(values=_kernel_values, exponent=st.integers(-300, 300))
+def test_tv_delta_equals_the_two_branch_loop(values, exponent):
+    scale = 10.0 ** exponent
+    v = np.asarray(values, float) * scale
+    for delta in _kernel_deltas(v, scale):
+        assert tv_delta(v, delta) == tv_delta_reference(v, delta)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(values=_kernel_values, exponent=st.integers(-300, 300))
+def test_lazy_band_has_the_bits_of_the_numpy_scalar_loop(values, exponent):
+    # bytes, so that a signed zero counts
+    scale = 10.0 ** exponent
+    v = np.asarray(values, float) * scale
+    for delta in _kernel_deltas(v, scale):
+        assert lazy_band(v, delta).tobytes() == lazy_band_reference(v, delta).tobytes()
 
 
 # every finite double: magnitudes 1e-300 to 1e300, subnormals, -0.0 and
