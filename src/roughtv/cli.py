@@ -36,7 +36,7 @@ from .paths import (
     identity_path,
     tent_path,
 )
-from .pathio import read_path_csv, write_path_csv
+from .pathio import read_path_csv, write_path_csv, write_text
 from .truncation import truncated_variation
 
 BOUND_VARIANTS = tuple(BOUND_CHECKS)
@@ -72,8 +72,18 @@ def _json_scalar(x):
     return json.dumps(str(x), ensure_ascii=False)
 
 
+_SCALARS = (bool, int, float, str, type(None), np.generic)
+
+
 def to_json(obj, indent=0) -> str:
-    """Deterministic JSON with 17-significant-digit floats and sorted keys."""
+    """Deterministic JSON with 17-significant-digit floats and sorted keys.
+
+    Scalars, most of a report's nodes, are tested for first; a NumPy scalar
+    is never a dataclass, an array, a dict or a list, so the order of the
+    tests does not change the output.
+    """
+    if isinstance(obj, _SCALARS):
+        return _json_scalar(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if is_dataclass(obj):
@@ -157,15 +167,10 @@ def render_svg(series, title, xlabel, ylabel) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _write_text(dest, text):
-    with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _emit(report, out=None):
     sys.stdout.write(report)
     if out:
-        _write_text(out, report)
+        write_text(out, report)
 
 
 def _named_path(name, n, horizon, value):
@@ -260,7 +265,7 @@ def cmd_bounds(args) -> int:
     if args.format == "svg":
         if not args.out:
             raise BadParameterError("--format svg needs --out")
-        _write_text(args.out, _bounds_sweep_svg(f, g, args))
+        write_text(args.out, _bounds_sweep_svg(f, g, args))
         sys.stdout.write(report)
     else:
         _emit(report, args.out)

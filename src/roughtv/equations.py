@@ -260,27 +260,29 @@ def _cumulative_trapezoid(f_vals, dx, y_start):
     return z
 
 
-def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped):
+def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped,
+                    guard=BLOWUP_GUARD):
     """Picard iterates z = y_start + int F(y) dx on one window, to tol.
 
     (z, iterations) at the first iterate within tol of its predecessor in
-    every sample; BlowupSuspectedError at the first sample beyond
-    BLOWUP_GUARD, NoConvergenceError after max_iter iterates.  A window of
-    at most SHORT_WINDOW samples (the one-step windows of a rough driver)
-    runs the map on Python floats, in one pass per iterate, since NumPy's
-    fixed cost per call dwarfs the arithmetic there; longer windows run it
-    on arrays, whose cost barely grows with the length.  F is evaluated on
+    every sample; BlowupSuspectedError at the first sample whose absolute
+    value exceeds `guard`, NoConvergenceError after max_iter iterates.  A
+    window of at most SHORT_WINDOW samples (the one-step windows of a rough
+    driver) runs the map on Python floats, in one pass per iterate, since
+    NumPy's fixed cost per call dwarfs the arithmetic there; longer windows
+    run it on arrays, whose cost barely grows with the length.  F is evaluated on
     an array either way, and the cells, the sequential running sum and
     both tests are the same float operations in the same order, so both
     give the same bits.
     """
     if t.size <= SHORT_WINDOW:
-        return _iterate_short_window(field, t, xv, float(y_start), tol, max_iter, damped)
+        return _iterate_short_window(field, t, xv, float(y_start), tol, max_iter, damped,
+                                     guard)
     dx = np.diff(xv)
     y = np.full(t.size, y_start, dtype=np.float64)
     for it in range(1, max_iter + 1):
         z = _cumulative_trapezoid(field(y), dx, y_start)
-        bad = np.abs(z) > BLOWUP_GUARD
+        bad = np.abs(z) > guard
         if bad.any():
             raise BlowupSuspectedError(
                 "solution exceeded the overflow guard",
@@ -293,14 +295,15 @@ def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped
     raise NoConvergenceError(f"window iteration did not reach {tol} in {max_iter} steps")
 
 
-def _iterate_short_window(field, t, xv, y_start, tol, max_iter, damped):
+def _iterate_short_window(field, t, xv, y_start, tol, max_iter, damped, guard):
     """`_iterate_window` on Python floats, F still evaluated on an array.
 
-    F's output is coerced by `LipschitzField.__call__`'s rule
-    (`_field_values`).  Each iterate is one pass over the window: the next
-    sample of the running sum, sequential as np.cumsum's, the blow-up guard
-    (so the first sample beyond it is the one reported) and the tolerance
-    test.  A NaN anywhere fails that test, as it fails np.max's.  Python
+    F's output is listed at once, so a float64 array of the window's shape
+    is listed as it is, whatever it aliases; anything else is coerced by
+    `LipschitzField.__call__`'s rule (`_field_values`) first.  Each iterate
+    is one pass over the window: the next sample of the running sum,
+    sequential as np.cumsum's, the blow-up guard (so the first sample
+    beyond it is the one reported) and the tolerance test.  A NaN anywhere fails that test, as it fails np.max's.  Python
     floats overflow to inf and give NaN for inf - inf without NumPy's
     RuntimeWarning.
     """
@@ -311,7 +314,10 @@ def _iterate_short_window(field, t, xv, y_start, tol, max_iter, damped):
     y = [y_start] * n
     for it in range(1, max_iter + 1):
         arr = np.array(y)
-        f = _field_values(func(arr), arr).tolist()
+        out = func(arr)
+        if not (type(out) is np.ndarray and out.dtype == np.float64 and out.shape == arr.shape):
+            out = _field_values(out, arr)
+        f = out.tolist()
         z = [0.0 + y_start]  # the array loop's 0.0 + y_start: -0.0 becomes 0.0
         s = -0.0  # x + -0.0 is x for every float x, as np.cumsum's first sum
         within = True
@@ -320,7 +326,7 @@ def _iterate_short_window(field, t, xv, y_start, tol, max_iter, damped):
                 s += 0.5 * (f[k - 1] + f[k]) * dx[k - 1]
                 z.append(y_start + s)
             v = z[k]
-            if abs(v) > BLOWUP_GUARD:
+            if abs(v) > guard:
                 raise BlowupSuspectedError("solution exceeded the overflow guard",
                                            time=float(t[k]))
             if not abs(v - y[k]) < tol:
@@ -363,7 +369,10 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
     Each window iterates the integral map with the trapezoid rule (both
     paths piecewise linear) and chains its terminal value into the next
     window; a damped retry y <- (y + Ty)/2 covers the nonsmooth fields
-    before giving up.
+    before giving up.  A window is stopped as a suspected blow-up once a
+    sample exceeds BLOWUP_GUARD * max(1, |y0|) in absolute value, so the
+    guard scales with the initial value: a constant solution y = y0 never
+    trips it.
     """
     if x.mode is not Mode.LINEAR:
         raise BadParameterError("driver must be piecewise linear (continuous)")
@@ -376,6 +385,7 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
     y0 = float(y0)
     if not math.isfinite(y0):
         raise BadParameterError("y0 must be finite")
+    guard = BLOWUP_GUARD * max(1.0, abs(y0))
     times = x.times
     last = times.size - 1
 
@@ -398,10 +408,12 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
         t = times[i0:i1 + 1]
         xv = x.values[i0:i1 + 1]
         try:
-            yw, its = _iterate_window(field, t, xv, y_start, window_tol, max_iter, False)
+            yw, its = _iterate_window(field, t, xv, y_start, window_tol, max_iter, False,
+                                      guard)
         except NoConvergenceError:
             if field.order == "alpha":
-                yw, its = _iterate_window(field, t, xv, y_start, window_tol, max_iter, True)
+                yw, its = _iterate_window(field, t, xv, y_start, window_tol, max_iter, True,
+                                          guard)
             else:
                 raise
         full_y[i0:i1 + 1] = yw

@@ -12,7 +12,16 @@ or ``inf`` / ``nan``, padded by whitespace if at all; ``inf``, ``nan`` and
 numbers that overflow to infinity are then rejected as non-finite.  Digit
 separators (``1_0``) and non-ASCII digits are rejected, although ``float``
 would take them.  Blank lines are skipped; there is no comment syntax.
+
+Every file the package writes (CSV paths, JSON reports, SVG plots) goes
+through `write_text`, which rewrites an existing file in place: it is not
+truncated when opened, only cut to the new length after the write if it
+was longer.
 """
+
+import contextlib
+import os
+import stat
 
 import numpy as np
 
@@ -24,14 +33,48 @@ HEADER = "t,value"
 BAD_ROW_BLOCK = 256
 
 
+def write_text(dest, text):
+    """Write `text` as UTF-8 to the file named `dest`, in place.
+
+    The bytes, the inode, the permissions of a new file and the following
+    of symlinks are those of `open(dest, "w", encoding="utf-8")`, but the
+    file is opened without O_TRUNC, written from its start and then, if it
+    is a regular file that was longer, cut to the written length.  On ext4
+    (auto_da_alloc) truncating a non-empty file to zero makes its close
+    start writeback of the new blocks, which costs more than the write
+    itself for a small file that is rewritten on every run.  Devices and
+    pipes (`/dev/null`) are written and never truncated.  If the write
+    fails, a regular file is cut to 0 bytes, as far as that still works,
+    and the error is raised: no tail of the old contents survives.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(dest, os.O_WRONLY | os.O_CREAT | os.O_CLOEXEC, 0o666)
+    try:
+        info = os.fstat(fd)
+        regular = stat.S_ISREG(info.st_mode)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if regular and info.st_size > len(data):
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            if regular:
+                with contextlib.suppress(OSError):
+                    os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
+
+
 def write_path_csv(path: SampledPath, dest):
+    """Write `path` as CSV to a file object, or to the file named `dest`."""
     cells = np.stack((path.times, path.values), axis=1).ravel().tolist()
     data = HEADER + "\n" + ("%.17g,%.17g\n" * len(path)) % tuple(cells)
     if hasattr(dest, "write"):
         dest.write(data)
     else:
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
+        write_text(dest, data)
 
 
 def _parse_rows(rows):

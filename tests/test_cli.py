@@ -1,8 +1,10 @@
+import errno
 import json
 import math
 import os
 import re
 import warnings
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,31 @@ def test_json_serializer_is_deterministic():
     assert first == to_json(payload)
     assert "0.33333333333333331" in first
     assert to_json(float("inf")) == '"inf"'
+
+
+def to_json_reference(obj, indent=0):
+    # the serializer before scalars were tested for first, kept as the
+    # reference `to_json` must equal
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if is_dataclass(obj):
+        obj = asdict(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = [
+            f'{inner}"{key}": {to_json_reference(obj[key], indent + 1)}'
+            for key in sorted(obj, key=str)
+        ]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rows = [f"{inner}{to_json_reference(item, indent + 1)}" for item in obj]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    return cli._json_scalar(obj)
 
 
 def test_gen_is_byte_stable(tmp_path, capsys):
@@ -496,6 +523,85 @@ def test_bounds_output_is_machine_independent(tmp_path, capsys, monkeypatch):
     assert "threads" not in outputs[0][0]
 
 
+# ---------------------------------------------------------------------------
+# --out files are rewritten in place
+# ---------------------------------------------------------------------------
+def test_out_rewrites_a_longer_file_in_place(tent_csv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"x" * 100_000)
+    inode = out.stat().st_ino
+    code, stdout, _ = run_cli(capsys, "tv", tent_csv, "--delta", "0.5", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == stdout.encode("utf-8")
+    assert out.stat().st_ino == inode
+
+
+def test_out_writes_through_a_symlink(tmp_path, capsys):
+    x_csv = tmp_path / "x.csv"
+    write_path_csv(gen_brownian(24, 1.0, 2), x_csv)
+    target = tmp_path / "target.csv"
+    target.write_text("stale\n" * 1000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "solve", str(x_csv), "--field", "sin", "--y0", "1",
+                         "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    fresh = tmp_path / "fresh.csv"
+    run_cli(capsys, "solve", str(x_csv), "--field", "sin", "--y0", "1", "--out", str(fresh))
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_out_to_the_null_device_exits_zero(tent_csv, capsys):
+    # a device is written, never truncated
+    for argv in (("gen", "brownian", "--n", "16"), ("tv", tent_csv, "--delta", "0.5")):
+        code, stdout, stderr = run_cli(capsys, *argv, "--out", os.devnull)
+        assert (code, stderr) == (0, "") and stdout
+
+
+def test_failed_write_exits_three_and_keeps_no_old_bytes(tent_csv, tmp_path, capsys,
+                                                         monkeypatch):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"old contents " * 1000)
+    real_write = os.write
+
+    def failing(fd, data):
+        real_write(fd, bytes(data[:7]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", failing)
+    code, _, stderr = run_cli(capsys, "tv", tent_csv, "--delta", "0.5", "--out", str(out))
+    monkeypatch.undo()
+    assert code == 3 and "No space left on device" in stderr
+    assert out.read_bytes() == b""
+
+
+def test_output_files_are_never_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
+    outs = [tmp_path / name for name in ("x.csv", "y.csv", "tv.json", "sol.csv", "sweep.svg")]
+    for out in outs:
+        out.write_bytes(b"#" * 50_000)
+    real_open = os.open
+    flags = {}
+
+    def recording(path, flag, *args, **kwargs):
+        flags[os.fspath(path)] = flag
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    x, y, tv, sol, svg = map(str, outs)
+    for argv in (("gen", "brownian", "--n", "24", "--seed", "1", "--out", x),
+                 ("gen", "brownian", "--n", "24", "--seed", "2", "--out", y),
+                 ("tv", x, "--delta", "0.1", "--out", tv),
+                 ("solve", x, "--field", "sin", "--out", sol),
+                 ("bounds", x, y, "--p", "1.8", "--q", "1.8", "--variant", "young-s",
+                  "--format", "svg", "--out", svg)):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert sorted(flags) == sorted(map(str, outs))
+    assert all(not flag & os.O_TRUNC for flag in flags.values())
+    assert not any(out.read_bytes().endswith(b"#") for out in outs)
+
+
 def test_solve_command(tmp_path, capsys):
     x_csv = tmp_path / "x.csv"
     sol_csv = tmp_path / "sol.csv"
@@ -508,6 +614,35 @@ def test_solve_command(tmp_path, capsys):
     assert '"converged": true' in stdout
     sol = read_path_csv(sol_csv)
     assert abs(sol.values[-1] - np.e) < 1e-6
+
+
+def _solve_walk(tmp_path, *options):
+    x_csv = tmp_path / "x.csv"
+    write_path_csv(gen_brownian(64, 1.0, 3), x_csv)
+    return "solve", str(x_csv), *options
+
+
+def test_solve_zero_field_at_a_large_y0_is_no_blowup(tmp_path, capsys):
+    # the exact solution is the constant 1e13, above the absolute 1e12 the
+    # blow-up guard once was
+    sol_csv = tmp_path / "sol.csv"
+    code, stdout, stderr = run_cli(capsys, *_solve_walk(
+        tmp_path, "--field", "zero", "--y0", "1e13", "--out", str(sol_csv)))
+    assert (code, stderr) == (0, "")
+    assert json.loads(stdout)["results"]["converged"] is True
+    assert np.all(read_path_csv(sol_csv).values == 1e13)
+
+
+def test_solve_identity_field_at_a_large_y0_is_no_blowup(tmp_path, capsys):
+    # y = 2e12 exp(x - x(0)) stays finite; tol is absolute, so it must be
+    # above the spacing of floats near 2e12 (2.4e-4)
+    code, stdout, stderr = run_cli(capsys, *_solve_walk(
+        tmp_path, "--field", "identity", "--y0", "2e12", "--tol", "1"))
+    assert (code, stderr) == (0, "")
+    results = json.loads(stdout)["results"]
+    x = gen_brownian(64, 1.0, 3).values
+    assert results["converged"] is True
+    assert results["terminal"] == pytest.approx(2e12 * math.exp(x[-1] - x[0]), rel=1e-2)
 
 
 @pytest.mark.parametrize("option, message", [

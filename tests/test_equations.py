@@ -477,17 +477,17 @@ def test_picard_damped_retry_rescues_a_nonsmooth_window(monkeypatch):
     iterate = equations._iterate_window
     damped_flags = []
 
-    def recording(field, t, xv, y_start, tol, max_iter, damped):
+    def recording(field, t, xv, y_start, tol, max_iter, damped, guard):
         damped_flags.append(damped)
-        return iterate(field, t, xv, y_start, tol, max_iter, damped)
+        return iterate(field, t, xv, y_start, tol, max_iter, damped, guard)
 
     monkeypatch.setattr(equations, "_iterate_window", recording)
     sol = picard_solve(x, field, 1e-6, 1.25, 1e-8)
     assert sol.converged and sol.residual < 1e-8
     assert damped_flags[:2] == [False, True]
 
-    def undamped(field, t, xv, y_start, tol, max_iter, damped):
-        return iterate(field, t, xv, y_start, tol, max_iter, False)
+    def undamped(field, t, xv, y_start, tol, max_iter, damped, guard):
+        return iterate(field, t, xv, y_start, tol, max_iter, False, guard)
 
     monkeypatch.setattr(equations, "_iterate_window", undamped)
     with pytest.raises(NoConvergenceError):
@@ -533,11 +533,12 @@ def _reference_trapezoid(f_vals, x_vals):
     return np.concatenate(([0.0], np.cumsum(cells)))
 
 
-def _reference_iterate_window(field, t, xv, y_start, tol, max_iter, damped):
+def _reference_iterate_window(field, t, xv, y_start, tol, max_iter, damped,
+                              guard=equations.BLOWUP_GUARD):
     y = np.full(t.size, y_start, dtype=np.float64)
     for it in range(1, max_iter + 1):
         z = y_start + _reference_trapezoid(_reference_call(field, y), xv)
-        bad = np.abs(z) > equations.BLOWUP_GUARD
+        bad = np.abs(z) > guard
         if np.any(bad):
             raise BlowupSuspectedError(
                 "solution exceeded the overflow guard",
@@ -589,11 +590,18 @@ def _beyond(level, value):
 
 # a NaN is not first in a window's change (z[0] is y_start), where Python's
 # max would skip it: the window must not be reported as converged; a Python
-# scalar and an int array take the coercion of F's output
+# scalar, a 0-d array, an int or float32 array take the coercion of F's
+# output; the input itself, a view of it and a strided view of a new array
+# are float64 arrays of the window's shape, listed as they are
 _WINDOW_FIELDS = dict(field_catalog(), explosive=_explosive(),
                       nan_above=_beyond(1.5, np.nan), inf_above=_beyond(1.5, np.inf),
                       scalar=_field(lambda v: 0.75),
-                      int_array=_field(lambda v: np.floor(v).astype(np.int64)))
+                      zero_dim=_field(lambda v: np.array(-0.5)),
+                      int_array=_field(lambda v: np.floor(v).astype(np.int64)),
+                      float32=_field(lambda v: np.sin(v).astype(np.float32)),
+                      itself=_field(lambda v: v),
+                      view=_field(lambda v: v[:]),
+                      strided=_field(lambda v: np.cos(np.repeat(v, 2))[::2]))
 
 
 @pytest.mark.parametrize("name", sorted(_WINDOW_FIELDS))

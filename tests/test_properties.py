@@ -3,6 +3,9 @@
 import heapq
 import io
 import math
+import struct
+from bisect import bisect_right
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -12,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from roughtv.cli import to_json  # noqa: E402
 from roughtv.errors import NonFiniteValueError  # noqa: E402
 from roughtv.integrals import BOUND_CHECKS  # noqa: E402
 from roughtv.kernels import lazy_band, pvar_sum, reduce_to_extrema, tv_delta  # noqa: E402
@@ -23,7 +27,8 @@ from roughtv.oracle import (  # noqa: E402
 )
 from roughtv.pathio import read_path_csv, write_path_csv  # noqa: E402
 from roughtv.paths import gen_brownian, gen_zigzag, make_path  # noqa: E402
-from roughtv.truncation import swing_pieces, truncated_variation  # noqa: E402
+from roughtv.truncation import swing_pieces, truncated_variation, tv_profile  # noqa: E402
+from test_cli import to_json_reference  # noqa: E402
 from test_kernels import (  # noqa: E402
     contracting_zigzag,
     lazy_band_reference,
@@ -261,3 +266,63 @@ def test_every_bound_report_is_finite_or_raises(f_values, g_values, f_exponent, 
         except NonFiniteValueError:
             continue
         assert all(map(math.isfinite, (rep.lhs, rep.rhs, rep.margin, rep.constant_used))), name
+
+
+def _value_reference(profile, delta):
+    # TvProfile.value on NumPy scalars, before it read list copies
+    delta = float(delta)
+    bp = profile.breakpoints
+    if profile.coef_a.size == 0 or delta >= bp[-1]:
+        return 0.0
+    j = bisect_right(bp, delta) - 1
+    return max(float(profile.coef_a[j] - profile.coef_b[j] * delta), 0.0)
+
+
+def _bits(x):
+    return type(x), struct.pack("<d", x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(values=_values, exponent=st.integers(-300, 300),
+       fractions=st.lists(st.floats(0.0, 1.5), max_size=8))
+def test_profile_value_has_the_bits_of_the_numpy_scalar_form(values, exponent, fractions):
+    profile = tv_profile(_scaled_path(values, exponent))
+    osc = profile.oscillation
+    deltas = [0.0, 5e-324, 1e308, math.inf] + [f * osc for f in fractions]
+    for b in profile.breakpoints.tolist():
+        deltas += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+    for delta in deltas:
+        if delta >= 0:
+            with np.errstate(over="ignore"):  # b * 1e308 on NumPy scalars
+                want = _value_reference(profile, delta)
+            assert _bits(profile.value(delta)) == _bits(want), delta
+
+
+@dataclass
+class _Node:
+    left: object
+    right: object
+
+
+_json_leaves = st.one_of(
+    st.booleans(), st.none(), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
+    st.text(st.characters(codec="utf-8"), max_size=6),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u2028", "\x7f"]),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_),
+)
+_json_trees = st.recursive(_json_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), children, max_size=4),
+    st.builds(_Node, children, children),
+    st.lists(st.floats(), max_size=5).map(np.array),
+    st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3).map(np.array),
+), max_leaves=20)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(tree=_json_trees)
+def test_to_json_equals_the_recursive_reference(tree):
+    assert to_json(tree) == to_json_reference(tree)
