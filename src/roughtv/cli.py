@@ -238,7 +238,13 @@ def cmd_norm(args) -> int:
 
 
 def _bounds_sweep_svg(f, g, args):
-    """rhs/lhs of the chosen bound across a regime sweep toward (p, q)."""
+    """rhs/lhs of the chosen bound across a regime sweep toward (p, q).
+
+    The 16 checks read the same two paths, so each path's extrema, swing
+    pieces and profile, and the pair's validated integral cells, are built
+    once, by the first check that needs them (`cmd_bounds`' own report),
+    and kept on the paths; only what depends on (p, q) is redone per point.
+    """
     check = BOUND_CHECKS[args.variant]
 
     def eval_point(theta):
@@ -252,6 +258,8 @@ def _bounds_sweep_svg(f, g, args):
 
 
 def cmd_bounds(args) -> int:
+    if args.format == "svg" and not args.out:
+        raise BadParameterError("--format svg needs --out")
     f = read_path_csv(args.f, Mode(args.mode))
     g = read_path_csv(args.g, Mode(args.mode))
     rep = BOUND_CHECKS[args.variant](f, g, args.p, args.q)
@@ -263,8 +271,6 @@ def cmd_bounds(args) -> int:
     diagnostics = {"asserted": asserted}
     report = make_report("bounds", params, results, diagnostics)
     if args.format == "svg":
-        if not args.out:
-            raise BadParameterError("--format svg needs --out")
         write_text(args.out, _bounds_sweep_svg(f, g, args))
         sys.stdout.write(report)
     else:

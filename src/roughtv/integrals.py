@@ -106,7 +106,14 @@ def _cells(f: SampledPath, g: SampledPath):
     is exact: f(t_{k-1}) for a step f, f(t_k) for a linear f against a step g,
     and the trapezoid mean for two linear paths.  NonFiniteValueError when a
     cell overflows float64.
+
+    The paths never change, so f keeps the result, with read-only arrays,
+    for the last g it was asked with (matched by identity): the checks that
+    read one pair validate and integrate it once.
     """
+    memo = f.__dict__.get("_cells_memo")
+    if memo is not None and memo[0] is g:
+        return memo[1], memo[2]
     _check_pair(f, g)
     grid = merge_times(f, g)
     fv = f.values_at(grid)
@@ -117,8 +124,11 @@ def _cells(f: SampledPath, g: SampledPath):
             tags = fv[1:]
         else:
             tags = 0.5 * (fv[:-1] + fv[1:])
-        cells = tags * np.diff(g.values_at(grid))
-    return grid, _finite_integral(cells)
+        cells = _finite_integral(tags * np.diff(g.values_at(grid)))
+    grid.flags.writeable = False
+    cells.flags.writeable = False
+    f.__dict__["_cells_memo"] = (g, grid, cells)
+    return grid, cells
 
 
 def _finite_integral(values):
@@ -162,10 +172,14 @@ class TruncationLadder:
         thetas = np.array(self.thetas, dtype=np.float64, ndmin=1)
         if etas.size != thetas.size or etas.size == 0:
             raise NonMonotoneLadderError("ladders must be paired and nonempty")
-        for name, seq in (("eta", etas), ("theta", thetas)):
-            if np.any(seq < 0) or not np.all(np.isfinite(seq)):
+        if etas.ndim != 1 or thetas.ndim != 1:
+            raise NonMonotoneLadderError("ladders must be 1-d sequences")
+        # a ladder has a few dozen terms: Python floats check them faster
+        # than a NumPy call per test
+        for name, seq in (("eta", etas.tolist()), ("theta", thetas.tolist())):
+            if not all(0.0 <= x < math.inf for x in seq):  # NaN fails too
                 raise NonMonotoneLadderError(f"{name} terms must be finite and >= 0")
-            if np.any(np.diff(seq) > 0):
+            if sorted(seq, reverse=True) != seq:  # -0.0 == 0.0, so ties pass
                 raise NonMonotoneLadderError(f"{name} sequence must be nonincreasing")
         etas.flags.writeable = False
         thetas.flags.writeable = False
@@ -217,36 +231,49 @@ def ladder_geometric(p, q, beta, gamma) -> TruncationLadder:
     return TruncationLadder(etas, thetas)
 
 
-def default_ladder_pair(f: SampledPath, g: SampledPath, p, q):
-    """Ladders for S and S~ with the constants the Young-regime proof picks.
+def default_ladder_s(f: SampledPath, g: SampledPath, p, q) -> TruncationLadder:
+    """The ladder for S with the constants the Young-regime proof picks.
 
-    beta is sup |f - f(a)| and gamma the V^p/V^q balancing factor; the
-    symmetric ladder is the mirrored construction keyed to sup |g(b) - g(t)|.
+    beta is sup |f - f(a)| and gamma the V^p/V^q balancing factor.
     """
-    p, q = require_young_regime(p, q)
-    pv_f = p_var_seminorm(f, p)
-    pv_g = p_var_seminorm(g, q)
-    beta = osc_from_start(f)
-    ladder_s = ladder_geometric(p, q, beta, _balance(pv_f, p, pv_g, q, beta))
+    p, q, pv_f, pv_g = _pvar_pair(f, g, p, q)
+    return _geometric_for(osc_from_start(f), p, q, pv_f, pv_g)
 
-    beta_g = osc_from_end(g)
-    mirror = ladder_geometric(q, p, beta_g, _balance(pv_g, q, pv_f, p, beta_g))
+
+def default_ladder_pair(f: SampledPath, g: SampledPath, p, q):
+    """The ladder of `default_ladder_s` and the one for S~.
+
+    The symmetric ladder is the mirrored construction keyed to
+    sup |g(b) - g(t)|.
+    """
+    p, q, pv_f, pv_g = _pvar_pair(f, g, p, q)
+    ladder_s = _geometric_for(osc_from_start(f), p, q, pv_f, pv_g)
+    mirror = _geometric_for(osc_from_end(g), q, p, pv_g, pv_f)
     return ladder_s, TruncationLadder(etas=mirror.thetas, thetas=mirror.etas)
 
 
-def _balance(pv_x, p, pv_y, q, beta):
-    """(V^q(y) / V^p(x))^(1/q) beta^(p/q), or 1 when either V underflows to 0.
+def _pvar_pair(f, g, p, q):
+    p, q = require_young_regime(p, q)
+    return p, q, p_var_seminorm(f, p), p_var_seminorm(g, q)
 
-    Where that form overflows (extreme scales, or p/q > 1 with a large beta),
-    the same quantity is taken as pv_y (beta / pv_x)^(p/q), which stays below
-    pv_y since beta <= pv_x; every finite gamma keeps its bits.
+
+def _geometric_for(beta, p, q, pv_x, pv_y):
+    return ladder_geometric(p, q, beta, _balance(pv_x, p, pv_y, q, beta))
+
+
+def _balance(pv_x, p, pv_y, q, beta):
+    """(V^q(y) / V^p(x))^(1/q) beta^(p/q), or 1 when pv_x or pv_y is 0.
+
+    Where that form overflows or underflows to 0 (extreme scales, or p/q > 1
+    with a large beta), the same quantity is taken as
+    pv_y (beta / pv_x)^(p/q), which stays below pv_y since beta <= pv_x;
+    every finite, nonzero gamma of the first form keeps its bits.
     """
-    vp_x, vq_y = pv_x ** p, pv_y ** q
-    if not (vp_x > 0 and vq_y > 0):
+    if pv_x == 0.0 or pv_y == 0.0:
         return 1.0
-    with contextlib.suppress(OverflowError):  # beta^(p/q)
-        gamma = (vq_y / vp_x) ** (1.0 / q) * beta ** (p / q)
-        if math.isfinite(gamma):
+    with contextlib.suppress(OverflowError):  # a Python float power
+        gamma = (pv_y ** q / pv_x ** p) ** (1.0 / q) * beta ** (p / q)
+        if 0.0 < gamma < math.inf:
             return gamma
     return pv_y * (beta / pv_x) ** (p / q)
 
@@ -461,8 +488,7 @@ def loeve_young_reports(f, g, p, q):
 
 def young_series_check(f, g, p, q) -> BoundReport:
     """|int f dg - f(a) dg| against the series S with the default ladders."""
-    ladder, _ = default_ladder_pair(f, g, p, q)
-    s = young_bound_S(f, g, ladder)
+    s = young_bound_S(f, g, default_ladder_s(f, g, p, q))
     integral, lhs, _, _ = _tag_gaps(f, g)
     return bound_report(lhs, s, s, "young-s", {"integral": integral})
 
@@ -540,5 +566,5 @@ BOUND_CHECKS = {
         lambda f, g, p, q: integral_norm_check(f, g, p, q, "ptv-corollary"),
     "integral-pvar-remark": lambda f, g, p, q: integral_norm_check(f, g, p, q, "pvar-remark"),
     "gamma-level-ladder":
-        lambda f, g, p, q: gamma_level_check(f, g, default_ladder_pair(f, g, p, q)[0]),
+        lambda f, g, p, q: gamma_level_check(f, g, default_ladder_s(f, g, p, q)),
 }

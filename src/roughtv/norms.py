@@ -9,9 +9,11 @@ At p = 1 every peak sits at delta = 0 and the largest is the total variation.
 Every seminorm takes one route: the path's extrema
 (`kernels.reduce_to_extrema`, as Python floats), their pieces
 (`truncation.swing_pieces`), then the largest peak over those pieces, with
-no `TvProfile` in between.  At p = 1 the pieces only guard the overflow and
-the total variation is summed in path order (`kernels.tv_delta` at 0), so
-that it has the bits of `total_variation` and of V^1.
+no `TvProfile` in between.  A `SampledPath` keeps its extrema and pieces
+once computed, so the seminorms of one path at many p reduce it once.  At
+p = 1 the pieces only guard the overflow and the total variation is summed
+in path order (`kernels.tv_delta` at 0), so that it has the bits of
+`total_variation` and of V^1.
 """
 
 import math
@@ -108,7 +110,7 @@ def seminorm_with_argmax(path: SampledPath, p):
 
     p = 1 gives the total variation, attained at delta = 0.
     """
-    return _extrema_peak(kernels.reduce_to_extrema(path.values).tolist(), p)
+    return _pieces_peak(path._extrema, path._swing_pieces, p)
 
 
 def extrema_seminorm(extrema, p) -> float:
@@ -119,11 +121,11 @@ def extrema_seminorm(extrema, p) -> float:
     seminorm minus the reduction, so that the Picard window searches can
     judge thousands of short windows read from one reduction of the driver.
     """
-    return _extrema_peak(extrema, p)[0]
+    return _pieces_peak(extrema, swing_pieces(extrema), p)[0]
 
 
-def _extrema_peak(extrema, p):
-    _, coef_a, coef_b = swing_pieces(extrema)
+def _pieces_peak(extrema, pieces, p):
+    _, coef_a, coef_b = pieces
     if p == 1:  # TV^0, summed in path order as `total_variation` sums it
         return kernels.tv_delta(extrema, 0.0), 0.0
     return _largest_peak(coef_a, coef_b, p)

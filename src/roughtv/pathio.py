@@ -112,7 +112,7 @@ def read_path_csv(src, mode=Mode.LINEAR) -> SampledPath:
     else:
         with open(src, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [s for s in map(str.strip, text.splitlines()) if s]
     if not lines:
         raise CsvFormatError("empty CSV")
     if lines[0].replace(" ", "") != HEADER:

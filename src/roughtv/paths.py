@@ -10,9 +10,11 @@ samples a tiny time apart (`JUMP_EPS_FRACTION` of the span).
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     BadCountError,
     BadExponentError,
@@ -39,6 +41,15 @@ class Mode(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SampledPath:
+    """Validated samples with read-only arrays.
+
+    A path never changes, so what depends on its values alone is computed
+    on first use and kept (`functools.cached_property`): the extrema list,
+    its `swing_pieces` and the `TvProfile`, read by `truncation.tv_profile`
+    and every p-TV seminorm of the path.  A new path (`restrict`,
+    `shift_path`, `dataclasses.replace`) starts with none of them.
+    """
+
     times: np.ndarray
     values: np.ndarray
     mode: Mode = Mode.LINEAR
@@ -100,6 +111,28 @@ class SampledPath:
             return np.empty(0, dtype=np.float64)
         changed = np.diff(self.values) != 0.0
         return self.times[1:][changed]
+
+    @cached_property
+    def _extrema(self):
+        """`kernels.reduce_to_extrema` of the values, as Python floats."""
+        return kernels.reduce_to_extrema(self.values).tolist()
+
+    @cached_property
+    def _swing_pieces(self):
+        """`truncation.swing_pieces` of the extrema, overflow checks included."""
+        from . import truncation  # which imports this module
+
+        return truncation.swing_pieces(self._extrema)
+
+    @cached_property
+    def _profile(self):
+        """The `TvProfile` of the swing pieces, its arrays read-only."""
+        from .truncation import TvProfile
+
+        arrays = [np.array(piece, dtype=np.float64) for piece in self._swing_pieces]
+        for array in arrays:
+            array.flags.writeable = False
+        return TvProfile(*arrays)
 
 
 def make_path(times, values, mode=Mode.LINEAR) -> SampledPath:

@@ -93,9 +93,13 @@ class TvProfile:
 
 
 def tv_profile(path: SampledPath) -> TvProfile:
-    """The exact profile of the path: `swing_pieces` of its extrema."""
-    breakpoints, coef_a, coef_b = swing_pieces(kernels.reduce_to_extrema(path.values).tolist())
-    return TvProfile(np.asarray(breakpoints), np.asarray(coef_a), np.asarray(coef_b))
+    """The exact profile of the path: `swing_pieces` of its extrema.
+
+    Built on the first call for a path and kept on it, with read-only
+    arrays, so the checks and the series that read one path's profile at
+    many deltas build it once.
+    """
+    return path._profile
 
 
 def swing_pieces(extrema):

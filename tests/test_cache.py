@@ -1,0 +1,163 @@
+"""What a path or a pair keeps once computed: the same results, warm or cold.
+
+A `SampledPath` keeps its extrema, swing pieces and `TvProfile`, and the
+integrand of a pair keeps the pair's validated integral cells.  Every result
+read from them must equal, to the bit, the result on a fresh copy of the
+paths, and no new path may start with them.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from roughtv import integrals, norms, truncation
+from roughtv.cli import main, to_json
+from roughtv.errors import RoughTVError
+from roughtv.integrals import BOUND_CHECKS, rs_integral
+from roughtv.norms import p_tv_seminorm, seminorm_with_argmax
+from roughtv.paths import Mode, gen_brownian, make_path, restrict, shift_path
+from roughtv.pathio import write_path_csv
+from roughtv.truncation import tv_profile
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+CACHED = ("_extrema", "_swing_pieces", "_profile", "_cells_memo")
+
+_small = st.floats(-4.0, 4.0, allow_nan=False, width=32)
+# values near the float64 limits make the checks raise, warm as cold
+_values = st.one_of(
+    st.lists(_small, min_size=2, max_size=10),
+    st.lists(st.one_of(_small, st.sampled_from([1e308, -1e308, 1e-300])), min_size=2, max_size=6),
+)
+_young = st.sampled_from([(1.5, 1.5), (1.9, 1.9), (1.3, 2.5), (2.5, 1.3), (1.1, 3.0)])
+
+
+def _pair(f_values, g_values, f_mode, g_mode):
+    f = make_path(np.linspace(0.0, 1.0, len(f_values)), f_values, f_mode)
+    g = make_path(np.linspace(0.0, 1.0, len(g_values)), g_values, g_mode)
+    return f, g
+
+
+def _fresh(path):
+    return make_path(path.times.copy(), path.values.copy(), path.mode)
+
+
+def _raised_or(call):
+    """call(), or the roughtv error it raises."""
+    try:
+        return call()
+    except RoughTVError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _outcome(check, f, g, p, q):
+    """The report as the CLI prints it, or the error it raises."""
+    return _raised_or(lambda: to_json(dataclasses.asdict(check(f, g, p, q))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(f_values=_values, g_values=_values, pq=_young,
+       modes=st.sampled_from([(Mode.LINEAR, Mode.LINEAR), (Mode.STEP, Mode.LINEAR),
+                              (Mode.LINEAR, Mode.STEP), (Mode.STEP, Mode.STEP)]))
+def test_every_check_reads_the_same_warm_and_cold(f_values, g_values, pq, modes):
+    f, g = _pair(f_values, g_values, *modes)
+    p, q = pq
+    for variant, check in BOUND_CHECKS.items():
+        first = _outcome(check, f, g, p, q)
+        again = _outcome(check, f, g, p, q)
+        cold = _outcome(check, _fresh(f), _fresh(g), p, q)
+        assert first == again == cold, variant
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(values=_values, ps=st.lists(st.sampled_from([1.0, 1.2, 1.5, 2.0, 3.5]),
+                                   min_size=1, max_size=4))
+def test_profile_and_seminorm_bytes_warm_and_cold(values, ps):
+    path = make_path(np.linspace(0.0, 1.0, len(values)), values)
+
+    def profile_bytes(path):
+        prof = tv_profile(path)
+        assert tv_profile(path) is prof
+        return [getattr(prof, name).tobytes() for name in ("breakpoints", "coef_a", "coef_b")]
+
+    def seminorm_bytes(path, p):
+        return np.float64(p_tv_seminorm(path, p)).tobytes(), seminorm_with_argmax(path, p)
+
+    warm = _raised_or(lambda: profile_bytes(path))
+    assert _raised_or(lambda: profile_bytes(path)) == warm
+    assert _raised_or(lambda: profile_bytes(_fresh(path))) == warm
+    for p in ps:
+        cold = _raised_or(lambda: seminorm_bytes(_fresh(path), p))
+        assert _raised_or(lambda: seminorm_bytes(path, p)) == cold
+
+
+def test_cached_arrays_are_read_only():
+    f = gen_brownian(30, 1.0, seed=3)
+    g = gen_brownian(20, 1.0, seed=4)
+    prof = tv_profile(f)
+    for array in (prof.breakpoints, prof.coef_a, prof.coef_b):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    rs_integral(f, g)
+    held, grid, cells = f._cells_memo
+    assert held is g and not grid.flags.writeable and not cells.flags.writeable
+
+
+def test_a_pair_is_validated_and_integrated_once(monkeypatch):
+    checked = []
+    check_pair = integrals._check_pair
+    monkeypatch.setattr(integrals, "_check_pair",
+                        lambda f, g: checked.append((f, g)) or check_pair(f, g))
+    f = gen_brownian(30, 1.0, seed=5)
+    g = gen_brownian(25, 1.0, seed=6)
+    h = gen_brownian(25, 1.0, seed=7)
+    first = rs_integral(f, g)
+    assert rs_integral(f, g) == first and integrals._tag_gaps(f, g)[0] == first.value
+    assert len(checked) == 1
+    # one slot, matched by identity: another g, or an equal copy, is new work
+    rs_integral(f, h)
+    rs_integral(f, _fresh(g))
+    assert rs_integral(f, g) == first
+    assert len(checked) == 4
+
+
+def test_new_paths_carry_no_cache():
+    f = gen_brownian(30, 1.0, seed=8)
+    g = gen_brownian(30, 1.0, seed=9)
+    tv_profile(f)
+    p_tv_seminorm(f, 1.5)
+    rs_integral(f, g)
+    assert all(name in vars(f) for name in CACHED)
+    for new in (restrict(f, 0.0, 1.0), shift_path(f, 0.0), dataclasses.replace(f),
+                dataclasses.replace(f, mode=Mode.STEP)):
+        assert not any(name in vars(new) for name in CACHED)
+
+
+def test_svg_sweep_builds_each_profile_and_the_pair_once(tmp_path, monkeypatch, capsys):
+    f_csv, g_csv = tmp_path / "f.csv", tmp_path / "g.csv"
+    write_path_csv(gen_brownian(24, 1.0, seed=10), f_csv)
+    write_path_csv(gen_brownian(24, 1.0, seed=11), g_csv)
+    calls = {"swing_pieces": 0, "_check_pair": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(truncation, "swing_pieces")
+    counting(norms, "swing_pieces")
+    counting(integrals, "_check_pair")
+    code = main(["bounds", str(f_csv), str(g_csv), "--p", "1.9", "--q", "1.9",
+                 "--variant", "young-s", "--format", "svg",
+                 "--out", str(tmp_path / "sweep.svg")])
+    assert code == 0 and capsys.readouterr().err == ""
+    # the report and the 16 sweep points read two paths and one pair
+    assert calls == {"swing_pieces": 2, "_check_pair": 1}

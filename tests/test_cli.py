@@ -501,6 +501,22 @@ def test_bounds_svg(tmp_path, capsys):
     assert text.startswith("<svg") and "polyline" in text and "</svg>" in text
 
 
+def test_bounds_svg_without_out_fails_before_any_check(tmp_path, capsys, monkeypatch):
+    f_csv = tmp_path / "f.csv"
+    g_csv = tmp_path / "g.csv"
+    run_cli(capsys, "gen", "brownian", "--n", "24", "--seed", "3", "--out", str(f_csv))
+    run_cli(capsys, "gen", "brownian", "--n", "24", "--seed", "4", "--out", str(g_csv))
+
+    def never(*args):
+        raise AssertionError("the bound was evaluated")
+
+    monkeypatch.setitem(cli.BOUND_CHECKS, "young-s", never)
+    code, out, err = run_cli(capsys, "bounds", str(f_csv), str(g_csv), "--p", "1.8",
+                             "--q", "1.8", "--variant", "young-s", "--format", "svg")
+    assert (code, out) == (2, "")
+    assert err == "error: BadParameterError: --format svg needs --out\n"
+
+
 def test_bounds_output_is_machine_independent(tmp_path, capsys, monkeypatch):
     # the same input prints the same bytes whatever the CPU count
     f_csv = tmp_path / "f.csv"

@@ -11,7 +11,9 @@ from roughtv.errors import (
     NonMonotoneLadderError,
     SpanMismatchError,
 )
+from roughtv import integrals
 from roughtv.integrals import (
+    BOUND_CHECKS,
     IntegralResult,
     TruncationLadder,
     _tag_gaps,
@@ -272,6 +274,76 @@ def test_ladder_validation():
         TruncationLadder(np.asarray([1.0, 2.0]), np.asarray([1.0, 0.5]))
     with pytest.raises(NonMonotoneLadderError):
         TruncationLadder(np.asarray([1.0]), np.asarray([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("etas, thetas, message", [
+    ([1.0, math.nan], [1.0, 0.5], "eta terms must be finite"),
+    ([1.0, 0.5], [math.inf, 0.5], "theta terms must be finite"),
+    ([1.0, -1e-300], [1.0, 0.5], "eta terms must be finite"),
+    ([1.0, 0.5], [0.5, 0.75], "theta sequence must be nonincreasing"),
+    ([1.0, 0.5, 0.5, 0.6], [1.0, 0.5, 0.0, 0.0], "eta sequence must be nonincreasing"),
+    ([1.0, 0.5], [1.0], "paired and nonempty"),
+    ([], [], "paired and nonempty"),
+    ([[1.0, 0.5]], [[1.0, 0.5]], "1-d sequences"),
+])
+def test_ladder_validation_messages(etas, thetas, message, as_array):
+    # the checks run on Python floats; the errors are those of the NumPy checks
+    if as_array:
+        etas, thetas = np.asarray(etas, dtype=float), np.asarray(thetas, dtype=float)
+    with pytest.raises(NonMonotoneLadderError, match=message):
+        TruncationLadder(etas, thetas)
+
+
+def test_ladder_accepts_negative_zero():
+    lad = TruncationLadder([0.5, -0.0, 0.0], [-0.0, 0.0, -0.0])
+    assert lad.etas.tolist() == [0.5, 0.0, 0.0] and len(lad) == 3
+    assert math.copysign(1.0, lad.etas[1]) == -1.0
+    assert TruncationLadder(0.25, 0.0).etas.tolist() == [0.25]
+
+
+@pytest.mark.parametrize("variant, builds", [
+    ("young-s", 1), ("gamma-level-ladder", 1), ("min-series", 2),
+])
+def test_checks_build_only_the_ladders_they_read(monkeypatch, variant, builds):
+    # young-s and the gamma check read ladder S alone; min-series reads S~ too
+    calls = []
+    built = integrals.ladder_geometric
+
+    def counting(*args):
+        calls.append(args)
+        return built(*args)
+
+    monkeypatch.setattr(integrals, "ladder_geometric", counting)
+    f = gen_brownian(40, 1.0, seed=17)
+    g = gen_brownian(40, 1.0, seed=18)
+    BOUND_CHECKS[variant](f, g, 1.7, 1.8)
+    assert len(calls) == builds
+
+
+def test_balance_survives_an_underflowing_ratio():
+    # (V^q(g) / V^p(f))^(1/q) underflowed to 0 here, so every theta of S was
+    # 0 and S read 134045.97 against the unscaled 173187.36; the scaling by
+    # powers of 2 leaves S and the integral unchanged
+    f = gen_brownian(64, 1.0, seed=1)
+    g = gen_brownian(64, 1.0, seed=2)
+    far_f, far_g = scale_path(f, 2.0 ** 332), scale_path(g, 2.0 ** -332)
+    for variant in ("young-s", "min-series", "gamma-level-ladder"):
+        near = BOUND_CHECKS[variant](f, g, 1.9, 1.9)
+        far = BOUND_CHECKS[variant](far_f, far_g, 1.9, 1.9)
+        assert far.rhs == pytest.approx(near.rhs, rel=1e-12, abs=0.0), variant
+        assert far.lhs <= far.rhs and far.passed, variant
+
+
+def test_balance_without_overflow_or_underflow_keeps_the_printed_form():
+    for pv_x, p, pv_y, q, beta in [(2.0, 1.5, 3.0, 1.8, 1.5), (1e-3, 1.9, 7.0, 1.2, 1e-3),
+                                   (5.0, 1.3, 0.25, 2.5, 4.0)]:
+        printed = (pv_y ** q / pv_x ** p) ** (1.0 / q) * beta ** (p / q)
+        assert integrals._balance(pv_x, p, pv_y, q, beta) == printed
+    assert integrals._balance(0.0, 1.5, 3.0, 1.5, 0.0) == 1.0
+    assert integrals._balance(2.0, 1.5, 0.0, 1.5, 1.0) == 1.0
+    # pv_x^p overflows: the split form, below pv_y since beta <= pv_x
+    assert 0.0 < integrals._balance(1e200, 1.9, 3.0, 1.9, 1e200) <= 3.0
 
 
 @pytest.mark.parametrize("beta,gamma", [(math.inf, 1.0), (1.0, math.inf)])

@@ -374,6 +374,22 @@ def test_csv_byte_order_mark(tmp_path):
     assert p.times.tolist() == [0.0, 1.0] and p.values.tolist() == [1.0, 2.0]
 
 
+def test_csv_bom_crlf_padding_and_blank_lines(tmp_path):
+    # each line is stripped once: padded rows, whitespace-only lines, CRLF
+    # ends and a byte order mark give the rows and errors of the reference
+    dest = tmp_path / "padded.csv"
+    dest.write_bytes(b"\xef\xbb\xbf t , value \r\n \t \r\n\t0 , 1\r\n\r\n 0.5,-2 \r\n1,3\r\n  ")
+    p = read_path_csv(dest)
+    with open(dest, encoding="utf-8-sig") as fh:
+        q = read_path_csv_reference(fh)
+    assert p.times.tobytes() == q.times.tobytes()
+    assert p.values.tobytes() == q.values.tobytes()
+    assert p.values.tolist() == [1.0, -2.0, 3.0]
+    dest.write_bytes(b"\xef\xbb\xbft,value\r\n 0 , 1 \r\n \r\n 1 , x \r\n")
+    with pytest.raises(CsvFormatError, match="^non-numeric row '1 , x'$"):
+        read_path_csv(dest)
+
+
 def test_csv_header_only_is_length_mismatch():
     with pytest.raises(LengthMismatchError):
         read_path_csv(io.StringIO("t,value\n"))
