@@ -241,9 +241,10 @@ def _bounds_sweep_svg(f, g, args):
     """rhs/lhs of the chosen bound across a regime sweep toward (p, q).
 
     The 16 checks read the same two paths, so each path's extrema, swing
-    pieces and profile, and the pair's validated integral cells, are built
-    once, by the first check that needs them (`cmd_bounds`' own report),
-    and kept on the paths; only what depends on (p, q) is redone per point.
+    pieces and profile, and the pair's validation, cells and running
+    integrals, are built once, by the first check that needs them
+    (`cmd_bounds`' own report), and kept on the paths; only what depends on
+    (p, q) is redone per point.
     """
     check = BOUND_CHECKS[args.variant]
 

@@ -42,7 +42,6 @@ from .paths import (
     osc_from_start,
     oscillation,
     restrict,
-    shift_path,
 )
 from .reports import BoundReport, bound_report
 from .truncation import tv_profile
@@ -76,7 +75,10 @@ def rs_sum(f: SampledPath, g: SampledPath, tagged: TaggedPartition, grid=None) -
 
     Partition and tag indices refer to `grid` (default: the union of the two
     sample grids); both paths are evaluated there by their own rule.
+    NonFiniteValueError when an oscillation or the sum overflows float64.
     """
+    finite_oscillation(f.values)
+    finite_oscillation(g.values)
     check_same_span(f, g)
     if grid is None:
         grid = merge_times(f, g)
@@ -88,7 +90,8 @@ def rs_sum(f: SampledPath, g: SampledPath, tagged: TaggedPartition, grid=None) -
     tag_times = grid[np.asarray(tagged.tags, dtype=np.intp)]
     g_vals = g.values_at(cell_times)
     f_vals = f.values_at(tag_times)
-    return float(np.sum(f_vals * np.diff(g_vals)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_integral(float(np.sum(f_vals * np.diff(g_vals))))
 
 
 @dataclass(frozen=True)
@@ -97,24 +100,36 @@ class IntegralResult:
     partitions_used: int
 
 
-def _cells(f: SampledPath, g: SampledPath):
+def _pair_memo(f: SampledPath, g: SampledPath, key, build):
+    """build(), kept under `key` in the one slot f holds for g.
+
+    The paths never change, so f keeps one slot, for the last g it was asked
+    with (matched by identity).  The slot is filled once (f, g) passes
+    `_check_pair`, so the checks of one pair validate it once, and always as
+    given: centering f can round a jump of f away.  Each entry ("cells",
+    "running", "centered") is built on first request, so a check never pays
+    for, or fails on, an entry it does not read.
+    """
+    slot = f.__dict__.get("_pair_slot")
+    if slot is None or slot["g"] is not g:
+        _check_pair(f, g)
+        slot = f.__dict__["_pair_slot"] = {"g": g}
+    if key not in slot:
+        slot[key] = build()
+    return slot[key]
+
+
+def _exact_cells(f: SampledPath, g: SampledPath):
     """The merged grid and the exact per-cell values tag * [g(t_k) - g(t_{k-1})].
 
     On a cell of the merged grid a linear path is affine and a step path is
-    constant, jumping at most at the cell's right end.  `_check_pair` rules
-    out common jumps, so f is continuous wherever g jumps and one tag per cell
-    is exact: f(t_{k-1}) for a step f, f(t_k) for a linear f against a step g,
-    and the trapezoid mean for two linear paths.  NonFiniteValueError when a
-    cell overflows float64.
-
-    The paths never change, so f keeps the result, with read-only arrays,
-    for the last g it was asked with (matched by identity): the checks that
-    read one pair validate and integrate it once.
+    constant, jumping at most at the cell's right end.  Without common
+    jumps (`_check_pair`, which the callers run) f is continuous wherever g
+    jumps and one tag per cell is exact: f(t_{k-1}) for a step f, f(t_k)
+    for a linear f against a step g, and the trapezoid mean for two linear
+    paths.  Both arrays are read-only.  NonFiniteValueError when a cell
+    overflows float64.
     """
-    memo = f.__dict__.get("_cells_memo")
-    if memo is not None and memo[0] is g:
-        return memo[1], memo[2]
-    _check_pair(f, g)
     grid = merge_times(f, g)
     fv = f.values_at(grid)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -127,14 +142,24 @@ def _cells(f: SampledPath, g: SampledPath):
         cells = _finite_integral(tags * np.diff(g.values_at(grid)))
     grid.flags.writeable = False
     cells.flags.writeable = False
-    f.__dict__["_cells_memo"] = (g, grid, cells)
     return grid, cells
+
+
+def _cells(f: SampledPath, g: SampledPath):
+    """`_exact_cells` of the validated pair, kept in f's slot for g."""
+    return _pair_memo(f, g, "cells", lambda: _exact_cells(f, g))
 
 
 def _finite_integral(values):
     if not np.all(np.isfinite(values)):
         raise NonFiniteValueError("Riemann-Stieltjes integral overflows float64")
     return values
+
+
+def _running(grid, cells, mode) -> SampledPath:
+    with np.errstate(over="ignore", invalid="ignore"):
+        running = np.cumsum(cells)
+    return SampledPath(grid, np.concatenate(([0.0], _finite_integral(running))), mode)
 
 
 def rs_integral(f: SampledPath, g: SampledPath) -> IntegralResult:
@@ -151,12 +176,24 @@ def indefinite_integral(f: SampledPath, g: SampledPath) -> SampledPath:
     The values are the cumulative sums of the `_cells` of rs_integral.  The
     path takes g's mode: between samples the running integral jumps with a
     step g and is affine for a step f against a linear g; for two linear
-    paths it is quadratic on each cell, so only the samples are exact.
+    paths it is quadratic on each cell, so only the samples are exact.  It
+    is kept in f's slot for g, so its extrema, swing pieces and profile are
+    built once per pair.
     """
-    grid, cells = _cells(f, g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        running = np.cumsum(cells)
-    return SampledPath(grid, np.concatenate(([0.0], _finite_integral(running))), g.mode)
+    return _pair_memo(f, g, "running", lambda: _running(*_cells(f, g), g.mode))
+
+
+def _centered_integral(f: SampledPath, g: SampledPath) -> SampledPath:
+    """t -> int_a^t [f - f(a)] dg, kept in f's slot for g beside int f dg.
+
+    The cells are the `_exact_cells` of the path f - f(a), the values
+    `shift_path(f, -f(a))` would hold.
+    """
+    def build():
+        centered = SampledPath(f.times, f.values - f.values[0], f.mode)
+        return _running(*_exact_cells(centered, g), g.mode)
+
+    return _pair_memo(f, g, "centered", build)
 
 
 @dataclass(frozen=True)
@@ -504,6 +541,9 @@ def min_series_check(f, g, p, q) -> BoundReport:
                         {"S": s, "S_tilde": st, "integral": integral})
 
 
+_INTEGRAL_VARIANTS = ("ptv-theorem", "ptv-corollary", "pvar-remark")
+
+
 def integral_norm_check(f, g, p, q, variant="ptv-theorem") -> BoundReport:
     """Norm of the indefinite integral against its a-priori bound.
 
@@ -512,23 +552,20 @@ def integral_norm_check(f, g, p, q, variant="ptv-theorem") -> BoundReport:
     d_e_constants).
     pvar-remark: q-variation seminorm of int f dg vs the C-constant bound;
     the integral has g's regularity, so it is measured with g's exponent.
+    Both integrals are read from f's slot for g (`_pair_memo`).
     """
-    if variant not in ("ptv-theorem", "ptv-corollary", "pvar-remark"):
+    if variant not in _INTEGRAL_VARIANTS:
         raise BadParameterError(f"unknown variant {variant}")
     p, q = require_young_regime(p, q)
-    _check_pair(f, g)
     if variant == "pvar-remark":
-        ind = indefinite_integral(f, g)
-        lhs = p_var_seminorm(ind, q)
+        lhs = p_var_seminorm(indefinite_integral(f, g), q)
         c_const = loeve_young_constant(p, q)
         pv_f = p_var_seminorm(f, p)
         sup_f = float(np.max(np.abs(f.values)))
         rhs = (_left_factor(c_const, pv_f, oscillation(f), p, q) + sup_f) \
             * p_var_seminorm(g, q)
         return bound_report(lhs, rhs, c_const, "integral-pvar-remark")
-    shifted = shift_path(f, -float(f.values[0]))
-    ind = indefinite_integral(shifted, g)
-    lhs = p_tv_seminorm(ind, q)
+    lhs = p_tv_seminorm(_centered_integral(f, g), q)
     d_const, e_const = d_e_constants(p, q)
     tv_f = p_tv_seminorm(f, p)
     tv_g = p_tv_seminorm(g, q)
@@ -545,13 +582,13 @@ def gamma_level_check(f, g, ladder: TruncationLadder) -> BoundReport:
     """TV at level gamma of the indefinite integral vs the g-side series.
 
     gamma = 2 sum 2^k theta_k TV^{eta_k}(f); the bound is
-    sum 2^k eta_{k-1} TV^{theta_k}(g) with eta_{-1} = sup |f - f(a)|.
+    sum 2^k eta_{k-1} TV^{theta_k}(g) with eta_{-1} = sup |f - f(a)|.  The
+    integral int [f - f(a)] dg is read from f's slot for g (`_pair_memo`).
     """
     _, g_side, f_side = _ladder_series(osc_from_start(f), ladder.etas, ladder.thetas,
                                        tv_profile(f), tv_profile(g))
     gamma = 2.0 * f_side
-    shifted = shift_path(f, -float(f.values[0]))
-    lhs = tv_profile(indefinite_integral(shifted, g)).value(gamma)
+    lhs = tv_profile(_centered_integral(f, g)).value(gamma)
     return bound_report(lhs, g_side, gamma, "gamma-level", {"gamma": gamma})
 
 
@@ -561,10 +598,8 @@ BOUND_CHECKS = {
        for fam in _SEMINORMS for name, form in _LOEVE_FORMS.items()},
     "young-s": young_series_check,
     "min-series": min_series_check,
-    "integral-ptv-theorem": lambda f, g, p, q: integral_norm_check(f, g, p, q, "ptv-theorem"),
-    "integral-ptv-corollary":
-        lambda f, g, p, q: integral_norm_check(f, g, p, q, "ptv-corollary"),
-    "integral-pvar-remark": lambda f, g, p, q: integral_norm_check(f, g, p, q, "pvar-remark"),
+    **{f"integral-{variant}": functools.partial(integral_norm_check, variant=variant)
+       for variant in _INTEGRAL_VARIANTS},
     "gamma-level-ladder":
         lambda f, g, p, q: gamma_level_check(f, g, default_ladder_s(f, g, p, q)),
 }

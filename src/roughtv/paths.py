@@ -213,7 +213,10 @@ def gen_brownian(n, horizon, seed) -> SampledPath:
     horizon = float(horizon)
     if not 0 < horizon < math.inf:
         raise BadParameterError("horizon must be finite and > 0")
-    rng = np.random.default_rng(int(seed))
+    seed = int(seed)
+    if seed < 0:
+        raise BadParameterError("seed must be >= 0")
+    rng = np.random.default_rng(seed)
     steps = rng.standard_normal(n - 1) * np.sqrt(horizon / (n - 1))
     values = np.concatenate(([0.0], np.cumsum(steps)))
     return SampledPath(np.linspace(0.0, horizon, n), values)
@@ -281,10 +284,13 @@ def constant_path(value, a=0.0, b=1.0) -> SampledPath:
 
 
 def identity_path(n=2, horizon=1.0) -> SampledPath:
+    n = int(n)
+    if n < 1:
+        raise BadCountError("need n >= 1 sample")
     horizon = float(horizon)
     if not math.isfinite(horizon):
         raise BadParameterError("horizon must be finite")
-    t = np.linspace(0.0, horizon, int(n))
+    t = np.linspace(0.0, horizon, n)
     return SampledPath(t, t.copy())
 
 

@@ -1,9 +1,11 @@
 """What a path or a pair keeps once computed: the same results, warm or cold.
 
 A `SampledPath` keeps its extrema, swing pieces and `TvProfile`, and the
-integrand of a pair keeps the pair's validated integral cells.  Every result
-read from them must equal, to the bit, the result on a fresh copy of the
-paths, and no new path may start with them.
+integrand f of a pair keeps one slot for its integrator g: filled once
+(f, g) is validated, it holds the exact cells and the running integrals of
+f and of f - f(a), each built on first request.  Every result read from
+them must equal, to the bit, the result on a fresh copy of the paths, and
+no new path may start with them.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import pytest
 from roughtv import integrals, norms, truncation
 from roughtv.cli import main, to_json
 from roughtv.errors import RoughTVError
-from roughtv.integrals import BOUND_CHECKS, rs_integral
+from roughtv.integrals import BOUND_CHECKS, integral_norm_check, rs_integral
 from roughtv.norms import p_tv_seminorm, seminorm_with_argmax
 from roughtv.paths import Mode, gen_brownian, make_path, restrict, shift_path
 from roughtv.pathio import write_path_csv
@@ -24,7 +26,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-CACHED = ("_extrema", "_swing_pieces", "_profile", "_cells_memo")
+CACHED = ("_extrema", "_swing_pieces", "_profile", "_pair_slot")
 
 _small = st.floats(-4.0, 4.0, allow_nan=False, width=32)
 # values near the float64 limits make the checks raise, warm as cold
@@ -103,8 +105,13 @@ def test_cached_arrays_are_read_only():
         with pytest.raises(ValueError):
             array[0] = 1.0
     rs_integral(f, g)
-    held, grid, cells = f._cells_memo
-    assert held is g and not grid.flags.writeable and not cells.flags.writeable
+    integral_norm_check(f, g, 1.5, 1.5)
+    integral_norm_check(f, g, 1.5, 1.5, "pvar-remark")
+    slot = f._pair_slot
+    assert slot.keys() == {"g", "cells", "running", "centered"} and slot["g"] is g
+    grid, cells = slot["cells"]
+    for array in (grid, cells, slot["running"].values, slot["centered"].values):
+        assert not array.flags.writeable
 
 
 def test_a_pair_is_validated_and_integrated_once(monkeypatch):
@@ -131,23 +138,44 @@ def test_new_paths_carry_no_cache():
     tv_profile(f)
     p_tv_seminorm(f, 1.5)
     rs_integral(f, g)
+    integral_norm_check(f, g, 1.5, 1.5)
+    integral_norm_check(f, g, 1.5, 1.5, "pvar-remark")
     assert all(name in vars(f) for name in CACHED)
     for new in (restrict(f, 0.0, 1.0), shift_path(f, 0.0), dataclasses.replace(f),
                 dataclasses.replace(f, mode=Mode.STEP)):
         assert not any(name in vars(new) for name in CACHED)
 
 
-def test_svg_sweep_builds_each_profile_and_the_pair_once(tmp_path, monkeypatch, capsys):
+# swing_pieces builds per sweep: one per path whose profile or p-TV seminorm
+# the variant reads (f, g and, for the centered lhs, int [f - f(a)] dg)
+SWEEP_SWING_PIECES = {
+    "loeve-pvar-left": 0, "loeve-pvar-right": 0, "loeve-pvar-xi": 0,
+    "loeve-ptv-left": 2, "loeve-ptv-right": 2, "loeve-ptv-xi": 2,
+    "young-s": 2, "min-series": 2,
+    "integral-ptv-theorem": 3, "integral-ptv-corollary": 3, "integral-pvar-remark": 0,
+    "gamma-level-ladder": 3,
+}
+
+
+@pytest.mark.parametrize("variant", list(BOUND_CHECKS))
+def test_svg_sweep_builds_each_profile_and_the_pair_once(tmp_path, monkeypatch, capsys,
+                                                         variant):
+    # f(a) != 0, so the centered integrand f - f(a) differs from f
+    f_path = shift_path(gen_brownian(24, 1.0, seed=10), 0.5)
+    g_path = gen_brownian(24, 1.0, seed=11)
     f_csv, g_csv = tmp_path / "f.csv", tmp_path / "g.csv"
-    write_path_csv(gen_brownian(24, 1.0, seed=10), f_csv)
-    write_path_csv(gen_brownian(24, 1.0, seed=11), g_csv)
-    calls = {"swing_pieces": 0, "_check_pair": 0}
+    write_path_csv(f_path, f_csv)
+    write_path_csv(g_path, g_csv)
+    calls = {"swing_pieces": 0, "_check_pair": 0, "_running": 0}
+    checked = []
 
     def counting(module, name):
         original = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
+            if name == "_check_pair":
+                checked.append(tuple(path.values.tolist() for path in args))
             return original(*args)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -155,9 +183,14 @@ def test_svg_sweep_builds_each_profile_and_the_pair_once(tmp_path, monkeypatch, 
     counting(truncation, "swing_pieces")
     counting(norms, "swing_pieces")
     counting(integrals, "_check_pair")
+    counting(integrals, "_running")
     code = main(["bounds", str(f_csv), str(g_csv), "--p", "1.9", "--q", "1.9",
-                 "--variant", "young-s", "--format", "svg",
+                 "--variant", variant, "--format", "svg",
                  "--out", str(tmp_path / "sweep.svg")])
     assert code == 0 and capsys.readouterr().err == ""
-    # the report and the 16 sweep points read two paths and one pair
-    assert calls == {"swing_pieces": 2, "_check_pair": 1}
+    # the report and the 16 sweep points validate the pair once, as (f, g),
+    # and build each path's pieces and each running integral they read once
+    assert checked == [(f_path.values.tolist(), g_path.values.tolist())]
+    integrals_read = variant.startswith(("integral-", "gamma-"))
+    assert calls == {"swing_pieces": SWEEP_SWING_PIECES[variant], "_check_pair": 1,
+                     "_running": int(integrals_read)}

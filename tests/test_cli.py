@@ -91,9 +91,12 @@ def test_gen_zigzag_boundary_zeros(tmp_path, capsys):
     ("zigzag", "--p", "1.01", "--levels", "2000"),
     ("brownian", "--n", "3", "--horizon", "inf"),
     ("named", "--name", "identity", "--horizon", "inf"),
+    ("brownian", "--seed", "-1"),
+    ("named", "--name", "identity", "--n", "-3"),
 ])
 def test_gen_out_of_range_exits_two(tmp_path, capsys, argv):
-    # no OverflowError traceback (exit 1) and no NumPy warning before the line
+    # no OverflowError or ValueError traceback (exit 1) and no NumPy warning
+    # before the line
     code, stdout, stderr = run_cli(capsys, "gen", *argv, "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert stdout == ""
@@ -202,6 +205,19 @@ def test_bounds_overflowing_integral_exits_two(tmp_path, capsys, variant):
     assert stderr == (
         "error: NonFiniteValueError: Riemann-Stieltjes integral overflows float64\n"
     )
+
+
+def test_gamma_level_rejects_a_jump_that_centering_rounds_away(tmp_path, capsys):
+    # f - f(a) = [0, -1, -1, -1] no longer jumps at 0.5, but f and g both do
+    f = tmp_path / "f.csv"
+    g = tmp_path / "g.csv"
+    f.write_text("t,value\n0,1\n0.25,1e-20\n0.5,2e-20\n1,2e-20\n", encoding="utf-8")
+    g.write_text("t,value\n0,0\n0.25,0\n0.5,1\n1,1\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "bounds", str(f), str(g), "--p", "1.5",
+                                   "--q", "1.5", "--variant", "gamma-level-ladder",
+                                   "--mode", "step")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: CommonDiscontinuityError: shared jump times [0.5]\n"
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -691,6 +692,51 @@ def test_rs_sum_span_mismatch(tent):
     tagged = TaggedPartition(Partition((0, 1)), (0,))
     with pytest.raises(SpanMismatchError):
         rs_sum(tent, short, tagged)
+
+
+@pytest.mark.parametrize("f_values, g_values, message", [
+    # finite oscillations, but f dg overflows and inf - inf is NaN
+    ([1e200] * 3, [0.0, 1e200, 0.0], "Riemann-Stieltjes integral overflows"),
+    # rejected before np.diff overflows on g's increments
+    ([1.0] * 3, [-1e308, 1e308, 0.0], "oscillation of the path overflows"),
+])
+def test_rs_sum_overflow_raises_without_warnings(f_values, g_values, message):
+    t = [0.0, 0.5, 1.0]
+    tagged = TaggedPartition(Partition((0, 1, 2)), (0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValueError, match=message):
+            rs_sum(make_path(t, f_values), make_path(t, g_values), tagged)
+
+
+def merged_jump_pair():
+    """Step paths with a common jump at 0.5 that centering f rounds away.
+
+    f - f(a) is [0, -1, -1, -1]: 1e-20 - 1 and 2e-20 - 1 are both -1.
+    """
+    t = [0.0, 0.25, 0.5, 1.0]
+    return (make_path(t, [1.0, 1e-20, 2e-20, 2e-20], Mode.STEP),
+            make_path(t, [0.0, 0.0, 1.0, 1.0], Mode.STEP))
+
+
+def test_gamma_level_stands_where_f_dg_overflows():
+    # f dg overflows but [f - f(a)] dg does not: the check reads only the
+    # centered integral, whether or not int f dg was asked for first
+    t = [0.0, 0.5, 1.0]
+    f = make_path(t, [1e200, 1e200 + 1e186, 1e200])
+    g = make_path(t, [0.0, 1e110, 0.0])
+    rep = BOUND_CHECKS["gamma-level-ladder"](f, g, 1.2, 1.2)
+    for integral in (rs_integral, indefinite_integral):
+        with pytest.raises(NonFiniteValueError, match="Riemann-Stieltjes"):
+            integral(f, g)
+    assert BOUND_CHECKS["gamma-level-ladder"](f, g, 1.2, 1.2) == rep and rep.passed
+
+
+@pytest.mark.parametrize("variant", list(BOUND_CHECKS))
+def test_every_variant_rejects_a_jump_that_centering_rounds_away(variant):
+    f, g = merged_jump_pair()
+    with pytest.raises(CommonDiscontinuityError, match=r"shared jump times \[0.5\]"):
+        BOUND_CHECKS[variant](f, g, 1.5, 1.5)
 
 
 # ---------------------------------------------------------------------------
