@@ -6,13 +6,14 @@ the alternating monotone runs that `truncation.swing_pieces` pairs off in
 one stack pass.  `window_extrema` reduces a sequence once and then reads
 the extrema of any window of it, as the Picard window search needs.
 `tv_delta` evaluates the truncated variation at one threshold in a single
-pass, `pvar_sum` the p-variation by a dynamic program pruned to backward
-records (exact, quadratic only in the worst case), and `lazy_band` the
-band-following approximation.  Where a loop's steps are short, it runs on
-Python floats, whose IEEE operations are those of NumPy's float64 ones
-without NumPy's fixed cost per call: `tv_delta` and `lazy_band` always,
-`pvar_sum` on every stack of at most SHORT_STACK records, with all its
-powers taken in one array beforehand.
+pass, `pvar_sum` the p-variation by a dynamic program pruned to the backward
+records newer than the last earlier extremum beyond each step (exact; one
+record a step on a contracting zigzag, quadratic only in the worst case, a
+staircase), and `lazy_band` the band-following approximation.  Where a
+loop's steps are short, it runs on Python floats, whose IEEE operations are
+those of NumPy's float64 ones without NumPy's fixed cost per call:
+`tv_delta` and `lazy_band` always, `pvar_sum` on every read of at most
+SHORT_STACK records, with all its powers taken in one array beforehand.
 
 Both functionals are unchanged when the path is negated, so each loop is
 written once, in oriented coordinates, with one body for rising and
@@ -26,11 +27,11 @@ from operator import add
 
 import numpy as np
 
-# pvar_sum scans a stack of at most this many records on Python floats, a
-# longer one in arrays.  Per step, the two scans cost the same at about 24
-# records (p = 1.5 and 2; NumPy 2.4 on a 2-core Xeon VM): the array scan's
-# four NumPy calls cost about 4-6 us at any length, the float scan about
-# 0.2 us a record.
+# A pvar_sum step that reads at most this many records reads them on Python
+# floats, a longer read in arrays (only a staircase-like stretch reads more).
+# Per step, the two reads cost the same at about 24 records (p = 1.5 and 2;
+# NumPy 2.4 on a 2-core Xeon VM): the array read's four NumPy calls cost
+# about 4-6 us at any length, the float read about 0.2 us a record.
 SHORT_STACK = 24
 
 
@@ -165,42 +166,56 @@ def pvar_sum(values, p):
     answer.  p = 1 short-circuits to the total variation, `tv_delta` at
     delta = 0, so V^1 and TV^0 are the same sum in the same order.
 
-    Only backward records are scanned.  best never decreases, so i is
-    dominated by any later i' whose value is at least as far from v[j].  At a
-    rising step every i < j - 1 with v[i] >= v[j-1] is beaten by j - 1: by
-    that rule if v[i] <= v[j], and because best[j-1] >= best[i] +
-    |v[j-1] - v[i]|^p if v[i] > v[j].  So the survivors are the strict suffix
-    minima of v[:j], a monotone stack updated in amortised O(1), and a
-    falling step reads the stack of suffix maxima.  Float subtraction,
-    ``**`` and addition are monotone, so the pruned max is bit-for-bit the
-    full one, provided the terms are computed as the full scan computes
-    them, in NumPy array arithmetic (Python's float ``**`` can differ from
-    NumPy's array ``**`` in the last bit).
+    Each step reads only the records newer than the last earlier extremum
+    beyond it.  Take a rising step from v[j-1] to y = v[j]; best never
+    decreases, so i is beaten by any later i' whose value is at least as far
+    from y.  Two rules follow:
+
+    - every i < j - 1 with v[i] >= v[j-1] is beaten by j - 1: by that rule if
+      v[i] <= y, and because best[j-1] >= best[i] + |v[j-1] - v[i]|^p if
+      v[i] > y.  So the survivors are the strict suffix minima of v[:j], a
+      monotone stack updated in amortised O(1), and a falling step reads the
+      stack of suffix maxima;
+    - let k be the last extremum before j with v[k] > y.  Every record i < k
+      is beaten by j - 1: best[k] >= best[i] + (v[k] - v[i])^p >= best[i] +
+      (y - v[i])^p, best[j-1] >= best[k], and j - 1's own candidate,
+      best[j-1] + (y - v[j-1])^p, is at least best[j-1].
+
+    Each link is a monotone float operation (subtraction, NumPy's array
+    ``**``, addition, and the max of the full program), so the pruned max is
+    bit-for-bit the full one, provided the terms are computed as the full
+    scan computes them, in NumPy array arithmetic (Python's float ``**`` can
+    differ from NumPy's array ``**`` in the last bit).  k is the top of the
+    suffix-maxima stack once the step has popped from it every value <= y
+    (with no such k the step reads every record), so each record carries its
+    index, and a bisection over the indices of the minima finds the first
+    one newer than k.
 
     The steps of v alternate, so one loop body serves both directions: it
     runs on y = s * v, where the sign s alternates along v and is +1 at the
     end of every rising step, and keeps each stack in the orientation of
-    the steps that scan it (the maxima negated).  Every step then scans its
-    stack with the differences y - u, pops the other stack while its top is
-    >= -y and pushes -y there, and the two stacks swap roles.  Negating a
-    float is exact, so -x - (-u) has the bits of u - x and each comparison
-    is the direct one.
+    the steps that read it (the maxima negated).  Every step then pops the
+    other stack while its top is >= -y, reads its own stack from the cut
+    with the differences y - u, pushes -y onto the other stack, and the two
+    stacks swap roles.  Negating a float is exact, so -x - (-u) has the bits
+    of u - x and each comparison is the direct one.
 
-    The pops read only values, never best, so the records each step scans
-    are known before the program runs, and the work is two passes.  The
-    first replays the stacks on the values alone; it notes where each step
-    pushes its record and lists the differences of every step whose stack
-    holds at most SHORT_STACK records, in scan order; one array ``**``
-    turns them all into terms.  The second runs the program, cutting each
-    stack back to where the first pass pushed: a short step adds the
-    precomputed terms to its stack's best values and takes the max on
-    Python floats, a longer one computes its terms and the max in arrays.
-    The bits are those of the full scan: NumPy's float64 ``**`` is
-    elementwise, so a term has the same bits in one long array as in a
-    short one; Python's float ``-``, ``+`` and ``max`` are the IEEE
+    The pops and the cut read only values, never best, so the records each
+    step reads are known before the program runs, and the work is two
+    passes.  The first replays the stacks on the values alone; it notes
+    where each step pushes its record and how many records it reads, and
+    lists the differences of every read of at most SHORT_STACK records, in
+    read order; one array ``**`` turns them all into terms.  The second runs
+    the program, cutting each stack back to where the first pass pushed: a
+    short read adds the precomputed terms to its records' best values and
+    takes the max on Python floats, a longer one computes its terms and the
+    max in arrays.  The bits are those of the full scan: NumPy's float64
+    ``**`` is elementwise, so a term has the same bits in one long array as
+    in a short one; Python's float ``-``, ``+`` and ``max`` are the IEEE
     operations of NumPy's float64 ones; and every sum is of nonnegative
-    terms, so no NaN reaches the max.  The worst case stays quadratic: in a
-    contracting zigzag every extremum stays a record.
+    terms, so no NaN reaches the max.  A contracting zigzag reads one record
+    a step.  The worst case stays quadratic: on a rising staircase each
+    rising step reads every earlier minimum.
     """
     if p == 1.0:
         return tv_delta(values, 0.0)
@@ -210,28 +225,37 @@ def pvar_sum(values, p):
         return 0.0
     s = 1.0 if v[1] > v[0] else -1.0
     ys = (v * np.resize([-s, s], n)).tolist()
-    # pass 1: the stacks of values alone, where each step pushes, and the
-    # differences of the short steps; a step's value goes only onto the
-    # other stack, which the next step scans (on its own stack the next step
+    # pass 1: the stacks of values alone, and the index of each record; per
+    # step, where it pushes and how many records it reads, and the
+    # differences of the short reads.  A step's value goes only onto the
+    # other stack, which the next step reads (on its own stack the next step
     # would pop it unread)
     diffs = []
-    tops = []
+    pushes = []
+    lengths = []
     scan, other = [-ys[0]], [ys[0]]
+    scan_at, other_at = [0], [0]
     arrays = False
-    for y in ys[1:]:
-        if len(scan) <= SHORT_STACK:
-            diffs += [y - u for u in scan]
+    for j in range(1, n):
+        y = ys[j]
+        k = bisect_left(other, -y)
+        del other[k:], other_at[k:]
+        r = len(scan) - (bisect_right(scan_at, other_at[-1]) if k else 0)
+        if r == 1:
+            diffs.append(y - scan[-1])
+        elif r <= SHORT_STACK:
+            diffs += [y - u for u in scan[-r:]]
         else:
             arrays = True
-        y = -y
-        while other and other[-1] >= y:
-            other.pop()
-        tops.append(len(other))
-        other.append(y)
+        pushes.append(k)
+        lengths.append(r)
+        other.append(-y)
+        other_at.append(j)
         scan, other = other, scan
+        scan_at, other_at = other_at, scan_at
     terms = (np.array(diffs) ** p).tolist()
     # pass 2: the program; each stack keeps its best values in a list, and
-    # its values and best in arrays too when some step scans more than
+    # its values and best in arrays too when some read is longer than
     # SHORT_STACK records
     scan, other = ([0.0], None, None), ([0.0], None, None)
     if arrays:
@@ -239,14 +263,17 @@ def pvar_sum(values, p):
         other = ([0.0], np.full(n, ys[0]), np.zeros(n))
     t = 0
     best = 0.0
-    for y, k in zip(ys[1:], tops):
+    for y, k, r in zip(ys[1:], pushes, lengths):
         bests, vals_a, bests_a = scan
-        m = len(bests)
-        if m <= SHORT_STACK:
-            best = max(map(add, bests, terms[t:t + m]))
-            t += m
+        if r == 1:
+            best = bests[-1] + terms[t]
+            t += 1
+        elif r <= SHORT_STACK:
+            best = max(map(add, bests[-r:], terms[t:t + r]))
+            t += r
         else:
-            best = (bests_a[:m] + (y - vals_a[:m]) ** p).max()
+            m = len(bests)
+            best = (bests_a[m - r:m] + (y - vals_a[m - r:m]) ** p).max()
         bests, vals_a, bests_a = other
         del bests[k:]
         bests.append(best)

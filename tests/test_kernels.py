@@ -160,36 +160,51 @@ def test_pvar_sum_equals_dp_on_nested_zigzag(p):
     assert kernels.pvar_sum(v, p) == pvar_sum_reference(v, p)
 
 
-def _scanned_stack_sizes(values):
-    """The number of records each step of pvar_sum scans, replayed on values."""
+def _records_read(values):
+    """The number of records each step of pvar_sum reads, replayed on values.
+
+    A rising step to x reads the backward minima newer than the last earlier
+    maximum above x, a falling step the backward maxima newer than the last
+    earlier minimum below x.
+    """
     xs = kernels.reduce_to_extrema(values).tolist()
-    lo, hi = [xs[0]], [xs[0]]
-    sizes = []
-    for prev, x in zip(xs, xs[1:]):
-        if x > prev:
-            sizes.append(len(lo))
-            while hi and hi[-1] <= x:
-                hi.pop()
-            hi.append(x)
-        else:
-            sizes.append(len(hi))
-            while lo and lo[-1] >= x:
-                lo.pop()
-            lo.append(x)
-    return sizes
+    lo, hi = [(xs[0], 0)], [(xs[0], 0)]
+    reads = []
+    for j, (prev, x) in enumerate(zip(xs, xs[1:]), 1):
+        rising = x > prev
+        mine, beyond = (lo, hi) if rising else (hi, lo)
+        while beyond and (beyond[-1][0] <= x if rising else beyond[-1][0] >= x):
+            beyond.pop()
+        since = beyond[-1][1] if beyond else -1
+        count = 0
+        while count < len(mine) and mine[-1 - count][1] > since:
+            count += 1
+        reads.append(count)
+        beyond.append((x, j))
+    return reads
+
+
+def staircase(count):
+    # 0, 2, 1, 3, 2, ...: every minimum stays a record, and the last of the
+    # count rising steps reads all count of them
+    mins = np.arange(count, dtype=float)
+    return np.column_stack((mins, mins + 2.0)).ravel()
 
 
 def _mixed_stacks():
-    # zigzag records outlast the walk inside them; the larger zigzag after
-    # it pops them all and builds long stacks again
+    # long reads on a staircase, short ones on the walk after it, and long
+    # ones again on a larger staircase
     short = kernels.SHORT_STACK
-    zigzag = contracting_zigzag(4 * short)
     walk = 4.0 * gen_brownian(512, 1.0, 21).values
-    return np.concatenate((zigzag, walk, 3.0 * zigzag))
+    return np.concatenate((staircase(2 * short), walk, 3.0 * staircase(2 * short)))
+
+
+def test_contracting_zigzag_reads_one_record_per_step():
+    assert set(_records_read(contracting_zigzag(2000))) == {1}
 
 
 def test_mixed_stacks_cross_short_stack_both_ways():
-    long_steps = np.asarray(_scanned_stack_sizes(_mixed_stacks())) > kernels.SHORT_STACK
+    long_steps = np.asarray(_records_read(_mixed_stacks())) > kernels.SHORT_STACK
     changes = np.diff(long_steps.astype(int))
     assert 1 in changes and -1 in changes
 
@@ -197,10 +212,24 @@ def test_mixed_stacks_cross_short_stack_both_ways():
 @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0])
 def test_pvar_sum_equals_dp_across_short_stack(p):
     short = kernels.SHORT_STACK
-    for v in (_mixed_stacks(), contracting_zigzag(short), contracting_zigzag(short + 1)):
+    for v in (_mixed_stacks(), staircase(short), staircase(short + 1),
+              -staircase(short), -staircase(short + 1)):
         assert kernels.pvar_sum(v, p) == pvar_sum_reference(v, p)
-    assert max(_scanned_stack_sizes(contracting_zigzag(short))) == short
-    assert max(_scanned_stack_sizes(contracting_zigzag(short + 1))) == short + 1
+    assert max(_records_read(staircase(short))) == short
+    assert max(_records_read(staircase(short + 1))) == short + 1
+    assert max(_records_read(-staircase(short + 1))) == short + 1
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0])
+def test_pvar_sum_of_contracting_zigzag_is_the_sequential_sum(p):
+    # each step reads only the record before it, so V^p is the sum of the
+    # swings' powers, added left to right: an O(m) reference at a size the
+    # quadratic one cannot reach
+    v = contracting_zigzag(16000)
+    total = 0.0
+    for term in (np.abs(np.diff(v)) ** p).tolist():
+        total += term
+    assert kernels.pvar_sum(v, p) == total
 
 
 @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0])

@@ -84,12 +84,36 @@ def test_p_variation_matches_bruteforce_oracle(values, exponent, p):
     assert p_variation(path, p) == pytest.approx(pvar_bruteforce(path, p), rel=1e-12, abs=0.0)
 
 
-# long walks, integer ties and plateaus, and uniform values at every scale
+def _integer_staircase(moves, sign):
+    # rises of 1-4 units and falls of 0-3: mostly a rising staircase (falling
+    # for sign -1), whose rising steps read every earlier minimum; a rise
+    # equal to the fall before it returns to the last maximum exactly, which
+    # the step pops as a tie
+    out = [0]
+    for up, down in moves:
+        out += [out[-1] + up, out[-1] + up - down]
+    return [sign * x for x in out]
+
+
+def _integer_zigzag(count, step):
+    # 0, h, -h, h + step, -(h + step), ...: contracting for step < 0, where
+    # every extremum stays a record, expanding for step > 0, and of equal
+    # heights for step 0
+    heights = 3 * count + step * np.arange(count)
+    return [0, *np.column_stack((heights, -heights)).ravel().tolist()]
+
+
+# long walks, integer ties and plateaus, uniform values at every scale,
+# integer staircases and zigzags
 _pvar_values = st.one_of(
     st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=20, max_size=200)
     .map(lambda steps: np.cumsum(steps).tolist()),
     st.lists(st.integers(-3, 3), min_size=0, max_size=60),
     st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=0, max_size=60),
+    st.builds(_integer_staircase,
+              st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1, max_size=40),
+              st.sampled_from([1, -1])),
+    st.builds(_integer_zigzag, st.integers(1, 40), st.integers(-3, 3)),
 )
 
 
