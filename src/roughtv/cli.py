@@ -4,8 +4,11 @@ Subcommands: gen (signal generation), tv / pvar / norm (functional
 evaluation), bounds (inequality verification), solve (integral equations).
 Reports are JSON objects {command, params, results, diagnostics, version}
 printed to stdout with 17-significant-digit numbers so byte-identical reruns
-diff cleanly.  Exit codes: 0 all asserted checks pass, 1 a bound was
-violated, 2 invalid input or regime, 3 I/O failure.
+diff cleanly; `params` holds every parsed flag but `command`, `out` and
+`format`.  tv, pvar, norm and JSON bounds also write the report to --out;
+the --out of gen, solve and SVG bounds names their data file.  Exit codes:
+0 all asserted checks pass, 1 a bound was violated, 2 invalid input or
+regime, 3 I/O failure.
 
 `main` builds its argparse parser once per process, on its first call, and
 reuses it; the `cmd_*` handler is looked up by subcommand name on every call.
@@ -106,9 +109,12 @@ def to_json(obj, indent=0) -> str:
     return _json_scalar(obj)
 
 
-def make_report(command, params, results, diagnostics=None) -> str:
+def make_report(args, results, diagnostics=None) -> str:
+    """The report of the command parsed into `args`."""
+    params = {key: value for key, value in vars(args).items()
+              if key not in ("command", "out", "format")}
     return to_json({
-        "command": command,
+        "command": args.command,
         "params": params,
         "results": results,
         "diagnostics": diagnostics or {},
@@ -167,10 +173,12 @@ def render_svg(series, title, xlabel, ylabel) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _emit(report, out=None):
+def _emit(args, results, diagnostics=None):
+    """Print the report and write it to --out when given."""
+    report = make_report(args, results, diagnostics)
     sys.stdout.write(report)
-    if out:
-        write_text(out, report)
+    if args.out:
+        write_text(args.out, report)
 
 
 def _named_path(name, n, horizon, value):
@@ -196,11 +204,8 @@ def cmd_gen(args) -> int:
     else:
         path = _named_path(args.name, args.n, args.horizon, args.value)
     write_path_csv(path, args.out)
-    params = {"kind": args.kind, "n": args.n, "horizon": args.horizon,
-              "seed": args.seed, "p": args.p, "levels": args.levels,
-              "x": args.x, "name": args.name, "value": args.value}
-    results = {"samples": len(path), "span": [path.a, path.b], "out": args.out}
-    sys.stdout.write(make_report("gen", params, results, diagnostics))
+    sys.stdout.write(make_report(
+        args, {"samples": len(path), "span": [path.a, path.b], "out": args.out}, diagnostics))
     return 0
 
 
@@ -209,31 +214,18 @@ def _load(args):
 
 
 def cmd_tv(args) -> int:
-    path = _load(args)
-    value = truncated_variation(path, args.delta)
-    report = make_report("tv", {"input": args.input, "delta": args.delta,
-                                "mode": args.mode},
-                         {"tv": value})
-    _emit(report, args.out)
+    _emit(args, {"tv": truncated_variation(_load(args), args.delta)})
     return 0
 
 
 def cmd_pvar(args) -> int:
-    path = _load(args)
-    value = p_variation(path, args.p)
-    report = make_report("pvar", {"input": args.input, "p": args.p,
-                                  "mode": args.mode},
-                         {"pvar": value, "pvar_root": value ** (1.0 / args.p)})
-    _emit(report, args.out)
+    value = p_variation(_load(args), args.p)
+    _emit(args, {"pvar": value, "pvar_root": value ** (1.0 / args.p)})
     return 0
 
 
 def cmd_norm(args) -> int:
-    path = _load(args)
-    rep = tv_p_full_norm(path, args.p)
-    report = make_report("norm", {"input": args.input, "p": args.p,
-                                  "mode": args.mode}, asdict(rep))
-    _emit(report, args.out)
+    _emit(args, asdict(tv_p_full_norm(_load(args), args.p)))
     return 0
 
 
@@ -264,19 +256,14 @@ def cmd_bounds(args) -> int:
     f = read_path_csv(args.f, Mode(args.mode))
     g = read_path_csv(args.g, Mode(args.mode))
     rep = BOUND_CHECKS[args.variant](f, g, args.p, args.q)
-    params = {"f": args.f, "g": args.g, "p": args.p, "q": args.q,
-              "variant": args.variant, "mode": args.mode}
-    results = asdict(rep)
     # an informational report (the E-form corollary) is never asserted
-    asserted = rep.extras.get("asserted", True)
-    diagnostics = {"asserted": asserted}
-    report = make_report("bounds", params, results, diagnostics)
+    diagnostics = {"asserted": rep.extras.get("asserted", True)}
     if args.format == "svg":
         write_text(args.out, _bounds_sweep_svg(f, g, args))
-        sys.stdout.write(report)
+        sys.stdout.write(make_report(args, asdict(rep), diagnostics))
     else:
-        _emit(report, args.out)
-    return 0 if rep.passed or not asserted else 1
+        _emit(args, asdict(rep), diagnostics)
+    return 0 if rep.passed or not diagnostics["asserted"] else 1
 
 
 @functools.cache
@@ -295,17 +282,14 @@ def cmd_solve(args) -> int:
     sol = picard_solve(x, catalog[args.field], args.y0, args.p, args.tol)
     if args.out:
         write_path_csv(sol.path, args.out)
-    params = {"x": args.x, "field": args.field, "y0": args.y0, "p": args.p,
-              "tol": args.tol}
-    results = {
+    sys.stdout.write(make_report(args, {
         "terminal": float(sol.path.values[-1]),
         "converged": sol.converged,
         "residual": sol.residual,
         "windows": list(sol.windows),
         "iterations": list(sol.iterations),
         "out": args.out,
-    }
-    sys.stdout.write(make_report("solve", params, results))
+    }))
     return 0
 
 

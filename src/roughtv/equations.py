@@ -401,6 +401,8 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
     n_windows = len(boundaries) - 1
     window_tol = tol / (2.0 * max(1, n_windows))
     full_y = np.empty(times.size, dtype=np.float64)
+    # window 0 writes this same value; a one-sample driver runs no window
+    full_y[0] = 0.0 + y0
     iterations = []
     y_start = y0
     for w in range(n_windows):

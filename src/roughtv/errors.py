@@ -74,7 +74,7 @@ class CommonDiscontinuityError(RoughTVError):
 
 
 class NoConvergenceError(RoughTVError):
-    """Iterative refinement exhausted its budget before reaching tolerance."""
+    """A Picard window iteration reached max_iter iterates before tolerance."""
 
 
 class InvalidPartitionError(RoughTVError):

@@ -134,9 +134,10 @@ def _pieces_peak(extrema, pieces, p):
 def seminorm_on(path: SampledPath, c, d, p) -> float:
     """Seminorm of the restriction to [c; d], for any c < d in the span.
 
-    When c and d are sample times t_i and t_j the restriction takes the
-    samples at its ends, so `extrema_seminorm` of the extrema of the value
-    slice values[i:j+1] gives the same number without building it.
+    It always builds the restriction.  When c and d are sample times t_i
+    and t_j, `extrema_seminorm` of the extrema of the value slice
+    values[i:j+1] gives the same number without building it; that shortcut
+    is the one the Picard window search takes, not this function.
     """
     return p_tv_seminorm(restrict(path, c, d), p)
 

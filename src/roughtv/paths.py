@@ -309,12 +309,8 @@ def shift_path(path: SampledPath, offset) -> SampledPath:
 def add_paths(f: SampledPath, g: SampledPath) -> SampledPath:
     """Pointwise sum on the union of the two grids."""
     check_same_span(f, g)
-    if np.array_equal(f.times, g.times):
-        t = f.times
-        v = f.values + g.values
-    else:
-        t = merge_times(f, g)
-        v = f.values_at(t) + g.values_at(t)
+    t = merge_times(f, g)
+    v = f.values_at(t) + g.values_at(t)
     mode = Mode.LINEAR if f.mode is Mode.LINEAR and g.mode is Mode.LINEAR else Mode.STEP
     return SampledPath(t, v, mode)
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import warnings
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
@@ -131,6 +132,38 @@ def test_tv_command(tent_csv, capsys):
     assert '"tv": 1' in stdout
     for key in ("command", "params", "results", "diagnostics", "version"):
         assert f'"{key}"' in stdout
+
+
+REPORT_ARGVS = {
+    "gen": ["gen", "brownian", "--n", "16", "--seed", "3", "--out", "{out}.csv"],
+    "tv": ["tv", "{f}", "--delta", "0.25", "--out", "{out}.json"],
+    "pvar": ["pvar", "{f}", "--p", "2", "--mode", "step", "--out", "{out}.json"],
+    "norm": ["norm", "{f}", "--p", "1.5"],
+    "bounds-json": ["bounds", "{f}", "{g}", "--p", "1.8", "--q", "1.8", "--out", "{out}.json"],
+    "bounds-svg": ["bounds", "{f}", "{g}", "--p", "1.8", "--q", "1.8", "--variant", "young-s",
+                   "--format", "svg", "--out", "{out}.svg"],
+    "solve": ["solve", "{f}", "--field", "sin", "--y0", "0.5", "--out", "{out}.csv"],
+}
+
+
+@pytest.mark.parametrize("name", REPORT_ARGVS)
+def test_report_params_are_the_parsed_flags(tmp_path, capsys, name):
+    f_csv, g_csv = tmp_path / "f.csv", tmp_path / "g.csv"
+    write_path_csv(gen_brownian(24, 1.0, 5), f_csv)
+    write_path_csv(gen_brownian(24, 1.0, 6), g_csv)
+    argv = [arg.format(f=f_csv, g=g_csv, out=tmp_path / "out") for arg in REPORT_ARGVS[name]]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stderr) == (0, "")
+    flags = vars(cli.build_parser().parse_args(argv))
+    for key in ("command", "out", "format"):
+        flags.pop(key, None)
+    report = json.loads(stdout)
+    assert report["command"] == argv[0]
+    assert report["params"] == flags
+    if "--out" in argv:
+        written = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+        # the --out of gen, solve and an SVG sweep is their data file
+        assert (written == stdout) is (name in ("tv", "pvar", "bounds-json"))
 
 
 def test_norm_command(tent_csv, capsys):
@@ -462,6 +495,17 @@ def test_readme_lists_every_bound_variant():
     rows = [line.split("|")[1].strip().strip("`") for line in section.splitlines()
             if line.startswith("| `")]
     assert tuple(rows) == BOUND_VARIANTS
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("roughtv ")]
+    assert examples
+    parser = cli.build_parser()
+    for words in examples:
+        parser.parse_args(words[1:])
 
 
 @pytest.fixture

@@ -494,6 +494,32 @@ def test_picard_damped_retry_rescues_a_nonsmooth_window(monkeypatch):
         picard_solve(x, field, 1e-6, 1.25, 1e-8)
 
 
+def test_picard_contraction_order_has_no_damped_retry(monkeypatch):
+    # the damped retry is for the nonsmooth order-alpha fields; an order
+    # one_plus_alpha window that does not settle raises at once
+    iterate = equations._iterate_window
+    damped_flags = []
+
+    def recording(field, t, xv, y_start, tol, max_iter, damped, guard):
+        damped_flags.append(damped)
+        return iterate(field, t, xv, y_start, tol, max_iter, damped, guard)
+
+    monkeypatch.setattr(equations, "_iterate_window", recording)
+    with pytest.raises(NoConvergenceError):
+        picard_solve(gen_brownian(24, 1.0, 3), field_catalog()["sin"], 1.0, 1.5, 1e-8,
+                     max_iter=1)
+    assert damped_flags == [False]
+
+
+@pytest.mark.parametrize("y0", [0.0, 5.0, -2.5])
+def test_picard_one_sample_driver_is_the_initial_value(y0):
+    # no window runs on a one-sample driver; the solution is y0 alone
+    sol = picard_solve(make_path([0.25], [1.0]), field_catalog()["sin"], y0, 1.5, 1e-8)
+    assert sol.path.values.tolist() == [y0]
+    assert sol.residual == 0.0 and sol.converged
+    assert sol.windows == (0.25,) and sol.iterations == ()
+
+
 def test_picard_rejects_bad_driver_and_exponent():
     step = make_path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], "step")
     with pytest.raises(BadParameterError):

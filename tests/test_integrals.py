@@ -8,6 +8,7 @@ import pytest
 from roughtv.errors import (
     BadExponentsError,
     CommonDiscontinuityError,
+    InvalidPartitionError,
     NonFiniteValueError,
     NonMonotoneLadderError,
     SpanMismatchError,
@@ -73,6 +74,12 @@ def test_rs_sum_identity_single_cell():
     right = TaggedPartition(Partition((0, 1)), (1,))
     assert rs_sum(ident, ident, left) == 0.0
     assert rs_sum(ident, ident, right) == 1.0
+
+
+def test_rs_sum_needs_a_cell():
+    ident = identity_path(2)
+    with pytest.raises(InvalidPartitionError, match="need at least one cell"):
+        rs_sum(ident, ident, TaggedPartition(Partition((0,)), ()))
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 7])

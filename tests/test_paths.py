@@ -20,6 +20,7 @@ from roughtv.paths import (
     Partition,
     SampledPath,
     TaggedPartition,
+    add_paths,
     gen_brownian,
     gen_counterexample_fx,
     finite_oscillation,
@@ -62,6 +63,23 @@ def test_tent_is_valid(tent):
 def test_paths_are_immutable(tent):
     with pytest.raises(ValueError):
         tent.values[0] = 5.0
+
+
+@pytest.mark.parametrize("f_mode, g_mode, values, mode", [
+    ("linear", "linear", [1.0, 0.5, 2.0], Mode.LINEAR),
+    ("linear", "step", [1.0, 0.5, 2.0], Mode.STEP),
+    ("step", "linear", [1.0, 0.0, 2.0], Mode.STEP),
+    ("step", "step", [1.0, 0.0, 2.0], Mode.STEP),
+])
+def test_add_paths_on_different_grids(f_mode, g_mode, values, mode):
+    # f is 0 then 1 on [0; 1]; g samples 1, 0, 1 at 0, 1/2, 1; at t = 1/2
+    # a linear f reads 1/2 and a step f still 0
+    f = make_path([0.0, 1.0], [0.0, 1.0], f_mode)
+    g = make_path([0.0, 0.5, 1.0], [1.0, 0.0, 1.0], g_mode)
+    total = add_paths(f, g)
+    assert total.times.tolist() == [0.0, 0.5, 1.0]
+    assert total.values.tolist() == values
+    assert total.mode is mode
 
 
 # ---------------------------------------------------------------------------
