@@ -10,6 +10,7 @@ norm.  One galloping search over the window end finds the windows of both.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ BLOWUP_GUARD = 1e12
 # That loop is the faster one below about 40 samples (sin, and damped
 # sqrt-abs; NumPy 2.4 on a 2-core Xeon VM); 32 keeps a margin under it.
 SHORT_WINDOW = 32
+_F64 = np.dtype(np.float64)  # a dtype compares faster than the scalar type np.float64
 
 
 @dataclass(frozen=True)
@@ -203,17 +205,20 @@ def _window_test(field: LipschitzField, p):
     return (lambda s: s <= eps_hi), eps
 
 
-def _window_end(extrema, last, pos, p, accept):
+def _window_end(extrema, last, pos, p, accept, guess=1):
     """(end, certified): the last certified end of a window from sample pos.
 
     `accept` tests a window's seminorm: the contraction inequalities, or
     the order-alpha bound seminorm <= eps.  Being certified is monotone in
     the end, since the seminorm cannot fall when the window grows, so a
-    galloping search finds the same end as any other: from lo = pos + 1,
-    probe lo + 1, lo + 2, lo + 4, ... (capped at `last`) up to the first
-    failure, then bisect between the last success and that failure.  A
-    window of L steps costs at most 2 ceil(log2(L + 1)) + 2 seminorms,
-    whatever the length of the driver.
+    galloping search finds the same end as any other.  After the one-step
+    window it probes pos + guess (capped at `last`; a solve passes the
+    previous window's length).  From lo, that probe if it passed and
+    pos + 1 otherwise, it probes lo + 1, lo + 2, lo + 4, ... up to the
+    first failure, capped at `last` and kept below a failed guess, then
+    bisects between the last success and the first failure.  A window of
+    L steps costs at most 2 ceil(log2(L + 1)) + 2 seminorms, whatever the
+    length of the driver, and a window as long as the guess costs 3.
     (pos + 1, False) when even the one-step window fails.
     """
     def certified(idx):
@@ -222,11 +227,17 @@ def _window_end(extrema, last, pos, p, accept):
     lo = pos + 1
     if not certified(lo):
         return lo, False
+    hi = last + 1  # the first failure seen, or past the end
+    seed = min(pos + guess, last)
+    if seed > lo:
+        if certified(seed):
+            lo = seed
+        else:
+            hi = seed
     base = lo
-    hi = last + 1  # no failure seen
     step = 1
-    while lo < last:
-        probe = min(base + step, last)
+    while hi - lo > 1:
+        probe = min(base + step, hi - 1)
         if not certified(probe):
             hi = probe
             break
@@ -267,14 +278,17 @@ def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped
     (z, iterations) at the first iterate within tol of its predecessor in
     every sample; BlowupSuspectedError at the first sample whose absolute
     value exceeds `guard`, NoConvergenceError after max_iter iterates.  A
-    window of at most SHORT_WINDOW samples (the one-step windows of a rough
-    driver) runs the map on Python floats, in one pass per iterate, since
-    NumPy's fixed cost per call dwarfs the arithmetic there; longer windows
-    run it on arrays, whose cost barely grows with the length.  F is evaluated on
-    an array either way, and the cells, the sequential running sum and
-    both tests are the same float operations in the same order, so both
-    give the same bits.
+    window of at most SHORT_WINDOW samples runs the map on Python floats,
+    in one pass per iterate, since NumPy's fixed cost per call dwarfs the
+    arithmetic there: a one-step window (nearly every window of a rough
+    driver) as a fixed point of two floats, a longer one as a list; longer
+    windows run it on arrays, whose cost barely grows with the length.  F
+    is evaluated on an array on every route, and the cells, the sequential
+    running sum and both tests are the same float operations in the same
+    order, so all give the same bits.
     """
+    if t.size == 2:
+        return _iterate_step(field, t, xv, float(y_start), tol, max_iter, damped, guard)
     if t.size <= SHORT_WINDOW:
         return _iterate_short_window(field, t, xv, float(y_start), tol, max_iter, damped,
                                      guard)
@@ -292,6 +306,43 @@ def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped
         if change < tol:
             return z, it
         y = z if not damped else 0.5 * (y + z)
+    raise NoConvergenceError(f"window iteration did not reach {tol} in {max_iter} steps")
+
+
+def _iterate_step(field, t, xv, y_start, tol, max_iter, damped, guard):
+    """`_iterate_window` on a one-step window: the pair (z0, z1) of floats.
+
+    F is evaluated on the float64 pair of the current iterate and its
+    output coerced as in `_iterate_short_window`.  z0 = 0.0 + y_start is
+    the running sum's first sample, and z1 = y_start + the one cell is its
+    second, since -0.0 + c is c for every float c.  The guard is tested on
+    z0, then on z1, and the tolerance on both, as in the list loop.
+    """
+    func = field.func
+    array, ndarray = np.array, np.ndarray  # looked up once a window, not once an iterate
+    x0, x1 = xv.tolist()
+    dx = x1 - x0
+    z0 = 0.0 + y_start
+    y0 = y1 = y_start
+    for it in range(1, max_iter + 1):
+        arr = array((y0, y1))
+        out = func(arr)
+        if not (type(out) is ndarray and out.dtype == _F64 and out.shape == (2,)):
+            out = _field_values(out, arr)
+        f0, f1 = out.tolist()
+        z1 = y_start + 0.5 * (f0 + f1) * dx
+        if abs(z0) > guard:
+            raise BlowupSuspectedError("solution exceeded the overflow guard",
+                                       time=float(t[0]))
+        if abs(z1) > guard:
+            raise BlowupSuspectedError("solution exceeded the overflow guard",
+                                       time=float(t[1]))
+        if abs(z0 - y0) < tol and abs(z1 - y1) < tol:
+            return array((z0, z1)), it
+        if damped:
+            y0, y1 = 0.5 * (y0 + z0), 0.5 * (y1 + z1)
+        else:
+            y0, y1 = z0, z1
     raise NoConvergenceError(f"window iteration did not reach {tol} in {max_iter} steps")
 
 
@@ -343,7 +394,9 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
 
     Each window is the longest one from the previous window's end that
     passes a test of its seminorm, found by the galloping search
-    `_window_end` over one `kernels.window_extrema` of the driver.
+    `_window_end` over one `kernels.window_extrema` of the driver, which
+    first tries the previous window's length (on a uniform driver, three
+    seminorms a window).
     `_window_test` fixes the test once per solve from the field's declared
     constants: the two contraction inequalities (order one_plus_alpha), or
     seminorm <= eps = 1/(2 (E + 1) K), E = E_{p/alpha,p} (order alpha,
@@ -372,7 +425,8 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
     before giving up.  A window is stopped as a suspected blow-up once a
     sample exceeds BLOWUP_GUARD * max(1, |y0|) in absolute value, so the
     guard scales with the initial value: a constant solution y = y0 never
-    trips it.
+    trips it.  The guard is capped at the largest float, so the first
+    sample to overflow to inf trips it whatever y0.
     """
     if x.mode is not Mode.LINEAR:
         raise BadParameterError("driver must be piecewise linear (continuous)")
@@ -385,18 +439,22 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
     y0 = float(y0)
     if not math.isfinite(y0):
         raise BadParameterError("y0 must be finite")
-    guard = BLOWUP_GUARD * max(1.0, abs(y0))
+    # capped, so that an iterate which overflows to inf still trips it
+    guard = min(BLOWUP_GUARD * max(1.0, abs(y0)), sys.float_info.max)
     times = x.times
     last = times.size - 1
 
     accept, eps = _window_test(field, p)
     extrema = window_extrema(x.values)
     boundaries = [0]
+    guess = 1
     while boundaries[-1] < last:
-        end, certified = _window_end(extrema, last, boundaries[-1], p, accept)
+        pos = boundaries[-1]
+        end, certified = _window_end(extrema, last, pos, p, accept, guess)
         if not certified and field.order == "alpha":
             raise NoSplittingError(f"driver admits no window with seminorm below {eps}")
         boundaries.append(end)
+        guess = end - pos
 
     n_windows = len(boundaries) - 1
     window_tol = tol / (2.0 * max(1, n_windows))

@@ -721,6 +721,17 @@ def test_solve_identity_field_at_a_large_y0_is_no_blowup(tmp_path, capsys):
     assert results["terminal"] == pytest.approx(2e12 * math.exp(x[-1] - x[0]), rel=1e-2)
 
 
+def test_solve_overflow_at_a_huge_y0_is_a_blowup(tmp_path, capsys):
+    # 1e12 * 1e300 is inf; the guard, capped at the largest float, still
+    # stops the iterate that overflows instead of iterating 80 times on inf
+    x_csv = tmp_path / "x.csv"
+    x_csv.write_text("t,value\n0,0\n1,3\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "solve", str(x_csv), "--field", "identity",
+                                   "--y0", "1e300")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: BlowupSuspectedError: solution exceeded the overflow guard\n"
+
+
 @pytest.mark.parametrize("option, message", [
     pytest.param("--y0=inf", "y0 must be finite", id="inf"),
     pytest.param("--y0=-inf", "y0 must be finite", id="-inf"),

@@ -293,7 +293,7 @@ def test_picard_solve_matches_slice_window_searches(monkeypatch):
         test = _slice_contraction_test if field.order == "one_plus_alpha" else _slice_alpha_test
         accept = test(field, p)
 
-        def slice_window_end(extrema, last, pos, p_, accept_):
+        def slice_window_end(extrema, last, pos, p_, accept_, guess_):
             return _slice_window_end(x, pos, p, accept)
 
         monkeypatch.setattr(equations, "_window_end", slice_window_end)
@@ -342,6 +342,61 @@ def test_window_search_certifications_are_logarithmic(monkeypatch):
             pos = end
             windows[p, certified, steps > 1] += 1
     assert windows[1.5, True, True] > 500 and windows[1.25, True, True] > 50, windows
+
+
+def _seed_drivers():
+    rng = np.random.default_rng(807)
+    drivers = []
+    for n in (2, 3, 5, 9, 17, 24, 40):
+        x = _rough_driver(rng, n)
+        drivers += [scale_path(x, scale) for scale in (0.02, 0.1, 0.5)]
+    drivers += [scale_path(identity_path(n), scale) for n in (2, 9, 33, 65)
+                for scale in (0.3, 1.0, 3.0)]
+    return drivers
+
+
+@pytest.mark.parametrize("name, p", [("sin", 1.5), ("sqrt-abs", 1.25)])
+def test_seeded_window_search_equals_the_unseeded_one(name, p):
+    # the contraction test (sin) and the order-alpha bound (sqrt-abs): from
+    # every start and with every guess, the search finds the guess-1 end
+    accept = equations._window_test(field_catalog()[name], p)[0]
+    ends = collections.Counter()
+    for x in _seed_drivers():
+        extrema = kernels.window_extrema(x.values)
+        last = len(x) - 1
+        for pos in range(last):
+            want = equations._window_end(extrema, last, pos, p, accept, 1)
+            ends[want[1], want[0] - pos > 1, want[0] == last] += 1
+            for guess in range(1, len(x) + 1):
+                assert equations._window_end(extrema, last, pos, p, accept, guess) == want
+    # failed one-step windows, one-step windows and longer ones, ending
+    # inside the driver and at its end
+    assert len(ends) >= 4 and all(count >= 5 for count in ends.values()), ends
+
+
+def test_seeded_window_search_costs_three_seminorms_on_a_uniform_driver(monkeypatch):
+    # each window of the solve is as long as the one before it (or the rest
+    # of the driver): one-step probe, the guess, and one past it
+    calls = []
+    counted_seminorm = equations.extrema_seminorm
+    search = equations._window_end
+    costs = []
+
+    def counting(extrema, p):
+        calls.append(len(extrema))
+        return counted_seminorm(extrema, p)
+
+    def recording(*args):
+        calls.clear()
+        result = search(*args)
+        costs.append(len(calls))
+        return result
+
+    monkeypatch.setattr(equations, "extrema_seminorm", counting)
+    monkeypatch.setattr(equations, "_window_end", recording)
+    sol = picard_solve(identity_path(4097), field_catalog()["sin"], 1.0, 1.5, 1e-8)
+    assert len(costs) == len(sol.windows) - 1 > 10
+    assert max(costs[1:]) <= 3, costs
 
 
 def test_driver_is_reduced_once_per_solve(monkeypatch):
@@ -545,6 +600,22 @@ def test_picard_blowup_guard():
         picard_solve(x, _explosive(), 1.0, 1.5, 1e-8, max_iter=200)
 
 
+@pytest.mark.parametrize("x, y0, first_inf", [
+    # one uncertified one-step window: z1 = y0 + 1.5 (y0 + y1) grows to inf
+    (make_path([0.0, 1.0], [0.0, 3.0]), 1e300, 1.0),
+    # one certified window of 457 samples: F(y0) + F(y0) overflows in the
+    # first cell of the first iterate
+    (identity_path(4097), 1.7e308, 1 / 4096),
+], ids=["one-step", "array"])
+def test_picard_blowup_guard_trips_on_overflow_at_a_large_y0(x, y0, first_inf):
+    # 1e12 |y0| is inf here; the guard is capped at the largest float, so
+    # the first infinite sample trips it instead of the iteration stalling
+    # (the arrays' overflow warns; Python floats overflow silently)
+    with pytest.raises(BlowupSuspectedError) as err, np.errstate(over="ignore"):
+        picard_solve(x, field_catalog()["identity"], y0, 1.5, 1e-8)
+    assert err.value.time == first_inf
+
+
 # ---------------------------------------------------------------------------
 # the window loop against the plain loop it replaced
 # ---------------------------------------------------------------------------
@@ -586,9 +657,11 @@ def _outcome(loop, *args):
 
 
 def _assert_same_outcome(got, want):
+    # the bytes, so that a -0.0 for a 0.0 counts too
     if isinstance(want[0], np.ndarray):
         assert isinstance(got[0], np.ndarray) and got[0].dtype == np.float64
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
     else:
         assert got == want
 
@@ -635,7 +708,7 @@ def test_iterate_window_matches_reference_loop(name):
     field = _WINDOW_FIELDS[name]
     for xv in _window_drivers():
         t = np.linspace(0.25, 0.75, xv.size)
-        for y_start in (0.0, 1.0, -2.5):
+        for y_start in (0.0, -0.0, 1.0, -2.5):
             for tol in (1e-6, 1e-12):
                 for damped in (False, True):
                     args = (field, t, xv, y_start, tol, 40, damped)
