@@ -31,10 +31,6 @@ from .paths import Mode, SampledPath
 from .reports import BoundReport, bound_report
 
 BLOWUP_GUARD = 1e12
-# _iterate_window runs windows of at most this many samples on Python floats.
-# That loop is the faster one below about 40 samples (sin, and damped
-# sqrt-abs; NumPy 2.4 on a 2-core Xeon VM); 32 keeps a margin under it.
-SHORT_WINDOW = 32
 _F64 = np.dtype(np.float64)  # a dtype compares faster than the scalar type np.float64
 
 
@@ -278,45 +274,46 @@ def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped
     (z, iterations) at the first iterate within tol of its predecessor in
     every sample; BlowupSuspectedError at the first sample whose absolute
     value exceeds `guard`, NoConvergenceError after max_iter iterates.  A
-    window of at most SHORT_WINDOW samples runs the map on Python floats,
-    in one pass per iterate, since NumPy's fixed cost per call dwarfs the
-    arithmetic there: a one-step window (nearly every window of a rough
-    driver) as a fixed point of two floats, a longer one as a list; longer
-    windows run it on arrays, whose cost barely grows with the length.  F
-    is evaluated on an array on every route, and the cells, the sequential
-    running sum and both tests are the same float operations in the same
-    order, so all give the same bits.
+    one-step window (nearly every window of a rough driver) iterates as a
+    fixed point of two Python floats (`_iterate_step`), since NumPy's fixed
+    cost per call dwarfs the arithmetic of two samples; every longer window
+    runs the map on arrays.  Both evaluate F on an array, and the cells,
+    the sequential running sum and both tests are the same float operations
+    in the same order, so both give the same bits.  Both overflow to inf,
+    and give NaN for inf - inf, without a warning: the guard reports an
+    inf, and a NaN fails the tolerance test.
     """
     if t.size == 2:
         return _iterate_step(field, t, xv, float(y_start), tol, max_iter, damped, guard)
-    if t.size <= SHORT_WINDOW:
-        return _iterate_short_window(field, t, xv, float(y_start), tol, max_iter, damped,
-                                     guard)
     dx = np.diff(xv)
     y = np.full(t.size, y_start, dtype=np.float64)
-    for it in range(1, max_iter + 1):
-        z = _cumulative_trapezoid(field(y), dx, y_start)
-        bad = np.abs(z) > guard
-        if bad.any():
-            raise BlowupSuspectedError(
-                "solution exceeded the overflow guard",
-                time=float(t[int(np.argmax(bad))]),
-            )
-        change = float(np.abs(z - y).max())
-        if change < tol:
-            return z, it
-        y = z if not damped else 0.5 * (y + z)
+    with np.errstate(over="ignore", invalid="ignore"):  # once a window, not once an iterate
+        for it in range(1, max_iter + 1):
+            z = _cumulative_trapezoid(field(y), dx, y_start)
+            bad = np.abs(z) > guard
+            if bad.any():
+                raise BlowupSuspectedError(
+                    "solution exceeded the overflow guard",
+                    time=float(t[int(np.argmax(bad))]),
+                )
+            change = float(np.abs(z - y).max())
+            if change < tol:
+                return z, it
+            y = z if not damped else 0.5 * (y + z)
     raise NoConvergenceError(f"window iteration did not reach {tol} in {max_iter} steps")
 
 
 def _iterate_step(field, t, xv, y_start, tol, max_iter, damped, guard):
     """`_iterate_window` on a one-step window: the pair (z0, z1) of floats.
 
-    F is evaluated on the float64 pair of the current iterate and its
-    output coerced as in `_iterate_short_window`.  z0 = 0.0 + y_start is
-    the running sum's first sample, and z1 = y_start + the one cell is its
-    second, since -0.0 + c is c for every float c.  The guard is tested on
-    z0, then on z1, and the tolerance on both, as in the list loop.
+    F is evaluated on the float64 pair of the current iterate.  Its output
+    is listed as it is when it is a float64 array of shape (2,), whatever
+    it aliases, and coerced by `LipschitzField.__call__`'s rule
+    (`_field_values`) first otherwise.  z0 = 0.0 + y_start is the running
+    sum's first sample, and z1 = y_start + the one cell is its second,
+    since -0.0 + c is c for every float c.  The guard is tested on z0, then
+    on z1, so the first sample beyond it is the one reported, and the
+    tolerance on both; a NaN fails that test, as it fails np.max's.
     """
     func = field.func
     array, ndarray = np.array, np.ndarray  # looked up once a window, not once an iterate
@@ -343,48 +340,6 @@ def _iterate_step(field, t, xv, y_start, tol, max_iter, damped, guard):
             y0, y1 = 0.5 * (y0 + z0), 0.5 * (y1 + z1)
         else:
             y0, y1 = z0, z1
-    raise NoConvergenceError(f"window iteration did not reach {tol} in {max_iter} steps")
-
-
-def _iterate_short_window(field, t, xv, y_start, tol, max_iter, damped, guard):
-    """`_iterate_window` on Python floats, F still evaluated on an array.
-
-    F's output is listed at once, so a float64 array of the window's shape
-    is listed as it is, whatever it aliases; anything else is coerced by
-    `LipschitzField.__call__`'s rule (`_field_values`) first.  Each iterate
-    is one pass over the window: the next sample of the running sum,
-    sequential as np.cumsum's, the blow-up guard (so the first sample
-    beyond it is the one reported) and the tolerance test.  A NaN anywhere fails that test, as it fails np.max's.  Python
-    floats overflow to inf and give NaN for inf - inf without NumPy's
-    RuntimeWarning.
-    """
-    func = field.func
-    xs = xv.tolist()
-    dx = [b - a for a, b in zip(xs, xs[1:])]  # np.diff's differences
-    n = len(t)
-    y = [y_start] * n
-    for it in range(1, max_iter + 1):
-        arr = np.array(y)
-        out = func(arr)
-        if not (type(out) is np.ndarray and out.dtype == np.float64 and out.shape == arr.shape):
-            out = _field_values(out, arr)
-        f = out.tolist()
-        z = [0.0 + y_start]  # the array loop's 0.0 + y_start: -0.0 becomes 0.0
-        s = -0.0  # x + -0.0 is x for every float x, as np.cumsum's first sum
-        within = True
-        for k in range(n):
-            if k:
-                s += 0.5 * (f[k - 1] + f[k]) * dx[k - 1]
-                z.append(y_start + s)
-            v = z[k]
-            if abs(v) > guard:
-                raise BlowupSuspectedError("solution exceeded the overflow guard",
-                                           time=float(t[k]))
-            if not abs(v - y[k]) < tol:
-                within = False
-        if within:
-            return np.array(z), it
-        y = z if not damped else [0.5 * (a + b) for a, b in zip(y, z)]
     raise NoConvergenceError(f"window iteration did not reach {tol} in {max_iter} steps")
 
 
@@ -480,9 +435,10 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
         iterations.append(its)
         y_start = float(yw[-1])
     solution = SampledPath(times, full_y, Mode.LINEAR)
-    residual = float(np.abs(
-        full_y - _cumulative_trapezoid(field(full_y), np.diff(x.values), y0)
-    ).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or NaN
+        residual = float(np.abs(
+            full_y - _cumulative_trapezoid(field(full_y), np.diff(x.values), y0)
+        ).max())
     return OdeSolution(
         path=solution,
         iterations=tuple(iterations),

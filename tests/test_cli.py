@@ -15,7 +15,7 @@ from roughtv import cli
 from roughtv.cli import BOUND_VARIANTS, main, thread_budget, to_json
 from roughtv.errors import BadParameterError
 from roughtv.pathio import read_path_csv, write_path_csv
-from roughtv.paths import Mode, gen_brownian, scale_path, tent_path
+from roughtv.paths import Mode, gen_brownian, identity_path, scale_path, tent_path
 from roughtv.reports import PASS_SLACK
 
 
@@ -730,6 +730,20 @@ def test_solve_overflow_at_a_huge_y0_is_a_blowup(tmp_path, capsys):
                                    "--y0", "1e300")
     assert (code, stdout) == (2, "")
     assert stderr == "error: BlowupSuspectedError: solution exceeded the overflow guard\n"
+
+
+def test_solve_overflow_on_an_array_window_exits_two_without_a_warning(tmp_path, capsys):
+    # the first window has 457 samples and iterates on arrays, whose first
+    # cell overflows: the guard reports it, and NumPy prints no warning
+    x_csv = tmp_path / "x.csv"
+    write_path_csv(identity_path(4097), x_csv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, stderr = run_cli(capsys, "solve", str(x_csv), "--field", "identity",
+                                       "--y0", "1.7e308")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: BlowupSuspectedError: solution exceeded the overflow guard\n"
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("option, message", [

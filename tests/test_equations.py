@@ -610,8 +610,7 @@ def test_picard_blowup_guard():
 def test_picard_blowup_guard_trips_on_overflow_at_a_large_y0(x, y0, first_inf):
     # 1e12 |y0| is inf here; the guard is capped at the largest float, so
     # the first infinite sample trips it instead of the iteration stalling
-    # (the arrays' overflow warns; Python floats overflow silently)
-    with pytest.raises(BlowupSuspectedError) as err, np.errstate(over="ignore"):
+    with pytest.raises(BlowupSuspectedError) as err:
         picard_solve(x, field_catalog()["identity"], y0, 1.5, 1e-8)
     assert err.value.time == first_inf
 
@@ -667,14 +666,13 @@ def _assert_same_outcome(got, want):
 
 
 def _window_drivers():
-    # both sides of the float loop's cutoff, and the one-step window
-    short = equations.SHORT_WINDOW
+    # the one-step window and windows of 3 to 64 samples, walks and lines
     rng = np.random.default_rng(801)
     drivers = []
-    for n in (2, 3, 5, 17, 64, short - 1, short, short + 1):
+    for n in (2, 3, 5, 17, 64, 31, 32, 33):
         steps = rng.standard_normal(n - 1)
         drivers.append(np.concatenate(([0.0], np.cumsum(steps / np.linalg.norm(steps)))))
-    for n in (2, 9, 64, short - 1, short, short + 1):
+    for n in (2, 9, 64, 31, 32, 33):
         drivers.append(np.linspace(0.0, 1.0, n))
     return drivers
 
