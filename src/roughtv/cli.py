@@ -186,9 +186,7 @@ def _named_path(name, n, horizon, value):
         return identity_path(n=n, horizon=horizon)
     if name == "tent":
         return tent_path()
-    if name == "constant":
-        return constant_path(value, 0.0, horizon)
-    raise BadParameterError(f"unknown named path {name!r}")
+    return constant_path(value, 0.0, horizon)
 
 
 def cmd_gen(args) -> int:
@@ -266,20 +264,9 @@ def cmd_bounds(args) -> int:
     return 0 if rep.passed or not diagnostics["asserted"] else 1
 
 
-@functools.cache
-def _fields():
-    """The field catalog `solve` reads, built once per process."""
-    return field_catalog()
-
-
 def cmd_solve(args) -> int:
     x = read_path_csv(args.x)
-    catalog = _fields()
-    if args.field not in catalog:
-        raise BadParameterError(
-            f"unknown field {args.field!r}; choose from {sorted(catalog)}"
-        )
-    sol = picard_solve(x, catalog[args.field], args.y0, args.p, args.tol)
+    sol = picard_solve(x, field_catalog()[args.field], args.y0, args.p, args.tol)
     if args.out:
         write_path_csv(sol.path, args.out)
     sys.stdout.write(make_report(args, {
@@ -308,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--p", type=float, default=1.5)
     p_gen.add_argument("--levels", type=int, default=4)
     p_gen.add_argument("--x", type=float, default=3.0)
-    p_gen.add_argument("--name", default="identity")
+    p_gen.add_argument("--name", default="identity", choices=("identity", "tent", "constant"))
     p_gen.add_argument("--value", type=float, default=0.0)
     p_gen.add_argument("--out", required=True)
 
@@ -334,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_s = sub.add_parser("solve", help="solve y = y0 + int F(y) dx")
     p_s.add_argument("x")
-    p_s.add_argument("--field", default="identity")
+    p_s.add_argument("--field", default="identity", choices=sorted(field_catalog()))
     p_s.add_argument("--y0", type=float, default=0.0)
     p_s.add_argument("--p", type=float, default=1.5)
     p_s.add_argument("--tol", type=float, default=1e-8)

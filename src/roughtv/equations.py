@@ -103,33 +103,39 @@ def _field_values(out, arr):
     return np.broadcast_to(np.asarray(out, dtype=np.float64), arr.shape)
 
 
+_FIELDS = {
+    "identity": LipschitzField(
+        func=lambda u: np.asarray(u, dtype=np.float64),
+        alpha=1.0, order="one_plus_alpha", lipschitz=1.0,
+        quotient=Quotient(lipschitz=0.0, sup_bound=1.0),
+    ),
+    "sin": LipschitzField(
+        func=np.sin, alpha=1.0, order="one_plus_alpha", lipschitz=1.0,
+        quotient=Quotient(lipschitz=1.0, sup_bound=1.0), sup_bound=1.0,
+    ),
+    "sqrt-abs": LipschitzField(
+        func=lambda u: np.sqrt(np.abs(np.asarray(u, dtype=np.float64))),
+        alpha=0.5, order="alpha", lipschitz=1.0,
+    ),
+    "constant": LipschitzField(
+        func=lambda u: np.ones_like(np.asarray(u, dtype=np.float64)),
+        alpha=1.0, order="one_plus_alpha", lipschitz=0.0,
+        quotient=Quotient(lipschitz=0.0, sup_bound=0.0), sup_bound=1.0,
+    ),
+    "zero": LipschitzField(
+        func=lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
+        alpha=1.0, order="one_plus_alpha", lipschitz=0.0,
+        quotient=Quotient(lipschitz=0.0, sup_bound=0.0), sup_bound=0.0,
+    ),
+}
+
+
 def field_catalog():
-    """Built-in fields selectable by name (CLI and tests)."""
-    return {
-        "identity": LipschitzField(
-            func=lambda u: np.asarray(u, dtype=np.float64),
-            alpha=1.0, order="one_plus_alpha", lipschitz=1.0,
-            quotient=Quotient(lipschitz=0.0, sup_bound=1.0),
-        ),
-        "sin": LipschitzField(
-            func=np.sin, alpha=1.0, order="one_plus_alpha", lipschitz=1.0,
-            quotient=Quotient(lipschitz=1.0, sup_bound=1.0), sup_bound=1.0,
-        ),
-        "sqrt-abs": LipschitzField(
-            func=lambda u: np.sqrt(np.abs(np.asarray(u, dtype=np.float64))),
-            alpha=0.5, order="alpha", lipschitz=1.0,
-        ),
-        "constant": LipschitzField(
-            func=lambda u: np.ones_like(np.asarray(u, dtype=np.float64)),
-            alpha=1.0, order="one_plus_alpha", lipschitz=0.0,
-            quotient=Quotient(lipschitz=0.0, sup_bound=0.0), sup_bound=1.0,
-        ),
-        "zero": LipschitzField(
-            func=lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
-            alpha=1.0, order="one_plus_alpha", lipschitz=0.0,
-            quotient=Quotient(lipschitz=0.0, sup_bound=0.0), sup_bound=0.0,
-        ),
-    }
+    """The built-in fields selectable by name (`solve --field`, tests).
+
+    A copy of one dict built at import, so a caller may change its copy.
+    """
+    return dict(_FIELDS)
 
 
 def fixed_point_radius(A, B, alpha) -> float:

@@ -36,7 +36,6 @@ from .paths import (
     TaggedPartition,
     check_same_span,
     common_jump_times,
-    finite_oscillation,
     merge_times,
     osc_from_end,
     osc_from_start,
@@ -60,8 +59,8 @@ def require_young_regime(p, q):
 
 
 def _check_pair(f: SampledPath, g: SampledPath):
-    finite_oscillation(f.values)
-    finite_oscillation(g.values)
+    oscillation(f)
+    oscillation(g)
     check_same_span(f, g)
     common = common_jump_times(f, g)
     if common.size:
@@ -77,8 +76,8 @@ def rs_sum(f: SampledPath, g: SampledPath, tagged: TaggedPartition, grid=None) -
     sample grids); both paths are evaluated there by their own rule.
     NonFiniteValueError when an oscillation or the sum overflows float64.
     """
-    finite_oscillation(f.values)
-    finite_oscillation(g.values)
+    oscillation(f)
+    oscillation(g)
     check_same_span(f, g)
     if grid is None:
         grid = merge_times(f, g)

@@ -28,7 +28,7 @@ from .errors import (
     NegativeIncrementError,
     NonFiniteValueError,
 )
-from .paths import SampledPath, finite_oscillation, oscillation, restrict
+from .paths import SampledPath, oscillation, restrict
 from .reports import BoundReport, bound_report
 from .truncation import swing_pieces
 
@@ -49,7 +49,7 @@ def p_variation(path: SampledPath, p) -> float:
     p = float(p)
     if not 1 <= p < math.inf:
         raise BadExponentError("p-variation needs p >= 1")
-    finite_oscillation(path.values)
+    oscillation(path)
     with np.errstate(over="ignore"):
         total = kernels.pvar_sum(path.values, p)
     if not math.isfinite(total):

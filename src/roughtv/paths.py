@@ -135,10 +135,7 @@ class SampledPath:
         return TvProfile(*arrays)
 
 
-def make_path(times, values, mode=Mode.LINEAR) -> SampledPath:
-    """Validate and build a path; see SampledPath for the invariants."""
-    return SampledPath(np.asarray(times, dtype=np.float64),
-                       np.asarray(values, dtype=np.float64), Mode(mode))
+make_path = SampledPath  # the name the package and its tests build paths with
 
 
 def restrict(path: SampledPath, c, d) -> SampledPath:
@@ -164,20 +161,11 @@ def restrict(path: SampledPath, c, d) -> SampledPath:
 def oscillation(path: SampledPath) -> float:
     """sup over pairs of |f(t) - f(s)|: max value minus min value.
 
-    Taken in Python floats, which overflow to inf without NumPy's warning;
-    `finite_oscillation` raises NonFiniteValueError on that inf.
+    Taken in Python floats, so an overflow is inf without NumPy's warning,
+    and raises NonFiniteValueError.  The functionals call it before any
+    NumPy arithmetic on increments that would overflow (and warn).
     """
-    return float(path.values.max()) - float(path.values.min())
-
-
-def finite_oscillation(values) -> float:
-    """max - min of the values, or NonFiniteValueError when it overflows.
-
-    The functionals call it once, before any NumPy arithmetic on increments
-    that would overflow (and warn) on such a path.
-    """
-    values = np.asarray(values)
-    osc = float(values.max()) - float(values.min())
+    osc = float(path.values.max()) - float(path.values.min())
     if not math.isfinite(osc):
         raise NonFiniteValueError("oscillation of the path overflows float64")
     return osc
@@ -299,18 +287,23 @@ def tent_path() -> SampledPath:
 
 
 def scale_path(path: SampledPath, factor) -> SampledPath:
-    return SampledPath(path.times, path.values * float(factor), path.mode)
+    with np.errstate(over="ignore", invalid="ignore"):  # SampledPath rejects inf
+        values = path.values * float(factor)
+    return SampledPath(path.times, values, path.mode)
 
 
 def shift_path(path: SampledPath, offset) -> SampledPath:
-    return SampledPath(path.times, path.values + float(offset), path.mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = path.values + float(offset)
+    return SampledPath(path.times, values, path.mode)
 
 
 def add_paths(f: SampledPath, g: SampledPath) -> SampledPath:
     """Pointwise sum on the union of the two grids."""
     check_same_span(f, g)
     t = merge_times(f, g)
-    v = f.values_at(t) + g.values_at(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = f.values_at(t) + g.values_at(t)
     mode = Mode.LINEAR if f.mode is Mode.LINEAR and g.mode is Mode.LINEAR else Mode.STEP
     return SampledPath(t, v, mode)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NegativeDeltaError, NonFiniteValueError, NonPositiveDeltaError
-from .paths import SampledPath, finite_oscillation
+from .paths import SampledPath, oscillation
 
 
 def truncated_variation(path: SampledPath, delta) -> float:
@@ -28,7 +28,7 @@ def truncated_variation(path: SampledPath, delta) -> float:
     delta = float(delta)
     if not delta >= 0:  # NaN too
         raise NegativeDeltaError("delta must be >= 0")
-    finite_oscillation(path.values)
+    oscillation(path)
     total = kernels.tv_delta(path.values, delta)
     if not math.isfinite(total):
         raise NonFiniteValueError("truncated variation overflows float64")

@@ -840,6 +840,7 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
          "--out", str(svg)),
         ("solve", f_csv, "--field", "sin", "--y0", "1"),
         ("solve", f_csv, "--field", "no-such-field"),
+        ("gen", "named", "--name", "nope", "--out", str(tmp_path / "n.csv")),
         ("frobnicate", f_csv),
         ("tv", f_csv),
         ("bounds", f_csv, g_csv, "--p", "1.8", "--q", "1.8", "--variant", "bogus"),
@@ -863,9 +864,13 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
         assert _run_caught(capsys, argv) == expected, argv
     assert svg.read_bytes() == reused_svg
     assert [code for code, _, _ in reused] == [
-        0, 0, 0, 0, 0, 0, 0, 2, ("SystemExit", 2), ("SystemExit", 2),
-        ("SystemExit", 2), ("SystemExit", 0), ("SystemExit", 0), ("SystemExit", 2),
+        0, 0, 0, 0, 0, 0, 0, ("SystemExit", 2), ("SystemExit", 2), ("SystemExit", 2),
+        ("SystemExit", 2), ("SystemExit", 2), ("SystemExit", 0), ("SystemExit", 0),
+        ("SystemExit", 2),
     ] + [("SystemExit", 2)] * 6
+    solve_help = reused[argvs.index(("solve", "--help"))][1]
+    assert "{constant,identity,sin,sqrt-abs,zero}" in solve_help
+    assert "{identity,tent,constant}" in _run_caught(capsys, ("gen", "--help"))[1]
 
 
 def test_main_runs_the_current_handler(tent_csv, capsys, monkeypatch):

@@ -23,12 +23,13 @@ from roughtv.paths import (
     add_paths,
     gen_brownian,
     gen_counterexample_fx,
-    finite_oscillation,
     gen_zigzag,
     make_path,
     osc_from_start,
     oscillation,
     restrict,
+    scale_path,
+    shift_path,
 )
 from roughtv import pathio
 from roughtv.pathio import read_path_csv, write_path_csv
@@ -82,6 +83,19 @@ def test_add_paths_on_different_grids(f_mode, g_mode, values, mode):
     assert total.mode is mode
 
 
+@pytest.mark.parametrize("transform", [
+    lambda f: scale_path(f, 2.0),
+    lambda f: shift_path(f, 1e308),
+    lambda f: add_paths(f, f),
+])
+def test_overflowing_transforms_raise_without_a_warning(transform):
+    # the values overflow to inf, which the path rejects; NumPy's overflow
+    # warning would be an error under the suite's error::RuntimeWarning
+    f = make_path([0.0, 1.0], [1e308, 1.5e308])
+    with pytest.raises(NonFiniteValueError, match="times and values must be finite"):
+        transform(f)
+
+
 # ---------------------------------------------------------------------------
 # restrict
 # ---------------------------------------------------------------------------
@@ -126,9 +140,9 @@ def test_oscillation_examples(tent):
     assert oscillation(tent) == 1.0
     assert oscillation(make_path([0.0, 1.0], [3.0, 3.0])) == 0.0
     assert oscillation(make_path([0, 1, 2, 3], [0.0, 3.0, -1.0, 2.0])) == 4.0
-    assert finite_oscillation([0.0, 3.0, -1.0, 2.0]) == 4.0
+    assert oscillation(make_path([0, 1, 2, 3], [0.0, 3.0, -1.0, 2.0])) == 4.0
     with pytest.raises(NonFiniteValueError):
-        finite_oscillation([-1e308, 1e308])
+        oscillation(make_path([0, 1], [-1e308, 1e308]))
 
 
 def test_osc_from_start_examples(tent):
