@@ -178,7 +178,7 @@ def _emit(args, results, diagnostics=None):
     report = make_report(args, results, diagnostics)
     sys.stdout.write(report)
     if args.out:
-        write_text(args.out, report)
+        write_text(args.out, [report])
 
 
 def _named_path(name, n, horizon, value):
@@ -257,7 +257,7 @@ def cmd_bounds(args) -> int:
     # an informational report (the E-form corollary) is never asserted
     diagnostics = {"asserted": rep.extras.get("asserted", True)}
     if args.format == "svg":
-        write_text(args.out, _bounds_sweep_svg(f, g, args))
+        write_text(args.out, [_bounds_sweep_svg(f, g, args)])
         sys.stdout.write(make_report(args, asdict(rep), diagnostics))
     else:
         _emit(args, asdict(rep), diagnostics)

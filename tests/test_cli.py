@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roughtv import cli
+from roughtv import cli, pathio
 from roughtv.cli import BOUND_VARIANTS, main, thread_budget, to_json
 from roughtv.errors import BadParameterError
 from roughtv.pathio import read_path_csv, write_path_csv
@@ -434,6 +434,31 @@ def test_malformed_csv_exits_two(tmp_path, capsys, rows, message):
     assert stderr == f"error: CsvFormatError: {message}\n"
 
 
+NON_UTF8_ARGV = {
+    "tv": ("tv", "{bad}", "--delta", "0.1"),
+    "pvar": ("pvar", "{bad}", "--p", "2"),
+    "norm": ("norm", "{bad}", "--p", "2"),
+    "bounds": ("bounds", "{good}", "{bad}", "--p", "1.9", "--q", "1.9"),
+    "solve": ("solve", "{bad}", "--field", "sin"),
+}
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["first-piece", "later-piece"])
+@pytest.mark.parametrize("command", NON_UTF8_ARGV)
+def test_non_utf8_csv_exits_two(tmp_path, capsys, command, later):
+    # a byte that is not UTF-8 is a CSV error, named the same wherever it lies
+    good = tmp_path / "good.csv"
+    write_path_csv(gen_brownian(24, 1.0, 1), good)
+    rows = b"".join(b"%d,0\n" % i for i in range(1, 2 * pathio.PIECE_CHARS // 6 if later else 2))
+    assert (len(rows) > 2 * pathio.PIECE_CHARS) is later
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t,value\n0,1\n" + rows + b"1e9,\xff2\n")
+    argv = [word.format(good=good, bad=bad) for word in NON_UTF8_ARGV[command]]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: CsvFormatError: not UTF-8 text: invalid start byte\n"
+
+
 def test_violated_bound_exits_one(tmp_path, capsys, monkeypatch):
     # fake a failing report to pin the exit-code contract without relying on
     # an input that violates a bound
@@ -651,6 +676,50 @@ def test_failed_write_exits_three_and_keeps_no_old_bytes(tent_csv, tmp_path, cap
     monkeypatch.undo()
     assert code == 3 and "No space left on device" in stderr
     assert out.read_bytes() == b""
+
+
+def test_failed_write_of_a_later_csv_piece_exits_three(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "walk.csv"
+    out.write_bytes(b"old contents " * 100_000)
+    real_write = os.write
+    writes = []
+
+    def failing_second(fd, data):
+        writes.append(len(data))
+        if len(writes) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", failing_second)
+    n = str(2 * pathio.PIECE_ROWS + 1)
+    code, stdout, stderr = run_cli(capsys, "gen", "brownian", "--n", n, "--out", str(out))
+    monkeypatch.undo()
+    assert (code, stdout) == (3, "") and "No space left on device" in stderr
+    assert len(writes) == 2
+    assert out.read_bytes() == b""
+
+
+def test_multi_piece_csv_rewrites_a_longer_file_in_place(tmp_path, capsys, monkeypatch):
+    argv = ("gen", "brownian", "--n", str(3 * pathio.PIECE_ROWS + 5), "--seed", "9", "--out")
+    fresh = tmp_path / "fresh.csv"
+    assert run_cli(capsys, *argv, str(fresh))[0] == 0
+    out = tmp_path / "walk.csv"
+    out.write_bytes(b"#" * (2 * fresh.stat().st_size))
+    inode = out.stat().st_ino
+    real_open = os.open
+    flags = []
+
+    def recording(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    code = run_cli(capsys, *argv, str(out))[0]
+    monkeypatch.undo()
+    assert code == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_ino == inode
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
 
 
 def test_output_files_are_never_opened_with_o_trunc(tmp_path, capsys, monkeypatch):

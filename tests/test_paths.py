@@ -1,4 +1,6 @@
 import io
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -377,7 +379,7 @@ def test_csv_bad_rows_found_in_blocks(monkeypatch):
                 read_path_csv_reference(io.StringIO(text))
             assert str(ref.value) == want
         block = pathio.BAD_ROW_BLOCK
-        # the whole file once, then the blocks and the rows of one block
+        # each piece once, then the blocks and the rows of one block
         assert len(parses) <= 1 + n / block + block + 1
 
 
@@ -420,6 +422,123 @@ def test_csv_bom_crlf_padding_and_blank_lines(tmp_path):
     dest.write_bytes(b"\xef\xbb\xbft,value\r\n 0 , 1 \r\n \r\n 1 , x \r\n")
     with pytest.raises(CsvFormatError, match="^non-numeric row '1 , x'$"):
         read_path_csv(dest)
+
+
+def _read_outcome(read, src):
+    try:
+        p = read(src)
+    except CsvFormatError as exc:
+        return str(exc)
+    # bytes, so that -0.0 and 0.0 differ
+    return p.times.tobytes(), p.values.tobytes()
+
+
+PIECE_TEXTS = {
+    "crlf": "t,value\r\n0,1\r\n0.5,-2\r\n1,3\r\n",
+    "lone-cr": "t,value\r0,1\r0.5,-2\r1,3\r",
+    "blank-lines": "\n\n  \n\t\nt,value\n\n0,1\n \t \n\n0.5,-2\n\n1,3\n  \n",
+    "padded": " t , value \n 0 , 1 \n\t0.5\t,\t-2\n1 ,3  \n  2 ,-0",
+    "mixed": " \r\n\r\n t , value \r\n\t0 , 1\r\n\r\n 0.5,-2 \r1,3\n  ",
+    "bad-header": "\n \r\n\ntime,value\n0,1\n",
+    "blank": " \r\n\n\t\r \n",
+}
+
+
+@pytest.mark.parametrize("text", PIECE_TEXTS.values(), ids=PIECE_TEXTS)
+def test_csv_pieces_match_reference(text, tmp_path, monkeypatch):
+    # pieces of 1 to 12 characters cut every line, the header and each
+    # "\r\n" somewhere; from a file, a byte order mark leads the first piece
+    dest = tmp_path / "pieces.csv"
+    dest.write_bytes(("\ufeff" + text).encode("utf-8"))
+    want = _read_outcome(read_path_csv_reference, io.StringIO(text))
+    with open(dest, encoding="utf-8-sig") as fh:
+        assert _read_outcome(read_path_csv_reference, fh) == want
+    for size in range(1, 13):
+        monkeypatch.setattr(pathio, "PIECE_CHARS", size)
+        pieces = list(pathio._pieces(io.StringIO(text)))
+        assert "".join(pieces) == text
+        assert all(piece.endswith("\n") for piece in pieces[:-1])
+        assert _read_outcome(read_path_csv, io.StringIO(text)) == want
+        assert _read_outcome(read_path_csv, dest) == want
+
+
+def test_csv_crlf_straddling_a_piece_boundary(monkeypatch):
+    # reads of 4: "t,va", "lue\r", "\n0,1", "\r\n"; the "\r" is carried
+    monkeypatch.setattr(pathio, "PIECE_CHARS", 4)
+    assert list(pathio._pieces(io.StringIO("t,value\r\n0,1\r\n"))) == ["t,value\r\n", "0,1\r\n"]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("2,zero", "non-numeric row '2,zero'"),
+    ("1,2,3", "expected 't,value' row, got '1,2,3'"),
+    ("  5 ", "expected 't,value' row, got '5'"),
+])
+def test_csv_first_bad_row_in_a_later_piece(bad, message, monkeypatch):
+    # the bad row lies in a later piece, whole or cut by a read, and a
+    # second bad row after it is not the one named
+    rows = [f"{i},{i / 7!r}" for i in range(40)]
+    for at in (25, 39):
+        text = "t,value\n" + "\n".join(rows[:at] + [bad] + rows[at:] + ["x,y"]) + "\n"
+        assert _read_outcome(read_path_csv_reference, io.StringIO(text)) == message
+        for size in range(5, 60, 3):
+            monkeypatch.setattr(pathio, "PIECE_CHARS", size)
+            assert len(next(pathio._pieces(io.StringIO(text)))) <= text.index(bad)
+            assert _read_outcome(read_path_csv, io.StringIO(text)) == message
+
+
+def test_csv_writer_pieces_match_reference(tmp_path):
+    # one piece short of, at, and one over PIECE_ROWS rows, and four pieces
+    rows = pathio.PIECE_ROWS
+    dest = tmp_path / "walk.csv"
+    for n in (rows - 1, rows, rows + 1, 3 * rows + 5):
+        p = gen_brownian(n, 1.0, seed=n)
+        ref = io.StringIO()
+        write_path_csv_reference(p, ref)
+        pieces = []
+        write_path_csv(p, types.SimpleNamespace(write=pieces.append))
+        assert len(pieces) == -(-n // rows)
+        assert "".join(pieces) == ref.getvalue()
+        buf = io.StringIO()
+        write_path_csv(p, buf)
+        assert buf.getvalue() == ref.getvalue()
+        write_path_csv(p, dest)
+        assert dest.read_bytes() == ref.getvalue().encode("utf-8")
+
+
+def test_write_text_cuts_the_file_when_a_later_piece_fails(tmp_path):
+    dest = tmp_path / "out.csv"
+    dest.write_bytes(b"old contents " * 1000)
+
+    def pieces():
+        yield "t,value\n0,1\n"
+        raise ValueError("formatting failed")
+
+    with pytest.raises(ValueError, match="formatting failed"):
+        pathio.write_text(dest, pieces())
+    assert dest.read_bytes() == b""
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_io_memory_is_one_piece(tmp_path):
+    # a 65,536-row path is 1 MB of samples and 2.4 MB of text: the writer
+    # holds one formatted piece, the reader one piece of text, the parsed
+    # rows and the output arrays.  The writer's peak does not grow with n;
+    # a quarter of the rows keeps the traced writes under a second
+    dest = tmp_path / "walk.csv"
+    quarter_peak = _traced_peak(write_path_csv, gen_brownian(16384, 1.0, seed=4), dest)
+    write_peak = _traced_peak(write_path_csv, gen_brownian(65536, 1.0, seed=4), dest)
+    read_peak = _traced_peak(read_path_csv, dest)
+    assert write_peak <= 2 * 2**20
+    assert read_peak <= 4 * 2**20
+    assert write_peak <= 1.1 * quarter_peak
 
 
 def test_csv_header_only_is_length_mismatch():
