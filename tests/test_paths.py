@@ -487,10 +487,12 @@ def test_csv_first_bad_row_in_a_later_piece(bad, message, monkeypatch):
 
 
 def test_csv_writer_pieces_match_reference(tmp_path):
+    # a piece one row short of, at, and one over the array route's cutoff;
     # one piece short of, at, and one over PIECE_ROWS rows, and four pieces
     rows = pathio.PIECE_ROWS
+    cutoff = pathio._ARRAY_ROWS
     dest = tmp_path / "walk.csv"
-    for n in (rows - 1, rows, rows + 1, 3 * rows + 5):
+    for n in (cutoff - 1, cutoff, cutoff + 1, rows - 1, rows, rows + 1, 3 * rows + 5):
         p = gen_brownian(n, 1.0, seed=n)
         ref = io.StringIO()
         write_path_csv_reference(p, ref)
@@ -503,6 +505,50 @@ def test_csv_writer_pieces_match_reference(tmp_path):
         assert buf.getvalue() == ref.getvalue()
         write_path_csv(p, dest)
         assert dest.read_bytes() == ref.getvalue().encode("utf-8")
+
+
+def _count_routes(monkeypatch):
+    """Count the pieces formatted in arrays and the numbers sent to "%.17g"."""
+    counts = {"arrays": 0, "dtoa": 0}
+    format_rows, dtoa = pathio._format_rows, pathio._dtoa
+
+    def counted_format_rows(cells):
+        counts["arrays"] += 1
+        return format_rows(cells)
+
+    def counted_dtoa(x):
+        counts["dtoa"] += 1
+        return dtoa(x)
+
+    monkeypatch.setattr(pathio, "_format_rows", counted_format_rows)
+    monkeypatch.setattr(pathio, "_dtoa", counted_dtoa)
+    return counts
+
+
+@pytest.mark.parametrize("n", [16384, 65536])
+def test_long_walks_are_written_by_the_array_route(n, monkeypatch):
+    # every piece of a long walk is formatted in arrays, and no number of
+    # it is handed to "%.17g" on its own
+    counts = _count_routes(monkeypatch)
+    p = gen_brownian(n, 1.0, seed=4)
+    text = "".join(pathio._csv_pieces(p))
+    assert counts == {"arrays": n // pathio.PIECE_ROWS, "dtoa": 0}
+    ref = io.StringIO()
+    write_path_csv_reference(p, ref)
+    assert text == ref.getvalue()
+
+
+def test_array_route_sends_only_out_of_range_numbers_to_dtoa(monkeypatch):
+    # the array route covers zeros and decimal exponents -6 to 16; 1e-6
+    # (9.9999999999999995e-07) and 1e-7 lie below, 1e17 above
+    counts = _count_routes(monkeypatch)
+    cells = [0.0, -0.0, 1e-7, 1e17, 5e-324, 1e-6, 2.5e-6, -1.7e308,
+             123456.789, 9.999999999999999e16, -3.0, 1.0]
+    text = pathio._format_rows(np.array(cells))
+    outside = [x for x in cells
+               if x != 0.0 and not -6 <= int(("%.16e" % x).split("e")[1]) <= 16]
+    assert counts["dtoa"] == len(outside) == 5
+    assert text == ("%.17g,%.17g\n" * 6) % tuple(cells)
 
 
 def test_write_text_cuts_the_file_when_a_later_piece_fails(tmp_path):

@@ -6,6 +6,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -15,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from roughtv import pathio  # noqa: E402
 from roughtv.cli import to_json  # noqa: E402
 from roughtv.errors import NonFiniteValueError  # noqa: E402
 from roughtv.integrals import BOUND_CHECKS  # noqa: E402
@@ -191,6 +193,45 @@ def test_csv_io_equals_reference(data):
     old = read_path_csv_reference(io.StringIO(text))
     assert back.times.tobytes() == path.times.tobytes() == old.times.tobytes()
     assert back.values.tobytes() == path.values.tobytes() == old.values.tobytes()
+
+
+def _ties(exp):
+    """Doubles of decimal exponent `exp` (-6..15) halfway between two 17-digit
+    decimals: odd / 2**(17 - exp), so that x * 10**(16 - exp) ends in .5."""
+    low = math.ceil(2 ** 17 * Fraction(5) ** exp)
+    high = math.ceil(min(2 ** 18 * Fraction(5) ** (exp + 1), Fraction(2 ** 53)))
+    return st.integers(low // 2, (high - 2) // 2).map(lambda j: (2 * j + 1) * 2.0 ** (exp - 17))
+
+
+# doubles for the array route of the CSV writer: every decimal exponent,
+# subnormals and zeros (formatted by "%.17g"), powers of ten and their
+# neighbours, both sides of the fixed/exponent layouts (exponents -5/-4 and
+# 16/17), integers to and past 2**53, and 17-digit ties, which "%.17g"
+# rounds to even
+_array_route_floats = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0, exclude_max=True),
+              st.integers(-310, 308)).filter(math.isfinite),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-8, 18).flatmap(lambda k: st.sampled_from(
+        [np.nextafter(10.0 ** k, 0.0), 10.0 ** k, np.nextafter(10.0 ** k, math.inf)])),
+    st.floats(9e-6, 2e-4),
+    st.floats(9e15, 2e17),
+    st.integers(0, 2 ** 60).map(float),
+    st.integers(-6, 15).flatmap(_ties),
+    st.sampled_from([0.0, 5e-324, 1000000000000000.25, 9.9999999999999995e-07,
+                     9.999999999999999e16, 1e17, 1e-7, 2.0 ** 53 + 2.0]),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rows=st.lists(st.tuples(_array_route_floats, _array_route_floats),
+                     min_size=1, max_size=32))
+def test_csv_array_route_text_is_percent_17g(rows):
+    # fails if hi + rint(lo) becomes hi + floor(lo) (ties and halves move),
+    # or if the exponent is moved on hi alone (9.9999999999999995e-07 has
+    # hi == 1e16 and lo < 0, so it would print as 1e-06)
+    text = pathio._format_rows(np.array(rows).ravel())
+    assert text == "".join("%.17g,%.17g\n" % row for row in rows)
 
 
 def _pair_swings(v):

@@ -10,12 +10,15 @@ seeds 401, 402 and 403), it writes the seeded inputs of
 request of one full-size cycle in-process, as the benchmark worker does.
 The first line it prints is a JSON header naming what the bits depend on:
 the Python and NumPy versions, the machine, the C library and NumPy's
-enabled CPU features.  Then it prints one JSON line per request: workload,
-seed, index, argv, exit code, the exact stdout text, and the sha256 of
-stderr and of the `--out` file (null for a request that writes none).  The
-temporary directory's name reads `<work>` everywhere.  Two checkouts that
-give the same bytes print the same lines, so diffing their output checks
-that a change keeps every report and output file.
+enabled CPU features.  Then, for each workload and seed, it prints one JSON
+line per input CSV that the set-up wrote (with the program's
+`write_path_csv`): workload, seed, the file's name and its sha256.  Then
+one JSON line per request: workload, seed, index, argv, exit code, the
+exact stdout text, and the sha256 of stderr and of the `--out` file (null
+for a request that writes none).  The temporary directory's name reads
+`<work>` everywhere.  Two checkouts that give the same bytes print the
+same lines, so diffing their output checks that a change keeps every
+input file, report and output file.
 
 `tests/replay_ledger.txt` is this output at seed 401, and
 `tests/test_replay.py` replays it; regenerate it with
@@ -74,9 +77,17 @@ def _digest(data, work):
 
 
 def replay(workloads, name, seed):
-    """Yield the JSON line of every request of one cycle of `name` at `seed`."""
+    """Yield the JSON line of every set-up input, then of every request of
+    one cycle of `name` at `seed`."""
     with tempfile.TemporaryDirectory() as work:
-        for index, req in enumerate(workloads.build(name, seed, work)):
+        cycle = workloads.build(name, seed, work)
+        # before any request runs, the directory holds only the set-up's inputs
+        for written in sorted(Path(work).iterdir()):
+            yield json.dumps({
+                "workload": name, "seed": seed,
+                "setup": str(written).replace(work, WORK_TOKEN),
+                "sha256": _digest(written.read_bytes(), work)})
+        for index, req in enumerate(cycle):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main(list(req.argv))
