@@ -4,8 +4,8 @@
 sequence; the absolute differences of consecutive extrema are its swings,
 the alternating monotone runs that `truncation.swing_pieces` pairs off in
 one stack pass.  `window_extrema` reduces a sequence once and then reads
-the extrema of any window of it, as the Picard window search needs.
-`tv_delta` evaluates the truncated variation at one threshold in a single
+the extrema of any window of it, as the Picard window search needs.  On a
+list of extrema, a path's (kept on it) or a window's, `tv_delta` evaluates the truncated variation at one threshold in a single
 pass, `pvar_sum` the p-variation by a dynamic program pruned to the backward
 records newer than the last earlier extremum beyond each step (exact; one
 record a step on a contracting zigzag, quadratic only in the worst case, a
@@ -124,8 +124,8 @@ def _first_run(xs, delta):
     return len(xs), lo, hi
 
 
-def tv_delta(values, delta):
-    """Exact truncated variation of the sample sequence, one forward pass.
+def tv_delta(extrema, delta):
+    """Exact truncated variation of the path through `extrema`, one forward pass.
 
     Tracks the running extremum since the last committed turning point and
     commits a directed run once the drawdown/drawup exceeds delta; each
@@ -134,12 +134,11 @@ def tv_delta(values, delta):
     and every difference it compares or adds is multiplied by s.  Negating
     a float is exact and the differences cannot round to zero unless equal,
     so each decision and each sum is that of the direct comparison.  The
-    pass runs over the extrema-reduced sequence, which commits the same
-    float values, converted to Python floats: the IEEE operations are those
-    of the NumPy scalars, without their per-operation overhead, and an
-    overflowing sum becomes inf (of the right sign) without a warning.
+    extrema are Python floats: the IEEE operations are those of the NumPy
+    scalars, without their per-operation overhead, and an overflowing sum
+    becomes inf (of the right sign) without a warning.
     """
-    v = reduce_to_extrema(values).tolist()
+    v = extrema
     n = len(v)
     if n < 2:
         return 0.0
@@ -157,14 +156,15 @@ def tv_delta(values, delta):
     return float(total + (s * (cur - anchor) - delta))
 
 
-def pvar_sum(values, p):
+def pvar_sum(extrema, p):
     """Max of sum |increment|^p over subsequences (the p-variation V^p).
 
-    Dynamic program over the extrema-reduced sequence v: best[j], the V^p of
-    v[:j+1], is the max over i < j of best[i] + |v[j] - v[i]|^p, and the
-    optimal subsequence always ends at the last sample, so best[-1] is the
-    answer.  p = 1 short-circuits to the total variation, `tv_delta` at
-    delta = 0, so V^1 and TV^0 are the same sum in the same order.
+    Dynamic program over the extrema v of the path, a list of floats as
+    `SampledPath._extrema` keeps it: best[j], the V^p of v[:j+1], is the max
+    over i < j of best[i] + |v[j] - v[i]|^p, and the optimal subsequence
+    always ends at the last sample, so best[-1] is the answer.  p = 1
+    short-circuits to the total variation, `tv_delta` at delta = 0, so V^1
+    and TV^0 are the same sum in the same order.
 
     Each step reads only the records newer than the last earlier extremum
     beyond it.  Take a rising step from v[j-1] to y = v[j]; best never
@@ -218,8 +218,8 @@ def pvar_sum(values, p):
     rising step reads every earlier minimum.
     """
     if p == 1.0:
-        return tv_delta(values, 0.0)
-    v = reduce_to_extrema(values)
+        return tv_delta(extrema, 0.0)
+    v = np.array(extrema, dtype=np.float64)
     n = v.size
     if n < 2:
         return 0.0

@@ -8,11 +8,11 @@ At p = 1 every peak sits at delta = 0 and the largest is the total variation.
 
 Every seminorm takes one route: the path's extrema
 (`kernels.reduce_to_extrema`, as Python floats), their pieces
-(`truncation.swing_pieces`), then the largest peak over those pieces, with
-no `TvProfile` in between.  A `SampledPath` keeps its extrema and pieces
-once computed, so the seminorms of one path at many p reduce it once.  At
-p = 1 the pieces only guard the overflow and the total variation is summed
-in path order (`kernels.tv_delta` at 0), so that it has the bits of
+(`truncation.swing_pieces`), then the largest peak over those pieces.  A
+`SampledPath` keeps its extrema and its `TvProfile`, which holds the pieces
+as lists, so the seminorms of one path at many p reduce it once.  At p = 1
+the pieces only guard the overflow and the total variation is summed in
+path order (`kernels.tv_delta` at 0), so that it has the bits of
 `total_variation` and of V^1.
 """
 
@@ -51,7 +51,7 @@ def p_variation(path: SampledPath, p) -> float:
         raise BadExponentError("p-variation needs p >= 1")
     oscillation(path)
     with np.errstate(over="ignore"):
-        total = kernels.pvar_sum(path.values, p)
+        total = kernels.pvar_sum(path._extrema, p)
     if not math.isfinite(total):
         raise NonFiniteValueError("p-variation overflows float64")
     return total
@@ -110,7 +110,7 @@ def seminorm_with_argmax(path: SampledPath, p):
 
     p = 1 gives the total variation, attained at delta = 0.
     """
-    return _pieces_peak(path._extrema, path._swing_pieces, p)
+    return _pieces_peak(path._extrema, path._profile.pieces, p)
 
 
 def extrema_seminorm(extrema, p) -> float:

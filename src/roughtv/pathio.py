@@ -12,7 +12,8 @@ or ``inf`` / ``nan``, padded by whitespace if at all; ``inf``, ``nan`` and
 numbers that overflow to infinity are then rejected as non-finite.  Digit
 separators (``1_0``) and non-ASCII digits are rejected, although ``float``
 would take them.  Blank lines are skipped; there is no comment syntax.  A
-file that is not UTF-8 is a `CsvFormatError` too.
+file that is not UTF-8 is a `CsvFormatError` too, which for a named file
+gives the byte offset and line of the first byte that is not.
 
 Both directions stream: the reader parses PIECE_CHARS characters at a time,
 cut after a line break, and the writer formats PIECE_ROWS rows at a time,
@@ -48,6 +49,7 @@ truncated when opened, only cut to the new length after the write if it
 was longer.
 """
 
+import codecs
 import contextlib
 import functools
 import os
@@ -337,10 +339,7 @@ def _pieces(fh):
     """
     carry = ""
     while True:
-        try:
-            piece = fh.read(PIECE_CHARS)
-        except UnicodeDecodeError as exc:
-            raise CsvFormatError(f"not UTF-8 text: {exc.reason}") from None
+        piece = fh.read(PIECE_CHARS)
         if len(piece) < PIECE_CHARS:
             yield carry + piece
             return
@@ -385,15 +384,46 @@ def _read_rows(fh):
     return blocks[0] if blocks else np.empty((0, 2))
 
 
+def _first_bad_byte(src):
+    """Where the first byte of the file `src` that is not UTF-8 lies, as
+    " at byte offset N, line L" (N from 0, L from 1), or "" if none does.
+
+    Only a rejected file pays for this second read: an incremental decoder
+    takes the file's bytes PIECE_CHARS at a time, holding back the start of
+    a sequence a read cuts, so the error's start, less what it held back,
+    is the offset into the read.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = lines = 0
+    with open(src, "rb") as fh:
+        while True:
+            chunk = fh.read(PIECE_CHARS)
+            held = decoder.getstate()[0]
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                bad = exc.start - len(held)
+                lines += chunk[:max(bad, 0)].count(b"\n")
+                return f" at byte offset {offset + bad}, line {lines + 1}"
+            if not chunk:
+                return ""
+            offset += len(chunk)
+            lines += chunk.count(b"\n")
+
+
 def read_path_csv(src, mode=Mode.LINEAR) -> SampledPath:
     """Read a CSV path from a text file object, or from the file named `src`.
 
     At most one piece of text (PIECE_CHARS characters and the line it cuts)
     is held at a time, beside the parsed rows and the output arrays.
     """
-    if hasattr(src, "read"):
-        data = _read_rows(src)
-    else:
-        with open(src, "r", encoding="utf-8-sig") as fh:
-            data = _read_rows(fh)
+    try:
+        if hasattr(src, "read"):
+            data = _read_rows(src)
+        else:
+            with open(src, "r", encoding="utf-8-sig") as fh:
+                data = _read_rows(fh)
+    except UnicodeDecodeError as exc:
+        where = "" if hasattr(src, "read") else _first_bad_byte(src)
+        raise CsvFormatError(f"not UTF-8 text: {exc.reason}{where}") from None
     return SampledPath(data[:, 0], data[:, 1], Mode(mode))

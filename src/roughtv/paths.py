@@ -32,6 +32,9 @@ from .errors import (
 # span.  Functionals read values, not times, so the representation is exact
 # for TV/V^p purposes.
 JUMP_EPS_FRACTION = 2.0 ** -20
+# The most samples a generator makes: 80 MB a column.  A request for more is
+# rejected before anything is allocated.
+MAX_SAMPLES = 10_000_001
 
 
 class Mode(str, enum.Enum):
@@ -41,13 +44,14 @@ class Mode(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SampledPath:
-    """Validated samples with read-only arrays.
+    """Validated samples in read-only arrays that no caller can write.
 
     A path never changes, so what depends on its values alone is computed
     on first use and kept (`functools.cached_property`): the extrema list,
-    its `swing_pieces` and the `TvProfile`, read by `truncation.tv_profile`
-    and every p-TV seminorm of the path.  A new path (`restrict`,
-    `shift_path`, `dataclasses.replace`) starts with none of them.
+    the one reduction of the path, read by TV^delta, V^p and the
+    `TvProfile`, and the profile, read by `truncation.tv_profile` and every
+    p-TV seminorm of the path.  A new path (`restrict`, `shift_path`,
+    `dataclasses.replace`) starts with neither.
     """
 
     times: np.ndarray
@@ -55,8 +59,8 @@ class SampledPath:
     mode: Mode = Mode.LINEAR
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.times, dtype=np.float64)
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        t = read_only(self.times)
+        v = read_only(self.values)
         if t.ndim != 1 or v.ndim != 1:
             raise LengthMismatchError("times and values must be 1-d sequences")
         if t.size != v.size:
@@ -69,8 +73,6 @@ class SampledPath:
             raise NonFiniteValueError("times and values must be finite")
         if not np.all(t[1:] > t[:-1]):  # np.diff(t) overflows past max float
             raise NonMonotoneTimesError("times must be strictly increasing")
-        t.flags.writeable = False
-        v.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "mode", Mode(self.mode))
@@ -118,21 +120,26 @@ class SampledPath:
         return kernels.reduce_to_extrema(self.values).tolist()
 
     @cached_property
-    def _swing_pieces(self):
-        """`truncation.swing_pieces` of the extrema, overflow checks included."""
+    def _profile(self):
+        """The `TvProfile` of `truncation.swing_pieces` of the extrema."""
         from . import truncation  # which imports this module
 
-        return truncation.swing_pieces(self._extrema)
+        return truncation.TvProfile(truncation.swing_pieces(self._extrema))
 
-    @cached_property
-    def _profile(self):
-        """The `TvProfile` of the swing pieces, its arrays read-only."""
-        from .truncation import TvProfile
 
-        arrays = [np.array(piece, dtype=np.float64) for piece in self._swing_pieces]
-        for array in arrays:
-            array.flags.writeable = False
-        return TvProfile(*arrays)
+def read_only(xs):
+    """`xs` as a read-only float64 array (at least 1-d) that no caller can write.
+
+    A read-only float64 array that owns its memory, as a path's arrays do,
+    is kept; anything else is copied, so that no buffer a caller can still
+    write, and no view of one, ends up under a path or its caches.
+    """
+    if (isinstance(xs, np.ndarray) and xs.dtype == np.float64 and xs.base is None
+            and not xs.flags.writeable):
+        return xs
+    array = np.array(xs, dtype=np.float64, ndmin=1)
+    array.flags.writeable = False
+    return array
 
 
 make_path = SampledPath  # the name the package and its tests build paths with
@@ -189,6 +196,14 @@ def osc_from_end(path: SampledPath) -> float:
     return max(0.0, v1 - float(path.values.min()), float(path.values.max()) - v1)
 
 
+def _check_samples(count, name, knobs):
+    """BadCountError when a generator would make more than MAX_SAMPLES
+    samples; a count of inf means "more than the cap", not summed further."""
+    if count > MAX_SAMPLES:
+        need = f"more than {MAX_SAMPLES}" if count == math.inf else count
+        raise BadCountError(f"{name} would need {need} samples; lower {knobs}")
+
+
 def gen_brownian(n, horizon, seed) -> SampledPath:
     """Random-walk interpolant of Brownian motion on a uniform grid.
 
@@ -198,6 +213,7 @@ def gen_brownian(n, horizon, seed) -> SampledPath:
     n = int(n)
     if n < 2:
         raise BadCountError("need n >= 2 samples")
+    _check_samples(n, "brownian", "n")
     horizon = float(horizon)
     if not 0 < horizon < math.inf:
         raise BadParameterError("horizon must be finite and > 0")
@@ -223,19 +239,14 @@ def gen_zigzag(p, levels) -> SampledPath:
     levels = int(levels)
     if levels < 1:
         raise BadCountError("need at least one level")
-    cap = 5_000_000  # tent excursions, two samples each
-    total = 0
+    total = 1  # samples: the first, then two per tent excursion
     for n in range(1, levels + 1):
-        # stop once past the cap, before 2.0 ** (n*p - 1) can overflow a float
-        if total > cap or n * p - 1.0 >= 1024.0:
-            raise BadCountError(
-                f"zigzag would need more than {2 * cap + 1} samples; lower p or levels"
-            )
-        total += int(np.ceil(2.0 ** (n * p - 1.0)))
-    if total > cap:
-        raise BadCountError(
-            f"zigzag would need {2 * total + 1} samples; lower p or levels"
-        )
+        if total > MAX_SAMPLES:  # the rest of the levels only add
+            total = math.inf
+            break
+        # an exponent past 64 is past the cap, and 2.0 ** 64 cannot overflow
+        total += 2 * math.ceil(2.0 ** min(n * p - 1.0, 64.0))
+    _check_samples(total, "zigzag", "p or levels")
     times = [2.0 ** -levels]
     values = [0.0]
     for n in range(levels, 0, -1):
@@ -275,6 +286,7 @@ def identity_path(n=2, horizon=1.0) -> SampledPath:
     n = int(n)
     if n < 1:
         raise BadCountError("need n >= 1 sample")
+    _check_samples(n, "identity", "n")
     horizon = float(horizon)
     if not math.isfinite(horizon):
         raise BadParameterError("horizon must be finite")

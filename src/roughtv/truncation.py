@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-import numpy as np
-
 from . import kernels
 from .errors import NegativeDeltaError, NonFiniteValueError, NonPositiveDeltaError
-from .paths import SampledPath, oscillation
+from .paths import SampledPath, oscillation, read_only
 
 
 def truncated_variation(path: SampledPath, delta) -> float:
@@ -29,7 +27,7 @@ def truncated_variation(path: SampledPath, delta) -> float:
     if not delta >= 0:  # NaN too
         raise NegativeDeltaError("delta must be >= 0")
     oscillation(path)
-    total = kernels.tv_delta(path.values, delta)
+    total = kernels.tv_delta(path._extrema, delta)
     if not math.isfinite(total):
         raise NonFiniteValueError("truncated variation overflows float64")
     return total
@@ -60,44 +58,43 @@ class TvProfile:
 
     Segment j covers [breakpoints[j]; breakpoints[j+1]] and carries the pair
     (a, b) with TV^delta = a - b*delta there; beyond the last breakpoint
-    (the oscillation) the profile is zero.  `value` reads list copies of
-    the three arrays, made on its first call, and evaluates on Python
-    floats: the same IEEE operations as on NumPy scalars, at half the cost.
+    (the oscillation) the profile is zero.  `pieces` are the three lists
+    `swing_pieces` returns, which `value` and the seminorms read on Python
+    floats (the IEEE operations of NumPy scalars, at half the cost); the
+    arrays are read-only copies of them, made on first request.
     """
 
-    breakpoints: np.ndarray  # length S+1, starts at 0, ends at oscillation
-    coef_a: np.ndarray       # length S
-    coef_b: np.ndarray       # length S
+    pieces: tuple  # breakpoints from 0 to the oscillation, coef_a, coef_b
+
+    breakpoints = cached_property(lambda self: read_only(self.pieces[0]))
+    coef_a = cached_property(lambda self: read_only(self.pieces[1]))
+    coef_b = cached_property(lambda self: read_only(self.pieces[2]))
 
     def value(self, delta) -> float:
         delta = float(delta)
         if not delta >= 0:  # NaN too
             raise NegativeDeltaError("delta must be >= 0")
-        bp, coef_a, coef_b = self._lists
+        bp, coef_a, coef_b = self.pieces
         if not coef_a or delta >= bp[-1]:
             return 0.0
         j = bisect_right(bp, delta) - 1
         return max(coef_a[j] - coef_b[j] * delta, 0.0)
 
-    @cached_property
-    def _lists(self):
-        return self.breakpoints.tolist(), self.coef_a.tolist(), self.coef_b.tolist()
-
     @property
     def oscillation(self) -> float:
-        return float(self.breakpoints[-1])
+        return self.pieces[0][-1]
 
     @property
     def n_segments(self) -> int:
-        return int(self.coef_a.size)
+        return len(self.pieces[1])
 
 
 def tv_profile(path: SampledPath) -> TvProfile:
     """The exact profile of the path: `swing_pieces` of its extrema.
 
-    Built on the first call for a path and kept on it, with read-only
-    arrays, so the checks and the series that read one path's profile at
-    many deltas build it once.
+    Built on the first call for a path, or its first p-TV seminorm, and
+    kept on it, so the checks and the series that read one path's profile
+    at many deltas build it once.
     """
     return path._profile
 

@@ -1,9 +1,9 @@
 """What a path or a pair keeps once computed: the same results, warm or cold.
 
-A `SampledPath` keeps its extrema, swing pieces and `TvProfile`, and the
-integrand f of a pair keeps one slot for its integrator g: filled once
-(f, g) is validated, it holds the exact cells and the running integrals of
-f and of f - f(a), each built on first request.  Every result read from
+A `SampledPath` keeps its extrema and `TvProfile`, and the integrand f of
+a pair keeps one slot for its integrator g: filled once (f, g) is
+validated, it holds the exact cells and the running integrals of f and of
+f - f(a), each built on first request.  Every result read from
 them must equal, to the bit, the result on a fresh copy of the paths, and
 no new path may start with them.
 """
@@ -13,20 +13,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from roughtv import integrals, norms, truncation
+from roughtv import integrals, kernels, norms, truncation
 from roughtv.cli import main, to_json
 from roughtv.errors import RoughTVError
 from roughtv.integrals import BOUND_CHECKS, integral_norm_check, rs_integral
-from roughtv.norms import p_tv_seminorm, seminorm_with_argmax
+from roughtv.norms import p_tv_seminorm, p_variation, seminorm_with_argmax
 from roughtv.paths import Mode, gen_brownian, make_path, restrict, shift_path
 from roughtv.pathio import write_path_csv
-from roughtv.truncation import tv_profile
+from roughtv.truncation import total_variation, tv_profile
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-CACHED = ("_extrema", "_swing_pieces", "_profile", "_pair_slot")
+CACHED = ("_extrema", "_profile", "_pair_slot")
 
 _small = st.floats(-4.0, 4.0, allow_nan=False, width=32)
 # values near the float64 limits make the checks raise, warm as cold
@@ -194,3 +194,48 @@ def test_svg_sweep_builds_each_profile_and_the_pair_once(tmp_path, monkeypatch, 
     integrals_read = variant.startswith(("integral-", "gamma-"))
     assert calls == {"swing_pieces": SWEEP_SWING_PIECES[variant], "_check_pair": 1,
                      "_running": int(integrals_read)}
+
+
+def test_a_path_keeps_no_buffer_its_caller_can_write():
+    t = np.linspace(0.0, 1.0, 3)
+    a = np.array([0.0, 2.0, 0.0])
+    b = np.array([0.0, 2.0, 0.0])
+    path, on_view = make_path(t, a), make_path(t, b[:])
+
+    def results(path):
+        return (path.values.tolist(), total_variation(path), p_variation(path, 2.0),
+                p_tv_seminorm(path, 1.0), seminorm_with_argmax(path, 2.0),
+                tv_profile(path).pieces)
+
+    before = results(path)
+    assert results(on_view) == before
+    assert t.flags.writeable and a.flags.writeable and b.flags.writeable
+    a[1] = b[1] = 5.0
+    assert results(path) == results(on_view) == before
+    assert before[1] == 4.0 and results(_fresh(on_view)) == before
+
+
+# a request reduces each distinct path it reads once: its values, extrema
+# and profile are kept on the path, and the kernels read the extrema
+REDUCTIONS = {
+    ("norm", "{f}", "--p", "2"): 1,
+    ("bounds", "{f}", "{g}", "--p", "1.9", "--q", "1.9", "--variant", "young-s"): 2,
+    ("bounds", "{f}", "{g}", "--p", "1.9", "--q", "1.9",
+     "--variant", "gamma-level-ladder"): 3,
+    ("bounds", "{f}", "{g}", "--p", "1.9", "--q", "1.9", "--variant", "young-s",
+     "--format", "svg", "--out", "{svg}"): 2,
+}
+
+
+@pytest.mark.parametrize("argv", list(REDUCTIONS), ids=["norm", "young-s", "gamma", "young-s-svg"])
+def test_a_request_reduces_each_path_once(tmp_path, monkeypatch, capsys, argv):
+    files = {"f": tmp_path / "f.csv", "g": tmp_path / "g.csv", "svg": tmp_path / "s.svg"}
+    write_path_csv(shift_path(gen_brownian(128, 1.0, seed=12), 0.5), files["f"])
+    write_path_csv(gen_brownian(128, 1.0, seed=13), files["g"])
+    reduced = []
+    reduce_to_extrema = kernels.reduce_to_extrema
+    monkeypatch.setattr(kernels, "reduce_to_extrema",
+                        lambda values: reduced.append(len(values)) or reduce_to_extrema(values))
+    code = main([word.format(**files) for word in argv])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert len(reduced) == REDUCTIONS[argv]

@@ -15,7 +15,7 @@ from roughtv import cli, pathio
 from roughtv.cli import BOUND_VARIANTS, main, thread_budget, to_json
 from roughtv.errors import BadParameterError
 from roughtv.pathio import read_path_csv, write_path_csv
-from roughtv.paths import Mode, gen_brownian, identity_path, scale_path, tent_path
+from roughtv.paths import MAX_SAMPLES, Mode, gen_brownian, identity_path, scale_path, tent_path
 from roughtv.reports import PASS_SLACK
 
 
@@ -115,6 +115,27 @@ def test_gen_zigzag_names_the_sample_count(tmp_path, capsys):
                               "--out", str(tmp_path / "z.csv"))
     assert (code, stderr) == (2, "error: BadCountError: zigzag would need more than "
                                  "10000001 samples; lower p or levels\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("brownian", "--n", "10000000000000"),
+    ("named", "--name", "identity", "--n", "10000000000000"),
+    ("brownian", "--n", str(MAX_SAMPLES + 1)),
+    ("named", "--name", "identity", "--n", str(MAX_SAMPLES + 1)),
+])
+def test_gen_past_the_sample_cap_exits_two(tmp_path, capsys, monkeypatch, argv):
+    # rejected before any array is made: no MemoryError traceback (exit 1)
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    for name in ("linspace", "empty", "zeros"):
+        monkeypatch.setattr(np, name, no_arrays)
+    monkeypatch.setattr(np.random, "default_rng", no_arrays)
+    code, stdout, stderr = run_cli(capsys, "gen", *argv, "--out", str(tmp_path / "x.csv"))
+    name = "brownian" if argv[0] == "brownian" else "identity"
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: BadCountError: {name} would need {argv[-1]} samples; lower n\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_gen_fx_reports_jumps(tmp_path, capsys):
@@ -452,11 +473,15 @@ def test_non_utf8_csv_exits_two(tmp_path, capsys, command, later):
     rows = b"".join(b"%d,0\n" % i for i in range(1, 2 * pathio.PIECE_CHARS // 6 if later else 2))
     assert (len(rows) > 2 * pathio.PIECE_CHARS) is later
     bad = tmp_path / "bad.csv"
-    bad.write_bytes(b"t,value\n0,1\n" + rows + b"1e9,\xff2\n")
+    head = b"t,value\n0,1\n" + rows
+    bad.write_bytes(head + b"1e9,\xff2\n")
     argv = [word.format(good=good, bad=bad) for word in NON_UTF8_ARGV[command]]
     code, stdout, stderr = run_cli(capsys, *argv)
     assert (code, stdout) == (2, "")
-    assert stderr == "error: CsvFormatError: not UTF-8 text: invalid start byte\n"
+    # the offset and line of the bad byte, which follows "1e9," on the last line
+    line = head.count(b"\n") + 1
+    assert stderr == ("error: CsvFormatError: not UTF-8 text: invalid start byte "
+                      f"at byte offset {len(head) + 4}, line {line}\n")
 
 
 def test_violated_bound_exits_one(tmp_path, capsys, monkeypatch):
