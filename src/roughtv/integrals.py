@@ -40,6 +40,7 @@ from .paths import (
     osc_from_end,
     osc_from_start,
     oscillation,
+    read_only,
     restrict,
 )
 from .reports import BoundReport, bound_report
@@ -126,7 +127,7 @@ def _exact_cells(f: SampledPath, g: SampledPath):
     jumps (`_check_pair`, which the callers run) f is continuous wherever g
     jumps and one tag per cell is exact: f(t_{k-1}) for a step f, f(t_k)
     for a linear f against a step g, and the trapezoid mean for two linear
-    paths.  Both arrays are read-only.  NonFiniteValueError when a cell
+    paths.  Both arrays are `read_only`.  NonFiniteValueError when a cell
     overflows float64.
     """
     grid = merge_times(f, g)
@@ -139,9 +140,7 @@ def _exact_cells(f: SampledPath, g: SampledPath):
         else:
             tags = 0.5 * (fv[:-1] + fv[1:])
         cells = _finite_integral(tags * np.diff(g.values_at(grid)))
-    grid.flags.writeable = False
-    cells.flags.writeable = False
-    return grid, cells
+    return read_only(grid), read_only(cells)
 
 
 def _cells(f: SampledPath, g: SampledPath):
@@ -197,15 +196,18 @@ def _centered_integral(f: SampledPath, g: SampledPath) -> SampledPath:
 
 @dataclass(frozen=True)
 class TruncationLadder:
-    """Paired nonincreasing truncation sequences: etas truncate f, thetas g."""
+    """Paired nonincreasing truncation sequences: etas truncate f, thetas g.
+
+    Both are kept as `read_only` arrays: the series trust a validated ladder
+    and never check it again.
+    """
 
     etas: np.ndarray
     thetas: np.ndarray
 
     def __post_init__(self):
-        # copies, so freezing them below leaves the caller's arrays writable
-        etas = np.array(self.etas, dtype=np.float64, ndmin=1)
-        thetas = np.array(self.thetas, dtype=np.float64, ndmin=1)
+        etas = read_only(self.etas)
+        thetas = read_only(self.thetas)
         if etas.size != thetas.size or etas.size == 0:
             raise NonMonotoneLadderError("ladders must be paired and nonempty")
         if etas.ndim != 1 or thetas.ndim != 1:
@@ -217,8 +219,6 @@ class TruncationLadder:
                 raise NonMonotoneLadderError(f"{name} terms must be finite and >= 0")
             if sorted(seq, reverse=True) != seq:  # -0.0 == 0.0, so ties pass
                 raise NonMonotoneLadderError(f"{name} sequence must be nonincreasing")
-        etas.flags.writeable = False
-        thetas.flags.writeable = False
         object.__setattr__(self, "etas", etas)
         object.__setattr__(self, "thetas", thetas)
 

@@ -12,13 +12,13 @@ or ``inf`` / ``nan``, padded by whitespace if at all; ``inf``, ``nan`` and
 numbers that overflow to infinity are then rejected as non-finite.  Digit
 separators (``1_0``) and non-ASCII digits are rejected, although ``float``
 would take them.  Blank lines are skipped; there is no comment syntax.  A
-file that is not UTF-8 is a `CsvFormatError` too, which for a named file
-gives the byte offset and line of the first byte that is not.
+file that is not UTF-8 is a `CsvFormatError` too, which gives the byte
+offset and line of the first byte that is not.
 
-Both directions stream: the reader parses PIECE_CHARS characters at a time,
-cut after a line break, and the writer formats PIECE_ROWS rows at a time,
-so either holds one piece of text beside the arrays of the path, whatever
-its length.  A file that fits in one piece is read and parsed in one go.
+Both directions stream: the reader decodes and parses PIECE_BYTES bytes at
+a time, cut after a line break, and the writer formats PIECE_ROWS rows at a
+time, so either holds one piece of text beside the arrays of the path,
+whatever its length.
 
 A piece of fewer than _ARRAY_ROWS rows is formatted by one "%.17g"
 expression; a longer one gets the same bytes from NumPy arrays, without
@@ -49,7 +49,6 @@ truncated when opened, only cut to the new length after the write if it
 was longer.
 """
 
-import codecs
 import contextlib
 import functools
 import os
@@ -63,8 +62,8 @@ from .paths import Mode, SampledPath
 HEADER = "t,value"
 # rows per parse when a file is rejected, to find its first bad row
 BAD_ROW_BLOCK = 256
-# characters per read of a CSV, and rows per formatted piece of one
-PIECE_CHARS = 1 << 16
+# bytes per read of a CSV, and rows per formatted piece of one
+PIECE_BYTES = 1 << 16
 PIECE_ROWS = 1024
 
 # A piece of at least this many rows is formatted in arrays, a shorter one
@@ -330,39 +329,51 @@ def _first_bad_row(rows):
 
 
 def _pieces(fh):
-    """The text of `fh` in whole lines, read PIECE_CHARS characters at a time.
+    """The bytes of `fh` in whole lines, read PIECE_BYTES at a time.
 
-    A full read is cut after its last "\n" and the rest carried into the
-    next piece.  A shorter read ends the text, as `read(n)` of an `io` text
-    stream does only at the end of the file, and is yielded whole with what
-    was carried: a file that fits in one read is one piece, not copied.
+    Each read is cut after its last b"\n" or b"\r" and the rest carried
+    into the next piece, so a cut falls on a UTF-8 character boundary and a
+    file with "\r" line ends streams too.  Only an empty read ends the
+    file: a raw stream may return short reads before its end.
     """
-    carry = ""
-    while True:
-        piece = fh.read(PIECE_CHARS)
-        if len(piece) < PIECE_CHARS:
-            yield carry + piece
-            return
-        cut = piece.rfind("\n") + 1
+    carry = b""
+    while piece := fh.read(PIECE_BYTES):
+        cut = max(piece.rfind(b"\n"), piece.rfind(b"\r")) + 1
         if cut:
             yield carry + piece[:cut]
             carry = piece[cut:]
         else:
             carry += piece
+    if carry:
+        yield carry
 
 
 def _read_rows(fh):
-    """The (n, 2) rows of the CSV text `fh`, parsed piece by piece.
+    """The (n, 2) rows of the CSV bytes `fh`, decoded and parsed piece by piece.
 
-    A cut after "\n" is a line break for `splitlines` too and every field
-    is parsed on its own, so the pieces give the rows, the errors and the
-    doubles of one parse of the whole text.  A piece that fails names the
-    file's first bad row, since every piece before it parsed.
+    A cut after a line break is one for `splitlines` too, a "\r\n" it
+    splits only adds a blank line, and every field is parsed on its own, so
+    the pieces give the rows, the errors and the doubles of one parse of
+    the whole text.  A piece that fails names the file's first bad row,
+    since every piece before it parsed, and a byte that is not UTF-8 is
+    named by its offset and line, counted over the pieces before it.
     """
     header = None
     blocks = []
+    offset = newlines = 0
     for piece in _pieces(fh):
-        lines = [s for s in map(str.strip, piece.splitlines()) if s]
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = newlines + piece.count(b"\n", 0, exc.start) + 1
+            raise CsvFormatError(f"not UTF-8 text: {exc.reason} at byte offset "
+                                 f"{offset + exc.start}, line {line}") from None
+        if not offset:  # a byte order mark, as "utf-8-sig" drops it
+            text = text.removeprefix("\ufeff")
+        offset += len(piece)
+        # a NumPy pass: bytes.count takes about 5 times as long
+        newlines += np.count_nonzero(np.frombuffer(piece, dtype=np.uint8) == ord("\n"))
+        lines = [s for s in map(str.strip, text.splitlines()) if s]
         if header is None and lines:
             header = lines.pop(0)
             if header.replace(" ", "") != HEADER:
@@ -377,53 +388,16 @@ def _read_rows(fh):
             blocks.append(data)
     if header is None:
         raise CsvFormatError("empty CSV")
-    if len(blocks) > 1:
-        return np.concatenate(blocks)
-    # one piece, not copied, or a header-only file: SampledPath rejects
-    # its empty columns
-    return blocks[0] if blocks else np.empty((0, 2))
-
-
-def _first_bad_byte(src):
-    """Where the first byte of the file `src` that is not UTF-8 lies, as
-    " at byte offset N, line L" (N from 0, L from 1), or "" if none does.
-
-    Only a rejected file pays for this second read: an incremental decoder
-    takes the file's bytes PIECE_CHARS at a time, holding back the start of
-    a sequence a read cuts, so the error's start, less what it held back,
-    is the offset into the read.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    offset = lines = 0
-    with open(src, "rb") as fh:
-        while True:
-            chunk = fh.read(PIECE_CHARS)
-            held = decoder.getstate()[0]
-            try:
-                decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                bad = exc.start - len(held)
-                lines += chunk[:max(bad, 0)].count(b"\n")
-                return f" at byte offset {offset + bad}, line {lines + 1}"
-            if not chunk:
-                return ""
-            offset += len(chunk)
-            lines += chunk.count(b"\n")
+    # a header-only file gives empty columns, which SampledPath rejects
+    return np.concatenate(blocks or [np.empty((0, 2))])
 
 
 def read_path_csv(src, mode=Mode.LINEAR) -> SampledPath:
-    """Read a CSV path from a text file object, or from the file named `src`.
+    """Read a CSV path from a binary file object, or from the file named `src`.
 
-    At most one piece of text (PIECE_CHARS characters and the line it cuts)
-    is held at a time, beside the parsed rows and the output arrays.
+    At most one piece (PIECE_BYTES and the line it cuts) is held at a time,
+    as bytes and as text, beside the parsed rows and the output arrays.
     """
-    try:
-        if hasattr(src, "read"):
-            data = _read_rows(src)
-        else:
-            with open(src, "r", encoding="utf-8-sig") as fh:
-                data = _read_rows(fh)
-    except UnicodeDecodeError as exc:
-        where = "" if hasattr(src, "read") else _first_bad_byte(src)
-        raise CsvFormatError(f"not UTF-8 text: {exc.reason}{where}") from None
+    with contextlib.nullcontext(src) if hasattr(src, "read") else open(src, "rb") as fh:
+        data = _read_rows(fh)
     return SampledPath(data[:, 0], data[:, 1], Mode(mode))

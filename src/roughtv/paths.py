@@ -44,7 +44,7 @@ class Mode(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SampledPath:
-    """Validated samples in read-only arrays that no caller can write.
+    """Validated samples in arrays that no caller can write (`read_only`).
 
     A path never changes, so what depends on its values alone is computed
     on first use and kept (`functools.cached_property`): the extrema list,
@@ -128,18 +128,21 @@ class SampledPath:
 
 
 def read_only(xs):
-    """`xs` as a read-only float64 array (at least 1-d) that no caller can write.
+    """`xs` as a float64 array (at least 1-d) that no caller can write.
 
-    A read-only float64 array that owns its memory, as a path's arrays do,
-    is kept; anything else is copied, so that no buffer a caller can still
-    write, and no view of one, ends up under a path or its caches.
+    The array is `np.frombuffer` over a `bytes` copy of `xs`: NumPy will
+    not set its writeable flag again, as it would for an array that owns
+    its memory.  A float64 array over a `bytes`, as a path's arrays are, is
+    kept; anything else is copied once, so that no buffer a caller can
+    still write, and no view of one, ends up under a path or its caches.
+    An `xs` of more than one dimension keeps its shape, for the caller to
+    reject.
     """
-    if (isinstance(xs, np.ndarray) and xs.dtype == np.float64 and xs.base is None
-            and not xs.flags.writeable):
+    if isinstance(xs, np.ndarray) and isinstance(xs.base, bytes) and xs.dtype == np.float64:
         return xs
-    array = np.array(xs, dtype=np.float64, ndmin=1)
-    array.flags.writeable = False
-    return array
+    array = np.array(xs, dtype=np.float64, copy=None, ndmin=1)
+    frozen = np.frombuffer(array.tobytes())
+    return frozen if array.ndim == 1 else frozen.reshape(array.shape)
 
 
 make_path = SampledPath  # the name the package and its tests build paths with

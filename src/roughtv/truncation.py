@@ -10,12 +10,11 @@ what `tv_profile` reconstructs exactly.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 from . import kernels
 from .errors import NegativeDeltaError, NonFiniteValueError, NonPositiveDeltaError
-from .paths import SampledPath, oscillation, read_only
+from .paths import SampledPath, oscillation
 
 
 def truncated_variation(path: SampledPath, delta) -> float:
@@ -60,15 +59,10 @@ class TvProfile:
     (a, b) with TV^delta = a - b*delta there; beyond the last breakpoint
     (the oscillation) the profile is zero.  `pieces` are the three lists
     `swing_pieces` returns, which `value` and the seminorms read on Python
-    floats (the IEEE operations of NumPy scalars, at half the cost); the
-    arrays are read-only copies of them, made on first request.
+    floats (the IEEE operations of NumPy scalars, at half the cost).
     """
 
     pieces: tuple  # breakpoints from 0 to the oscillation, coef_a, coef_b
-
-    breakpoints = cached_property(lambda self: read_only(self.pieces[0]))
-    coef_a = cached_property(lambda self: read_only(self.pieces[1]))
-    coef_b = cached_property(lambda self: read_only(self.pieces[2]))
 
     def value(self, delta) -> float:
         delta = float(delta)

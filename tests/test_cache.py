@@ -16,7 +16,7 @@ import pytest
 from roughtv import integrals, kernels, norms, truncation
 from roughtv.cli import main, to_json
 from roughtv.errors import RoughTVError
-from roughtv.integrals import BOUND_CHECKS, integral_norm_check, rs_integral
+from roughtv.integrals import BOUND_CHECKS, indefinite_integral, integral_norm_check, rs_integral
 from roughtv.norms import p_tv_seminorm, p_variation, seminorm_with_argmax
 from roughtv.paths import Mode, gen_brownian, make_path, restrict, shift_path
 from roughtv.pathio import write_path_csv
@@ -83,7 +83,7 @@ def test_profile_and_seminorm_bytes_warm_and_cold(values, ps):
     def profile_bytes(path):
         prof = tv_profile(path)
         assert tv_profile(path) is prof
-        return [getattr(prof, name).tobytes() for name in ("breakpoints", "coef_a", "coef_b")]
+        return [np.array(piece).tobytes() for piece in prof.pieces]
 
     def seminorm_bytes(path, p):
         return np.float64(p_tv_seminorm(path, p)).tobytes(), seminorm_with_argmax(path, p)
@@ -96,22 +96,42 @@ def test_profile_and_seminorm_bytes_warm_and_cold(values, ps):
         assert _raised_or(lambda: seminorm_bytes(path, p)) == cold
 
 
+def _refuses_writes(array):
+    # read-only by more than its flag: NumPy will not set the flag again
+    with pytest.raises(ValueError):
+        array[0] = 1.0
+    with pytest.raises(ValueError):
+        array.flags.writeable = True
+
+
 def test_cached_arrays_are_read_only():
     f = gen_brownian(30, 1.0, seed=3)
     g = gen_brownian(20, 1.0, seed=4)
-    prof = tv_profile(f)
-    for array in (prof.breakpoints, prof.coef_a, prof.coef_b):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 1.0
     rs_integral(f, g)
+    running = indefinite_integral(f, g)
     integral_norm_check(f, g, 1.5, 1.5)
     integral_norm_check(f, g, 1.5, 1.5, "pvar-remark")
     slot = f._pair_slot
     assert slot.keys() == {"g", "cells", "running", "centered"} and slot["g"] is g
-    grid, cells = slot["cells"]
-    for array in (grid, cells, slot["running"].values, slot["centered"].values):
-        assert not array.flags.writeable
+    # the running integral is kept in the slot, on the slot's own grid
+    assert slot["running"] is running and running.times is slot["cells"][0]
+    centered = slot["centered"]
+    for array in (*slot["cells"], running.times, running.values,
+                  centered.times, centered.values):
+        _refuses_writes(array)
+    assert indefinite_integral(f, g) is running
+    assert np.all(running.times[1:] > running.times[:-1])
+
+
+def test_a_paths_arrays_refuse_the_writeable_flag():
+    # a path's samples stay those its cached extrema were reduced from
+    path = make_path([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
+    assert total_variation(path) == 4.0
+    for array in (path.times, path.values):
+        _refuses_writes(array)
+    assert path.value_at(1.0) == 2.0 and total_variation(_fresh(path)) == 4.0
+    # a path's arrays are shared by the paths built on them, not copied
+    assert shift_path(path, 0.0).times is path.times
 
 
 def test_a_pair_is_validated_and_integrated_once(monkeypatch):

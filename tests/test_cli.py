@@ -470,8 +470,8 @@ def test_non_utf8_csv_exits_two(tmp_path, capsys, command, later):
     # a byte that is not UTF-8 is a CSV error, named the same wherever it lies
     good = tmp_path / "good.csv"
     write_path_csv(gen_brownian(24, 1.0, 1), good)
-    rows = b"".join(b"%d,0\n" % i for i in range(1, 2 * pathio.PIECE_CHARS // 6 if later else 2))
-    assert (len(rows) > 2 * pathio.PIECE_CHARS) is later
+    rows = b"".join(b"%d,0\n" % i for i in range(1, 2 * pathio.PIECE_BYTES // 6 if later else 2))
+    assert (len(rows) > 2 * pathio.PIECE_BYTES) is later
     bad = tmp_path / "bad.csv"
     head = b"t,value\n0,1\n" + rows
     bad.write_bytes(head + b"1e9,\xff2\n")

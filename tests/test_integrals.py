@@ -529,6 +529,15 @@ def test_ladders_leave_the_callers_arrays_writable(tent):
     assert not lad.etas.flags.writeable and not lad.thetas.flags.writeable
 
 
+def test_a_ladders_arrays_refuse_the_writeable_flag():
+    # the series trust a validated ladder and never check it again
+    lad = TruncationLadder([1.0, 0.5], [0.4, 0.2])
+    for array in (lad.etas, lad.thetas):
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+    assert lad.etas.tolist() == [1.0, 0.5] and lad.thetas.tolist() == [0.4, 0.2]
+
+
 def test_lemma_sum_bound_extension_consistency():
     # every truncation depth of the telescoping is a valid bound, and the
     # extension by one term changes it by exactly (new level terms + new

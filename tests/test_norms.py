@@ -328,13 +328,13 @@ def _parent_segment_search(profile, p):
     lies strictly inside; ties resolve to the smaller delta."""
     best = 0.0
     best_delta = 0.0
-    bp = profile.breakpoints
+    bp, coef_a, coef_b = map(np.array, profile.pieces)
     pm1 = p - 1.0
     for j in range(profile.n_segments):
         lo = bp[j]
         hi = bp[j + 1]
-        a = profile.coef_a[j]
-        b = profile.coef_b[j]
+        a = coef_a[j]
+        b = coef_b[j]
         cands = [lo, hi]
         if b > 0.0:
             star = a * pm1 / (p * b)
@@ -391,8 +391,8 @@ def _parent_peak(coef_a, coef_b, p):
 
 def _parent_profile_route(path, p):
     """seminorm_with_argmax as it was: a `TvProfile`, then its arrays as lists."""
-    profile = tv_profile(path)
-    return _parent_peak(profile.coef_a.tolist(), profile.coef_b.tolist(), p)
+    _, coef_a, coef_b = map(np.array, tv_profile(path).pieces)
+    return _parent_peak(coef_a.tolist(), coef_b.tolist(), p)
 
 
 def _parent_partition_route(increments, p):

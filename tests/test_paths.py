@@ -268,11 +268,16 @@ def test_csv_bytes_match_numpy_scalar_formatting():
     assert buf.getvalue() == "\n".join(["t,value"] + rows) + "\n"
 
 
+def _stream(text):
+    """A binary file object holding `text` as UTF-8, as the reader takes."""
+    return io.BytesIO(text.encode("utf-8"))
+
+
 def test_csv_header_enforced():
     with pytest.raises(CsvFormatError):
-        read_path_csv(io.StringIO("time,val\n0,0\n1,1\n"))
+        read_path_csv(_stream("time,val\n0,0\n1,1\n"))
     with pytest.raises(CsvFormatError):
-        read_path_csv(io.StringIO("t,value\n0,zero\n"))
+        read_path_csv(_stream("t,value\n0,zero\n"))
 
 
 # The reader and writer before rows were parsed by np.loadtxt, kept as the
@@ -330,7 +335,7 @@ def write_path_csv_reference(path, dest):
 ])
 def test_csv_error_messages(text, message):
     with pytest.raises(CsvFormatError) as exc:
-        read_path_csv(io.StringIO(text))
+        read_path_csv(_stream(text))
     assert str(exc.value) == message
 
 
@@ -371,7 +376,7 @@ def test_csv_bad_rows_found_in_blocks(monkeypatch):
         parses.clear()
         monkeypatch.setattr(pathio, "_parse_rows", counting)
         with pytest.raises(CsvFormatError) as exc:
-            read_path_csv(io.StringIO(text))
+            read_path_csv(_stream(text))
         monkeypatch.undo()
         assert str(exc.value) == want
         if "1_0" not in want:
@@ -393,7 +398,7 @@ def test_csv_bad_rows_found_in_blocks(monkeypatch):
     "t,value\n1e-320,1.7976931348623157e308\n",
 ])
 def test_csv_accepted_forms_match_reference(text):
-    p = read_path_csv(io.StringIO(text))
+    p = read_path_csv(_stream(text))
     q = read_path_csv_reference(io.StringIO(text))
     # bytes, so that -0.0 and 0.0 differ
     assert p.times.tobytes() == q.times.tobytes()
@@ -406,6 +411,47 @@ def test_csv_byte_order_mark(tmp_path):
     assert dest.read_bytes().startswith(b"\xef\xbb\xbf")
     p = read_path_csv(dest)
     assert p.times.tolist() == [0.0, 1.0] and p.values.tolist() == [1.0, 2.0]
+
+
+NON_UTF8 = {
+    "start-byte": (b"t,value\n0,1\n1,\xff\n",
+                   "invalid start byte at byte offset 14, line 3"),
+    "bom-crlf": (b"\xef\xbb\xbft,value\r\n0,1\r\n\xe2\x28\xa1,2\r\n",
+                 "invalid continuation byte at byte offset 17, line 3"),
+    "cr-only": (b"t,value\r0,1\r1,\xff\r", "invalid start byte at byte offset 14, line 1"),
+    "cut-at-end": (b"t,value\n0,1\n1,2\xe2\x82", "unexpected end of data at byte offset 15, line 3"),
+    "later-row": (b"t,value\n" + b"".join(b"%d,0\n" % i for i in range(40)) + b"\xc0,1\n",
+                  "invalid start byte at byte offset 198, line 42"),
+}
+
+
+@pytest.mark.parametrize("data, where", NON_UTF8.values(), ids=NON_UTF8)
+def test_non_utf8_stream_is_named_like_a_file(data, where, tmp_path, monkeypatch):
+    # a stream and a named file of the same bytes name the first bad byte
+    # by its offset and line, wherever the pieces cut them
+    dest = tmp_path / "bad.csv"
+    dest.write_bytes(data)
+    message = f"not UTF-8 text: {where}"
+    assert _read_outcome(read_path_csv, dest) == message
+    for size in (1, 2, 3, 5, 8, 13, 64, 1 << 16):
+        monkeypatch.setattr(pathio, "PIECE_BYTES", size)
+        assert _read_outcome(read_path_csv, io.BytesIO(data)) == message
+        assert _read_outcome(read_path_csv, dest) == message
+
+
+def test_a_rejected_non_utf8_file_is_opened_once(tmp_path, monkeypatch):
+    dest = tmp_path / "bad.csv"
+    dest.write_bytes(NON_UTF8["start-byte"][0])
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(pathio, "open", counting_open, raising=False)
+    with pytest.raises(CsvFormatError, match="byte offset 14, line 3$"):
+        read_path_csv(dest)
+    assert opened == [(dest, "rb")]
 
 
 def test_csv_bom_crlf_padding_and_blank_lines(tmp_path):
@@ -446,26 +492,47 @@ PIECE_TEXTS = {
 
 @pytest.mark.parametrize("text", PIECE_TEXTS.values(), ids=PIECE_TEXTS)
 def test_csv_pieces_match_reference(text, tmp_path, monkeypatch):
-    # pieces of 1 to 12 characters cut every line, the header and each
-    # "\r\n" somewhere; from a file, a byte order mark leads the first piece
+    # pieces of 1 to 12 bytes cut every line, the header and each "\r\n"
+    # somewhere; from a file, a byte order mark leads the first piece
     dest = tmp_path / "pieces.csv"
     dest.write_bytes(("\ufeff" + text).encode("utf-8"))
     want = _read_outcome(read_path_csv_reference, io.StringIO(text))
     with open(dest, encoding="utf-8-sig") as fh:
         assert _read_outcome(read_path_csv_reference, fh) == want
     for size in range(1, 13):
-        monkeypatch.setattr(pathio, "PIECE_CHARS", size)
-        pieces = list(pathio._pieces(io.StringIO(text)))
-        assert "".join(pieces) == text
-        assert all(piece.endswith("\n") for piece in pieces[:-1])
-        assert _read_outcome(read_path_csv, io.StringIO(text)) == want
+        monkeypatch.setattr(pathio, "PIECE_BYTES", size)
+        pieces = list(pathio._pieces(_stream(text)))
+        assert b"".join(pieces) == text.encode("utf-8")
+        assert all(piece.endswith((b"\n", b"\r")) for piece in pieces[:-1])
+        assert _read_outcome(read_path_csv, _stream(text)) == want
         assert _read_outcome(read_path_csv, dest) == want
 
 
 def test_csv_crlf_straddling_a_piece_boundary(monkeypatch):
-    # reads of 4: "t,va", "lue\r", "\n0,1", "\r\n"; the "\r" is carried
-    monkeypatch.setattr(pathio, "PIECE_CHARS", 4)
-    assert list(pathio._pieces(io.StringIO("t,value\r\n0,1\r\n"))) == ["t,value\r\n", "0,1\r\n"]
+    # reads of 4: "t,va", "lue\r", "\n0,1", "\r\n"; a read is cut after its
+    # last "\r" too, so the "\n" after it starts a piece, a blank line
+    monkeypatch.setattr(pathio, "PIECE_BYTES", 4)
+    pieces = list(pathio._pieces(_stream("t,value\r\n0,1\r\n")))
+    assert pieces == [b"t,value\r", b"\n", b"0,1\r\n"]
+    assert _read_outcome(read_path_csv, _stream("t,value\r\n0,1\r\n")) == (
+        np.array([0.0]).tobytes(), np.array([1.0]).tobytes())
+
+
+def test_csv_cr_only_file_streams(tmp_path, monkeypatch):
+    # a file with "\r" line ends only is cut after its "\r"s, not carried
+    # whole into one piece, and gives the rows of the reference
+    rows = [f"{i / 8!r},{(-1) ** i * i / 3!r}" for i in range(200)]
+    text = "t,value\r" + "\r".join(rows) + "\r"
+    dest = tmp_path / "cr.csv"
+    dest.write_bytes(text.encode("utf-8"))
+    want = _read_outcome(read_path_csv_reference, io.StringIO(text))
+    assert isinstance(want, tuple)
+    monkeypatch.setattr(pathio, "PIECE_BYTES", 64)
+    with open(dest, "rb") as fh:
+        pieces = list(pathio._pieces(fh))
+    assert len(pieces) > len(text) // 128
+    assert max(map(len, pieces)) <= 2 * 64
+    assert _read_outcome(read_path_csv, dest) == want
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -481,9 +548,9 @@ def test_csv_first_bad_row_in_a_later_piece(bad, message, monkeypatch):
         text = "t,value\n" + "\n".join(rows[:at] + [bad] + rows[at:] + ["x,y"]) + "\n"
         assert _read_outcome(read_path_csv_reference, io.StringIO(text)) == message
         for size in range(5, 60, 3):
-            monkeypatch.setattr(pathio, "PIECE_CHARS", size)
-            assert len(next(pathio._pieces(io.StringIO(text)))) <= text.index(bad)
-            assert _read_outcome(read_path_csv, io.StringIO(text)) == message
+            monkeypatch.setattr(pathio, "PIECE_BYTES", size)
+            assert len(next(pathio._pieces(_stream(text)))) <= text.index(bad)
+            assert _read_outcome(read_path_csv, _stream(text)) == message
 
 
 def test_csv_writer_pieces_match_reference(tmp_path):
@@ -589,13 +656,13 @@ def test_csv_io_memory_is_one_piece(tmp_path):
 
 def test_csv_header_only_is_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        read_path_csv(io.StringIO("t,value\n"))
+        read_path_csv(_stream("t,value\n"))
 
 
 @pytest.mark.parametrize("row", ["1,1e500", "1,inf", "1,-inf", "1,nan", "1e500,0"])
 def test_csv_non_finite_rows(row):
     with pytest.raises(NonFiniteValueError):
-        read_path_csv(io.StringIO(f"t,value\n0,0\n{row}\n"))
+        read_path_csv(_stream(f"t,value\n0,0\n{row}\n"))
 
 
 def test_csv_mode_out_of_band(tmp_path):

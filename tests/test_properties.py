@@ -189,7 +189,7 @@ def test_csv_io_equals_reference(data):
     write_path_csv_reference(path, ref)
     text = buf.getvalue()
     assert text == ref.getvalue()
-    back = read_path_csv(io.StringIO(text))
+    back = read_path_csv(io.BytesIO(text.encode("utf-8")))
     old = read_path_csv_reference(io.StringIO(text))
     assert back.times.tobytes() == path.times.tobytes() == old.times.tobytes()
     assert back.values.tobytes() == path.values.tobytes() == old.values.tobytes()
@@ -336,11 +336,11 @@ def test_every_bound_report_is_finite_or_raises(f_values, g_values, f_exponent, 
 def _value_reference(profile, delta):
     # TvProfile.value on NumPy scalars, before it read list copies
     delta = float(delta)
-    bp = profile.breakpoints
-    if profile.coef_a.size == 0 or delta >= bp[-1]:
+    bp, coef_a, coef_b = map(np.array, profile.pieces)
+    if coef_a.size == 0 or delta >= bp[-1]:
         return 0.0
     j = bisect_right(bp, delta) - 1
-    return max(float(profile.coef_a[j] - profile.coef_b[j] * delta), 0.0)
+    return max(float(coef_a[j] - coef_b[j] * delta), 0.0)
 
 
 def _bits(x):
@@ -354,7 +354,7 @@ def test_profile_value_has_the_bits_of_the_numpy_scalar_form(values, exponent, f
     profile = tv_profile(_scaled_path(values, exponent))
     osc = profile.oscillation
     deltas = [0.0, 5e-324, 1e308, math.inf] + [f * osc for f in fractions]
-    for b in profile.breakpoints.tolist():
+    for b in profile.pieces[0]:
         deltas += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
     for delta in deltas:
         if delta >= 0:

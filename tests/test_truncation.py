@@ -197,16 +197,18 @@ def test_approximation_rejects_nonpositive(tent):
 def test_profile_single_jump():
     prof = tv_profile(make_path([0.0, 1.0], [0.0, 1.0]))
     assert prof.n_segments == 1
-    assert prof.breakpoints.tolist() == [0.0, 1.0]
-    assert abs(prof.coef_a[0] - 1.0) <= 1e-12
-    assert abs(prof.coef_b[0] - 1.0) <= 1e-12
+    bp, coef_a, coef_b = prof.pieces
+    assert bp == [0.0, 1.0]
+    assert abs(coef_a[0] - 1.0) <= 1e-12
+    assert abs(coef_b[0] - 1.0) <= 1e-12
 
 
 def test_profile_tent(tent):
     prof = tv_profile(tent)
     assert prof.n_segments == 1
-    assert abs(prof.coef_a[0] - 2.0) <= 1e-12
-    assert abs(prof.coef_b[0] - 2.0) <= 1e-12
+    _, coef_a, coef_b = prof.pieces
+    assert abs(coef_a[0] - 2.0) <= 1e-12
+    assert abs(coef_b[0] - 2.0) <= 1e-12
     assert prof.value(0.25) == pytest.approx(1.5, abs=1e-12)
 
 
@@ -224,13 +226,14 @@ def test_profile_invariants_random():
         osc = oscillation(path)
         assert prof.value(0.0) == pytest.approx(total_variation(path), abs=1e-9)
         assert prof.value(osc) <= 1e-12
-        assert prof.breakpoints[0] == 0.0
-        assert prof.breakpoints[-1] == pytest.approx(osc, abs=1e-12)
+        breakpoints, coef_a, coef_b = prof.pieces
+        assert breakpoints[0] == 0.0
+        assert breakpoints[-1] == pytest.approx(osc, abs=1e-12)
         # continuity at shared breakpoints, relative 1e-9
         for j in range(prof.n_segments - 1):
-            bp = prof.breakpoints[j + 1]
-            left = prof.coef_a[j] - prof.coef_b[j] * bp
-            right = prof.coef_a[j + 1] - prof.coef_b[j + 1] * bp
+            bp = breakpoints[j + 1]
+            left = coef_a[j] - coef_b[j] * bp
+            right = coef_a[j + 1] - coef_b[j + 1] * bp
             assert abs(left - right) <= 1e-9 * max(1.0, abs(left))
         # nonincreasing and convex as an evaluated function
         grid = np.linspace(0.0, osc, 33)
@@ -266,7 +269,7 @@ def test_profile_matches_tv_delta_at_breakpoints_and_random_deltas():
     for v in _profile_corpus():
         prof = tv_profile(make_path(np.linspace(0.0, 1.0, v.size), v))
         osc = prof.oscillation
-        deltas = np.concatenate((prof.breakpoints, rng.uniform(0.0, osc, 25),
+        deltas = np.concatenate((prof.pieces[0], rng.uniform(0.0, osc, 25),
                                  [1.5 * osc]))
         for delta in deltas:
             direct = kernels.tv_delta(v, delta)
@@ -277,11 +280,11 @@ def test_profile_segmentation_is_minimal():
     for v in _profile_corpus():
         path = make_path(np.linspace(0.0, 1.0, v.size), v)
         prof = tv_profile(path)
-        b = prof.coef_b
+        b = np.array(prof.pieces[2])
         # one slope per piece: no two neighbours are collinear
         assert np.all(b > 0) and np.all(b == np.round(b))
         assert np.all(np.diff(b) < 0)
-        assert prof.breakpoints[-1] == oscillation(path)
+        assert prof.pieces[0][-1] == oscillation(path)
 
 
 def test_profile_makes_no_tv_delta_call(monkeypatch):
@@ -293,9 +296,9 @@ def test_profile_makes_no_tv_delta_call(monkeypatch):
     prof = tv_profile(path)
     # swings 2 1 2 4 1 0.5 4.5 3: the 0.5 and 1 swings fuse inner triples,
     # both end swings of 3 drop together, then the end swing 4, then osc = 5
-    assert prof.breakpoints.tolist() == [0.0, 0.5, 1.0, 3.0, 4.0, 5.0]
-    assert prof.coef_b.tolist() == [8.0, 6.0, 4.0, 2.0, 1.0]
-    assert prof.coef_a.tolist() == [18.0, 17.0, 15.0, 9.0, 5.0]
+    assert prof.pieces == ([0.0, 0.5, 1.0, 3.0, 4.0, 5.0],
+                           [18.0, 17.0, 15.0, 9.0, 5.0],
+                           [8.0, 6.0, 4.0, 2.0, 1.0])
 
 
 def test_profile_rejects_overflowing_oscillation():
