@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, is_dataclass
 
@@ -46,15 +45,8 @@ BOUND_VARIANTS = tuple(BOUND_CHECKS)
 
 
 def thread_budget() -> int:
-    """Worker cap from ROUGHTV_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("ROUGHTV_THREADS", "0").strip() or "0"
-    try:
-        n = int(raw)
-    except ValueError:
-        raise BadParameterError(f"ROUGHTV_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise BadParameterError("ROUGHTV_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
+    """Worker cap: 1, since every command runs on one thread."""
+    return 1
 
 
 def _json_scalar(x):

@@ -317,8 +317,8 @@ def _iterate_step(field, t, xv, y_start, tol, max_iter, damped, guard):
     it aliases, and coerced by `LipschitzField.__call__`'s rule
     (`_field_values`) first otherwise.  z0 = 0.0 + y_start is the running
     sum's first sample, and z1 = y_start + the one cell is its second,
-    since -0.0 + c is c for every float c.  The guard is tested on z0, then
-    on z1, so the first sample beyond it is the one reported, and the
+    since -0.0 + c is c for every float c.  The guard is tested on z1 only
+    (z0 is the solve's initial value or a sample that passed it), and the
     tolerance on both; a NaN fails that test, as it fails np.max's.
     """
     func = field.func
@@ -334,9 +334,6 @@ def _iterate_step(field, t, xv, y_start, tol, max_iter, damped, guard):
             out = _field_values(out, arr)
         f0, f1 = out.tolist()
         z1 = y_start + 0.5 * (f0 + f1) * dx
-        if abs(z0) > guard:
-            raise BlowupSuspectedError("solution exceeded the overflow guard",
-                                       time=float(t[0]))
         if abs(z1) > guard:
             raise BlowupSuspectedError("solution exceeded the overflow guard",
                                        time=float(t[1]))

@@ -5,8 +5,9 @@ sequence; the absolute differences of consecutive extrema are its swings,
 the alternating monotone runs that `truncation.swing_pieces` pairs off in
 one stack pass.  `window_extrema` reduces a sequence once and then reads
 the extrema of any window of it, as the Picard window search needs.  On a
-list of extrema, a path's (kept on it) or a window's, `tv_delta` evaluates the truncated variation at one threshold in a single
-pass, `pvar_sum` the p-variation by a dynamic program pruned to the backward
+list of extrema, a path's (kept on it) or a window's, `tv_delta`
+evaluates the truncated variation at one threshold in a single pass,
+`pvar_sum` the p-variation by a dynamic program pruned to the backward
 records newer than the last earlier extremum beyond each step (exact; one
 record a step on a contracting zigzag, quadratic only in the worst case, a
 staircase), and `lazy_band` the band-following approximation.  Where a

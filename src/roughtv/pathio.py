@@ -12,13 +12,13 @@ or ``inf`` / ``nan``, padded by whitespace if at all; ``inf``, ``nan`` and
 numbers that overflow to infinity are then rejected as non-finite.  Digit
 separators (``1_0``) and non-ASCII digits are rejected, although ``float``
 would take them.  Blank lines are skipped; there is no comment syntax.  A
-file that is not UTF-8 is a `CsvFormatError` too, which gives the byte
-offset and line of the first byte that is not.
+file that is not UTF-8 is a `CsvFormatError` too, which gives the offset
+of the first byte that is not, and its line as the reader splits lines.
 
-Both directions stream: the reader decodes and parses PIECE_BYTES bytes at
-a time, cut after a line break, and the writer formats PIECE_ROWS rows at a
-time, so either holds one piece of text beside the arrays of the path,
-whatever its length.
+Both directions stream bytes, of a named file or a binary file object: the
+reader decodes and parses PIECE_BYTES at a time, cut after a line break,
+and the writer formats PIECE_ROWS rows at a time, so either holds one
+piece of text beside the arrays of the path, whatever its length.
 
 A piece of fewer than _ARRAY_ROWS rows is formatted by one "%.17g"
 expression; a longer one gets the same bytes from NumPy arrays, without
@@ -290,11 +290,11 @@ def _csv_pieces(path):
 
 
 def write_path_csv(path: SampledPath, dest):
-    """Write `path` as CSV to a file object, or to the file named `dest`."""
+    """Write `path` as UTF-8 CSV to a binary file object, or to the file `dest`."""
     pieces = _csv_pieces(path)
     if hasattr(dest, "write"):
         for piece in pieces:
-            dest.write(piece)
+            dest.write(piece.encode("utf-8"))
     else:
         write_text(dest, pieces)
 
@@ -356,24 +356,29 @@ def _read_rows(fh):
     the pieces give the rows, the errors and the doubles of one parse of
     the whole text.  A piece that fails names the file's first bad row,
     since every piece before it parsed, and a byte that is not UTF-8 is
-    named by its offset and line, counted over the pieces before it.
+    named by its offset and its line as `splitlines` counts them (less the
+    blank lines of split "\r\n"s), over the pieces before it.
     """
     header = None
     blocks = []
-    offset = newlines = 0
+    offset = lines_before = 0
+    after_cr = False
     for piece in _pieces(fh):
+        split_crlf = after_cr and piece.startswith(b"\n")
+        after_cr = piece.endswith(b"\r")
         try:
             text = piece.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = newlines + piece.count(b"\n", 0, exc.start) + 1
+            head = piece[:exc.start].decode("utf-8") + "x"
+            line = lines_before + len(head.splitlines()) - split_crlf
             raise CsvFormatError(f"not UTF-8 text: {exc.reason} at byte offset "
                                  f"{offset + exc.start}, line {line}") from None
         if not offset:  # a byte order mark, as "utf-8-sig" drops it
             text = text.removeprefix("\ufeff")
         offset += len(piece)
-        # a NumPy pass: bytes.count takes about 5 times as long
-        newlines += np.count_nonzero(np.frombuffer(piece, dtype=np.uint8) == ord("\n"))
-        lines = [s for s in map(str.strip, text.splitlines()) if s]
+        split = text.splitlines()
+        lines_before += len(split) - split_crlf
+        lines = [s for s in map(str.strip, split) if s]
         if header is None and lines:
             header = lines.pop(0)
             if header.replace(" ", "") != HEADER:

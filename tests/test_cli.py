@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from roughtv import cli, pathio
-from roughtv.cli import BOUND_VARIANTS, main, thread_budget, to_json
+from roughtv.cli import BOUND_VARIANTS, main, to_json
 from roughtv.errors import BadParameterError
 from roughtv.pathio import read_path_csv, write_path_csv
 from roughtv.paths import MAX_SAMPLES, Mode, gen_brownian, identity_path, scale_path, tent_path
@@ -145,6 +145,15 @@ def test_gen_fx_reports_jumps(tmp_path, capsys):
     assert '"jump_times"' in stdout and '"mode": "step"' in stdout
     fx = read_path_csv(out, Mode.STEP)
     assert fx.values.tolist() == [0.0, 1.0, 1.0, -2.0]
+
+
+def test_gen_named_tent(tmp_path, capsys):
+    dest = tmp_path / "tent.csv"
+    code, out, err = run_cli(capsys, "gen", "named", "--name", "tent", "--out", str(dest))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["samples"] == 3
+    q = read_path_csv(dest)
+    assert (q.times.tolist(), q.values.tolist()) == ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
 
 
 def test_tv_command(tent_csv, capsys):
@@ -633,7 +642,6 @@ def test_bounds_output_is_machine_independent(tmp_path, capsys, monkeypatch):
     g_csv = tmp_path / "g.csv"
     run_cli(capsys, "gen", "brownian", "--n", "24", "--seed", "5", "--out", str(f_csv))
     run_cli(capsys, "gen", "brownian", "--n", "24", "--seed", "6", "--out", str(g_csv))
-    monkeypatch.delenv("ROUGHTV_THREADS", raising=False)
     outputs = []
     for cpus in (1, 8):
         monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
@@ -877,16 +885,6 @@ def test_infinite_p_exits_two(tent_csv, capsys, command, message):
     code, stdout, stderr = run_cli(capsys, command, tent_csv, "--p", "inf")
     assert (code, stdout) == (2, "")
     assert stderr == f"error: BadExponentError: {message}\n"
-
-
-def test_thread_budget_env(monkeypatch):
-    monkeypatch.setenv("ROUGHTV_THREADS", "3")
-    assert thread_budget() == 3
-    monkeypatch.setenv("ROUGHTV_THREADS", "0")
-    assert thread_budget() >= 1
-    monkeypatch.setenv("ROUGHTV_THREADS", "junk")
-    with pytest.raises(BadParameterError):
-        thread_budget()
 
 
 def test_main_builds_its_parser_once(tent_csv, capsys, monkeypatch):

@@ -17,10 +17,12 @@ from roughtv.equations import (
 )
 from roughtv.errors import (
     BadAlphaError,
+    BadExponentError,
     BadParameterError,
     BlowupSuspectedError,
     NoConvergenceError,
     NoSplittingError,
+    NonFiniteValueError,
 )
 from roughtv.integrals import d_e_constants
 from roughtv.norms import extrema_seminorm, p_tv_seminorm, seminorm_on, tv_p_full_norm
@@ -98,6 +100,10 @@ def test_field_validation():
         LipschitzField(np.sin, alpha=1.5, order="alpha", lipschitz=1.0)
     with pytest.raises(BadParameterError):
         LipschitzField(np.sin, alpha=1.0, order="one_plus_alpha", lipschitz=1.0)
+    with pytest.raises(BadParameterError, match="^unknown order 'beta'$"):
+        LipschitzField(np.sin, alpha=1.0, order="beta", lipschitz=1.0)
+    with pytest.raises(BadParameterError, match="^Lipschitz constant must be >= 0$"):
+        LipschitzField(np.sin, alpha=0.5, order="alpha", lipschitz=-1.0)
     # a quotient with K_G > 0 brings |F|_inf into the certification
     with pytest.raises(BadParameterError, match="requires sup_bound"):
         dataclasses.replace(field_catalog()["sin"], sup_bound=None)
@@ -119,6 +125,9 @@ def test_fixed_point_radius_examples():
         assert r == pytest.approx(a * r ** alpha + b, rel=1e-15, abs=0.0)
     with pytest.raises(BadAlphaError):
         fixed_point_radius(1.0, 1.0, 1.0)
+    # A ** (1 / (1 - alpha)) overflows a Python float, and so does the root
+    with pytest.raises(NonFiniteValueError, match="^the a-priori radius overflows float64$"):
+        fixed_point_radius(1e308, 1.0, 0.99)
     # NaN is rejected as a negative value is: a NaN A once doubled forever
     for a, b in ((math.nan, 1.0), (1.0, math.nan)):
         with pytest.raises(BadParameterError, match="A and B must be >= 0"):
@@ -579,6 +588,14 @@ def test_picard_rejects_bad_driver_and_exponent():
     step = make_path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], "step")
     with pytest.raises(BadParameterError):
         picard_solve(step, field_catalog()["identity"], 0.0, 1.5, 1e-6)
+    x = identity_path(9)
+    with pytest.raises(BadExponentError, match=r"^need p in \(1; 2\)$"):
+        picard_solve(x, field_catalog()["sin"], 0.0, 2.5, 1e-6)
+    with pytest.raises(BadAlphaError, match="^order alpha solving needs p - 1 < alpha$"):
+        picard_solve(x, field_catalog()["sqrt-abs"], 0.0, 1.6, 1e-6)
+    with pytest.raises(BadParameterError,
+                       match="^the a-priori radius applies to order alpha fields$"):
+        solution_radius(x, field_catalog()["sin"], 0.0, 1.5)
 
 
 def _explosive():
@@ -771,6 +788,8 @@ def test_composition_check_constant_and_identity(tent):
     rep_id = composition_norm_check(tent, cat["identity"], 2.0)
     assert rep_id.lhs == pytest.approx(rep_id.rhs, rel=1e-12)
     assert rep_id.passed
+    with pytest.raises(BadExponentError, match="^needs p >= 1$"):
+        composition_norm_check(tent, cat["identity"], 0.5)
 
 
 def test_composition_check_sqrt_sweep():

@@ -7,6 +7,7 @@ import pytest
 
 from roughtv.errors import (
     BadExponentsError,
+    BadParameterError,
     CommonDiscontinuityError,
     InvalidPartitionError,
     NonFiniteValueError,
@@ -843,6 +844,8 @@ def test_integral_norm_checks_random_pair():
     assert info.extras["asserted"] is False
     remark = integral_norm_check(f, g, 1.9, 1.9, "pvar-remark")
     assert remark.passed
+    with pytest.raises(BadParameterError, match="^unknown variant nope$"):
+        integral_norm_check(f, g, 1.9, 1.9, "nope")
 
 
 def test_integral_norm_constant_integrand():

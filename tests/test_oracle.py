@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_corpus
-from roughtv.errors import TooLargeError
+from roughtv.errors import BadExponentError, NegativeDeltaError, TooLargeError
 from roughtv.norms import partition_sup_delta
 from roughtv.oracle import (
     pvar_bruteforce,
@@ -65,3 +65,12 @@ def test_grid_search_close_to_exact():
         for p in (1.5, 2.0, 2.5):
             exact = partition_sup_delta(xs, p)
             assert abs(sup_delta_grid(xs, p) - exact) <= 1e-6
+
+
+def test_domain_checks(tent):
+    with pytest.raises(NegativeDeltaError, match="^delta must be >= 0$"):
+        tv_partition_bruteforce(tent, -1.0)
+    with pytest.raises(BadExponentError, match="^needs p >= 1$"):
+        pvar_bruteforce(tent, 0.5)
+    with pytest.raises(BadExponentError, match="^needs p > 1$"):
+        seminorm_bruteforce(tent, 1.0)

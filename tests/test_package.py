@@ -31,3 +31,22 @@ def test_every_error_class_is_raised_somewhere():
     classes = {cls.__name__ for cls in _subclasses(errors.RoughTVError)
                if cls.__module__ == errors.__name__}
     assert sorted(classes - called) == []
+
+
+def test_the_package_reads_no_environment():
+    # every setting is a flag or an argument: no module reads os.environ
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for source in sorted(pathlib.Path(roughtv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in names:
+                found.append(f"{source.name}:{node.lineno}: {name}")
+    assert found == []

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_corpus
 from roughtv.errors import (
     BadCountError,
+    BadExponentError,
     BadParameterError,
     CsvFormatError,
     EmptyIntervalError,
@@ -57,6 +58,8 @@ def test_make_path_rejects_bad_input():
         make_path([0.0, 1.0], [0.0, np.nan])
     with pytest.raises(NonFiniteValueError):
         make_path([0.0, np.inf], [0.0, 1.0])
+    with pytest.raises(LengthMismatchError, match="^times and values must be 1-d sequences$"):
+        SampledPath(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_tent_is_valid(tent):
@@ -117,6 +120,8 @@ def test_restrict_empty_interval(tent):
         restrict(tent, 1.0, 1.0)
     with pytest.raises(OutOfSpanError):
         restrict(tent, -1.0, 1.0)
+    with pytest.raises(OutOfSpanError, match=r"^query outside span \[0.0; 2.0\]$"):
+        tent.values_at([-0.5, 1.0])
 
 
 def test_restrict_step_uses_right_limit():
@@ -189,6 +194,13 @@ def test_brownian_rejects_bad_args():
         gen_brownian(10, 0.0, 0)
 
 
+def test_zigzag_rejects_bad_args():
+    with pytest.raises(BadExponentError, match="^zigzag exponent must satisfy p > 1$"):
+        gen_zigzag(1.0, 3)
+    with pytest.raises(BadCountError, match="^need at least one level$"):
+        gen_zigzag(1.5, 0)
+
+
 def test_zigzag_level_one():
     # ceil(2^0.5) = 2 tents of height 1 on [1/2; 1]
     z = gen_zigzag(1.5, 1)
@@ -230,6 +242,8 @@ def test_partition_validation():
         Partition(())
     with pytest.raises(InvalidPartitionError):
         Partition((0, 0))
+    with pytest.raises(InvalidPartitionError, match="^indices must be nonnegative$"):
+        Partition((-1, 2))
     Partition((0, 2, 5)).validate_for(6)
     with pytest.raises(InvalidPartitionError):
         Partition((0, 2, 5)).validate_for(5)
@@ -257,15 +271,26 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(p.values, q.values)
 
 
+def test_csv_roundtrip_through_one_stream():
+    # the writer fills a binary file object that the reader takes back
+    p = gen_brownian(2 * pathio.PIECE_ROWS + 3, 1.0, seed=2)
+    buf = io.BytesIO()
+    write_path_csv(p, buf)
+    buf.seek(0)
+    q = read_path_csv(buf)
+    assert p.times.tobytes() == q.times.tobytes()
+    assert p.values.tobytes() == q.values.tobytes()
+
+
 def test_csv_bytes_match_numpy_scalar_formatting():
     # rows are formatted from Python floats; NumPy float64 scalars format the same
     values = [0.0, -0.0, 5e-324, -2.2250738585072e-309, 1e308, -1e308,
               0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0e-200, 123456789.01234567]
     p = make_path(np.linspace(0.0, 1.0, len(values)) / 3.0, values)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_path_csv(p, buf)
     rows = [f"{t:.17g},{v:.17g}" for t, v in zip(p.times, p.values)]
-    assert buf.getvalue() == "\n".join(["t,value"] + rows) + "\n"
+    assert buf.getvalue() == ("\n".join(["t,value"] + rows) + "\n").encode("ascii")
 
 
 def _stream(text):
@@ -311,7 +336,7 @@ def write_path_csv_reference(path, dest):
     lines = ["t,value"]
     for t, v in zip(path.times.tolist(), path.values.tolist()):
         lines.append(f"{t:.17g},{v:.17g}")
-    dest.write("\n".join(lines) + "\n")
+    dest.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 @pytest.mark.parametrize("text, message", [
@@ -418,7 +443,11 @@ NON_UTF8 = {
                    "invalid start byte at byte offset 14, line 3"),
     "bom-crlf": (b"\xef\xbb\xbft,value\r\n0,1\r\n\xe2\x28\xa1,2\r\n",
                  "invalid continuation byte at byte offset 17, line 3"),
-    "cr-only": (b"t,value\r0,1\r1,\xff\r", "invalid start byte at byte offset 14, line 1"),
+    "cr-only": (b"t,value\r0,1\r1,\xff\r", "invalid start byte at byte offset 14, line 3"),
+    "cr-only-later-row": (b"t,value\r0,1\r1,2\r2,\xff3\r",
+                          "invalid start byte at byte offset 18, line 4"),
+    "mixed-ends": (b"t,value\r\n0,1\r1,2\n\n2,3\r\n3,\xff\n",
+                   "invalid start byte at byte offset 25, line 6"),
     "cut-at-end": (b"t,value\n0,1\n1,2\xe2\x82", "unexpected end of data at byte offset 15, line 3"),
     "later-row": (b"t,value\n" + b"".join(b"%d,0\n" % i for i in range(40)) + b"\xc0,1\n",
                   "invalid start byte at byte offset 198, line 42"),
@@ -561,17 +590,17 @@ def test_csv_writer_pieces_match_reference(tmp_path):
     dest = tmp_path / "walk.csv"
     for n in (cutoff - 1, cutoff, cutoff + 1, rows - 1, rows, rows + 1, 3 * rows + 5):
         p = gen_brownian(n, 1.0, seed=n)
-        ref = io.StringIO()
+        ref = io.BytesIO()
         write_path_csv_reference(p, ref)
         pieces = []
         write_path_csv(p, types.SimpleNamespace(write=pieces.append))
         assert len(pieces) == -(-n // rows)
-        assert "".join(pieces) == ref.getvalue()
-        buf = io.StringIO()
+        assert b"".join(pieces) == ref.getvalue()
+        buf = io.BytesIO()
         write_path_csv(p, buf)
         assert buf.getvalue() == ref.getvalue()
         write_path_csv(p, dest)
-        assert dest.read_bytes() == ref.getvalue().encode("utf-8")
+        assert dest.read_bytes() == ref.getvalue()
 
 
 def _count_routes(monkeypatch):
@@ -600,9 +629,9 @@ def test_long_walks_are_written_by_the_array_route(n, monkeypatch):
     p = gen_brownian(n, 1.0, seed=4)
     text = "".join(pathio._csv_pieces(p))
     assert counts == {"arrays": n // pathio.PIECE_ROWS, "dtoa": 0}
-    ref = io.StringIO()
+    ref = io.BytesIO()
     write_path_csv_reference(p, ref)
-    assert text == ref.getvalue()
+    assert text.encode("ascii") == ref.getvalue()
 
 
 def test_array_route_sends_only_out_of_range_numbers_to_dtoa(monkeypatch):

@@ -184,13 +184,13 @@ _csv_floats = st.one_of(
                      unique_by=lambda tv: tv[0]))
 def test_csv_io_equals_reference(data):
     path = make_path(sorted(t for t, _ in data), [v for _, v in data])
-    buf, ref = io.StringIO(), io.StringIO()
+    buf, ref = io.BytesIO(), io.BytesIO()
     write_path_csv(path, buf)
     write_path_csv_reference(path, ref)
-    text = buf.getvalue()
-    assert text == ref.getvalue()
-    back = read_path_csv(io.BytesIO(text.encode("utf-8")))
-    old = read_path_csv_reference(io.StringIO(text))
+    raw = buf.getvalue()
+    assert raw == ref.getvalue()
+    back = read_path_csv(io.BytesIO(raw))
+    old = read_path_csv_reference(io.StringIO(raw.decode("utf-8")))
     assert back.times.tobytes() == path.times.tobytes() == old.times.tobytes()
     assert back.values.tobytes() == path.values.tobytes() == old.values.tobytes()
 
