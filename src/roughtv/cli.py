@@ -12,7 +12,11 @@ regime, 3 I/O failure.
 
 `main` builds its argparse parser once per process, on its first call, and
 reuses it; the `cmd_*` handler is looked up by subcommand name on every call.
-`build_parser()` still returns a fresh parser.
+`build_parser()` still returns a fresh parser.  A subcommand's arguments are
+added on its first parse, and each handler imports the layer it calls, so
+`import roughtv.cli` loads only `errors`, `kernels`, `paths` and `pathio`:
+only a `bounds` argv loads `integrals` (for the `--variant` choices), and
+only a `solve` argv loads `equations` (for the `--field` choices).
 """
 
 import argparse
@@ -25,10 +29,7 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from . import __version__
-from .equations import field_catalog, picard_solve
 from .errors import BadParameterError, RoughTVError
-from .integrals import BOUND_CHECKS
-from .norms import p_variation, tv_p_full_norm
 from .paths import (
     Mode,
     constant_path,
@@ -39,9 +40,6 @@ from .paths import (
     tent_path,
 )
 from .pathio import read_path_csv, write_path_csv, write_text
-from .truncation import truncated_variation
-
-BOUND_VARIANTS = tuple(BOUND_CHECKS)
 
 
 def thread_budget() -> int:
@@ -204,17 +202,20 @@ def _load(args):
 
 
 def cmd_tv(args) -> int:
+    from .truncation import truncated_variation
     _emit(args, {"tv": truncated_variation(_load(args), args.delta)})
     return 0
 
 
 def cmd_pvar(args) -> int:
+    from .norms import p_variation
     value = p_variation(_load(args), args.p)
     _emit(args, {"pvar": value, "pvar_root": value ** (1.0 / args.p)})
     return 0
 
 
 def cmd_norm(args) -> int:
+    from .norms import tv_p_full_norm
     _emit(args, asdict(tv_p_full_norm(_load(args), args.p)))
     return 0
 
@@ -228,6 +229,7 @@ def _bounds_sweep_svg(f, g, args):
     (`cmd_bounds`' own report), and kept on the paths; only what depends on
     (p, q) is redone per point.
     """
+    from .integrals import BOUND_CHECKS
     check = BOUND_CHECKS[args.variant]
 
     def eval_point(theta):
@@ -241,6 +243,7 @@ def _bounds_sweep_svg(f, g, args):
 
 
 def cmd_bounds(args) -> int:
+    from .integrals import BOUND_CHECKS
     if args.format == "svg" and not args.out:
         raise BadParameterError("--format svg needs --out")
     f = read_path_csv(args.f, Mode(args.mode))
@@ -257,6 +260,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .equations import field_catalog, picard_solve
     x = read_path_csv(args.x)
     sol = picard_solve(x, field_catalog()[args.field], args.y0, args.p, args.tol)
     if args.out:
@@ -272,52 +276,80 @@ def cmd_solve(args) -> int:
     return 0
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: `add_args(self)` adds its arguments on its
+    first parse, so a layer that only a subcommand's choices read is loaded
+    only when that subcommand is parsed."""
+
+    def __init__(self, *args, add_args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_args = add_args
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_args is not None:
+            add_args, self._add_args = self._add_args, None
+            add_args(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _gen_args(sp):
+    sp.add_argument("kind", choices=("brownian", "zigzag", "fx", "named"))
+    sp.add_argument("--n", type=int, default=1024)
+    sp.add_argument("--horizon", type=float, default=1.0)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--p", type=float, default=1.5)
+    sp.add_argument("--levels", type=int, default=4)
+    sp.add_argument("--x", type=float, default=3.0)
+    sp.add_argument("--name", default="identity", choices=("identity", "tent", "constant"))
+    sp.add_argument("--value", type=float, default=0.0)
+    sp.add_argument("--out", required=True)
+
+
+def _functional_args(sp, name):
+    sp.add_argument("input")
+    sp.add_argument("--mode", default="linear", choices=("linear", "step"))
+    if name == "tv":
+        sp.add_argument("--delta", type=float, required=True)
+    else:
+        sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--out", default=None)
+
+
+def _bounds_args(sp):
+    from .integrals import BOUND_CHECKS
+    sp.add_argument("f")
+    sp.add_argument("g")
+    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--q", type=float, required=True)
+    sp.add_argument("--variant", default="loeve-ptv-left", choices=tuple(BOUND_CHECKS))
+    sp.add_argument("--mode", default="linear", choices=("linear", "step"))
+    sp.add_argument("--out", default=None)
+    sp.add_argument("--format", default="json", choices=("json", "svg"))
+
+
+def _solve_args(sp):
+    from .equations import field_catalog
+    sp.add_argument("x")
+    sp.add_argument("--field", default="identity", choices=sorted(field_catalog()))
+    sp.add_argument("--y0", type=float, default=0.0)
+    sp.add_argument("--p", type=float, default=1.5)
+    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--out", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roughtv",
         description="Truncated-variation calculus for sampled paths",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate a test signal as CSV")
-    p_gen.add_argument("kind", choices=("brownian", "zigzag", "fx", "named"))
-    p_gen.add_argument("--n", type=int, default=1024)
-    p_gen.add_argument("--horizon", type=float, default=1.0)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--p", type=float, default=1.5)
-    p_gen.add_argument("--levels", type=int, default=4)
-    p_gen.add_argument("--x", type=float, default=3.0)
-    p_gen.add_argument("--name", default="identity", choices=("identity", "tent", "constant"))
-    p_gen.add_argument("--value", type=float, default=0.0)
-    p_gen.add_argument("--out", required=True)
-
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
+    sub.add_parser("gen", help="generate a test signal as CSV", add_args=_gen_args)
     for name in ("tv", "pvar", "norm"):
-        sp = sub.add_parser(name, help=f"evaluate {name} on a CSV path")
-        sp.add_argument("input")
-        sp.add_argument("--mode", default="linear", choices=("linear", "step"))
-        if name == "tv":
-            sp.add_argument("--delta", type=float, required=True)
-        else:
-            sp.add_argument("--p", type=float, required=True)
-        sp.add_argument("--out", default=None)
-
-    p_b = sub.add_parser("bounds", help="verify an integral inequality")
-    p_b.add_argument("f")
-    p_b.add_argument("g")
-    p_b.add_argument("--p", type=float, required=True)
-    p_b.add_argument("--q", type=float, required=True)
-    p_b.add_argument("--variant", default="loeve-ptv-left", choices=BOUND_VARIANTS)
-    p_b.add_argument("--mode", default="linear", choices=("linear", "step"))
-    p_b.add_argument("--out", default=None)
-    p_b.add_argument("--format", default="json", choices=("json", "svg"))
-
-    p_s = sub.add_parser("solve", help="solve y = y0 + int F(y) dx")
-    p_s.add_argument("x")
-    p_s.add_argument("--field", default="identity", choices=sorted(field_catalog()))
-    p_s.add_argument("--y0", type=float, default=0.0)
-    p_s.add_argument("--p", type=float, default=1.5)
-    p_s.add_argument("--tol", type=float, default=1e-8)
-    p_s.add_argument("--out", default=None)
+        sub.add_parser(name, help=f"evaluate {name} on a CSV path",
+                       add_args=functools.partial(_functional_args, name=name))
+    sub.add_parser("bounds", help="verify an integral inequality", add_args=_bounds_args)
+    sub.add_parser("solve", help="solve y = y0 + int F(y) dx", add_args=_solve_args)
     return parser
 
 

@@ -105,7 +105,7 @@ def _field_values(out, arr):
 
 _FIELDS = {
     "identity": LipschitzField(
-        func=lambda u: np.asarray(u, dtype=np.float64),
+        func=lambda u: np.array(u, dtype=np.float64),
         alpha=1.0, order="one_plus_alpha", lipschitz=1.0,
         quotient=Quotient(lipschitz=0.0, sup_bound=1.0),
     ),

@@ -348,16 +348,28 @@ def _pieces(fh):
         yield carry
 
 
+def _split_rows(text):
+    """`text` split at "\n", "\r\n" and "\r", where the csv module ends a row.
+
+    `str.splitlines` would also split at a form feed, a vertical tab,
+    "\x1c"-"\x1e", NEL and U+2028/U+2029.  A text with k line breaks gives
+    k + 1 strings, the last one empty when the text ends with a break.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _read_rows(fh):
     """The (n, 2) rows of the CSV bytes `fh`, decoded and parsed piece by piece.
 
-    A cut after a line break is one for `splitlines` too, a "\r\n" it
+    A cut after a line break is one for `_split_rows` too, a "\r\n" it
     splits only adds a blank line, and every field is parsed on its own, so
     the pieces give the rows, the errors and the doubles of one parse of
     the whole text.  A piece that fails names the file's first bad row,
     since every piece before it parsed, and a byte that is not UTF-8 is
-    named by its offset and its line as `splitlines` counts them (less the
-    blank lines of split "\r\n"s), over the pieces before it.
+    named by its offset and its line, counted by the line breaks before it
+    (less the "\n"s of split "\r\n"s), over the pieces before it.
     """
     header = None
     blocks = []
@@ -369,15 +381,15 @@ def _read_rows(fh):
         try:
             text = piece.decode("utf-8")
         except UnicodeDecodeError as exc:
-            head = piece[:exc.start].decode("utf-8") + "x"
-            line = lines_before + len(head.splitlines()) - split_crlf
+            head = _split_rows(piece[:exc.start].decode("utf-8"))
+            line = lines_before + len(head) - split_crlf
             raise CsvFormatError(f"not UTF-8 text: {exc.reason} at byte offset "
                                  f"{offset + exc.start}, line {line}") from None
         if not offset:  # a byte order mark, as "utf-8-sig" drops it
             text = text.removeprefix("\ufeff")
         offset += len(piece)
-        split = text.splitlines()
-        lines_before += len(split) - split_crlf
+        split = _split_rows(text)
+        lines_before += len(split) - 1 - split_crlf
         lines = [s for s in map(str.strip, split) if s]
         if header is None and lines:
             header = lines.pop(0)

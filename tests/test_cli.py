@@ -4,6 +4,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
@@ -11,12 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roughtv import cli, pathio
-from roughtv.cli import BOUND_VARIANTS, main, to_json
+from roughtv import cli, integrals, pathio
+from roughtv.cli import main, to_json
+from roughtv.equations import field_catalog
 from roughtv.errors import BadParameterError
 from roughtv.pathio import read_path_csv, write_path_csv
 from roughtv.paths import MAX_SAMPLES, Mode, gen_brownian, identity_path, scale_path, tent_path
 from roughtv.reports import PASS_SLACK
+
+BOUND_VARIANTS = tuple(integrals.BOUND_CHECKS)
 
 
 def run_cli(capsys, *argv):
@@ -496,7 +501,6 @@ def test_non_utf8_csv_exits_two(tmp_path, capsys, command, later):
 def test_violated_bound_exits_one(tmp_path, capsys, monkeypatch):
     # fake a failing report to pin the exit-code contract without relying on
     # an input that violates a bound
-    import roughtv.cli as cli
     from roughtv.reports import BoundReport
 
     f_csv = tmp_path / "f.csv"
@@ -504,7 +508,7 @@ def test_violated_bound_exits_one(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "gen", "brownian", "--n", "16", "--seed", "1", "--out", str(f_csv))
     run_cli(capsys, "gen", "brownian", "--n", "16", "--seed", "2", "--out", str(g_csv))
     failing = BoundReport(2.0, 1.0, -1.0, False, 1.0, "loeve-ptv-left", {})
-    monkeypatch.setitem(cli.BOUND_CHECKS, "loeve-ptv-left", lambda f, g, p, q: failing)
+    monkeypatch.setitem(integrals.BOUND_CHECKS, "loeve-ptv-left", lambda f, g, p, q: failing)
     code, stdout, _ = run_cli(capsys, "bounds", str(f_csv), str(g_csv),
                               "--p", "1.9", "--q", "1.9")
     assert code == 1
@@ -629,7 +633,7 @@ def test_bounds_svg_without_out_fails_before_any_check(tmp_path, capsys, monkeyp
     def never(*args):
         raise AssertionError("the bound was evaluated")
 
-    monkeypatch.setitem(cli.BOUND_CHECKS, "young-s", never)
+    monkeypatch.setitem(integrals.BOUND_CHECKS, "young-s", never)
     code, out, err = run_cli(capsys, "bounds", str(f_csv), str(g_csv), "--p", "1.8",
                              "--q", "1.8", "--variant", "young-s", "--format", "svg")
     assert (code, out) == (2, "")
@@ -972,3 +976,61 @@ def test_main_runs_the_current_handler(tent_csv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_tv", lambda args: seen.append(args.delta) or 7)
     assert run_cli(capsys, "tv", tent_csv, "--delta", "0.25") == (7, "", "")
     assert seen == [0.25]
+
+
+def _loaded_modules(tmp_path, argv):
+    """The roughtv submodules a fresh interpreter loads to import the CLI
+    and run `argv` (nothing when empty)."""
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+        "import roughtv.cli\n"
+        f"argv = {list(argv)!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = roughtv.cli.main(argv) if argv else 0\n"
+        "print(code, *sorted(m[8:] for m in sys.modules if m.startswith('roughtv.')))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    code, *modules = run.stdout.split()
+    assert code == "0", run.stderr
+    return set(modules)
+
+
+CLI_MODULES = {"cli", "errors", "kernels", "pathio", "paths"}
+NORM_MODULES = CLI_MODULES | {"norms", "reports", "truncation"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ((), set()),
+    (("gen", "zigzag", "--out", "z.csv"), set()),
+    (("tv", "f.csv", "--delta", "0.1"), {"truncation"}),
+    (("pvar", "f.csv", "--p", "2"), NORM_MODULES - CLI_MODULES),
+    (("norm", "f.csv", "--p", "2"), NORM_MODULES - CLI_MODULES),
+    (("bounds", "f.csv", "g.csv", "--p", "1.8", "--q", "1.8"),
+     NORM_MODULES - CLI_MODULES | {"integrals"}),
+    (("solve", "f.csv"), NORM_MODULES - CLI_MODULES | {"integrals", "equations"}),
+], ids=["import", "gen", "tv", "pvar", "norm", "bounds", "solve"])
+def test_each_command_loads_only_its_layers(tmp_path, argv, extra):
+    # a command never compiles a layer it does not call: only bounds loads
+    # the series, and only solve the Picard solver
+    write_path_csv(gen_brownian(24, 1.0, 5), tmp_path / "f.csv")
+    write_path_csv(gen_brownian(24, 1.0, 6), tmp_path / "g.csv")
+    assert _loaded_modules(tmp_path, argv) == CLI_MODULES | extra
+
+
+@pytest.mark.parametrize("command, flag, names", [
+    ("bounds", "--variant", tuple(integrals.BOUND_CHECKS)),
+    ("solve", "--field", tuple(sorted(field_catalog()))),
+], ids=["bounds", "solve"])
+def test_choices_come_from_their_tables(tmp_path, capsys, command, flag, names):
+    code, help_text, _ = _run_caught(capsys, (command, "--help"))
+    assert code == ("SystemExit", 0)
+    assert "{" + ",".join(names) + "}" in help_text
+    f_csv = str(tmp_path / "f.csv")
+    argv = (command, f_csv, f_csv, "--p", "2", "--q", "2") if command == "bounds" else (
+        command, f_csv)
+    code, out, err = _run_caught(capsys, argv + (flag, "bogus"))
+    assert (code, out) == (("SystemExit", 2), "")
+    assert f"error: argument {flag}: invalid choice: 'bogus' (choose from " in err
+    assert all(name in err for name in names)

@@ -1,6 +1,10 @@
 import ast
 import collections
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import roughtv
 from roughtv import errors
@@ -10,6 +14,27 @@ def test_public_names_resolve_and_appear_once():
     repeated = [name for name, n in collections.Counter(roughtv.__all__).items() if n > 1]
     missing = [name for name in roughtv.__all__ if not hasattr(roughtv, name)]
     assert (repeated, missing) == ([], [])
+
+
+def test_star_import_and_dir_give_every_public_name():
+    namespace = {}
+    exec("from roughtv import *", namespace)
+    assert [name for name in roughtv.__all__ if name not in namespace] == []
+    assert [name for name in roughtv.__all__ if name not in dir(roughtv)] == []
+    assert namespace["tv_profile"] is roughtv.truncation.tv_profile
+
+
+def test_submodules_resolve_after_a_plain_import():
+    script = ("import sys\n"
+              f"sys.path.insert(0, {str(pathlib.Path(roughtv.__file__).parents[1])!r})\n"
+              "import roughtv\n"
+              "print(*sorted(m for m in sys.modules if m.startswith('roughtv')))\n"
+              "print(roughtv.oracle.__name__, roughtv.Mode.__module__)\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.splitlines() == ["roughtv", "roughtv.oracle roughtv.paths"]
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        roughtv.nope
 
 
 def _subclasses(cls):

@@ -1,3 +1,4 @@
+import csv
 import io
 import tracemalloc
 import types
@@ -313,7 +314,9 @@ def read_path_csv_reference(src, mode=Mode.LINEAR):
     else:
         with open(src, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    # rows end at "\n", "\r\n" and "\r", as in the csv module
+    rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = [ln.strip() for ln in rows if ln.strip()]
     if not lines:
         raise CsvFormatError("empty CSV")
     if lines[0].replace(" ", "") != "t,value":
@@ -430,6 +433,18 @@ def test_csv_accepted_forms_match_reference(text):
     assert p.values.tobytes() == q.values.tobytes()
 
 
+@pytest.mark.parametrize("row", [f"0,1{sep}1,2" for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
+                         + ["0,1\x0c1,2\x853,4"])
+def test_csv_rows_end_only_at_line_breaks(row):
+    # str.splitlines ends a line at a form feed, NEL, U+2028 and more; the
+    # csv module, and so the reader, ends a row only at "\n", "\r\n", "\r"
+    text = f"t,value\n{row}\n"
+    assert len(list(csv.reader(io.StringIO(text, newline="")))) == 2
+    message = f"expected 't,value' row, got '{row}'"
+    assert _read_outcome(read_path_csv, _stream(text)) == message
+    assert _read_outcome(read_path_csv_reference, io.StringIO(text)) == message
+
+
 def test_csv_byte_order_mark(tmp_path):
     dest = tmp_path / "bom.csv"
     dest.write_text("t,value\n0,1\n1,2\n", encoding="utf-8-sig")
@@ -448,6 +463,10 @@ NON_UTF8 = {
                           "invalid start byte at byte offset 18, line 4"),
     "mixed-ends": (b"t,value\r\n0,1\r1,2\n\n2,3\r\n3,\xff\n",
                    "invalid start byte at byte offset 25, line 6"),
+    "form-feed-row": (b"t,value\n0,1\x0c\n1,\xff\n",
+                      "invalid start byte at byte offset 15, line 3"),
+    "nel-row": (b"t,value\n0,1\xc2\x85\n1,\xff\n",
+                "invalid start byte at byte offset 16, line 3"),
     "cut-at-end": (b"t,value\n0,1\n1,2\xe2\x82", "unexpected end of data at byte offset 15, line 3"),
     "later-row": (b"t,value\n" + b"".join(b"%d,0\n" % i for i in range(40)) + b"\xc0,1\n",
                   "invalid start byte at byte offset 198, line 42"),
