@@ -16,7 +16,7 @@ file that is not UTF-8 is a `CsvFormatError` too, which gives the offset
 of the first byte that is not, and its line as the reader splits lines.
 
 Both directions stream bytes, of a named file or a binary file object: the
-reader decodes and parses PIECE_BYTES at a time, cut after a line break,
+reader decodes and parses PIECE_BYTES at a time, cut at whole line breaks,
 and the writer formats PIECE_ROWS rows at a time, so either holds one
 piece of text beside the arrays of the path, whatever its length.
 
@@ -60,8 +60,6 @@ from .errors import CsvFormatError
 from .paths import Mode, SampledPath
 
 HEADER = "t,value"
-# rows per parse when a file is rejected, to find its first bad row
-BAD_ROW_BLOCK = 256
 # bytes per read of a CSV, and rows per formatted piece of one
 PIECE_BYTES = 1 << 16
 PIECE_ROWS = 1024
@@ -306,44 +304,37 @@ def _parse_rows(rows):
 def _first_bad_row(rows):
     """The error for the first row `_parse_rows` cannot take as a 't,value' pair.
 
-    Rows are parsed BAD_ROW_BLOCK at a time, and only the first block that
-    fails is parsed again row by row: a block parses exactly when each of
-    its rows has one comma and parses alone.
+    The rows are parsed one at a time: a row parses alone exactly when it
+    parses among the others and has one comma.  Only a rejected piece, at
+    most PIECE_BYTES and the line it carries, is scanned.
     """
-    for start in range(0, len(rows), BAD_ROW_BLOCK):
-        block = rows[start:start + BAD_ROW_BLOCK]
-        if all(ln.count(",") == 1 for ln in block):
-            try:
-                _parse_rows(block)
-                continue
-            except ValueError:
-                pass
-        for ln in block:
-            if ln.count(",") != 1:
-                return CsvFormatError(f"expected 't,value' row, got '{ln}'")
-            try:
-                _parse_rows([ln])
-            except ValueError:
-                return CsvFormatError(f"non-numeric row '{ln}'")
+    for ln in rows:
+        if ln.count(",") != 1:
+            return CsvFormatError(f"expected 't,value' row, got '{ln}'")
+        try:
+            _parse_rows([ln])
+        except ValueError:
+            return CsvFormatError(f"non-numeric row '{ln}'")
     return CsvFormatError("malformed rows")
 
 
 def _pieces(fh):
     """The bytes of `fh` in whole lines, read PIECE_BYTES at a time.
 
-    Each read is cut after its last b"\n" or b"\r" and the rest carried
-    into the next piece, so a cut falls on a UTF-8 character boundary and a
-    file with "\r" line ends streams too.  Only an empty read ends the
-    file: a raw stream may return short reads before its end.
+    The bytes in hand (the carry and the new read) are cut after their
+    last b"\n", or their last b"\r" but the final byte, and the rest is
+    carried: a cut is a line break for `_split_rows` too, never inside a
+    "\r\n" or a UTF-8 character, and a file with "\r" line ends streams
+    too.  Only an empty read ends the file: a raw stream may return short
+    reads before its end.
     """
     carry = b""
     while piece := fh.read(PIECE_BYTES):
-        cut = max(piece.rfind(b"\n"), piece.rfind(b"\r")) + 1
+        piece = carry + piece
+        cut = max(piece.rfind(b"\n"), piece.rfind(b"\r", 0, -1)) + 1
         if cut:
-            yield carry + piece[:cut]
-            carry = piece[cut:]
-        else:
-            carry += piece
+            yield piece[:cut]
+        carry = piece[cut:]
     if carry:
         yield carry
 
@@ -363,33 +354,29 @@ def _split_rows(text):
 def _read_rows(fh):
     """The (n, 2) rows of the CSV bytes `fh`, decoded and parsed piece by piece.
 
-    A cut after a line break is one for `_split_rows` too, a "\r\n" it
-    splits only adds a blank line, and every field is parsed on its own, so
-    the pieces give the rows, the errors and the doubles of one parse of
-    the whole text.  A piece that fails names the file's first bad row,
-    since every piece before it parsed, and a byte that is not UTF-8 is
-    named by its offset and its line, counted by the line breaks before it
-    (less the "\n"s of split "\r\n"s), over the pieces before it.
+    Every cut is a line break for `_split_rows`, and every field is
+    parsed on its own, so the pieces give the rows, the errors and the
+    doubles of one parse of the whole text.  A piece that fails names the
+    file's first bad row, since every piece before it parsed, and a byte
+    that is not UTF-8 is named by its offset and its line, counted by the
+    line breaks before it.
     """
     header = None
     blocks = []
     offset = lines_before = 0
-    after_cr = False
     for piece in _pieces(fh):
-        split_crlf = after_cr and piece.startswith(b"\n")
-        after_cr = piece.endswith(b"\r")
         try:
             text = piece.decode("utf-8")
         except UnicodeDecodeError as exc:
             head = _split_rows(piece[:exc.start].decode("utf-8"))
-            line = lines_before + len(head) - split_crlf
+            line = lines_before + len(head)
             raise CsvFormatError(f"not UTF-8 text: {exc.reason} at byte offset "
                                  f"{offset + exc.start}, line {line}") from None
         if not offset:  # a byte order mark, as "utf-8-sig" drops it
             text = text.removeprefix("\ufeff")
         offset += len(piece)
         split = _split_rows(text)
-        lines_before += len(split) - 1 - split_crlf
+        lines_before += len(split) - 1
         lines = [s for s in map(str.strip, split) if s]
         if header is None and lines:
             header = lines.pop(0)

@@ -324,7 +324,11 @@ def add_paths(f: SampledPath, g: SampledPath) -> SampledPath:
 
 
 def merge_times(f: SampledPath, g: SampledPath) -> np.ndarray:
-    return np.union1d(f.times, g.times)
+    """The union of the two strictly increasing grids; of two equal times
+    (-0.0 and 0.0), f's.  Unlike `np.union1d`, it never imports numpy.ma."""
+    t = np.concatenate((f.times, g.times))
+    t.sort(kind="stable")
+    return t[np.concatenate(([True], t[1:] != t[:-1]))]
 
 
 def check_same_span(f: SampledPath, g: SampledPath):
@@ -335,7 +339,8 @@ def check_same_span(f: SampledPath, g: SampledPath):
 
 
 def common_jump_times(f: SampledPath, g: SampledPath) -> np.ndarray:
-    return np.intersect1d(f.jump_times(), g.jump_times())
+    # jump times are unique, so np.unique (and numpy.ma) is not needed
+    return np.intersect1d(f.jump_times(), g.jump_times(), assume_unique=True)
 
 
 @dataclass(frozen=True)

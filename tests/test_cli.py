@@ -451,6 +451,20 @@ def test_bounds_regime_violation_exit_code(tmp_path, capsys):
     assert "BadExponents" in err
 
 
+@pytest.mark.parametrize("variant", ["young-s", "gamma-level-ladder"])
+def test_bounds_ladder_term_cap_exit_code(tmp_path, capsys, variant):
+    # just inside the Young regime the ladder needs more than
+    # SERIES_MAX_TERMS terms to underflow, and the command says so
+    f_csv = tmp_path / "f.csv"
+    g_csv = tmp_path / "g.csv"
+    run_cli(capsys, "gen", "brownian", "--n", "32", "--seed", "1", "--out", str(f_csv))
+    run_cli(capsys, "gen", "brownian", "--n", "32", "--seed", "2", "--out", str(g_csv))
+    code, out, err = run_cli(capsys, "bounds", str(f_csv), str(g_csv), "--p", "1.99999",
+                             "--q", "1.99999", "--variant", variant)
+    assert (code, out) == (2, "")
+    assert err == "error: BadExponentsError: (p, q) too close to the Young regime boundary\n"
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run_cli(capsys, "tv", "no-such-file.csv", "--delta", "0.5")
     assert code == 3
@@ -622,6 +636,26 @@ def test_bounds_svg(tmp_path, capsys):
     assert code == 0
     text = svg.read_text()
     assert text.startswith("<svg") and "polyline" in text and "</svg>" in text
+
+
+@pytest.mark.parametrize("variant", ["loeve-ptv-left", "young-s"])
+def test_bounds_svg_of_a_flat_sweep(tmp_path, capsys, variant):
+    # a constant f gives lhs = rhs = 0 at every p: the flat y range is
+    # widened to [0, 1], so both series lie on the x axis, all finite
+    f_csv = tmp_path / "f.csv"
+    g_csv = tmp_path / "g.csv"
+    run_cli(capsys, "gen", "named", "--name", "constant", "--out", str(f_csv))
+    run_cli(capsys, "gen", "brownian", "--n", "48", "--seed", "4", "--out", str(g_csv))
+    svg = tmp_path / "sweep.svg"
+    code, _, err = run_cli(capsys, "bounds", str(f_csv), str(g_csv), "--p", "1.8",
+                           "--q", "1.8", "--variant", variant, "--format", "svg",
+                           "--out", str(svg))
+    assert (code, err) == (0, "")
+    text = svg.read_text()
+    lines = re.findall(r'<polyline [^>]* points="([^"]*)"/>', text)
+    assert len(lines) == text.count("<polyline") == 2
+    assert all({pt.split(",")[1] for pt in pts.split()} == {"350.00"} for pts in lines)
+    assert "nan" not in text.lower() and "inf" not in text.lower()
 
 
 def test_bounds_svg_without_out_fails_before_any_check(tmp_path, capsys, monkeypatch):
@@ -989,11 +1023,15 @@ def _loaded_modules(tmp_path, argv):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = roughtv.cli.main(argv) if argv else 0\n"
         "print(code, *sorted(m[8:] for m in sys.modules if m.startswith('roughtv.')))\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
     run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                          capture_output=True, text=True, check=True)
-    code, *modules = run.stdout.split()
+    roughtv_line, numpy_ma = run.stdout.splitlines()
+    code, *modules = roughtv_line.split()
     assert code == "0", run.stderr
+    # no command needs masked arrays: np.unique (as np.union1d calls it) loads them
+    assert numpy_ma == "False"
     return set(modules)
 
 

@@ -278,6 +278,14 @@ def test_ladder_rejects_outside_regime():
         ladder_geometric(3.0, 3.0, 1.0, 1.0)
 
 
+def test_ladder_term_cap_near_the_regime_boundary():
+    # 1/p + 1/q = 1.00001: the ladder's rates are so close to 1 that its
+    # terms do not underflow within SERIES_MAX_TERMS
+    with pytest.raises(BadExponentsError) as exc:
+        ladder_geometric(1.99999, 1.99999, 1.0, 1.0)
+    assert str(exc.value) == "(p, q) too close to the Young regime boundary"
+
+
 def test_ladder_validation():
     with pytest.raises(NonMonotoneLadderError):
         TruncationLadder(np.asarray([1.0, 2.0]), np.asarray([1.0, 0.5]))

@@ -368,7 +368,7 @@ def test_csv_error_messages(text, message):
 
 
 def _first_bad_row_by_rows(rows):
-    """The bad-row scan as it was: one `_parse_rows` call per row."""
+    """The message of the first bad row, by one `_parse_rows` call per row."""
     for ln in rows:
         if ln.count(",") != 1:
             return f"expected 't,value' row, got '{ln}'"
@@ -379,10 +379,11 @@ def _first_bad_row_by_rows(rows):
     return "malformed rows"
 
 
-def test_csv_bad_rows_found_in_blocks(monkeypatch):
-    # long files with bad rows at random places: the block scan names the
-    # row the row-by-row scan and the float() reader name, with about
-    # n / B + B + 1 parses
+def test_csv_bad_rows_found_by_one_scan_of_the_piece(monkeypatch):
+    # long files with bad rows at random places: the reader names the row
+    # the row-by-row scan and the float() reader name; each piece before
+    # the failing one parses once, the failing piece once, then each of
+    # its rows once, up to and including the first bad row
     rng = np.random.default_rng(91)
     bad_rows = ["2,zero", "1,2,3", "5", "1,", "1_0,2", "0,x", ",1", "3;4"]
     parses = []
@@ -411,9 +412,14 @@ def test_csv_bad_rows_found_in_blocks(monkeypatch):
             with pytest.raises(CsvFormatError) as ref:
                 read_path_csv_reference(io.StringIO(text))
             assert str(ref.value) == want
-        block = pathio.BAD_ROW_BLOCK
-        # each piece once, then the blocks and the rows of one block
-        assert len(parses) <= 1 + n / block + block + 1
+        # the rows of each piece, less the header of the first
+        pieces = [[ln for ln in map(str.strip, pathio._split_rows(piece.decode())) if ln]
+                  for piece in pathio._pieces(_stream(text))]
+        del pieces[0][0]
+        bad = want.rsplit("'", 2)[1]
+        k = next(k for k, piece in enumerate(pieces) if bad in piece)
+        scanned = pieces[k].index(bad) + (bad.count(",") == 1)
+        assert parses == [len(piece) for piece in pieces[:k + 1]] + [1] * scanned
 
 
 @pytest.mark.parametrize("text", [
@@ -552,16 +558,18 @@ def test_csv_pieces_match_reference(text, tmp_path, monkeypatch):
         pieces = list(pathio._pieces(_stream(text)))
         assert b"".join(pieces) == text.encode("utf-8")
         assert all(piece.endswith((b"\n", b"\r")) for piece in pieces[:-1])
+        assert not any(piece.endswith(b"\r") and after.startswith(b"\n")
+                       for piece, after in zip(pieces, pieces[1:]))
         assert _read_outcome(read_path_csv, _stream(text)) == want
         assert _read_outcome(read_path_csv, dest) == want
 
 
 def test_csv_crlf_straddling_a_piece_boundary(monkeypatch):
-    # reads of 4: "t,va", "lue\r", "\n0,1", "\r\n"; a read is cut after its
-    # last "\r" too, so the "\n" after it starts a piece, a blank line
+    # reads of 4: "t,va", "lue\r", "\n0,1", "\r\n"; a "\r" that ends the
+    # bytes in hand waits for the next byte, so the "\r\n" stays whole
     monkeypatch.setattr(pathio, "PIECE_BYTES", 4)
     pieces = list(pathio._pieces(_stream("t,value\r\n0,1\r\n")))
-    assert pieces == [b"t,value\r", b"\n", b"0,1\r\n"]
+    assert pieces == [b"t,value\r\n", b"0,1\r\n"]
     assert _read_outcome(read_path_csv, _stream("t,value\r\n0,1\r\n")) == (
         np.array([0.0]).tobytes(), np.array([1.0]).tobytes())
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from roughtv import pathio  # noqa: E402
 from roughtv.cli import to_json  # noqa: E402
-from roughtv.errors import NonFiniteValueError  # noqa: E402
+from roughtv.errors import NonFiniteValueError, RoughTVError  # noqa: E402
 from roughtv.integrals import BOUND_CHECKS  # noqa: E402
 from roughtv.kernels import lazy_band, pvar_sum, reduce_to_extrema, tv_delta  # noqa: E402
 from roughtv.norms import p_variation, seminorm_with_argmax  # noqa: E402
@@ -28,7 +28,14 @@ from roughtv.oracle import (  # noqa: E402
     tv_partition_bruteforce,
 )
 from roughtv.pathio import read_path_csv, write_path_csv  # noqa: E402
-from roughtv.paths import gen_brownian, gen_zigzag, make_path  # noqa: E402
+from roughtv.paths import (  # noqa: E402
+    Mode,
+    common_jump_times,
+    gen_brownian,
+    gen_zigzag,
+    make_path,
+    merge_times,
+)
 from roughtv.truncation import swing_pieces, truncated_variation, tv_profile  # noqa: E402
 from test_cli import to_json_reference  # noqa: E402
 from test_kernels import (  # noqa: E402
@@ -193,6 +200,83 @@ def test_csv_io_equals_reference(data):
     old = read_path_csv_reference(io.StringIO(raw.decode("utf-8")))
     assert back.times.tobytes() == path.times.tobytes() == old.times.tobytes()
     assert back.values.tobytes() == path.values.tobytes() == old.values.tobytes()
+
+
+@st.composite
+def _csv_bytes(draw):
+    """CSV bytes: rows and blank lines with mixed line ends, perhaps a byte
+    order mark, and one bad row, or one byte that is not UTF-8, or neither.
+
+    One fault at most: of a bad row and a later bad byte, the reader names
+    the one its pieces meet first, which depends on where they are cut.
+    """
+    values = draw(st.lists(st.sampled_from(["1", "-0", " 2.5 ", "1e3", "\t-7\t", "0.125"]),
+                           max_size=12))
+    lines = ["t,value"] + [f"{i},{v}" for i, v in enumerate(values)]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    fault = draw(st.sampled_from(["none", "row", "byte"]))
+    if fault == "row":
+        bad = draw(st.sampled_from(["2,zero", "1,2,3", "5", "1_0,2", "\u0663,2", "x\x0cy"]))
+        lines.insert(draw(st.integers(1, len(lines))), bad)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(ln + end for ln, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    raw = ("\ufeff" * draw(st.booleans()) + text).encode("utf-8")
+    if fault == "byte":
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80"])) + raw[at:]
+    return raw
+
+
+def _csv_outcome(raw):
+    """The rows of `raw` as bytes, or the class and message of its error."""
+    try:
+        path = read_path_csv(io.BytesIO(raw))
+    except RoughTVError as exc:
+        return type(exc), str(exc)
+    return path.times.tobytes(), path.values.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(raw=_csv_bytes(), size=st.integers(1, 64))
+def test_csv_pieces_never_change_the_outcome(raw, size):
+    # fails if a piece is cut inside a "\r\n" and the line count is not
+    # corrected, or if a cut misses a line break of `_split_rows`
+    want = _csv_outcome(raw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pathio, "PIECE_BYTES", size)
+        assert _csv_outcome(raw) == want
+
+
+_grid_points = st.sets(st.integers(1, 40), max_size=12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(f_points=_grid_points, g_points=_grid_points,
+       f_zero=st.sampled_from([-0.0, 0.0]), g_zero=st.sampled_from([-0.0, 0.0]))
+def test_merge_times_is_union1d(f_points, g_points, f_zero, g_zero):
+    # the grids share times, and start at 0.0 or -0.0; of two equal times
+    # f's is kept, where np.union1d's unstable sort may keep either zero
+    f = make_path([f_zero] + sorted(k / 8 for k in f_points), [0.0] * (len(f_points) + 1))
+    g = make_path([g_zero] + sorted(k / 8 for k in g_points), [0.0] * (len(g_points) + 1))
+    merged = merge_times(f, g)
+    assert np.array_equal(merged, np.union1d(f.times, g.times))
+    f_wins = {**{t: t for t in g.times.tolist()}, **{t: t for t in f.times.tolist()}}
+    assert merged.tobytes() == np.array(sorted(f_wins.values())).tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(f_values=st.lists(st.integers(0, 2), min_size=1, max_size=16),
+       g_values=st.lists(st.integers(0, 2), min_size=1, max_size=16))
+def test_common_jump_times_is_intersect1d(f_values, g_values):
+    # step paths on two grids that share every other time, so jumps can coincide
+    f = make_path(np.arange(len(f_values)) / 2.0, f_values, Mode.STEP)
+    g = make_path(np.arange(len(g_values)) / 4.0, g_values, Mode.STEP)
+    want = np.intersect1d(f.jump_times(), g.jump_times())
+    assert common_jump_times(f, g).tobytes() == want.tobytes()
 
 
 def _ties(exp):
