@@ -11,17 +11,18 @@ the --out of gen, solve and SVG bounds names their data file.  Exit codes:
 regime, 3 I/O failure.
 
 `main` builds its argparse parser once per process, on its first call, and
-reuses it; the `cmd_*` handler is looked up by subcommand name on every call.
-`build_parser()` still returns a fresh parser.  A subcommand's arguments are
-added on its first parse, and each handler imports the layer it calls, so
-`import roughtv.cli` loads only `errors`, `kernels`, `paths` and `pathio`:
-only a `bounds` argv loads `integrals` (for the `--variant` choices), and
-only a `solve` argv loads `equations` (for the `--field` choices).
+reuses it; it parses an argv once, with the subcommand's own parser when
+argv[0] names one, and looks the `cmd_*` handler up by subcommand name on
+every call.  `build_parser()` still returns a fresh parser.  A subcommand's
+arguments are added on its first parse, and each handler imports the layer
+it calls, so `import roughtv.cli` loads only `errors`, `kernels`, `paths`
+and `pathio`: only a `bounds` argv loads `integrals` (for the `--variant`
+choices), and only a `solve` argv loads `equations` (for the `--field`
+choices).  No module loads `json`: a report escapes its strings itself.
 """
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import asdict, is_dataclass
@@ -47,6 +48,12 @@ def thread_budget() -> int:
     return 1
 
 
+# what json.dumps(s, ensure_ascii=False) escapes in a string: the quote, the
+# backslash and U+0000-U+001F, five of them by their short forms
+_ESCAPES = {**{c: f"\\u{c:04x}" for c in range(0x20)},
+            **{ord(c): "\\" + e for c, e in zip('"\\\b\t\n\f\r', '"\\btnfr')}}
+
+
 def _json_scalar(x):
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -61,8 +68,7 @@ def _json_scalar(x):
         if math.isinf(x):
             return '"inf"' if x > 0 else '"-inf"'
         return format(x, ".17g")
-    # escapes the backslash, the quote and U+0000-U+001F, nothing else
-    return json.dumps(str(x), ensure_ascii=False)
+    return '"' + str(x).translate(_ESCAPES) + '"'
 
 
 _SCALARS = (bool, int, float, str, type(None), np.generic)
@@ -338,6 +344,7 @@ def _solve_args(sp):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its `commands` maps each subcommand to its parser."""
     parser = argparse.ArgumentParser(
         prog="roughtv",
         description="Truncated-variation calculus for sampled paths",
@@ -350,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                        add_args=functools.partial(_functional_args, name=name))
     sub.add_parser("bounds", help="verify an integral inequality", add_args=_bounds_args)
     sub.add_parser("solve", help="solve y = y0 + int F(y) dx", add_args=_solve_args)
+    parser.commands = sub.choices
     return parser
 
 
@@ -360,7 +368,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line; returns its exit code.
+
+    argv is parsed once.  When argv[0] names a subcommand, its own parser
+    takes argv[1:], as the top-level parser would hand them over, and a
+    leftover token is the top-level parser's "unrecognized arguments"
+    error; any other argv (no command, an unknown one, -h) goes through
+    the top-level parser.  Either way the namespace, the output and the
+    exit code are those of `build_parser().parse_args(argv)`.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     # looked up per call, so a rebound cmd_* (a test double, a tracing
     # wrapper) is the one that runs
     handler = globals()[f"cmd_{args.command}"]

@@ -268,31 +268,26 @@ def _cumulative_trapezoid(f_vals, dx, y_start):
     cells = 0.5 * (f_vals[:-1] + f_vals[1:]) * dx
     z = np.empty(f_vals.size, dtype=np.float64)
     z[0] = 0.0
-    np.cumsum(cells, out=z[1:])
+    cells.cumsum(out=z[1:])
     z += y_start
     return z
 
 
 def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped,
                     guard=BLOWUP_GUARD):
-    """Picard iterates z = y_start + int F(y) dx on one window, to tol.
+    """Picard iterates z = y_start + int F(y) dx on one window, on arrays, to tol.
 
     (z, iterations) at the first iterate within tol of its predecessor in
     every sample; BlowupSuspectedError at the first sample whose absolute
-    value exceeds `guard`, NoConvergenceError after max_iter iterates.  A
-    one-step window (nearly every window of a rough driver) iterates as a
-    fixed point of two Python floats (`_iterate_step`), since NumPy's fixed
-    cost per call dwarfs the arithmetic of two samples; every longer window
-    runs the map on arrays.  Both evaluate F on an array, and the cells,
-    the sequential running sum and both tests are the same float operations
-    in the same order, so both give the same bits.  Both overflow to inf,
-    and give NaN for inf - inf, without a warning: the guard reports an
-    inf, and a NaN fails the tolerance test.
+    value exceeds `guard`, NoConvergenceError after max_iter iterates.  An
+    overflow gives inf, and inf - inf NaN, without a warning: the guard
+    reports an inf, and a NaN fails the tolerance test.  A solve sends only
+    its windows of more than one step here (`_iterate_step` takes the
+    others); a one-step window gives the same bits on either route.
     """
-    if t.size == 2:
-        return _iterate_step(field, t, xv, float(y_start), tol, max_iter, damped, guard)
-    dx = np.diff(xv)
-    y = np.full(t.size, y_start, dtype=np.float64)
+    dx = xv[1:] - xv[:-1]
+    y = np.empty(t.size, dtype=np.float64)
+    y.fill(y_start)
     with np.errstate(over="ignore", invalid="ignore"):  # once a window, not once an iterate
         for it in range(1, max_iter + 1):
             z = _cumulative_trapezoid(field(y), dx, y_start)
@@ -300,7 +295,7 @@ def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped
             if bad.any():
                 raise BlowupSuspectedError(
                     "solution exceeded the overflow guard",
-                    time=float(t[int(np.argmax(bad))]),
+                    time=float(t[int(bad.argmax())]),
                 )
             change = float(np.abs(z - y).max())
             if change < tol:
@@ -309,21 +304,26 @@ def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped
     raise NoConvergenceError(f"window iteration did not reach {tol} in {max_iter} steps")
 
 
-def _iterate_step(field, t, xv, y_start, tol, max_iter, damped, guard):
-    """`_iterate_window` on a one-step window: the pair (z0, z1) of floats.
+def _iterate_step(field, t1, x0, x1, y_start, tol, max_iter, damped, guard):
+    """`_iterate_window` on the one-step window [t0; t1], on Python floats.
 
-    F is evaluated on the float64 pair of the current iterate.  Its output
-    is listed as it is when it is a float64 array of shape (2,), whatever
-    it aliases, and coerced by `LipschitzField.__call__`'s rule
+    The driver's two values x0, x1 and y_start are floats, and so are the
+    returned (z0, z1, iterations): NumPy's fixed cost per call dwarfs the
+    arithmetic of two samples, and nearly every window of a rough driver
+    is one step.  F is evaluated on a new float64 pair of the current
+    iterate at every iterate (a field may keep its input).  Its output is
+    listed as it is when it is a float64 array of shape (2,), whatever it
+    aliases, and coerced by `LipschitzField.__call__`'s rule
     (`_field_values`) first otherwise.  z0 = 0.0 + y_start is the running
     sum's first sample, and z1 = y_start + the one cell is its second,
-    since -0.0 + c is c for every float c.  The guard is tested on z1 only
-    (z0 is the solve's initial value or a sample that passed it), and the
-    tolerance on both; a NaN fails that test, as it fails np.max's.
+    since -0.0 + c is c for every float c: the cell, the sum and both tests
+    are the array loop's float operations in its order, so both routes give
+    the same bits.  The guard is tested on z1 only (z0 is the solve's
+    initial value or a sample that passed it), and the tolerance on both; a
+    NaN fails that test, as it fails the array loop's max.
     """
     func = field.func
     array, ndarray = np.array, np.ndarray  # looked up once a window, not once an iterate
-    x0, x1 = xv.tolist()
     dx = x1 - x0
     z0 = 0.0 + y_start
     y0 = y1 = y_start
@@ -335,10 +335,9 @@ def _iterate_step(field, t, xv, y_start, tol, max_iter, damped, guard):
         f0, f1 = out.tolist()
         z1 = y_start + 0.5 * (f0 + f1) * dx
         if abs(z1) > guard:
-            raise BlowupSuspectedError("solution exceeded the overflow guard",
-                                       time=float(t[1]))
+            raise BlowupSuspectedError("solution exceeded the overflow guard", time=t1)
         if abs(z0 - y0) < tol and abs(z1 - y1) < tol:
-            return array((z0, z1)), it
+            return z0, z1, it
         if damped:
             y0, y1 = 0.5 * (y0 + z0), 0.5 * (y1 + z1)
         else:
@@ -379,8 +378,12 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
 
     Each window iterates the integral map with the trapezoid rule (both
     paths piecewise linear) and chains its terminal value into the next
-    window; a damped retry y <- (y + Ty)/2 covers the nonsmooth fields
-    before giving up.  A window is stopped as a suspected blow-up once a
+    window: a one-step window on Python floats from end to end
+    (`_iterate_step` takes the driver's two values by `.item` and gives
+    the two samples it writes as floats), a longer one on arrays
+    (`_iterate_window`).  For an order-alpha field a damped retry
+    y <- (y + Ty)/2 of either route covers the nonsmooth fields before
+    giving up.  A window is stopped as a suspected blow-up once a
     sample exceeds BLOWUP_GUARD * max(1, |y0|) in absolute value, so the
     guard scales with the initial value: a constant solution y = y0 never
     trips it.  The guard is capped at the largest float, so the first
@@ -399,11 +402,11 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
         raise BadParameterError("y0 must be finite")
     # capped, so that an iterate which overflows to inf still trips it
     guard = min(BLOWUP_GUARD * max(1.0, abs(y0)), sys.float_info.max)
-    times = x.times
+    times, values = x.times, x.values
     last = times.size - 1
 
     accept, eps = _window_test(field, p)
-    extrema = window_extrema(x.values)
+    extrema = window_extrema(values)
     boundaries = [0]
     guess = 1
     while boundaries[-1] < last:
@@ -423,29 +426,35 @@ def picard_solve(x: SampledPath, field: LipschitzField, y0, p, tol,
     y_start = y0
     for w in range(n_windows):
         i0, i1 = boundaries[w], boundaries[w + 1]
-        t = times[i0:i1 + 1]
-        xv = x.values[i0:i1 + 1]
-        try:
-            yw, its = _iterate_window(field, t, xv, y_start, window_tol, max_iter, False,
-                                      guard)
-        except NoConvergenceError:
-            if field.order == "alpha":
-                yw, its = _iterate_window(field, t, xv, y_start, window_tol, max_iter, True,
-                                          guard)
-            else:
-                raise
-        full_y[i0:i1 + 1] = yw
+        # an order-alpha window that does not settle is retried damped
+        for damped in (False, True):
+            try:
+                if i1 - i0 == 1:
+                    z0, y_end, its = _iterate_step(
+                        field, times.item(i1), values.item(i0), values.item(i1), y_start,
+                        window_tol, max_iter, damped, guard)
+                    full_y[i0] = z0
+                    full_y[i1] = y_end
+                else:
+                    yw, its = _iterate_window(field, times[i0:i1 + 1], values[i0:i1 + 1],
+                                              y_start, window_tol, max_iter, damped, guard)
+                    full_y[i0:i1 + 1] = yw
+                    y_end = float(yw[-1])
+                break
+            except NoConvergenceError:
+                if damped or field.order != "alpha":
+                    raise
         iterations.append(its)
-        y_start = float(yw[-1])
+        y_start = y_end
     solution = SampledPath(times, full_y, Mode.LINEAR)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or NaN
         residual = float(np.abs(
-            full_y - _cumulative_trapezoid(field(full_y), np.diff(x.values), y0)
+            full_y - _cumulative_trapezoid(field(full_y), values[1:] - values[:-1], y0)
         ).max())
     return OdeSolution(
         path=solution,
         iterations=tuple(iterations),
-        windows=tuple(float(times[i]) for i in boundaries),
+        windows=tuple(times[boundaries].tolist()),
         converged=residual < tol,
         residual=residual,
     )

@@ -91,7 +91,7 @@ def rs_sum(f: SampledPath, g: SampledPath, tagged: TaggedPartition, grid=None) -
     g_vals = g.values_at(cell_times)
     f_vals = f.values_at(tag_times)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_integral(float(np.sum(f_vals * np.diff(g_vals))))
+        return _finite_integral(float((f_vals * (g_vals[1:] - g_vals[:-1])).sum()))
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,8 @@ def _exact_cells(f: SampledPath, g: SampledPath):
             tags = fv[1:]
         else:
             tags = 0.5 * (fv[:-1] + fv[1:])
-        cells = _finite_integral(tags * np.diff(g.values_at(grid)))
+        gv = g.values_at(grid)
+        cells = _finite_integral(tags * (gv[1:] - gv[:-1]))
     return read_only(grid), read_only(cells)
 
 
@@ -149,14 +150,14 @@ def _cells(f: SampledPath, g: SampledPath):
 
 
 def _finite_integral(values):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NonFiniteValueError("Riemann-Stieltjes integral overflows float64")
     return values
 
 
 def _running(grid, cells, mode) -> SampledPath:
     with np.errstate(over="ignore", invalid="ignore"):
-        running = np.cumsum(cells)
+        running = cells.cumsum()
     return SampledPath(grid, np.concatenate(([0.0], _finite_integral(running))), mode)
 
 
@@ -164,7 +165,7 @@ def rs_integral(f: SampledPath, g: SampledPath) -> IntegralResult:
     """int f dg over the common span: the sum of the exact cells of `_cells`."""
     grid, cells = _cells(f, g)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(cells))
+        total = float(cells.sum())
     return IntegralResult(_finite_integral(total), grid.size - 1)
 
 
@@ -468,7 +469,7 @@ def _tag_gaps(f, g):
     """
     integral = rs_integral(f, g).value
     dg = float(g.values[-1] - g.values[0])
-    ends = sorted((int(np.argmax(f.values)), int(np.argmin(f.values))))
+    ends = sorted((int(f.values.argmax()), int(f.values.argmin())))
     tagged = [float(f.values[i]) * dg for i in ends]
     if not all(map(math.isfinite, tagged)):
         raise NonFiniteValueError("tagged sum f(xi) dg overflows float64")

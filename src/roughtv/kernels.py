@@ -43,7 +43,8 @@ def backend_name():
 
 def _plateau_starts(v):
     """Mask of the samples that differ from their predecessor (and the first)."""
-    keep = np.ones(v.size, dtype=bool)
+    keep = np.empty(v.size, dtype=bool)
+    keep[:1] = True
     np.not_equal(v[1:], v[:-1], out=keep[1:])
     return keep
 
@@ -55,7 +56,7 @@ def _turns(w):
     on every float, and a comparison cannot overflow.
     """
     rising = w[1:] > w[:-1]
-    return np.nonzero(rising[1:] != rising[:-1])[0] + 1
+    return (rising[1:] != rising[:-1]).nonzero()[0] + 1
 
 
 def reduce_to_extrema(values):
@@ -90,7 +91,7 @@ def window_extrema(values):
     v = np.asarray(values, dtype=np.float64)
     keep = _plateau_starts(v)
     w = v[keep]
-    run = (np.cumsum(keep) - 1).tolist()
+    run = (keep.cumsum() - 1).tolist()
     turns = _turns(w)
     turn_values = w[turns].tolist()
     turns = turns.tolist()
@@ -225,7 +226,9 @@ def pvar_sum(extrema, p):
     if n < 2:
         return 0.0
     s = 1.0 if v[1] > v[0] else -1.0
-    ys = (v * np.resize([-s, s], n)).tolist()
+    v[0::2] *= -s
+    v[1::2] *= s
+    ys = v.tolist()
     # pass 1: the stacks of values alone, and the index of each record; per
     # step, where it pushes and how many records it reads, and the
     # differences of the short reads.  A step's value goes only onto the

@@ -278,7 +278,10 @@ def _csv_pieces(path):
     head = HEADER + "\n"
     for start in range(0, len(path), PIECE_ROWS):
         block = slice(start, start + PIECE_ROWS)
-        cells = np.stack((path.times[block], path.values[block]), axis=1).ravel()
+        times = path.times[block]
+        cells = np.empty(2 * times.size)
+        cells[0::2] = times
+        cells[1::2] = path.values[block]
         if cells.size >= 2 * _ARRAY_ROWS:
             yield head + _format_rows(cells)
         else:
@@ -357,26 +360,26 @@ def _read_rows(fh):
     Every cut is a line break for `_split_rows`, and every field is
     parsed on its own, so the pieces give the rows, the errors and the
     doubles of one parse of the whole text.  A piece that fails names the
-    file's first bad row, since every piece before it parsed, and a byte
-    that is not UTF-8 is named by its offset and its line, counted by the
-    line breaks before it.
+    file's first bad row, since every piece before it parsed.  A byte that
+    is not UTF-8 is named by its offset and its line, counted by the line
+    breaks before it, once the header and the rows of the complete lines
+    before its line have passed the same checks: the first fault in file
+    order is named, wherever the pieces are cut.
     """
     header = None
     blocks = []
     offset = lines_before = 0
     for piece in _pieces(fh):
         try:
-            text = piece.decode("utf-8")
+            text, bad = piece.decode("utf-8"), None
         except UnicodeDecodeError as exc:
-            head = _split_rows(piece[:exc.start].decode("utf-8"))
-            line = lines_before + len(head)
-            raise CsvFormatError(f"not UTF-8 text: {exc.reason} at byte offset "
-                                 f"{offset + exc.start}, line {line}") from None
+            text, bad = piece[:exc.start].decode("utf-8"), exc
         if not offset:  # a byte order mark, as "utf-8-sig" drops it
             text = text.removeprefix("\ufeff")
-        offset += len(piece)
         split = _split_rows(text)
         lines_before += len(split) - 1
+        if bad is not None:
+            split.pop()  # the head of the bad byte's line
         lines = [s for s in map(str.strip, split) if s]
         if header is None and lines:
             header = lines.pop(0)
@@ -390,6 +393,10 @@ def _read_rows(fh):
             if data.shape[1] != 2:
                 raise _first_bad_row(lines)
             blocks.append(data)
+        if bad is not None:
+            raise CsvFormatError(f"not UTF-8 text: {bad.reason} at byte offset "
+                                 f"{offset + bad.start}, line {lines_before + 1}")
+        offset += len(piece)
     if header is None:
         raise CsvFormatError("empty CSV")
     # a header-only file gives empty columns, which SampledPath rejects
@@ -400,8 +407,11 @@ def read_path_csv(src, mode=Mode.LINEAR) -> SampledPath:
     """Read a CSV path from a binary file object, or from the file named `src`.
 
     At most one piece (PIECE_BYTES and the line it cuts) is held at a time,
-    as bytes and as text, beside the parsed rows and the output arrays.
+    as bytes and as text, beside the parsed rows and the output arrays.  A
+    named file is read unbuffered, each read straight into its piece:
+    `_pieces` reads until an empty read, so a short read costs nothing.
     """
-    with contextlib.nullcontext(src) if hasattr(src, "read") else open(src, "rb") as fh:
+    with (contextlib.nullcontext(src) if hasattr(src, "read")
+          else open(src, "rb", buffering=0)) as fh:
         data = _read_rows(fh)
     return SampledPath(data[:, 0], data[:, 1], Mode(mode))

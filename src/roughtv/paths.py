@@ -69,9 +69,9 @@ class SampledPath:
             )
         if t.size < 1:
             raise LengthMismatchError("a path needs at least one sample")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise NonFiniteValueError("times and values must be finite")
-        if not np.all(t[1:] > t[:-1]):  # np.diff(t) overflows past max float
+        if not (t[1:] > t[:-1]).all():  # t[1:] - t[:-1] overflows past max float
             raise NonMonotoneTimesError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)

@@ -16,7 +16,7 @@ import pytest
 from roughtv import cli, integrals, pathio
 from roughtv.cli import main, to_json
 from roughtv.equations import field_catalog
-from roughtv.errors import BadParameterError
+from roughtv.errors import BadParameterError, RoughTVError
 from roughtv.pathio import read_path_csv, write_path_csv
 from roughtv.paths import MAX_SAMPLES, Mode, gen_brownian, identity_path, scale_path, tent_path
 from roughtv.reports import PASS_SLACK
@@ -944,17 +944,32 @@ def test_main_builds_its_parser_once(tent_csv, capsys, monkeypatch):
     assert builds == [1]
 
 
-def _run_caught(capsys, argv):
-    """(exit code or ("SystemExit", code), stdout, stderr) of one main call."""
+def _run_caught(capsys, argv, run=main):
+    """(exit code or ("SystemExit", code), stdout, stderr) of one `run` call."""
     try:
-        code = main(list(argv))
+        code = run(list(argv))
     except SystemExit as exc:
         code = ("SystemExit", exc.code)
     out = capsys.readouterr()
     return code, out.out, out.err
 
 
-def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
+def _parse_args_then_run(argv):
+    """`main` as one parse of a fresh top-level parser, then the handler."""
+    args = cli.build_parser().parse_args(list(argv))
+    try:
+        return getattr(cli, f"cmd_{args.command}")(args)
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
+    except RoughTVError as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 2
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
+    # main's reused parser, which hands argv[1:] to the subcommand's own
+    # parser when argv[0] names one, against build_parser().parse_args
     f_csv = str(tmp_path / "f.csv")
     g_csv = str(tmp_path / "g.csv")
     run_cli(capsys, "gen", "brownian", "--n", "24", "--seed", "5", "--out", f_csv)
@@ -969,13 +984,22 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
         ("bounds", f_csv, g_csv, "--p", "1.8", "--q", "1.8", "--format", "svg",
          "--out", str(svg)),
         ("solve", f_csv, "--field", "sin", "--y0", "1"),
+        # an abbreviated flag, a joined value and "--" before a positional
+        ("tv", f_csv, "--del", "0.1"),
+        ("tv", f_csv, "--delta=0.1"),
+        ("tv", "--delta", "0.1", "--", f_csv),
         ("solve", f_csv, "--field", "no-such-field"),
         ("gen", "named", "--name", "nope", "--out", str(tmp_path / "n.csv")),
         ("frobnicate", f_csv),
         ("tv", f_csv),
         ("bounds", f_csv, g_csv, "--p", "1.8", "--q", "1.8", "--variant", "bogus"),
+        # "--" makes every later token positional, so --delta is left over
+        ("tv", "--", f_csv, "--delta", "0.1"),
+        # a trailing positional is left over, for the top-level parser to reject
+        ("tv", f_csv, "--delta", "0.1", "extra"),
         ("--help",),
         ("solve", "--help"),
+        ("-h", "tv"),
         (),
         # only bounds has a --format, for its svg sweep, and solve reads
         # linear paths only, so it has no --mode
@@ -989,15 +1013,15 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
     reused = [_run_caught(capsys, argv) for argv in argvs]
     reused_svg = svg.read_bytes()
     svg.unlink()
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
     for argv, expected in zip(argvs, reused):
-        assert _run_caught(capsys, argv) == expected, argv
+        assert _run_caught(capsys, argv, _parse_args_then_run) == expected, argv
     assert svg.read_bytes() == reused_svg
-    assert [code for code, _, _ in reused] == [
-        0, 0, 0, 0, 0, 0, 0, ("SystemExit", 2), ("SystemExit", 2), ("SystemExit", 2),
-        ("SystemExit", 2), ("SystemExit", 2), ("SystemExit", 0), ("SystemExit", 0),
-        ("SystemExit", 2),
+    assert [code for code, _, _ in reused] == [0] * 10 + [("SystemExit", 2)] * 7 + [
+        ("SystemExit", 0), ("SystemExit", 0), ("SystemExit", 0), ("SystemExit", 2),
     ] + [("SystemExit", 2)] * 6
+    extra = reused[argvs.index(("tv", f_csv, "--delta", "0.1", "extra"))][2]
+    assert extra.startswith("usage: roughtv [-h]")
+    assert extra.endswith("roughtv: error: unrecognized arguments: extra\n")
     solve_help = reused[argvs.index(("solve", "--help"))][1]
     assert "{constant,identity,sin,sqrt-abs,zero}" in solve_help
     assert "{identity,tent,constant}" in _run_caught(capsys, ("gen", "--help"))[1]
@@ -1023,15 +1047,16 @@ def _loaded_modules(tmp_path, argv):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = roughtv.cli.main(argv) if argv else 0\n"
         "print(code, *sorted(m[8:] for m in sys.modules if m.startswith('roughtv.')))\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules, 'json' in sys.modules)\n"
     )
     run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                          capture_output=True, text=True, check=True)
-    roughtv_line, numpy_ma = run.stdout.splitlines()
+    roughtv_line, other_line = run.stdout.splitlines()
     code, *modules = roughtv_line.split()
     assert code == "0", run.stderr
-    # no command needs masked arrays: np.unique (as np.union1d calls it) loads them
-    assert numpy_ma == "False"
+    # no command needs masked arrays: np.unique (as np.union1d calls it)
+    # loads them; nor json: a report escapes its strings itself
+    assert other_line == "False False"
     return set(modules)
 
 

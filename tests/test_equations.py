@@ -533,46 +533,62 @@ def test_picard_alpha_order_membership():
     assert tv_p_full_norm(sol.path, 1.25).full_norm <= radius + 1e-9
 
 
-def test_picard_damped_retry_rescues_a_nonsmooth_window(monkeypatch):
+def _record_damped(monkeypatch):
+    """The (route, damped) of every window iteration a solve runs, on both
+    routes: `_iterate_step` for a one-step window, `_iterate_window` else."""
+    calls = []
+    for name in ("_iterate_step", "_iterate_window"):
+        def recording(*args, _name=name, _iterate=getattr(equations, name)):
+            calls.append((_name, args[-2]))  # the damped flag, before the guard
+            return _iterate(*args)
+
+        monkeypatch.setattr(equations, name, recording)
+    return calls
+
+
+def _assert_damped_rescue(monkeypatch, x, y0, route):
     # sqrt-abs near 0: the plain iteration of the first window does not
     # settle in max_iter steps, the damped y <- (y + Ty)/2 does
-    x = scale_path(gen_brownian(9, 1.0, 1), 0.05)
     field = field_catalog()["sqrt-abs"]
-    iterate = equations._iterate_window
-    damped_flags = []
-
-    def recording(field, t, xv, y_start, tol, max_iter, damped, guard):
-        damped_flags.append(damped)
-        return iterate(field, t, xv, y_start, tol, max_iter, damped, guard)
-
-    monkeypatch.setattr(equations, "_iterate_window", recording)
-    sol = picard_solve(x, field, 1e-6, 1.25, 1e-8)
+    calls = _record_damped(monkeypatch)
+    sol = picard_solve(x, field, y0, 1.25, 1e-8)
     assert sol.converged and sol.residual < 1e-8
-    assert damped_flags[:2] == [False, True]
+    assert calls[:2] == [(route, False), (route, True)]
 
-    def undamped(field, t, xv, y_start, tol, max_iter, damped, guard):
-        return iterate(field, t, xv, y_start, tol, max_iter, False, guard)
+    iterate = getattr(equations, route)
 
-    monkeypatch.setattr(equations, "_iterate_window", undamped)
+    def undamped(*args):
+        return iterate(*args[:-2], False, args[-1])
+
+    monkeypatch.setattr(equations, route, undamped)
     with pytest.raises(NoConvergenceError):
-        picard_solve(x, field, 1e-6, 1.25, 1e-8)
+        picard_solve(x, field, y0, 1.25, 1e-8)
+
+
+def test_picard_damped_retry_rescues_a_nonsmooth_window(monkeypatch):
+    _assert_damped_rescue(monkeypatch, scale_path(gen_brownian(9, 1.0, 1), 0.05), 1e-6,
+                          "_iterate_window")
+
+
+def test_picard_damped_retry_rescues_a_one_step_window(monkeypatch):
+    _assert_damped_rescue(monkeypatch, make_path([0.0, 1.0], [0.0, -0.015]), 1e-4,
+                          "_iterate_step")
 
 
 def test_picard_contraction_order_has_no_damped_retry(monkeypatch):
     # the damped retry is for the nonsmooth order-alpha fields; an order
-    # one_plus_alpha window that does not settle raises at once
-    iterate = equations._iterate_window
-    damped_flags = []
-
-    def recording(field, t, xv, y_start, tol, max_iter, damped, guard):
-        damped_flags.append(damped)
-        return iterate(field, t, xv, y_start, tol, max_iter, damped, guard)
-
-    monkeypatch.setattr(equations, "_iterate_window", recording)
+    # one_plus_alpha window that does not settle raises at once, on either
+    # route: the first window of this walk is one step, of the second longer
+    calls = _record_damped(monkeypatch)
     with pytest.raises(NoConvergenceError):
         picard_solve(gen_brownian(24, 1.0, 3), field_catalog()["sin"], 1.0, 1.5, 1e-8,
                      max_iter=1)
-    assert damped_flags == [False]
+    assert calls == [("_iterate_step", False)]
+    calls.clear()
+    with pytest.raises(NoConvergenceError):
+        picard_solve(identity_path(257), field_catalog()["sin"], 1.0, 1.5, 1e-14,
+                     max_iter=1)
+    assert calls == [("_iterate_window", False)]
 
 
 @pytest.mark.parametrize("y0", [0.0, 5.0, -2.5])
@@ -682,8 +698,19 @@ def _assert_same_outcome(got, want):
         assert got == want
 
 
+def _step_as_window(field, t, xv, y_start, tol, max_iter, damped,
+                    guard=equations.BLOWUP_GUARD):
+    """`_iterate_step` on a one-step window, as `_iterate_window` is called:
+    the two floats it returns as a float64 array."""
+    z0, z1, its = equations._iterate_step(field, t.item(1), xv.item(0), xv.item(1),
+                                          y_start, tol, max_iter, damped, guard)
+    assert type(z0) is float and type(z1) is float and type(its) is int
+    return np.array((z0, z1)), its
+
+
 def _window_drivers():
-    # the one-step window and windows of 3 to 64 samples, walks and lines
+    # one-step windows, rising, falling, flat and tiny, and windows of 3 to
+    # 64 samples, walks and lines
     rng = np.random.default_rng(801)
     drivers = []
     for n in (2, 3, 5, 17, 64, 31, 32, 33):
@@ -691,6 +718,8 @@ def _window_drivers():
         drivers.append(np.concatenate(([0.0], np.cumsum(steps / np.linalg.norm(steps)))))
     for n in (2, 9, 64, 31, 32, 33):
         drivers.append(np.linspace(0.0, 1.0, n))
+    for step in (-1.0, -0.015, 3.0, 0.0, -0.0, 1e-300):
+        drivers.append(np.array((0.5, 0.5 + step)))
     return drivers
 
 
@@ -720,17 +749,21 @@ _WINDOW_FIELDS = dict(field_catalog(), explosive=_explosive(),
 
 @pytest.mark.parametrize("name", sorted(_WINDOW_FIELDS))
 def test_iterate_window_matches_reference_loop(name):
+    # a one-step window on both routes: the arrays, and the Python floats
+    # of a solve's one-step windows
     field = _WINDOW_FIELDS[name]
     for xv in _window_drivers():
         t = np.linspace(0.25, 0.75, xv.size)
+        loops = (equations._iterate_window,) + ((_step_as_window,) if xv.size == 2 else ())
         for y_start in (0.0, -0.0, 1.0, -2.5):
             for tol in (1e-6, 1e-12):
                 for damped in (False, True):
                     args = (field, t, xv, y_start, tol, 40, damped)
                     # the arrays' inf - inf warns; Python floats give the NaN silently
                     with np.errstate(invalid="ignore" if name == "inf_above" else "warn"):
-                        _assert_same_outcome(_outcome(equations._iterate_window, *args),
-                                             _outcome(_reference_iterate_window, *args))
+                        want = _outcome(_reference_iterate_window, *args)
+                        for loop in loops:
+                            _assert_same_outcome(_outcome(loop, *args), want)
 
 
 def test_iterate_window_errors_match_reference_loop():
@@ -762,19 +795,37 @@ def _solve_cases():
 
 
 def test_picard_solve_matches_reference_loop(monkeypatch):
+    # every window, one-step windows included, is iterated by the reference
+    # loop in the reference solve
     cases = _solve_cases()
     got = [picard_solve(x, field_catalog()[name], y0, p, 1e-9) for x, name, y0, p in cases]
-    monkeypatch.setattr(equations, "_iterate_window", _reference_iterate_window)
+    routes = collections.Counter()
+
+    def reference_window(*args):
+        routes["window"] += 1
+        return _reference_iterate_window(*args)
+
+    def reference_step(field, t1, x0, x1, y_start, tol, max_iter, damped, guard):
+        # t0 is not passed; the guard is never tripped at a window's start
+        routes["step"] += 1
+        z, its = _reference_iterate_window(field, np.array((t1, t1)), np.array((x0, x1)),
+                                           y_start, tol, max_iter, damped, guard)
+        return float(z[0]), float(z[1]), its
+
+    monkeypatch.setattr(equations, "_iterate_window", reference_window)
+    monkeypatch.setattr(equations, "_iterate_step", reference_step)
     for (x, name, y0, p), sol in zip(cases, got):
         field = field_catalog()[name]
         ref = picard_solve(x, field, y0, p, 1e-9)
-        assert np.array_equal(sol.path.values, ref.path.values)
+        assert sol.path.values.tobytes() == ref.path.values.tobytes()
         assert sol.iterations == ref.iterations and sol.windows == ref.windows
         ys = ref.path.values
         residual = float(np.max(np.abs(
             ys - (y0 + _reference_trapezoid(_reference_call(field, ys), x.values))
         )))
         assert sol.residual == residual and sol.converged == (residual < 1e-9)
+    # both routes ran, so neither was skipped unchecked
+    assert routes["step"] > 100 and routes["window"] > 10, routes
 
 
 # ---------------------------------------------------------------------------

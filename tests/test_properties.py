@@ -2,6 +2,7 @@
 
 import heapq
 import io
+import json
 import math
 import struct
 from bisect import bisect_right
@@ -16,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from roughtv import pathio  # noqa: E402
+from roughtv import cli, pathio  # noqa: E402
 from roughtv.cli import to_json  # noqa: E402
 from roughtv.errors import NonFiniteValueError, RoughTVError  # noqa: E402
 from roughtv.integrals import BOUND_CHECKS  # noqa: E402
@@ -205,27 +206,27 @@ def test_csv_io_equals_reference(data):
 @st.composite
 def _csv_bytes(draw):
     """CSV bytes: rows and blank lines with mixed line ends, perhaps a byte
-    order mark, and one bad row, or one byte that is not UTF-8, or neither.
-
-    One fault at most: of a bad row and a later bad byte, the reader names
-    the one its pieces meet first, which depends on where they are cut.
+    order mark, perhaps a bad row or header, and perhaps a byte that is not
+    UTF-8, anywhere, so that of two faults either may come first.
     """
     values = draw(st.lists(st.sampled_from(["1", "-0", " 2.5 ", "1e3", "\t-7\t", "0.125"]),
                            max_size=12))
     lines = ["t,value"] + [f"{i},{v}" for i, v in enumerate(values)]
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
-    fault = draw(st.sampled_from(["none", "row", "byte"]))
+    fault = draw(st.sampled_from(["none", "row", "header"]))
     if fault == "row":
         bad = draw(st.sampled_from(["2,zero", "1,2,3", "5", "1_0,2", "\u0663,2", "x\x0cy"]))
         lines.insert(draw(st.integers(1, len(lines))), bad)
+    elif fault == "header":
+        lines[lines.index("t,value")] = draw(st.sampled_from(["t;value", "value,t", "t,v,x"]))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
                          min_size=len(lines), max_size=len(lines)))
     text = "".join(ln + end for ln, end in zip(lines, ends))
     if draw(st.booleans()):
         text = text[:-len(ends[-1])]
     raw = ("\ufeff" * draw(st.booleans()) + text).encode("utf-8")
-    if fault == "byte":
+    if draw(st.booleans()):
         at = draw(st.integers(0, len(raw)))
         raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80"])) + raw[at:]
     return raw
@@ -244,7 +245,8 @@ def _csv_outcome(raw):
 @given(raw=_csv_bytes(), size=st.integers(1, 64))
 def test_csv_pieces_never_change_the_outcome(raw, size):
     # fails if a piece is cut inside a "\r\n" and the line count is not
-    # corrected, or if a cut misses a line break of `_split_rows`
+    # corrected, if a cut misses a line break of `_split_rows`, or if the
+    # reader names the fault its pieces meet first, not the first in the file
     want = _csv_outcome(raw)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pathio, "PIECE_BYTES", size)
@@ -475,3 +477,18 @@ _json_trees = st.recursive(_json_leaves, lambda children: st.one_of(
 @given(tree=_json_trees)
 def test_to_json_equals_the_recursive_reference(tree):
     assert to_json(tree) == to_json_reference(tree)
+
+
+# every ASCII character, DEL, NEL, U+2028, a letter beyond ASCII, a lone
+# surrogate and a character beyond the BMP
+_json_chars = st.one_of(
+    st.characters(max_codepoint=0x7f),
+    st.sampled_from(["\x7f", "\x85", " ", "\xe9", "\ud800", "\U0001f600"]),
+    st.characters(),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(text=st.text(_json_chars, max_size=16))
+def test_report_strings_are_escaped_as_json_dumps_escapes_them(text):
+    assert cli._json_scalar(text) == json.dumps(text, ensure_ascii=False)
