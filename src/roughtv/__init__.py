@@ -25,7 +25,7 @@ _NAMES = {
                   "truncated_variation tv_profile",
     "norms": "NormReport c_p embedding_bound p_tv_seminorm p_var_seminorm "
              "p_variation partition_sup_delta seminorm_with_argmax tv_p_full_norm",
-    "integrals": "IntegralResult TruncationLadder d_e_constants default_ladder_pair "
+    "integrals": "IntegralResult SampledPair TruncationLadder d_e_constants default_ladder_pair "
                  "default_ladder_s indefinite_integral integral_norm_check "
                  "ladder_geometric gamma_level_check lemma_sum_bound "
                  "loeve_young_constant loeve_young_reports min_series_check "

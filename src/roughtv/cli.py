@@ -226,21 +226,19 @@ def cmd_norm(args) -> int:
     return 0
 
 
-def _bounds_sweep_svg(f, g, args):
+def _bounds_sweep_svg(pair, args):
     """rhs/lhs of the chosen bound across a regime sweep toward (p, q).
 
-    The 16 checks read the same two paths, so each path's extrema, swing
-    pieces and profile, and the pair's validation, cells and running
-    integrals, are built once, by the first check that needs them
-    (`cmd_bounds`' own report), and kept on the paths; only what depends on
-    (p, q) is redone per point.
+    The 16 checks read the report's pair, so what the pair and its paths
+    keep (validation, integrals, tag gaps, extrema, profiles) is built
+    once; only what depends on (p, q) is redone per point.
     """
     from .integrals import BOUND_CHECKS
     check = BOUND_CHECKS[args.variant]
 
     def eval_point(theta):
         p = 1.0 + theta * (args.p - 1.0)
-        rep = check(f, g, p, 1.0 + theta * (args.q - 1.0))
+        rep = check(pair, p, 1.0 + theta * (args.q - 1.0))
         return p, rep.lhs, rep.rhs
 
     ps, lhs, rhs = zip(*[eval_point(t) for t in np.linspace(0.25, 1.0, 16)])
@@ -249,16 +247,16 @@ def _bounds_sweep_svg(f, g, args):
 
 
 def cmd_bounds(args) -> int:
-    from .integrals import BOUND_CHECKS
+    from .integrals import BOUND_CHECKS, SampledPair
     if args.format == "svg" and not args.out:
         raise BadParameterError("--format svg needs --out")
-    f = read_path_csv(args.f, Mode(args.mode))
-    g = read_path_csv(args.g, Mode(args.mode))
-    rep = BOUND_CHECKS[args.variant](f, g, args.p, args.q)
+    mode = Mode(args.mode)
+    pair = SampledPair(read_path_csv(args.f, mode), read_path_csv(args.g, mode))
+    rep = BOUND_CHECKS[args.variant](pair, args.p, args.q)
     # an informational report (the E-form corollary) is never asserted
     diagnostics = {"asserted": rep.extras.get("asserted", True)}
     if args.format == "svg":
-        write_text(args.out, [_bounds_sweep_svg(f, g, args)])
+        write_text(args.out, [_bounds_sweep_svg(pair, args)])
         sys.stdout.write(make_report(args, asdict(rep), diagnostics))
     else:
         _emit(args, asdict(rep), diagnostics)

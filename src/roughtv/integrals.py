@@ -100,59 +100,134 @@ class IntegralResult:
     partitions_used: int
 
 
-def _pair_memo(f: SampledPath, g: SampledPath, key, build):
-    """build(), kept under `key` in the one slot f holds for g.
+@dataclass(frozen=True)
+class SampledPair:
+    """An integrand f and an integrator g, checked once by `_check_pair`.
 
-    The paths never change, so f keeps one slot, for the last g it was asked
-    with (matched by identity).  The slot is filled once (f, g) passes
-    `_check_pair`, so the checks of one pair validate it once, and always as
-    given: centering f can round a jump of f away.  Each entry ("cells",
-    "running", "centered") is built on first request, so a check never pays
-    for, or fails on, an entry it does not read.
+    The check reads f as given: centering f can round a jump of f away.
+    Every bound check takes a pair.  What the checks read of it is built on
+    first use and kept, over `read_only` arrays, so a check never pays for,
+    or fails on, the rest, and one pair serves every check of a request.
     """
-    slot = f.__dict__.get("_pair_slot")
-    if slot is None or slot["g"] is not g:
-        _check_pair(f, g)
-        slot = f.__dict__["_pair_slot"] = {"g": g}
-    if key not in slot:
-        slot[key] = build()
-    return slot[key]
+
+    f: SampledPath
+    g: SampledPath
+
+    def __post_init__(self):
+        _check_pair(self.f, self.g)
+
+    @functools.cached_property
+    def grid(self):
+        return read_only(merge_times(self.f, self.g))
+
+    @functools.cached_property
+    def dg(self):
+        """g's increment over each cell of the grid."""
+        gv = self.g.values_at(self.grid)
+        return read_only(gv[1:] - gv[:-1])
+
+    @functools.cached_property
+    def cells(self):
+        return _exact_cells(self.f, self.g.mode, self.grid, self.dg)
+
+    @functools.cached_property
+    def running(self):
+        return _running(self.grid, self.cells, self.g.mode)
+
+    @functools.cached_property
+    def centered_cells(self):
+        """The cells of f - f(a), which holds the bits of `shift_path(f, -f(a))`."""
+        f = self.f
+        centered = SampledPath(f.times, f.values - f.values[0], f.mode)
+        return _exact_cells(centered, self.g.mode, self.grid, self.dg)
+
+    @functools.cached_property
+    def centered(self):
+        return _running(self.grid, self.centered_cells, self.g.mode)
+
+    @functools.cached_property
+    def tag_gaps(self):
+        """int f dg with its gaps from the tagged single-cell sums f(xi) dg.
+
+        (integral, |int f dg - f(a) dg|, the sup over xi in [a; b] of
+        |int f dg - f(xi) dg|, an xi attaining it).  The gaps are read off
+        the cells of f - f(a), as |L - [f(xi) - f(a)] dg| with
+        L = int [f - f(a)] dg, so adding a constant to f moves neither them
+        nor their rounding; where f(a) = 0 they hold the bits of
+        |int f dg - f(xi) dg|.  f(xi) fills [min f; max f], both ends taken
+        at samples (interpolation and steps never leave the sample range),
+        and the gap is convex in f(xi), so the sup is at the first sample
+        where f is largest or the first where it is smallest, the earlier
+        on a tie.  NonFiniteValueError when [f(xi) - f(a)] dg overflows
+        float64 at either end.
+        """
+        f, g = self.f, self.g
+        integral = _total(self.cells)
+        g_ab = float(g.values[-1] - g.values[0])
+        f_a = float(f.values[0])
+        ends = sorted((int(f.values.argmax()), int(f.values.argmin())))
+        tagged = [(float(f.values[i]) - f_a) * g_ab for i in ends]
+        if not all(map(math.isfinite, tagged)):
+            raise NonFiniteValueError("tagged sum f(xi) dg overflows float64")
+        left = _total(self.centered_cells)
+        gaps = [abs(left - t) for t in tagged]
+        worst = int(gaps[1] > gaps[0])
+        return integral, abs(left), gaps[worst], float(f.times[ends[worst]])
+
+    @functools.cached_property
+    def scale(self):
+        """sum |cells|: the term scale of a lhs read off int f dg.
+
+        The lhs of `integral-pvar-remark`, the one check whose lhs moves
+        with a constant added to f, is a seminorm of the running integral,
+        at most this; a float sum of these cells rounds by about
+        cells * 2^-53 * scale.  `bound_report` takes it as the term scale.
+        """
+        return float(abs(self.cells).sum())
+
+    @functools.cached_property
+    def centered_scale(self):
+        """sum |centered_cells|: the term scale of a lhs read off f - f(a).
+
+        It bounds the left tag gap and every seminorm of `centered`; the xi
+        gap's last step, - [f(xi) - f(a)] dg, rounds relative to the gap
+        itself.  Neither it nor those lhs move with a constant added to f.
+        """
+        return float(abs(self.centered_cells).sum())
 
 
-def _exact_cells(f: SampledPath, g: SampledPath):
-    """The merged grid and the exact per-cell values tag * [g(t_k) - g(t_{k-1})].
+def _exact_cells(f: SampledPath, g_mode, grid, dg):
+    """The exact per-cell values tag * dg on `grid`, dg being g's increments.
 
     On a cell of the merged grid a linear path is affine and a step path is
     constant, jumping at most at the cell's right end.  Without common
-    jumps (`_check_pair`, which the callers run) f is continuous wherever g
-    jumps and one tag per cell is exact: f(t_{k-1}) for a step f, f(t_k)
+    jumps (`_check_pair`, which `SampledPair` runs) f is continuous wherever
+    g jumps and one tag per cell is exact: f(t_{k-1}) for a step f, f(t_k)
     for a linear f against a step g, and the trapezoid mean for two linear
-    paths.  Both arrays are `read_only`.  NonFiniteValueError when a cell
+    paths.  The array is `read_only`.  NonFiniteValueError when a cell
     overflows float64.
     """
-    grid = merge_times(f, g)
     fv = f.values_at(grid)
     with np.errstate(over="ignore", invalid="ignore"):
         if f.mode is Mode.STEP:
             tags = fv[:-1]
-        elif g.mode is Mode.STEP:
+        elif g_mode is Mode.STEP:
             tags = fv[1:]
         else:
             tags = 0.5 * (fv[:-1] + fv[1:])
-        gv = g.values_at(grid)
-        cells = _finite_integral(tags * (gv[1:] - gv[:-1]))
-    return read_only(grid), read_only(cells)
-
-
-def _cells(f: SampledPath, g: SampledPath):
-    """`_exact_cells` of the validated pair, kept in f's slot for g."""
-    return _pair_memo(f, g, "cells", lambda: _exact_cells(f, g))
+        cells = _finite_integral(tags * dg)
+    return read_only(cells)
 
 
 def _finite_integral(values):
     if not np.isfinite(values).all():
         raise NonFiniteValueError("Riemann-Stieltjes integral overflows float64")
     return values
+
+
+def _total(cells) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_integral(float(cells.sum()))
 
 
 def _running(grid, cells, mode) -> SampledPath:
@@ -162,37 +237,20 @@ def _running(grid, cells, mode) -> SampledPath:
 
 
 def rs_integral(f: SampledPath, g: SampledPath) -> IntegralResult:
-    """int f dg over the common span: the sum of the exact cells of `_cells`."""
-    grid, cells = _cells(f, g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(cells.sum())
-    return IntegralResult(_finite_integral(total), grid.size - 1)
+    """int f dg over the common span: the sum of the exact `SampledPair.cells`."""
+    pair = SampledPair(f, g)
+    return IntegralResult(_total(pair.cells), pair.grid.size - 1)
 
 
 def indefinite_integral(f: SampledPath, g: SampledPath) -> SampledPath:
     """Running integral t -> int_a^t f dg, sampled on the merged grid.
 
-    The values are the cumulative sums of the `_cells` of rs_integral.  The
+    The values are the cumulative sums of the cells of rs_integral.  The
     path takes g's mode: between samples the running integral jumps with a
     step g and is affine for a step f against a linear g; for two linear
-    paths it is quadratic on each cell, so only the samples are exact.  It
-    is kept in f's slot for g, so its extrema, swing pieces and profile are
-    built once per pair.
+    paths it is quadratic on each cell, so only the samples are exact.
     """
-    return _pair_memo(f, g, "running", lambda: _running(*_cells(f, g), g.mode))
-
-
-def _centered_integral(f: SampledPath, g: SampledPath) -> SampledPath:
-    """t -> int_a^t [f - f(a)] dg, kept in f's slot for g beside int f dg.
-
-    The cells are the `_exact_cells` of the path f - f(a), the values
-    `shift_path(f, -f(a))` would hold.
-    """
-    def build():
-        centered = SampledPath(f.times, f.values - f.values[0], f.mode)
-        return _running(*_exact_cells(centered, g), g.mode)
-
-    return _pair_memo(f, g, "centered", build)
+    return SampledPair(f, g).running
 
 
 @dataclass(frozen=True)
@@ -456,29 +514,6 @@ def d_e_constants(p, q):
     return d, e
 
 
-def _tag_gaps(f, g):
-    """int f dg with its gaps from the tagged single-cell sums f(xi) dg.
-
-    Returns (integral, |int f dg - f(a) dg|, the sup over xi in [a; b] of
-    |int f dg - f(xi) dg|, an xi attaining it).  f(xi) fills [min f; max f],
-    both ends taken at samples (interpolation and steps never leave the
-    sample range), and |I - y dg| is convex in y, so the sup is at the first
-    sample where f is largest or the first where it is smallest, the earlier
-    on a tie.  NonFiniteValueError when max f dg or min f dg, and so when
-    any f(xi) dg, overflows float64.
-    """
-    integral = rs_integral(f, g).value
-    dg = float(g.values[-1] - g.values[0])
-    ends = sorted((int(f.values.argmax()), int(f.values.argmin())))
-    tagged = [float(f.values[i]) * dg for i in ends]
-    if not all(map(math.isfinite, tagged)):
-        raise NonFiniteValueError("tagged sum f(xi) dg overflows float64")
-    gaps = [abs(integral - t) for t in tagged]
-    worst = int(gaps[1] > gaps[0])
-    left = abs(integral - float(f.values[0]) * dg)
-    return integral, left, gaps[worst], float(f.times[ends[worst]])
-
-
 def _left_factor(const, norm_f, osc_f, p, q):
     """const |f|^(p - p/q) osc(f)^(1 + p/q - p): the f-side of the left-form bounds."""
     return const * norm_f ** (p - p / q) * osc_f ** (1.0 + p / q - p)
@@ -488,17 +523,17 @@ _SEMINORMS = {"pvar": p_var_seminorm, "ptv": p_tv_seminorm}
 _LOEVE_FORMS = {"left": "left", "right": "right-symmetric", "xi": "midpoint-xi"}
 
 
-def _loeve_young_report(f, g, p, q, family, form):
+def _loeve_young_report(pair, p, q, family, form):
     """One Loeve-Young style report, from `family`'s two seminorms alone.
 
     family is "pvar" or "ptv", form one of `_LOEVE_FORMS`' values; every ptv
     rhs is dominated by the matching pvar rhs.
     """
     p, q = require_young_regime(p, q)
-    integral, lhs, lhs_xi, worst_xi = _tag_gaps(f, g)
+    integral, lhs, lhs_xi, worst_xi = pair.tag_gaps
     c_const = loeve_young_constant(p, q)
-    nf, ng = _SEMINORMS[family](f, p), _SEMINORMS[family](g, q)
-    osc_f, osc_g = oscillation(f), oscillation(g)
+    nf, ng = _SEMINORMS[family](pair.f, p), _SEMINORMS[family](pair.g, q)
+    osc_f, osc_g = oscillation(pair.f), oscillation(pair.g)
     extras = {"integral": integral}
     if form == "left":
         rhs = _left_factor(c_const, nf, osc_f, p, q) * ng
@@ -509,7 +544,8 @@ def _loeve_young_report(f, g, p, q, family, form):
         extras["worst_xi"] = worst_xi
         rhs = 0.0 if nf == 0.0 or ng == 0.0 else 2.0 * c_const * nf * ng * min(
             (osc_f / nf) ** (1.0 + p / q - p), (osc_g / ng) ** (1.0 + q / p - q))
-    return bound_report(lhs, rhs, c_const, f"loeve-{family}-{form}", extras)
+    return bound_report(lhs, rhs, c_const, f"loeve-{family}-{form}", extras,
+                        scale=pair.centered_scale)
 
 
 def loeve_young_reports(f, g, p, q):
@@ -519,32 +555,35 @@ def loeve_young_reports(f, g, p, q):
     {left, right-symmetric, midpoint-xi}; each report is the one `bounds`
     prints for its variant.
     """
-    return {f"{family}/{form}": _loeve_young_report(f, g, p, q, family, form)
+    pair = SampledPair(f, g)
+    return {f"{family}/{form}": _loeve_young_report(pair, p, q, family, form)
             for form in _LOEVE_FORMS.values() for family in _SEMINORMS}
 
 
-def young_series_check(f, g, p, q) -> BoundReport:
+def young_series_check(pair, p, q) -> BoundReport:
     """|int f dg - f(a) dg| against the series S with the default ladders."""
-    s = young_bound_S(f, g, default_ladder_s(f, g, p, q))
-    integral, lhs, _, _ = _tag_gaps(f, g)
-    return bound_report(lhs, s, s, "young-s", {"integral": integral})
+    s = young_bound_S(pair.f, pair.g, default_ladder_s(pair.f, pair.g, p, q))
+    integral, lhs, _, _ = pair.tag_gaps
+    return bound_report(lhs, s, s, "young-s", {"integral": integral},
+                        scale=pair.centered_scale)
 
 
-def min_series_check(f, g, p, q) -> BoundReport:
+def min_series_check(pair, p, q) -> BoundReport:
     """|int f dg - f(xi) dg| <= 2 min(S, S~) at the worst tag xi in [a; b]."""
-    ladder_s, ladder_st = default_ladder_pair(f, g, p, q)
-    s = young_bound_S(f, g, ladder_s)
-    st = young_bound_S_tilde(f, g, ladder_st)
-    integral, _, lhs, _ = _tag_gaps(f, g)
+    ladder_s, ladder_st = default_ladder_pair(pair.f, pair.g, p, q)
+    s = young_bound_S(pair.f, pair.g, ladder_s)
+    st = young_bound_S_tilde(pair.f, pair.g, ladder_st)
+    integral, _, lhs, _ = pair.tag_gaps
     rhs = 2.0 * min(s, st)
     return bound_report(lhs, rhs, rhs, "min-series",
-                        {"S": s, "S_tilde": st, "integral": integral})
+                        {"S": s, "S_tilde": st, "integral": integral},
+                        scale=pair.centered_scale)
 
 
 _INTEGRAL_VARIANTS = ("ptv-theorem", "ptv-corollary", "pvar-remark")
 
 
-def integral_norm_check(f, g, p, q, variant="ptv-theorem") -> BoundReport:
+def integral_norm_check(pair, p, q, variant="ptv-theorem") -> BoundReport:
     """Norm of the indefinite integral against its a-priori bound.
 
     ptv-theorem: q-TV seminorm of int [f - f(a)] dg vs the D-constant bound.
@@ -552,44 +591,48 @@ def integral_norm_check(f, g, p, q, variant="ptv-theorem") -> BoundReport:
     d_e_constants).
     pvar-remark: q-variation seminorm of int f dg vs the C-constant bound;
     the integral has g's regularity, so it is measured with g's exponent.
-    Both integrals are read from f's slot for g (`_pair_memo`).
+    The integrals are the pair's `centered` and `running`, and the reports
+    take the matching term scale, `centered_scale` or `scale`.
     """
     if variant not in _INTEGRAL_VARIANTS:
         raise BadParameterError(f"unknown variant {variant}")
     p, q = require_young_regime(p, q)
     if variant == "pvar-remark":
-        lhs = p_var_seminorm(indefinite_integral(f, g), q)
+        lhs = p_var_seminorm(pair.running, q)
         c_const = loeve_young_constant(p, q)
-        pv_f = p_var_seminorm(f, p)
-        sup_f = float(np.max(np.abs(f.values)))
-        rhs = (_left_factor(c_const, pv_f, oscillation(f), p, q) + sup_f) \
-            * p_var_seminorm(g, q)
-        return bound_report(lhs, rhs, c_const, "integral-pvar-remark")
-    lhs = p_tv_seminorm(_centered_integral(f, g), q)
+        pv_f = p_var_seminorm(pair.f, p)
+        sup_f = float(np.max(np.abs(pair.f.values)))
+        rhs = (_left_factor(c_const, pv_f, oscillation(pair.f), p, q) + sup_f) \
+            * p_var_seminorm(pair.g, q)
+        return bound_report(lhs, rhs, c_const, "integral-pvar-remark",
+                            scale=pair.scale)
+    lhs = p_tv_seminorm(pair.centered, q)
     d_const, e_const = d_e_constants(p, q)
-    tv_f = p_tv_seminorm(f, p)
-    tv_g = p_tv_seminorm(g, q)
+    tv_f = p_tv_seminorm(pair.f, p)
+    tv_g = p_tv_seminorm(pair.g, q)
     if variant == "ptv-theorem":
-        rhs = _left_factor(d_const, tv_f, oscillation(f), p, q) * tv_g
+        rhs = _left_factor(d_const, tv_f, oscillation(pair.f), p, q) * tv_g
         return bound_report(lhs, rhs, d_const, "integral-ptv-theorem",
-                            {"E": e_const})
+                            {"E": e_const}, scale=pair.centered_scale)
     rhs = e_const * tv_f * tv_g
     return bound_report(lhs, rhs, e_const, "integral-ptv-corollary",
-                        {"D": d_const, "asserted": False})
+                        {"D": d_const, "asserted": False}, scale=pair.centered_scale)
 
 
-def gamma_level_check(f, g, ladder: TruncationLadder) -> BoundReport:
+def gamma_level_check(pair, ladder: TruncationLadder) -> BoundReport:
     """TV at level gamma of the indefinite integral vs the g-side series.
 
     gamma = 2 sum 2^k theta_k TV^{eta_k}(f); the bound is
     sum 2^k eta_{k-1} TV^{theta_k}(g) with eta_{-1} = sup |f - f(a)|.  The
-    integral int [f - f(a)] dg is read from f's slot for g (`_pair_memo`).
+    integral is int [f - f(a)] dg (`pair.centered`), so the report takes
+    the pair's `centered_scale`.
     """
-    _, g_side, f_side = _ladder_series(osc_from_start(f), ladder.etas, ladder.thetas,
-                                       tv_profile(f), tv_profile(g))
+    _, g_side, f_side = _ladder_series(osc_from_start(pair.f), ladder.etas, ladder.thetas,
+                                       tv_profile(pair.f), tv_profile(pair.g))
     gamma = 2.0 * f_side
-    lhs = tv_profile(_centered_integral(f, g)).value(gamma)
-    return bound_report(lhs, g_side, gamma, "gamma-level", {"gamma": gamma})
+    lhs = tv_profile(pair.centered).value(gamma)
+    return bound_report(lhs, g_side, gamma, "gamma-level", {"gamma": gamma},
+                        scale=pair.centered_scale)
 
 
 # Every `roughtv bounds --variant`, in the order its usage message lists them.
@@ -601,5 +644,5 @@ BOUND_CHECKS = {
     **{f"integral-{variant}": functools.partial(integral_norm_check, variant=variant)
        for variant in _INTEGRAL_VARIANTS},
     "gamma-level-ladder":
-        lambda f, g, p, q: gamma_level_check(f, g, default_ladder_s(f, g, p, q)),
+        lambda pair, p, q: gamma_level_check(pair, default_ladder_s(pair.f, pair.g, p, q)),
 }

@@ -18,6 +18,7 @@ from roughtv.equations import (
     solution_radius,
 )
 from roughtv.integrals import (
+    SampledPair,
     default_ladder_pair,
     integral_norm_check,
     gamma_level_check,
@@ -213,7 +214,7 @@ def test_criterion_09_loeve_young_every_variant():
             assert rep.passed
         for form in ("left", "right-symmetric", "midpoint-xi"):
             assert reports[f"ptv/{form}"].rhs <= reports[f"pvar/{form}"].rhs + 1e-9
-        assert min_series_check(f, g, p, q).passed
+        assert min_series_check(SampledPair(f, g), p, q).passed
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(9, f"200 pairs x 6 variants + 2*min(S,S~) xi sweep, {elapsed:.1f}s")
@@ -222,7 +223,7 @@ def test_criterion_09_loeve_young_every_variant():
 def test_criterion_10_series_bound_estimate():
     tent = tent_path()
     ident = identity_path(3, horizon=2.0)
-    assert young_series_check(tent, ident, 1.5, 1.5).passed
+    assert young_series_check(SampledPair(tent, ident), 1.5, 1.5).passed
     for seed in range(50):
         f = gen_brownian(64, 1.0, 3000 + 2 * seed)
         g = gen_brownian(64, 1.0, 3001 + 2 * seed)
@@ -254,11 +255,11 @@ def test_criterion_11_integral_norm_bound():
     for seed in range(100):
         f = gen_brownian(96, 1.0, 4000 + 2 * seed)
         g = gen_brownian(96, 1.0, 4001 + 2 * seed)
-        thm = integral_norm_check(f, g, p, q, "ptv-theorem")
+        thm = integral_norm_check(SampledPair(f, g), p, q, "ptv-theorem")
         assert thm.passed
         ladder, _ = default_ladder_pair(f, g, p, q)
-        assert gamma_level_check(f, g, ladder).passed
-        if integral_norm_check(f, g, p, q, "ptv-corollary").passed:
+        assert gamma_level_check(SampledPair(f, g), ladder).passed
+        if integral_norm_check(SampledPair(f, g), p, q, "ptv-corollary").passed:
             e_form_passes += 1
     _report(11, f"100 pairs pass the D-form and gamma-level bounds "
                 f"(informational E-form: {e_form_passes}/100)")

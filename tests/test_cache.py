@@ -1,14 +1,14 @@
 """What a path or a pair keeps once computed: the same results, warm or cold.
 
-A `SampledPath` keeps its extrema and `TvProfile`, and the integrand f of
-a pair keeps one slot for its integrator g: filled once (f, g) is
-validated, it holds the exact cells and the running integrals of f and of
-f - f(a), each built on first request.  Every result read from
-them must equal, to the bit, the result on a fresh copy of the paths, and
-no new path may start with them.
+A `SampledPath` keeps its extrema and `TvProfile`, and a `SampledPair`,
+validated once, keeps its grid, exact cells, the running integrals of f
+and of f - f(a), its tag gaps and its term scale, each built on first
+request.  Every result read from them must equal, to the bit, the result
+on a fresh copy of the paths, and no new path or pair may start with them.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -16,7 +16,13 @@ import pytest
 from roughtv import integrals, kernels, norms, truncation
 from roughtv.cli import main, to_json
 from roughtv.errors import RoughTVError
-from roughtv.integrals import BOUND_CHECKS, indefinite_integral, integral_norm_check, rs_integral
+from roughtv.integrals import (
+    BOUND_CHECKS,
+    SampledPair,
+    indefinite_integral,
+    integral_norm_check,
+    rs_integral,
+)
 from roughtv.norms import p_tv_seminorm, p_variation, seminorm_with_argmax
 from roughtv.paths import Mode, gen_brownian, make_path, restrict, shift_path
 from roughtv.pathio import write_path_csv
@@ -26,7 +32,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-CACHED = ("_extrema", "_profile", "_pair_slot")
+CACHED = ("_extrema", "_profile")
+PAIR_CACHED = ("grid", "dg", "cells", "running", "centered_cells", "centered", "tag_gaps",
+               "scale", "centered_scale")
 
 _small = st.floats(-4.0, 4.0, allow_nan=False, width=32)
 # values near the float64 limits make the checks raise, warm as cold
@@ -55,9 +63,9 @@ def _raised_or(call):
         return type(exc).__name__, str(exc)
 
 
-def _outcome(check, f, g, p, q):
+def _outcome(check, make_pair, p, q):
     """The report as the CLI prints it, or the error it raises."""
-    return _raised_or(lambda: to_json(dataclasses.asdict(check(f, g, p, q))))
+    return _raised_or(lambda: to_json(dataclasses.asdict(check(make_pair(), p, q))))
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -67,10 +75,12 @@ def _outcome(check, f, g, p, q):
 def test_every_check_reads_the_same_warm_and_cold(f_values, g_values, pq, modes):
     f, g = _pair(f_values, g_values, *modes)
     p, q = pq
+    # one pair for every variant, as a request's SVG sweep shares one
+    warm = functools.cache(lambda: SampledPair(f, g))
     for variant, check in BOUND_CHECKS.items():
-        first = _outcome(check, f, g, p, q)
-        again = _outcome(check, f, g, p, q)
-        cold = _outcome(check, _fresh(f), _fresh(g), p, q)
+        first = _outcome(check, warm, p, q)
+        again = _outcome(check, warm, p, q)
+        cold = _outcome(check, lambda: SampledPair(_fresh(f), _fresh(g)), p, q)
         assert first == again == cold, variant
 
 
@@ -107,20 +117,46 @@ def _refuses_writes(array):
 def test_cached_arrays_are_read_only():
     f = gen_brownian(30, 1.0, seed=3)
     g = gen_brownian(20, 1.0, seed=4)
-    rs_integral(f, g)
-    running = indefinite_integral(f, g)
-    integral_norm_check(f, g, 1.5, 1.5)
-    integral_norm_check(f, g, 1.5, 1.5, "pvar-remark")
-    slot = f._pair_slot
-    assert slot.keys() == {"g", "cells", "running", "centered"} and slot["g"] is g
-    # the running integral is kept in the slot, on the slot's own grid
-    assert slot["running"] is running and running.times is slot["cells"][0]
-    centered = slot["centered"]
-    for array in (*slot["cells"], running.times, running.values,
-                  centered.times, centered.values):
+    pair = SampledPair(f, g)
+    integral_norm_check(pair, 1.5, 1.5)
+    integral_norm_check(pair, 1.5, 1.5, "pvar-remark")
+    running, centered = pair.running, pair.centered
+    # both running integrals are kept on the pair, on the pair's own grid
+    assert pair.running is running and running.times is pair.grid is centered.times
+    for array in (pair.grid, pair.cells, running.values, centered.values):
         _refuses_writes(array)
-    assert indefinite_integral(f, g) is running
+    assert indefinite_integral(f, g).values.tobytes() == running.values.tobytes()
     assert np.all(running.times[1:] > running.times[:-1])
+
+
+def test_centered_cells_hold_the_bits_of_the_shifted_path():
+    # f - f(a) has the bits of shift_path(f, -f(a)), and where f(a) is +0.0
+    # the bits of f itself
+    g = gen_brownian(25, 1.0, seed=6)
+    walk = gen_brownian(30, 1.0, seed=5)
+    negative_zero = make_path(walk.times, np.concatenate(([-0.0], walk.values[1:])))
+    step = dataclasses.replace(walk, mode=Mode.STEP)
+    for f in (walk, shift_path(walk, 0.5), negative_zero, step):
+        pair = SampledPair(f, g)
+        shifted = SampledPair(shift_path(f, -f.values[0]), g)
+        assert pair.centered_cells.tobytes() == shifted.cells.tobytes()
+        if f.values[0] == 0.0 and not np.signbit(f.values[0]):
+            assert pair.centered_cells.tobytes() == pair.cells.tobytes()
+
+
+def test_a_pair_is_frozen_and_its_arrays_refuse_writes():
+    f = gen_brownian(12, 1.0, seed=3)
+    g = gen_brownian(9, 1.0, seed=4)
+    pair = SampledPair(f, g)
+    for name, value in (("f", g), ("g", f), ("grid", pair.grid), ("scale", 0.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pair, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del pair.cells
+    for array in (pair.grid, pair.cells, pair.running.values, pair.centered.values,
+                  pair.centered.times):
+        _refuses_writes(array)
+    assert pair.f is f and pair.g is g
 
 
 def test_a_paths_arrays_refuse_the_writeable_flag():
@@ -134,22 +170,37 @@ def test_a_paths_arrays_refuse_the_writeable_flag():
     assert shift_path(path, 0.0).times is path.times
 
 
+def _counting(monkeypatch, calls, module, name):
+    """Count in calls[name] the calls of module.name."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_a_pair_is_validated_and_integrated_once(monkeypatch):
-    checked = []
-    check_pair = integrals._check_pair
-    monkeypatch.setattr(integrals, "_check_pair",
-                        lambda f, g: checked.append((f, g)) or check_pair(f, g))
-    f = gen_brownian(30, 1.0, seed=5)
+    calls = {"_check_pair": 0, "_exact_cells": 0, "_running": 0}
+    for name in calls:
+        _counting(monkeypatch, calls, integrals, name)
+    f = shift_path(gen_brownian(30, 1.0, seed=5), 0.5)
     g = gen_brownian(25, 1.0, seed=6)
-    h = gen_brownian(25, 1.0, seed=7)
+    pair = SampledPair(f, g)
+    reports = [check(pair, 1.5, 1.5) for check in BOUND_CHECKS.values()]
+    assert [check(pair, 1.5, 1.5) for check in BOUND_CHECKS.values()] == reports
+    # one validation; the cells of f and of f - f(a), each summed once
+    assert calls == {"_check_pair": 1, "_exact_cells": 2, "_running": 2}
+    assert all(name in vars(pair) for name in PAIR_CACHED)
+    # each (f, g) call builds and validates its own pair, and the paths keep
+    # nothing of it
     first = rs_integral(f, g)
-    assert rs_integral(f, g) == first and integrals._tag_gaps(f, g)[0] == first.value
-    assert len(checked) == 1
-    # one slot, matched by identity: another g, or an equal copy, is new work
-    rs_integral(f, h)
-    rs_integral(f, _fresh(g))
-    assert rs_integral(f, g) == first
-    assert len(checked) == 4
+    assert rs_integral(f, g) == first and first.value == pair.tag_gaps[0]
+    assert indefinite_integral(f, g).values.tobytes() == pair.running.values.tobytes()
+    assert calls["_check_pair"] == 4
+    for path in (f, g):
+        assert set(vars(path)) <= {"times", "values", "mode", *CACHED}
 
 
 def test_new_paths_carry_no_cache():
@@ -157,13 +208,17 @@ def test_new_paths_carry_no_cache():
     g = gen_brownian(30, 1.0, seed=9)
     tv_profile(f)
     p_tv_seminorm(f, 1.5)
-    rs_integral(f, g)
-    integral_norm_check(f, g, 1.5, 1.5)
-    integral_norm_check(f, g, 1.5, 1.5, "pvar-remark")
+    pair = SampledPair(f, g)
+    for variant in ("ptv-theorem", "pvar-remark"):
+        integral_norm_check(pair, 1.5, 1.5, variant)
+    pair.tag_gaps
     assert all(name in vars(f) for name in CACHED)
+    assert all(name in vars(pair) for name in PAIR_CACHED)
     for new in (restrict(f, 0.0, 1.0), shift_path(f, 0.0), dataclasses.replace(f),
                 dataclasses.replace(f, mode=Mode.STEP)):
         assert not any(name in vars(new) for name in CACHED)
+    for new in (SampledPair(f, g), dataclasses.replace(pair)):
+        assert not any(name in vars(new) for name in PAIR_CACHED)
 
 
 # swing_pieces builds per sweep: one per path whose profile or p-TV seminorm
@@ -186,7 +241,7 @@ def test_svg_sweep_builds_each_profile_and_the_pair_once(tmp_path, monkeypatch, 
     f_csv, g_csv = tmp_path / "f.csv", tmp_path / "g.csv"
     write_path_csv(f_path, f_csv)
     write_path_csv(g_path, g_csv)
-    calls = {"swing_pieces": 0, "_check_pair": 0, "_running": 0}
+    calls = {"swing_pieces": 0, "_check_pair": 0, "_running": 0, "tag_gaps": 0}
     checked = []
 
     def counting(module, name):
@@ -204,16 +259,25 @@ def test_svg_sweep_builds_each_profile_and_the_pair_once(tmp_path, monkeypatch, 
     counting(norms, "swing_pieces")
     counting(integrals, "_check_pair")
     counting(integrals, "_running")
+    build_tag_gaps = SampledPair.tag_gaps.func
+
+    def tag_gaps(pair):
+        calls["tag_gaps"] += 1
+        return build_tag_gaps(pair)
+
+    monkeypatch.setattr(SampledPair, "tag_gaps", functools.cached_property(tag_gaps))
+    SampledPair.tag_gaps.__set_name__(SampledPair, "tag_gaps")
     code = main(["bounds", str(f_csv), str(g_csv), "--p", "1.9", "--q", "1.9",
                  "--variant", variant, "--format", "svg",
                  "--out", str(tmp_path / "sweep.svg")])
     assert code == 0 and capsys.readouterr().err == ""
     # the report and the 16 sweep points validate the pair once, as (f, g),
-    # and build each path's pieces and each running integral they read once
+    # and build each path's pieces, each running integral and the tag gaps
+    # they read once
     assert checked == [(f_path.values.tolist(), g_path.values.tolist())]
     integrals_read = variant.startswith(("integral-", "gamma-"))
     assert calls == {"swing_pieces": SWEEP_SWING_PIECES[variant], "_check_pair": 1,
-                     "_running": int(integrals_read)}
+                     "_running": int(integrals_read), "tag_gaps": int(not integrals_read)}
 
 
 def test_a_path_keeps_no_buffer_its_caller_can_write():

@@ -18,8 +18,16 @@ from roughtv.cli import main, to_json
 from roughtv.equations import field_catalog
 from roughtv.errors import BadParameterError, RoughTVError
 from roughtv.pathio import read_path_csv, write_path_csv
-from roughtv.paths import MAX_SAMPLES, Mode, gen_brownian, identity_path, scale_path, tent_path
-from roughtv.reports import PASS_SLACK
+from roughtv.paths import (
+    MAX_SAMPLES,
+    Mode,
+    gen_brownian,
+    identity_path,
+    scale_path,
+    shift_path,
+    tent_path,
+)
+from roughtv.reports import PASS_SLACK, bound_report
 
 BOUND_VARIANTS = tuple(integrals.BOUND_CHECKS)
 
@@ -45,9 +53,27 @@ def test_json_serializer_is_deterministic():
     assert to_json(float("inf")) == '"inf"'
 
 
+def _json_scalar_reference(x):
+    # every scalar by isinstance tests, one at a time
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        if math.isnan(x):
+            return '"nan"'
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        return format(x, ".17g")
+    return json.dumps(str(x), ensure_ascii=False)
+
+
 def to_json_reference(obj, indent=0):
-    # the serializer before scalars were tested for first, kept as the
-    # reference `to_json` must equal
+    # the serializer before scalars were tested for first, with its own
+    # scalar writer, kept as the reference `to_json` must equal
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if is_dataclass(obj):
@@ -67,7 +93,7 @@ def to_json_reference(obj, indent=0):
             return "[]"
         rows = [f"{inner}{to_json_reference(item, indent + 1)}" for item in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    return cli._json_scalar(obj)
+    return _json_scalar_reference(obj)
 
 
 def test_gen_is_byte_stable(tmp_path, capsys):
@@ -522,11 +548,36 @@ def test_violated_bound_exits_one(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "gen", "brownian", "--n", "16", "--seed", "1", "--out", str(f_csv))
     run_cli(capsys, "gen", "brownian", "--n", "16", "--seed", "2", "--out", str(g_csv))
     failing = BoundReport(2.0, 1.0, -1.0, False, 1.0, "loeve-ptv-left", {})
-    monkeypatch.setitem(integrals.BOUND_CHECKS, "loeve-ptv-left", lambda f, g, p, q: failing)
+    monkeypatch.setitem(integrals.BOUND_CHECKS, "loeve-ptv-left", lambda pair, p, q: failing)
     code, stdout, _ = run_cli(capsys, "bounds", str(f_csv), str(g_csv),
                               "--p", "1.9", "--q", "1.9")
     assert code == 1
     assert '"passed": false' in stdout
+
+
+def _half_rhs(lhs, rhs, *args, **kwargs):
+    # the check's own lhs, constant and term scale against rhs = lhs / 2
+    return bound_report(lhs, lhs / 2.0, *args, **kwargs)
+
+
+@pytest.mark.parametrize("c,shift,variant", [
+    *[(c, 0.0, "young-s") for c in (1.0, 1e-3, 1e-6, 1e6)],
+    *[(1.0, 1e7, variant) for variant in ("young-s", "min-series", "loeve-ptv-left")],
+])
+def test_a_bound_violated_by_half_exits_one_at_any_scale(tmp_path, capsys, monkeypatch,
+                                                         c, shift, variant):
+    # at c = 1e-6 the lhs is 3.78e-14: an allowance of PASS_SLACK in absolute
+    # terms passed it.  The lhs, |int [f - f(a)] dg| or its xi form, does not
+    # move with f + 1e7, and nor may the allowance: sup |f| TV(g) passed it
+    f_csv, g_csv = tmp_path / "f.csv", tmp_path / "g.csv"
+    write_path_csv(shift_path(scale_path(gen_brownian(64, 1.0, seed=1), c), shift), f_csv)
+    write_path_csv(scale_path(gen_brownian(64, 1.0, seed=2), c), g_csv)
+    monkeypatch.setattr(integrals, "bound_report", _half_rhs)
+    code, stdout, err = run_cli(capsys, "bounds", str(f_csv), str(g_csv), "--p", "1.9",
+                                "--q", "1.9", "--variant", variant)
+    res = json.loads(stdout)["results"]
+    assert (code, err, res["passed"]) == (1, "", False)
+    assert 0.0 < res["rhs"] == res["lhs"] / 2.0
 
 
 REPORT_VARIANT = {

@@ -18,8 +18,8 @@ from roughtv import integrals
 from roughtv.integrals import (
     BOUND_CHECKS,
     IntegralResult,
+    SampledPair,
     TruncationLadder,
-    _tag_gaps,
     d_e_constants,
     default_ladder_pair,
     indefinite_integral,
@@ -334,7 +334,7 @@ def test_checks_build_only_the_ladders_they_read(monkeypatch, variant, builds):
     monkeypatch.setattr(integrals, "ladder_geometric", counting)
     f = gen_brownian(40, 1.0, seed=17)
     g = gen_brownian(40, 1.0, seed=18)
-    BOUND_CHECKS[variant](f, g, 1.7, 1.8)
+    BOUND_CHECKS[variant](SampledPair(f, g), 1.7, 1.8)
     assert len(calls) == builds
 
 
@@ -346,8 +346,8 @@ def test_balance_survives_an_underflowing_ratio():
     g = gen_brownian(64, 1.0, seed=2)
     far_f, far_g = scale_path(f, 2.0 ** 332), scale_path(g, 2.0 ** -332)
     for variant in ("young-s", "min-series", "gamma-level-ladder"):
-        near = BOUND_CHECKS[variant](f, g, 1.9, 1.9)
-        far = BOUND_CHECKS[variant](far_f, far_g, 1.9, 1.9)
+        near = BOUND_CHECKS[variant](SampledPair(f, g), 1.9, 1.9)
+        far = BOUND_CHECKS[variant](SampledPair(far_f, far_g), 1.9, 1.9)
         assert far.rhs == pytest.approx(near.rhs, rel=1e-12, abs=0.0), variant
         assert far.lhs <= far.rhs and far.passed, variant
 
@@ -433,14 +433,14 @@ def test_leading_term_is_read_off_the_path():
     lad = TruncationLadder([0.0], [0.0])
     tv_g = total_variation(g)
     assert young_bound_S(tiny, g, lad) == 1e-12 * tv_g > 0
-    assert gamma_level_check(tiny, g, lad).rhs == 1e-12 * tv_g > 0
+    assert gamma_level_check(SampledPair(tiny, g), lad).rhs == 1e-12 * tv_g > 0
     # sup |g(b) - g(t)| of the scaled g is 1e-12 TV^0(g)
     assert young_bound_S_tilde(g, scale_path(g, 1e-12), lad) == 1e-12 * tv_g * tv_g > 0
 
 
 def test_young_series_tent_identity(tent):
     g = identity_path(3, horizon=2.0)
-    rep = young_series_check(tent, g, 1.5, 1.5)
+    rep = young_series_check(SampledPair(tent, g), 1.5, 1.5)
     assert rep.passed and math.isfinite(rep.rhs)
     assert rep.lhs == pytest.approx(1.0, abs=1e-12)  # int tent dt = 1, f(a) = 0
 
@@ -451,7 +451,7 @@ def test_s_tilde_and_min_series(tent):
     s = young_bound_S(tent, g, ladder_s)
     st = young_bound_S_tilde(tent, g, ladder_st)
     assert math.isfinite(s) and math.isfinite(st)
-    rep = min_series_check(tent, g, 1.5, 1.5)
+    rep = min_series_check(SampledPair(tent, g), 1.5, 1.5)
     assert rep.passed
     assert rep.rhs == pytest.approx(2.0 * min(s, st), rel=1e-12)
 
@@ -666,10 +666,10 @@ def test_ladder_series_equals_the_replaced_loops(p, q):
         st = young_bound_S_tilde(f, g, ladder_st)
         assert s == _ref_S(f, g, ladder_s) and math.isfinite(s)
         assert st == _ref_S_tilde(f, g, ladder_st) and math.isfinite(st)
-        assert young_series_check(f, g, p, q).rhs == s
-        assert min_series_check(f, g, p, q).rhs == 2.0 * min(s, st)
+        assert young_series_check(SampledPair(f, g), p, q).rhs == s
+        assert min_series_check(SampledPair(f, g), p, q).rhs == 2.0 * min(s, st)
         gamma, rhs = _ref_gamma(f, g, ladder_s)
-        rep = gamma_level_check(f, g, ladder_s)
+        rep = gamma_level_check(SampledPair(f, g), ladder_s)
         assert rep.extras["gamma"] == gamma and rep.rhs == rhs
         grid = merge_times(f, g)
         idx = tuple(np.linspace(0, grid.size - 1, min(9, grid.size)).astype(int))
@@ -690,7 +690,7 @@ def test_ladder_series_equals_the_replaced_loops_past_the_guard(tent):
     # rhs is inf, and a bound against inf checks nothing
     assert _ref_gamma(tent, g, lad) == (0.0, math.inf)
     with pytest.raises(NonFiniteValueError, match="gamma-level"):
-        gamma_level_check(tent, g, lad)
+        gamma_level_check(SampledPair(tent, g), lad)
 
 
 def test_gamma_sums_the_whole_f_side_series(tent):
@@ -706,7 +706,7 @@ def test_gamma_sums_the_whole_f_side_series(tent):
                                            tv_profile(tent), tv_profile(g)):
         g_side += first
         f_side += second
-    rep = gamma_level_check(tent, g, lad)
+    rep = gamma_level_check(SampledPair(tent, g), lad)
     assert rep.extras["gamma"] == 2.0 * f_side
     assert rep.rhs == g_side and 1e301 < rep.rhs < math.inf and rep.passed
     assert (rep.extras["gamma"], rep.rhs) == _ref_gamma(tent, g, lad)
@@ -750,18 +750,18 @@ def test_gamma_level_stands_where_f_dg_overflows():
     t = [0.0, 0.5, 1.0]
     f = make_path(t, [1e200, 1e200 + 1e186, 1e200])
     g = make_path(t, [0.0, 1e110, 0.0])
-    rep = BOUND_CHECKS["gamma-level-ladder"](f, g, 1.2, 1.2)
+    rep = BOUND_CHECKS["gamma-level-ladder"](SampledPair(f, g), 1.2, 1.2)
     for integral in (rs_integral, indefinite_integral):
         with pytest.raises(NonFiniteValueError, match="Riemann-Stieltjes"):
             integral(f, g)
-    assert BOUND_CHECKS["gamma-level-ladder"](f, g, 1.2, 1.2) == rep and rep.passed
+    assert BOUND_CHECKS["gamma-level-ladder"](SampledPair(f, g), 1.2, 1.2) == rep and rep.passed
 
 
 @pytest.mark.parametrize("variant", list(BOUND_CHECKS))
 def test_every_variant_rejects_a_jump_that_centering_rounds_away(variant):
     f, g = merged_jump_pair()
     with pytest.raises(CommonDiscontinuityError, match=r"shared jump times \[0.5\]"):
-        BOUND_CHECKS[variant](f, g, 1.5, 1.5)
+        BOUND_CHECKS[variant](SampledPair(f, g), 1.5, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -800,18 +800,25 @@ def _tag_gap_pairs():
 
 def test_tag_gap_is_the_sup_over_every_tag():
     # the xi form's lhs is the sup over every tag xi in [a; b]: it equals the
-    # brute-force max over f's samples, and no merged-grid time beats it
+    # brute-force max over f's samples, and no merged-grid time beats it; the
+    # gaps are read off f - f(a), and match those of int f dg to rounding
     for f, g in _tag_gap_pairs():
-        integral, left, worst, xi = _tag_gaps(f, g)
+        pair = SampledPair(f, g)
+        integral, left, worst, xi = pair.tag_gaps
         dg = g.values[-1] - g.values[0]
-        at_samples = np.abs(integral - f.values * dg)
+        centered = float(pair.centered_cells.sum())
+        at_samples = np.abs(centered - (f.values - f.values[0]) * dg)
         assert worst == at_samples.max()
         assert left == at_samples[0]
         i = int(np.searchsorted(f.times, xi))
         assert f.times[i] == xi and at_samples[i] == worst
         assert i in (int(np.argmax(f.values)), int(np.argmin(f.values)))
-        at_grid = np.abs(integral - f.values_at(merge_times(f, g)) * dg).max()
+        grid_f = f.values_at(merge_times(f, g)) - f.values[0]
+        at_grid = np.abs(centered - grid_f * dg).max()
         assert abs(worst - at_grid) <= 1e-12 * at_grid
+        uncentered = np.abs(integral - f.values * dg)
+        terms = np.abs(f.values).max() * np.abs(pair.dg).sum()
+        assert np.abs(at_samples - uncentered).max() <= 1e-12 * terms
 
 
 def test_tag_gap_takes_the_earlier_extremum_on_a_tie():
@@ -819,7 +826,7 @@ def test_tag_gap_takes_the_earlier_extremum_on_a_tie():
     # f's first maximum and first minimum
     f = make_path([0.0, 0.25, 0.5, 0.75, 1.0], [0.5, -1.0, 2.0, -1.0, 2.0])
     g = make_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-    integral, left, worst, xi = _tag_gaps(f, g)
+    integral, left, worst, xi = SampledPair(f, g).tag_gaps
     assert worst == left == abs(integral) and xi == 0.25
 
 
@@ -846,20 +853,20 @@ def test_loeve_variants_random_pair():
 def test_integral_norm_checks_random_pair():
     f = gen_brownian(96, 1.0, seed=10)
     g = gen_brownian(96, 1.0, seed=11)
-    thm = integral_norm_check(f, g, 1.9, 1.9, "ptv-theorem")
+    thm = integral_norm_check(SampledPair(f, g), 1.9, 1.9, "ptv-theorem")
     assert thm.passed
-    info = integral_norm_check(f, g, 1.9, 1.9, "ptv-corollary")
+    info = integral_norm_check(SampledPair(f, g), 1.9, 1.9, "ptv-corollary")
     assert info.extras["asserted"] is False
-    remark = integral_norm_check(f, g, 1.9, 1.9, "pvar-remark")
+    remark = integral_norm_check(SampledPair(f, g), 1.9, 1.9, "pvar-remark")
     assert remark.passed
     with pytest.raises(BadParameterError, match="^unknown variant nope$"):
-        integral_norm_check(f, g, 1.9, 1.9, "nope")
+        integral_norm_check(SampledPair(f, g), 1.9, 1.9, "nope")
 
 
 def test_integral_norm_constant_integrand():
     f = constant_path(2.0, 0.0, 1.0)
     g = gen_brownian(65, 1.0, seed=12)
-    rep = integral_norm_check(f, g, 1.9, 1.9, "ptv-theorem")
+    rep = integral_norm_check(SampledPair(f, g), 1.9, 1.9, "ptv-theorem")
     assert rep.lhs == pytest.approx(0.0, abs=1e-12) and rep.passed
 
 
@@ -867,7 +874,7 @@ def test_gamma_level_check_random_pair():
     f = gen_brownian(96, 1.0, seed=13)
     g = gen_brownian(96, 1.0, seed=14)
     ladder, _ = default_ladder_pair(f, g, 1.9, 1.9)
-    rep = gamma_level_check(f, g, ladder)
+    rep = gamma_level_check(SampledPair(f, g), ladder)
     assert rep.passed
 
 
@@ -882,7 +889,7 @@ def test_series_reject_an_overflowing_oscillation():
     with pytest.raises(NonFiniteValueError):
         young_bound_S(f, g, ladder)
     with pytest.raises(NonFiniteValueError):
-        gamma_level_check(f, g, ladder)
+        gamma_level_check(SampledPair(f, g), ladder)
 
 
 def test_young_regime_guard():
@@ -908,3 +915,16 @@ def test_finite_report_passes_up_to_the_slack():
     assert within.passed and math.isfinite(within.margin)
     beyond = bound_report(1.0 + 2.0 * PASS_SLACK, 1.0, 1.0, "young-s")
     assert not beyond.passed
+
+
+def test_the_allowance_is_relative_to_the_terms():
+    # a bound violated by a factor of 2 fails at any size (the allowance was
+    # once PASS_SLACK in absolute terms below |rhs| = 1)
+    assert not bound_report(2e-10, 1e-10, 1, "x").passed
+    assert not bound_report(2e-300, 1e-300, 1, "x").passed
+    # the term scale widens the allowance, and a tie passes at any size
+    assert bound_report(1.0 + 4.0 * PASS_SLACK, 1.0, 1.0, "x", scale=8.0).passed
+    assert not bound_report(1.0 + 4.0 * PASS_SLACK, 1.0, 1.0, "x", scale=2.0).passed
+    assert all(bound_report(v, v, 1.0, "x").passed for v in (0.0, 5e-324, 1e-300, 1e300))
+    with pytest.raises(NonFiniteValueError, match="x: term scale inf overflows float64"):
+        bound_report(1.0, 2.0, 1.0, "x", scale=math.inf)

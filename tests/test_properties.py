@@ -9,6 +9,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from roughtv import cli, pathio  # noqa: E402
+from roughtv import cli, integrals, pathio  # noqa: E402
 from roughtv.cli import to_json  # noqa: E402
 from roughtv.errors import NonFiniteValueError, RoughTVError  # noqa: E402
-from roughtv.integrals import BOUND_CHECKS  # noqa: E402
+from roughtv.integrals import BOUND_CHECKS, SampledPair  # noqa: E402
 from roughtv.kernels import lazy_band, pvar_sum, reduce_to_extrema, tv_delta  # noqa: E402
 from roughtv.norms import p_variation, seminorm_with_argmax  # noqa: E402
 from roughtv.oracle import (  # noqa: E402
@@ -36,9 +37,10 @@ from roughtv.paths import (  # noqa: E402
     gen_zigzag,
     make_path,
     merge_times,
+    scale_path,
 )
 from roughtv.truncation import swing_pieces, truncated_variation, tv_profile  # noqa: E402
-from test_cli import to_json_reference  # noqa: E402
+from test_cli import _half_rhs, to_json_reference  # noqa: E402
 from test_kernels import (  # noqa: E402
     contracting_zigzag,
     lazy_band_reference,
@@ -413,10 +415,67 @@ def test_every_bound_report_is_finite_or_raises(f_values, g_values, f_exponent, 
     g = _scaled_path(np.resize(g_values, len(f_values)).tolist(), g_exponent)
     for name, check in BOUND_CHECKS.items():
         try:
-            rep = check(f, g, p, q)
+            rep = check(SampledPair(f, g), p, q)
         except NonFiniteValueError:
             continue
         assert all(map(math.isfinite, (rep.lhs, rep.rhs, rep.margin, rep.constant_used))), name
+
+
+def _verdicts(f, g, p, q):
+    """Each variant's verdict on the pair (f, g), or the error it raises."""
+    verdicts = {}
+    for name, check in BOUND_CHECKS.items():
+        try:
+            verdicts[name] = check(SampledPair(f, g), p, q).passed
+        except RoughTVError as exc:
+            verdicts[name] = type(exc).__name__
+    return verdicts
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(f_values=_values, g_values=_values, j=st.integers(-60, 60), k=st.integers(-60, 60),
+       p=st.sampled_from([1.05, 1.5, 1.9, 2.5]), slack=st.sampled_from([0.1, 0.5, 0.9]))
+def test_every_verdict_is_the_same_at_every_scale(f_values, g_values, j, k, p, slack):
+    # every inequality is homogeneous: (2^j f, 2^k g) multiplies each lhs,
+    # rhs and term scale by 2^(j + k), so no verdict may depend on j or k;
+    # with rhs = lhs / 2 every lhs above the rounding allowance is violated
+    q = 1.0 / (1.0 - (1.0 - slack) / p)
+    f, g = _scaled_path(f_values, 0), _scaled_path(g_values, 0)
+    scaled = scale_path(f, 2.0 ** j), scale_path(g, 2.0 ** k)
+    assert _verdicts(*scaled, p, q) == _verdicts(f, g, p, q)
+    with mock.patch.object(integrals, "bound_report", _half_rhs):
+        half = _verdicts(f, g, p, q)
+        assert _verdicts(*scaled, p, q) == half
+
+
+# dyadic samples in [-4; 4] on a 2^-8 grid: adding +-2^j, j in [-50, 44],
+# to them is exact, and so is every difference of the shifted samples
+_dyadic = st.lists(st.integers(-1024, 1024), min_size=2, max_size=10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(f_ints=_dyadic, g_ints=_dyadic, j=st.integers(-50, 44), sign=st.sampled_from([-1, 1]),
+       modes=st.tuples(*[st.sampled_from(list(Mode))] * 2),
+       p=st.sampled_from([1.05, 1.5, 1.9, 2.5]), slack=st.sampled_from([0.1, 0.5, 0.9]))
+def test_every_verdict_is_the_same_for_f_plus_a_constant(f_ints, g_ints, j, sign, modes,
+                                                         p, slack):
+    # every check but integral-pvar-remark reads f only through f - f(a) or
+    # its differences, so adding c = +-2^j to f moves no lhs, rhs or term
+    # scale; unpatched and with rhs = lhs / 2, no verdict may move
+    q = 1.0 / (1.0 - (1.0 - slack) / p)
+    f = make_path(np.linspace(0.0, 1.0, len(f_ints)), np.ldexp(f_ints, -8), modes[0])
+    g = make_path(np.linspace(0.0, 1.0, len(g_ints)), np.ldexp(g_ints, -8), modes[1])
+    shifted = make_path(f.times, f.values + sign * 2.0 ** j, f.mode)
+    assert np.array_equal(shifted.values - sign * 2.0 ** j, f.values)
+
+    def verdicts(f):
+        out = _verdicts(f, g, p, q)
+        del out["integral-pvar-remark"]
+        return out
+
+    assert verdicts(shifted) == verdicts(f)
+    with mock.patch.object(integrals, "bound_report", _half_rhs):
+        assert verdicts(shifted) == verdicts(f)
 
 
 def _value_reference(profile, delta):
@@ -463,7 +522,19 @@ _json_leaves = st.one_of(
     st.floats().map(np.float64), st.floats(width=32).map(np.float32),
     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_),
 )
+# lists of one scalar type, as a report's windows, iterations and spans are,
+# and lists that mix it with a NumPy scalar or a subclass
+_json_floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+_json_flat_lists = st.one_of(
+    st.lists(_json_floats, max_size=6), st.lists(_json_floats, max_size=6).map(tuple),
+    st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=6),
+    st.lists(st.booleans(), max_size=4), st.lists(st.none(), max_size=3),
+    st.lists(st.text(st.characters(codec="utf-8"), max_size=4), max_size=4),
+    st.lists(_json_floats, min_size=1, max_size=4).map(lambda xs: xs + [np.float64(xs[0])]),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(lambda xs: xs + [True]),
+)
 _json_trees = st.recursive(_json_leaves, lambda children: st.one_of(
+    _json_flat_lists,
     st.lists(children, max_size=4),
     st.lists(children, max_size=4).map(tuple),
     st.dictionaries(st.text(max_size=4), children, max_size=4),
