@@ -25,11 +25,10 @@ _NAMES = {
                   "truncated_variation tv_profile",
     "norms": "NormReport c_p embedding_bound p_tv_seminorm p_var_seminorm "
              "p_variation partition_sup_delta seminorm_with_argmax tv_p_full_norm",
-    "integrals": "IntegralResult SampledPair TruncationLadder d_e_constants default_ladder_pair "
-                 "default_ladder_s indefinite_integral integral_norm_check "
-                 "ladder_geometric gamma_level_check lemma_sum_bound "
-                 "loeve_young_constant loeve_young_reports min_series_check "
-                 "rs_integral rs_sum young_series_check young_bound_S "
+    "integrals": "SampledPair TruncationLadder d_e_constants default_ladder_pair "
+                 "default_ladder_s integral_norm_check ladder_geometric "
+                 "gamma_level_check lemma_sum_bound loeve_young_constant "
+                 "min_series_check rs_sum young_series_check young_bound_S "
                  "young_bound_S_tilde",
     "equations": "LipschitzField OdeSolution Quotient composition_norm_check "
                  "field_catalog fixed_point_radius picard_solve solution_radius",

@@ -68,12 +68,20 @@ class LipschitzField:
             raise BadParameterError(f"unknown order {self.order!r}")
         if self.order == "one_plus_alpha" and self.quotient is None:
             raise BadParameterError("order one_plus_alpha requires a quotient")
+        constants = {"lipschitz": self.lipschitz}
+        if self.sup_bound is not None:
+            constants["sup_bound"] = self.sup_bound
+        if self.quotient is not None:
+            constants["quotient.lipschitz"] = self.quotient.lipschitz
+            constants["quotient.sup_bound"] = self.quotient.sup_bound
+        for name, value in constants.items():
+            # the windows rest on these: a negative, NaN or inf one certifies wrongly
+            if value is None or not 0.0 <= value < math.inf:
+                raise BadParameterError(f"{name} must be finite and >= 0")
         if (self.order == "one_plus_alpha" and self.quotient.lipschitz > 0
                 and self.sup_bound is None):
             raise BadParameterError(
                 "order one_plus_alpha with a non-constant quotient requires sup_bound")
-        if not self.lipschitz >= 0:
-            raise BadParameterError("Lipschitz constant must be >= 0")
 
     @property
     def f0(self):

@@ -70,34 +70,24 @@ def _check_pair(f: SampledPath, g: SampledPath):
         )
 
 
-def rs_sum(f: SampledPath, g: SampledPath, tagged: TaggedPartition, grid=None) -> float:
+def rs_sum(pair, tagged: TaggedPartition) -> float:
     """sum f(xi_k) [g(t_k) - g(t_{k-1})] over the tagged cells.
 
-    Partition and tag indices refer to `grid` (default: the union of the two
-    sample grids); both paths are evaluated there by their own rule.
-    NonFiniteValueError when an oscillation or the sum overflows float64.
+    Partition and tag indices refer to `pair.grid`; both paths are
+    evaluated there by their own rule.  NonFiniteValueError when the sum
+    overflows float64.
     """
-    oscillation(f)
-    oscillation(g)
-    check_same_span(f, g)
-    if grid is None:
-        grid = merge_times(f, g)
+    grid = pair.grid
     part = tagged.partition
     part.validate_for(len(grid))
     if part.n_cells < 1:
         raise InvalidPartitionError("need at least one cell")
     cell_times = grid[np.asarray(part.indices, dtype=np.intp)]
     tag_times = grid[np.asarray(tagged.tags, dtype=np.intp)]
-    g_vals = g.values_at(cell_times)
-    f_vals = f.values_at(tag_times)
+    g_vals = pair.g.values_at(cell_times)
+    f_vals = pair.f.values_at(tag_times)
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite_integral(float((f_vals * (g_vals[1:] - g_vals[:-1])).sum()))
-
-
-@dataclass(frozen=True)
-class IntegralResult:
-    value: float
-    partitions_used: int
 
 
 @dataclass(frozen=True)
@@ -105,9 +95,10 @@ class SampledPair:
     """An integrand f and an integrator g, checked once by `_check_pair`.
 
     The check reads f as given: centering f can round a jump of f away.
-    Every bound check takes a pair.  What the checks read of it is built on
-    first use and kept, over `read_only` arrays, so a check never pays for,
-    or fails on, the rest, and one pair serves every check of a request.
+    Every routine here that reads two paths takes a pair, so the check runs
+    in this one place.  What the checks read of it is built on first use
+    and kept, over `read_only` arrays, so a check never pays for, or fails
+    on, the rest, and one pair serves every check of a request.
     """
 
     f: SampledPath
@@ -131,7 +122,19 @@ class SampledPair:
         return _exact_cells(self.f, self.g.mode, self.grid, self.dg)
 
     @functools.cached_property
+    def integral(self):
+        """int f dg over the common span: the sum of the exact `cells`."""
+        return _total(self.cells)
+
+    @functools.cached_property
     def running(self):
+        """Running integral t -> int_a^t f dg, sampled on the grid.
+
+        The values are the cumulative sums of the cells.  The path takes g's
+        mode: between samples the running integral jumps with a step g and
+        is affine for a step f against a linear g; for two linear paths it
+        is quadratic on each cell, so only the samples are exact.
+        """
         return _running(self.grid, self.cells, self.g.mode)
 
     @functools.cached_property
@@ -147,9 +150,9 @@ class SampledPair:
 
     @functools.cached_property
     def tag_gaps(self):
-        """int f dg with its gaps from the tagged single-cell sums f(xi) dg.
+        """The gaps of int f dg from the tagged single-cell sums f(xi) dg.
 
-        (integral, |int f dg - f(a) dg|, the sup over xi in [a; b] of
+        (|int f dg - f(a) dg|, the sup over xi in [a; b] of
         |int f dg - f(xi) dg|, an xi attaining it).  The gaps are read off
         the cells of f - f(a), as |L - [f(xi) - f(a)] dg| with
         L = int [f - f(a)] dg, so adding a constant to f moves neither them
@@ -162,7 +165,6 @@ class SampledPair:
         float64 at either end.
         """
         f, g = self.f, self.g
-        integral = _total(self.cells)
         g_ab = float(g.values[-1] - g.values[0])
         f_a = float(f.values[0])
         ends = sorted((int(f.values.argmax()), int(f.values.argmin())))
@@ -172,7 +174,7 @@ class SampledPair:
         left = _total(self.centered_cells)
         gaps = [abs(left - t) for t in tagged]
         worst = int(gaps[1] > gaps[0])
-        return integral, abs(left), gaps[worst], float(f.times[ends[worst]])
+        return abs(left), gaps[worst], float(f.times[ends[worst]])
 
     @functools.cached_property
     def scale(self):
@@ -234,23 +236,6 @@ def _running(grid, cells, mode) -> SampledPath:
     with np.errstate(over="ignore", invalid="ignore"):
         running = cells.cumsum()
     return SampledPath(grid, np.concatenate(([0.0], _finite_integral(running))), mode)
-
-
-def rs_integral(f: SampledPath, g: SampledPath) -> IntegralResult:
-    """int f dg over the common span: the sum of the exact `SampledPair.cells`."""
-    pair = SampledPair(f, g)
-    return IntegralResult(_total(pair.cells), pair.grid.size - 1)
-
-
-def indefinite_integral(f: SampledPath, g: SampledPath) -> SampledPath:
-    """Running integral t -> int_a^t f dg, sampled on the merged grid.
-
-    The values are the cumulative sums of the cells of rs_integral.  The
-    path takes g's mode: between samples the running integral jumps with a
-    step g and is affine for a step f against a linear g; for two linear
-    paths it is quadratic on each cell, so only the samples are exact.
-    """
-    return SampledPair(f, g).running
 
 
 @dataclass(frozen=True)
@@ -326,30 +311,30 @@ def ladder_geometric(p, q, beta, gamma) -> TruncationLadder:
     return TruncationLadder(etas, thetas)
 
 
-def default_ladder_s(f: SampledPath, g: SampledPath, p, q) -> TruncationLadder:
+def default_ladder_s(pair, p, q) -> TruncationLadder:
     """The ladder for S with the constants the Young-regime proof picks.
 
     beta is sup |f - f(a)| and gamma the V^p/V^q balancing factor.
     """
-    p, q, pv_f, pv_g = _pvar_pair(f, g, p, q)
-    return _geometric_for(osc_from_start(f), p, q, pv_f, pv_g)
+    p, q, pv_f, pv_g = _pvar_pair(pair, p, q)
+    return _geometric_for(osc_from_start(pair.f), p, q, pv_f, pv_g)
 
 
-def default_ladder_pair(f: SampledPath, g: SampledPath, p, q):
+def default_ladder_pair(pair, p, q):
     """The ladder of `default_ladder_s` and the one for S~.
 
     The symmetric ladder is the mirrored construction keyed to
     sup |g(b) - g(t)|.
     """
-    p, q, pv_f, pv_g = _pvar_pair(f, g, p, q)
-    ladder_s = _geometric_for(osc_from_start(f), p, q, pv_f, pv_g)
-    mirror = _geometric_for(osc_from_end(g), q, p, pv_g, pv_f)
+    p, q, pv_f, pv_g = _pvar_pair(pair, p, q)
+    ladder_s = _geometric_for(osc_from_start(pair.f), p, q, pv_f, pv_g)
+    mirror = _geometric_for(osc_from_end(pair.g), q, p, pv_g, pv_f)
     return ladder_s, TruncationLadder(etas=mirror.thetas, thetas=mirror.etas)
 
 
-def _pvar_pair(f, g, p, q):
+def _pvar_pair(pair, p, q):
     p, q = require_young_regime(p, q)
-    return p, q, p_var_seminorm(f, p), p_var_seminorm(g, q)
+    return p, q, p_var_seminorm(pair.f, p), p_var_seminorm(pair.g, q)
 
 
 def _geometric_for(beta, p, q, pv_x, pv_y):
@@ -412,32 +397,31 @@ def _ladder_series(x_minus1, xs, ys, prof_x, prof_y, terms=None):
     return total, first_sum, second_sum
 
 
-def young_bound_S(f: SampledPath, g: SampledPath, ladder: TruncationLadder) -> float:
+def young_bound_S(pair, ladder: TruncationLadder) -> float:
     """The series S for this pair, led by eta_{-1} = sup |f - f(a)|."""
-    return _ladder_series(osc_from_start(f), ladder.etas, ladder.thetas,
-                          tv_profile(f), tv_profile(g))[0]
+    return _ladder_series(osc_from_start(pair.f), ladder.etas, ladder.thetas,
+                          tv_profile(pair.f), tv_profile(pair.g))[0]
 
 
-def young_bound_S_tilde(f: SampledPath, g: SampledPath, ladder: TruncationLadder) -> float:
+def young_bound_S_tilde(pair, ladder: TruncationLadder) -> float:
     """The mirrored series S~, led by theta_{-1} = sup |g(b) - g(t)|."""
-    return _ladder_series(osc_from_end(g), ladder.thetas, ladder.etas,
-                          tv_profile(g), tv_profile(f))[0]
+    return _ladder_series(osc_from_end(pair.g), ladder.thetas, ladder.etas,
+                          tv_profile(pair.g), tv_profile(pair.f))[0]
 
 
-def lemma_sum_bound(f, g, tagged: TaggedPartition, deltas, epsilons) -> float:
+def lemma_sum_bound(pair, tagged: TaggedPartition, deltas, epsilons) -> float:
     """Finite tagged-sum bound including the n*delta_r*epsilon_r remainder.
 
-    Partition indices refer to the merged sample grid of f and g.
-    delta_{-1} is sup |f - f(c)| on the partition's own span [c; d].
+    Partition indices refer to `pair.grid`.  delta_{-1} is sup |f - f(c)|
+    on the partition's own span [c; d].
     """
-    check_same_span(f, g)
-    grid = merge_times(f, g)
+    grid = pair.grid
     part = tagged.partition
     part.validate_for(len(grid))
     c = float(grid[part.indices[0]])
     d = float(grid[part.indices[-1]])
-    f_cd = restrict(f, c, d)
-    g_cd = restrict(g, c, d)
+    f_cd = restrict(pair.f, c, d)
+    g_cd = restrict(pair.g, c, d)
     ladder = TruncationLadder(deltas, epsilons)
     # the ladder stops at r = size - 1, where the remainder replaces the tail
     bound, _, _ = _ladder_series(osc_from_start(f_cd), ladder.etas, ladder.thetas,
@@ -530,11 +514,11 @@ def _loeve_young_report(pair, p, q, family, form):
     rhs is dominated by the matching pvar rhs.
     """
     p, q = require_young_regime(p, q)
-    integral, lhs, lhs_xi, worst_xi = pair.tag_gaps
+    extras = {"integral": pair.integral}
+    lhs, lhs_xi, worst_xi = pair.tag_gaps
     c_const = loeve_young_constant(p, q)
     nf, ng = _SEMINORMS[family](pair.f, p), _SEMINORMS[family](pair.g, q)
     osc_f, osc_g = oscillation(pair.f), oscillation(pair.g)
-    extras = {"integral": integral}
     if form == "left":
         rhs = _left_factor(c_const, nf, osc_f, p, q) * ng
     elif form == "right-symmetric":
@@ -548,34 +532,22 @@ def _loeve_young_report(pair, p, q, family, form):
                         scale=pair.centered_scale)
 
 
-def loeve_young_reports(f, g, p, q):
-    """All six Loeve-Young style reports for the pair.
-
-    Keys are "<family>/<form>" for family in {pvar, ptv} and form in
-    {left, right-symmetric, midpoint-xi}; each report is the one `bounds`
-    prints for its variant.
-    """
-    pair = SampledPair(f, g)
-    return {f"{family}/{form}": _loeve_young_report(pair, p, q, family, form)
-            for form in _LOEVE_FORMS.values() for family in _SEMINORMS}
-
-
 def young_series_check(pair, p, q) -> BoundReport:
     """|int f dg - f(a) dg| against the series S with the default ladders."""
-    s = young_bound_S(pair.f, pair.g, default_ladder_s(pair.f, pair.g, p, q))
-    integral, lhs, _, _ = pair.tag_gaps
-    return bound_report(lhs, s, s, "young-s", {"integral": integral},
+    s = young_bound_S(pair, default_ladder_s(pair, p, q))
+    integral = pair.integral
+    return bound_report(pair.tag_gaps[0], s, s, "young-s", {"integral": integral},
                         scale=pair.centered_scale)
 
 
 def min_series_check(pair, p, q) -> BoundReport:
     """|int f dg - f(xi) dg| <= 2 min(S, S~) at the worst tag xi in [a; b]."""
-    ladder_s, ladder_st = default_ladder_pair(pair.f, pair.g, p, q)
-    s = young_bound_S(pair.f, pair.g, ladder_s)
-    st = young_bound_S_tilde(pair.f, pair.g, ladder_st)
-    integral, _, lhs, _ = pair.tag_gaps
+    ladder_s, ladder_st = default_ladder_pair(pair, p, q)
+    s = young_bound_S(pair, ladder_s)
+    st = young_bound_S_tilde(pair, ladder_st)
+    integral = pair.integral
     rhs = 2.0 * min(s, st)
-    return bound_report(lhs, rhs, rhs, "min-series",
+    return bound_report(pair.tag_gaps[1], rhs, rhs, "min-series",
                         {"S": s, "S_tilde": st, "integral": integral},
                         scale=pair.centered_scale)
 
@@ -644,5 +616,5 @@ BOUND_CHECKS = {
     **{f"integral-{variant}": functools.partial(integral_norm_check, variant=variant)
        for variant in _INTEGRAL_VARIANTS},
     "gamma-level-ladder":
-        lambda pair, p, q: gamma_level_check(pair, default_ladder_s(pair.f, pair.g, p, q)),
+        lambda pair, p, q: gamma_level_check(pair, default_ladder_s(pair, p, q)),
 }

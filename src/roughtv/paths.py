@@ -9,6 +9,7 @@ samples a tiny time apart (`JUMP_EPS_FRACTION` of the span).
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -343,6 +344,14 @@ def common_jump_times(f: SampledPath, g: SampledPath) -> np.ndarray:
     return np.intersect1d(f.jump_times(), g.jump_times(), assume_unique=True)
 
 
+def _indices(values):
+    """values as a tuple of ints; NumPy integers pass, 1.5 is no index."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise InvalidPartitionError("indices must be integers") from None
+
+
 @dataclass(frozen=True)
 class Partition:
     """Strictly increasing sample indices into a reference grid."""
@@ -350,7 +359,7 @@ class Partition:
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = _indices(self.indices)
         if len(idx) == 0:
             raise InvalidPartitionError("partition must be nonempty")
         if any(j <= i for i, j in zip(idx, idx[1:])):
@@ -378,7 +387,7 @@ class TaggedPartition:
     tags: tuple
 
     def __post_init__(self):
-        tags = tuple(int(i) for i in self.tags)
+        tags = _indices(self.tags)
         idx = self.partition.indices
         if len(tags) != len(idx) - 1:
             raise InvalidPartitionError("one tag per cell required")

@@ -18,14 +18,13 @@ from roughtv.equations import (
     solution_radius,
 )
 from roughtv.integrals import (
+    BOUND_CHECKS,
     SampledPair,
     default_ladder_pair,
     integral_norm_check,
     gamma_level_check,
     lemma_sum_bound,
-    loeve_young_reports,
     min_series_check,
-    rs_integral,
     rs_sum,
     young_series_check,
     young_bound_S,
@@ -53,7 +52,6 @@ from roughtv.paths import (
     gen_zigzag,
     identity_path,
     make_path,
-    merge_times,
     oscillation,
     scale_path,
     tent_path,
@@ -207,14 +205,15 @@ def test_criterion_09_loeve_young_every_variant():
     start = time.perf_counter()
     p = q = 1.9
     for seed in range(200):
-        f = gen_brownian(128, 1.0, 2000 + 2 * seed)
-        g = gen_brownian(128, 1.0, 2001 + 2 * seed)
-        reports = loeve_young_reports(f, g, p, q)
+        pair = SampledPair(gen_brownian(128, 1.0, 2000 + 2 * seed),
+                           gen_brownian(128, 1.0, 2001 + 2 * seed))
+        reports = {name: check(pair, p, q) for name, check in BOUND_CHECKS.items()
+                   if name.startswith("loeve-")}
         for rep in reports.values():
             assert rep.passed
-        for form in ("left", "right-symmetric", "midpoint-xi"):
-            assert reports[f"ptv/{form}"].rhs <= reports[f"pvar/{form}"].rhs + 1e-9
-        assert min_series_check(SampledPair(f, g), p, q).passed
+        for form in ("left", "right", "xi"):
+            assert reports[f"loeve-ptv-{form}"].rhs <= reports[f"loeve-pvar-{form}"].rhs + 1e-9
+        assert min_series_check(pair, p, q).passed
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(9, f"200 pairs x 6 variants + 2*min(S,S~) xi sweep, {elapsed:.1f}s")
@@ -227,25 +226,26 @@ def test_criterion_10_series_bound_estimate():
     for seed in range(50):
         f = gen_brownian(64, 1.0, 3000 + 2 * seed)
         g = gen_brownian(64, 1.0, 3001 + 2 * seed)
-        ladder, _ = default_ladder_pair(f, g, 1.9, 1.9)
-        s = young_bound_S(f, g, ladder)
-        integral = rs_integral(f, g).value
+        pair = SampledPair(f, g)
+        ladder, _ = default_ladder_pair(pair, 1.9, 1.9)
+        s = young_bound_S(pair, ladder)
+        integral = pair.integral
         lhs = abs(integral - float(f.values[0])
                   * float(g.values[-1] - g.values[0]))
         assert lhs <= s + 1e-9
         # finite tagged-sum bounds on an 8-cell partition
-        grid = merge_times(f, g)
+        grid = pair.grid
         idx = tuple(np.linspace(0, grid.size - 1, 9).astype(int))
         deltas = [oscillation(f) * 2.0 ** -(k + 1) for k in range(4)]
         epsilons = [oscillation(g) * 2.0 ** -(k + 1) for k in range(4)]
         for tags in (idx[:-1], idx[1:]):
             tagged = TaggedPartition(Partition(idx), tags)
             observed = abs(
-                rs_sum(f, g, tagged)
+                rs_sum(pair, tagged)
                 - f.value_at(grid[idx[0]])
                 * (g.value_at(grid[idx[-1]]) - g.value_at(grid[idx[0]]))
             )
-            assert observed <= lemma_sum_bound(f, g, tagged, deltas, epsilons) + 1e-9
+            assert observed <= lemma_sum_bound(pair, tagged, deltas, epsilons) + 1e-9
     _report(10, "tent/identity and 50 pairs dominated by S and the lemma bounds")
 
 
@@ -253,13 +253,13 @@ def test_criterion_11_integral_norm_bound():
     p = q = 1.9
     e_form_passes = 0
     for seed in range(100):
-        f = gen_brownian(96, 1.0, 4000 + 2 * seed)
-        g = gen_brownian(96, 1.0, 4001 + 2 * seed)
-        thm = integral_norm_check(SampledPair(f, g), p, q, "ptv-theorem")
+        pair = SampledPair(gen_brownian(96, 1.0, 4000 + 2 * seed),
+                           gen_brownian(96, 1.0, 4001 + 2 * seed))
+        thm = integral_norm_check(pair, p, q, "ptv-theorem")
         assert thm.passed
-        ladder, _ = default_ladder_pair(f, g, p, q)
-        assert gamma_level_check(SampledPair(f, g), ladder).passed
-        if integral_norm_check(SampledPair(f, g), p, q, "ptv-corollary").passed:
+        ladder, _ = default_ladder_pair(pair, p, q)
+        assert gamma_level_check(pair, ladder).passed
+        if integral_norm_check(pair, p, q, "ptv-corollary").passed:
             e_form_passes += 1
     _report(11, f"100 pairs pass the D-form and gamma-level bounds "
                 f"(informational E-form: {e_form_passes}/100)")

@@ -1,10 +1,11 @@
 """What a path or a pair keeps once computed: the same results, warm or cold.
 
 A `SampledPath` keeps its extrema and `TvProfile`, and a `SampledPair`,
-validated once, keeps its grid, exact cells, the running integrals of f
-and of f - f(a), its tag gaps and its term scale, each built on first
-request.  Every result read from them must equal, to the bit, the result
-on a fresh copy of the paths, and no new path or pair may start with them.
+validated once, keeps its grid, exact cells and their sum, the running
+integrals of f and of f - f(a), its tag gaps and its term scales, each
+built on first request.  Every result read from them must equal, to the
+bit, the result on a fresh copy of the paths, and no new path or pair may
+start with them.
 """
 
 import dataclasses
@@ -16,13 +17,7 @@ import pytest
 from roughtv import integrals, kernels, norms, truncation
 from roughtv.cli import main, to_json
 from roughtv.errors import RoughTVError
-from roughtv.integrals import (
-    BOUND_CHECKS,
-    SampledPair,
-    indefinite_integral,
-    integral_norm_check,
-    rs_integral,
-)
+from roughtv.integrals import BOUND_CHECKS, SampledPair, integral_norm_check
 from roughtv.norms import p_tv_seminorm, p_variation, seminorm_with_argmax
 from roughtv.paths import Mode, gen_brownian, make_path, restrict, shift_path
 from roughtv.pathio import write_path_csv
@@ -33,8 +28,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 CACHED = ("_extrema", "_profile")
-PAIR_CACHED = ("grid", "dg", "cells", "running", "centered_cells", "centered", "tag_gaps",
-               "scale", "centered_scale")
+PAIR_CACHED = ("grid", "dg", "cells", "integral", "running", "centered_cells", "centered",
+               "tag_gaps", "scale", "centered_scale")
 
 _small = st.floats(-4.0, 4.0, allow_nan=False, width=32)
 # values near the float64 limits make the checks raise, warm as cold
@@ -125,7 +120,7 @@ def test_cached_arrays_are_read_only():
     assert pair.running is running and running.times is pair.grid is centered.times
     for array in (pair.grid, pair.cells, running.values, centered.values):
         _refuses_writes(array)
-    assert indefinite_integral(f, g).values.tobytes() == running.values.tobytes()
+    assert SampledPair(f, g).running.values.tobytes() == running.values.tobytes()
     assert np.all(running.times[1:] > running.times[:-1])
 
 
@@ -193,12 +188,12 @@ def test_a_pair_is_validated_and_integrated_once(monkeypatch):
     # one validation; the cells of f and of f - f(a), each summed once
     assert calls == {"_check_pair": 1, "_exact_cells": 2, "_running": 2}
     assert all(name in vars(pair) for name in PAIR_CACHED)
-    # each (f, g) call builds and validates its own pair, and the paths keep
-    # nothing of it
-    first = rs_integral(f, g)
-    assert rs_integral(f, g) == first and first.value == pair.tag_gaps[0]
-    assert indefinite_integral(f, g).values.tobytes() == pair.running.values.tobytes()
-    assert calls["_check_pair"] == 4
+    # a new pair of the same paths is validated again and gives the same
+    # bits, and the paths keep nothing of either pair
+    fresh = SampledPair(f, g)
+    assert fresh.integral == pair.integral
+    assert fresh.running.values.tobytes() == pair.running.values.tobytes()
+    assert calls["_check_pair"] == 2
     for path in (f, g):
         assert set(vars(path)) <= {"times", "values", "mode", *CACHED}
 
@@ -211,7 +206,7 @@ def test_new_paths_carry_no_cache():
     pair = SampledPair(f, g)
     for variant in ("ptv-theorem", "pvar-remark"):
         integral_norm_check(pair, 1.5, 1.5, variant)
-    pair.tag_gaps
+    pair.integral, pair.tag_gaps
     assert all(name in vars(f) for name in CACHED)
     assert all(name in vars(pair) for name in PAIR_CACHED)
     for new in (restrict(f, 0.0, 1.0), shift_path(f, 0.0), dataclasses.replace(f),

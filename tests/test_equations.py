@@ -102,11 +102,27 @@ def test_field_validation():
         LipschitzField(np.sin, alpha=1.0, order="one_plus_alpha", lipschitz=1.0)
     with pytest.raises(BadParameterError, match="^unknown order 'beta'$"):
         LipschitzField(np.sin, alpha=1.0, order="beta", lipschitz=1.0)
-    with pytest.raises(BadParameterError, match="^Lipschitz constant must be >= 0$"):
+    with pytest.raises(BadParameterError, match="^lipschitz must be finite and >= 0$"):
         LipschitzField(np.sin, alpha=0.5, order="alpha", lipschitz=-1.0)
     # a quotient with K_G > 0 brings |F|_inf into the certification
     with pytest.raises(BadParameterError, match="requires sup_bound"):
         dataclasses.replace(field_catalog()["sin"], sup_bound=None)
+
+
+@pytest.mark.parametrize("changes, name", [
+    pytest.param({"quotient": Quotient(1.0, -1.0)}, "quotient.sup_bound", id="negative-G-sup"),
+    pytest.param({"sup_bound": -1.0}, "sup_bound", id="negative-sup"),
+    pytest.param({"sup_bound": math.nan}, "sup_bound", id="nan-sup"),
+    pytest.param({"quotient": Quotient(-5.0, 1.0)}, "quotient.lipschitz", id="negative-K_G"),
+    pytest.param({"lipschitz": math.inf}, "lipschitz", id="inf-lipschitz"),
+])
+def test_field_rejects_constants_that_certify_too_much(changes, name):
+    # the windows are certified from the declared constants: on a scaled
+    # walk with sin, a negative sup gave 235 longer windows than the 250 the
+    # true constants certify, a NaN sup 256 uncertified windows that still
+    # reported converged, and a negative K_G was read as 0
+    with pytest.raises(BadParameterError, match=f"^{name} must be finite and >= 0$"):
+        dataclasses.replace(field_catalog()["sin"], **changes)
 
 
 # ---------------------------------------------------------------------------

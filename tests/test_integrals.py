@@ -17,20 +17,16 @@ from roughtv.errors import (
 from roughtv import integrals
 from roughtv.integrals import (
     BOUND_CHECKS,
-    IntegralResult,
     SampledPair,
     TruncationLadder,
     d_e_constants,
     default_ladder_pair,
-    indefinite_integral,
     integral_norm_check,
     ladder_geometric,
     gamma_level_check,
     lemma_sum_bound,
     loeve_young_constant,
-    loeve_young_reports,
     min_series_check,
-    rs_integral,
     rs_sum,
     young_series_check,
     young_bound_S,
@@ -70,17 +66,17 @@ def _uniform_tagged(n_points, cells, tag="left"):
 # Riemann-Stieltjes sums and integrals
 # ---------------------------------------------------------------------------
 def test_rs_sum_identity_single_cell():
-    ident = identity_path(2)
+    pair = SampledPair(identity_path(2), identity_path(2))
     left = TaggedPartition(Partition((0, 1)), (0,))
     right = TaggedPartition(Partition((0, 1)), (1,))
-    assert rs_sum(ident, ident, left) == 0.0
-    assert rs_sum(ident, ident, right) == 1.0
+    assert rs_sum(pair, left) == 0.0
+    assert rs_sum(pair, right) == 1.0
 
 
 def test_rs_sum_needs_a_cell():
-    ident = identity_path(2)
+    pair = SampledPair(identity_path(2), identity_path(2))
     with pytest.raises(InvalidPartitionError, match="need at least one cell"):
-        rs_sum(ident, ident, TaggedPartition(Partition((0,)), ()))
+        rs_sum(pair, TaggedPartition(Partition((0,)), ()))
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
@@ -88,22 +84,20 @@ def test_rs_sum_identity_refines(k):
     n = 2 ** k + 1
     ident = identity_path(n)
     tagged = _uniform_tagged(n, 2 ** k, "left")
-    assert rs_sum(ident, ident, tagged) == pytest.approx((1 - 2.0 ** -k) / 2, abs=1e-15)
+    assert rs_sum(SampledPair(ident, ident), tagged) == pytest.approx((1 - 2.0 ** -k) / 2,
+                                                                     abs=1e-15)
 
 
 def test_rs_integral_linear_exact():
     ident = identity_path(1025)
-    res = rs_integral(ident, ident)
-    assert isinstance(res, IntegralResult)
-    assert res.value == pytest.approx(0.5, abs=1e-15)
+    assert SampledPair(ident, ident).integral == pytest.approx(0.5, abs=1e-15)
 
 
 def test_rs_integral_t_dt_squared():
     t = np.linspace(0.0, 1.0, 2 ** 12 + 1)
     f = make_path(t, t)
     g = make_path(t, t ** 2)
-    res = rs_integral(f, g)
-    assert abs(res.value - 2.0 / 3.0) <= 1e-6
+    assert abs(SampledPair(f, g).integral - 2.0 / 3.0) <= 1e-6
 
 
 def test_rs_integral_rejects_common_jumps():
@@ -111,7 +105,7 @@ def test_rs_integral_rejects_common_jumps():
     f = make_path(t, [0.0, 0.0, 1.0, 1.0], Mode.STEP)
     g = make_path(t, [1.0, 1.0, 3.0, 3.0], Mode.STEP)
     with pytest.raises(CommonDiscontinuityError):
-        rs_integral(f, g)
+        SampledPair(f, g)
 
 
 @pytest.mark.parametrize("mode", [Mode.LINEAR, Mode.STEP])
@@ -121,9 +115,7 @@ def test_rs_integral_rejects_overflowing_oscillation(mode):
     small = make_path([0.0, 0.3, 1.0], [0.0, 1.0, 2.0], mode)
     for f, g in ((huge, small), (small, huge)):
         with pytest.raises(NonFiniteValueError):
-            rs_integral(f, g)
-        with pytest.raises(NonFiniteValueError):
-            indefinite_integral(f, g)
+            SampledPair(f, g)
 
 
 @pytest.mark.parametrize("mode", [Mode.LINEAR, Mode.STEP])
@@ -132,10 +124,11 @@ def test_rs_integral_rejects_overflowing_sum(mode):
     t = [0.0, 0.5, 1.0]
     f = make_path(t, [1.5, 1.5, 1.5], Mode.LINEAR)
     g = make_path(t, [0.0, 1e308, 1.7e308], mode)
+    pair = SampledPair(f, g)
     with pytest.raises(NonFiniteValueError, match="Riemann-Stieltjes"):
-        rs_integral(f, g)
+        pair.integral
     with pytest.raises(NonFiniteValueError, match="Riemann-Stieltjes"):
-        indefinite_integral(f, g)
+        pair.running
 
 
 def test_rs_integral_step_times_linear():
@@ -143,8 +136,7 @@ def test_rs_integral_step_times_linear():
     eps = 2.0 ** -20
     f = make_path([0.0, 1.0 / 3.0, 1.0 / 3.0 + eps, 1.0], [0.0, 0.0, 1.0, 1.0], Mode.STEP)
     g = identity_path(2)
-    res = rs_integral(f, g)
-    assert abs(res.value - (1.0 - (1.0 / 3.0 + eps))) <= 1e-9
+    assert abs(SampledPair(f, g).integral - (1.0 - (1.0 / 3.0 + eps))) <= 1e-9
 
 
 def test_rs_integral_step_times_step_disjoint_jumps():
@@ -152,39 +144,36 @@ def test_rs_integral_step_times_step_disjoint_jumps():
     eps = 2.0 ** -20
     f = make_path([0.0, 0.25, 0.25 + eps, 1.0], [2.0, 2.0, 5.0, 5.0], Mode.STEP)
     g = make_path([0.0, 0.75, 0.75 + eps, 1.0], [0.0, 0.0, 3.0, 3.0], Mode.STEP)
-    res = rs_integral(f, g)
-    assert res.value == pytest.approx(5.0 * 3.0, abs=1e-12)
-    ind = indefinite_integral(f, g)
+    pair = SampledPair(f, g)
+    assert pair.integral == pytest.approx(5.0 * 3.0, abs=1e-12)
+    ind = pair.running
     assert ind.mode is Mode.STEP
-    assert ind.values[-1] == pytest.approx(res.value, abs=1e-12)
+    assert ind.values[-1] == pytest.approx(pair.integral, abs=1e-12)
     assert ind.value_at(0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_indefinite_integral_basics(tent):
     g = gen_brownian(65, 1.0, seed=2)
     one = constant_path(1.0, 0.0, 1.0)
-    ind = indefinite_integral(one, g)
+    ind = SampledPair(one, g).running
     assert np.allclose(ind.values, g.values - g.values[0], atol=1e-12)
     ident = identity_path(129)
-    half_sq = indefinite_integral(ident, ident)
+    half_sq = SampledPair(ident, ident).running
     assert np.allclose(half_sq.values, ident.times ** 2 / 2.0, atol=1e-12)
 
 
 def test_indefinite_endpoint_matches_rs_integral():
-    f = gen_brownian(64, 1.0, seed=3)
-    g = gen_brownian(64, 1.0, seed=4)
-    assert indefinite_integral(f, g).values[-1] == pytest.approx(
-        rs_integral(f, g).value, abs=1e-12
-    )
+    pair = SampledPair(gen_brownian(64, 1.0, seed=3), gen_brownian(64, 1.0, seed=4))
+    assert pair.running.values[-1] == pytest.approx(pair.integral, abs=1e-12)
     # a step path on either side: the running integral takes g's mode
     eps = 2.0 ** -20
     fs = make_path([0.0, 0.25, 0.25 + eps, 1.0], [0.0, 0.0, 2.0, 2.0], Mode.STEP)
     gl = identity_path(9)
     gs = make_path([0.0, 0.75, 0.75 + eps, 1.0], [0.0, 0.0, 3.0, 3.0], Mode.STEP)
     for f, g in ((fs, gl), (gl, gs)):
-        ind = indefinite_integral(f, g)
-        assert ind.mode is g.mode
-        assert ind.values[-1] == pytest.approx(rs_integral(f, g).value, abs=1e-12)
+        pair = SampledPair(f, g)
+        assert pair.running.mode is g.mode
+        assert pair.running.values[-1] == pytest.approx(pair.integral, abs=1e-12)
 
 
 def _random_pair_path(rng, mode, min_n=8):
@@ -215,15 +204,20 @@ def test_rs_integral_every_mode_pair_against_refined_left_sums(f_mode, g_mode):
         rng = np.random.default_rng(seed)
         f = _random_pair_path(rng, f_mode)
         g = _random_pair_path(rng, g_mode)
-        exact = rs_integral(f, g).value
-        base = merge_times(f, g)
-        coarse = int(np.round(np.log2(base.size - 1)))
+        pair = SampledPair(f, g)
+        exact = pair.integral
+        coarse = int(np.round(np.log2(pair.grid.size - 1)))
         gaps = []
         for log_cells in (12, 15, 18):
-            grid = _dyadic_refinement(base, log_cells - coarse)
+            # f and g sampled on the refined grid: a path read at its own
+            # samples returns them, so these are left sums of f and g
+            # themselves on that grid
+            grid = _dyadic_refinement(pair.grid, log_cells - coarse)
+            refined = SampledPair(make_path(grid, f.values_at(grid), f.mode),
+                                  make_path(grid, g.values_at(grid), g.mode))
             idx = tuple(range(grid.size))
             left = TaggedPartition(Partition(idx), idx[:-1])
-            gaps.append(abs(rs_sum(f, g, left, grid=grid) - exact))
+            gaps.append(abs(rs_sum(refined, left) - exact))
         if f_mode is Mode.STEP:
             assert max(gaps) <= 3e-15
         else:
@@ -237,17 +231,31 @@ def test_rs_integral_linear_against_step_is_a_sum_over_jumps():
     f = gen_brownian(300, 1.0, seed=1)
     walk = gen_brownian(42, 1.0, seed=2)
     g = make_path(walk.times, walk.values, Mode.STEP)
-    value = rs_integral(f, g).value
+    value = SampledPair(f, g).integral
     assert math.isfinite(value)
     # int f dg = sum of f at each jump time of g times the jump
     jumps = float(np.sum(f.values_at(g.times[1:]) * np.diff(g.values)))
     assert value == pytest.approx(jumps, abs=1e-13)
 
 
+@pytest.mark.parametrize("f_mode,g_mode", [(Mode.STEP, Mode.LINEAR), (Mode.STEP, Mode.STEP),
+                                           (Mode.LINEAR, Mode.STEP)])
+def test_the_exact_tag_reproduces_the_integral_to_the_bit(f_mode, g_mode):
+    # one cell per grid step, tagged as the pair's exact cells are (the left
+    # end for a step f, the right end for a linear f against a step g): the
+    # same products in the same sum
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        pair = SampledPair(_random_pair_path(rng, f_mode), _random_pair_path(rng, g_mode))
+        idx = tuple(range(pair.grid.size))
+        tags = idx[:-1] if f_mode is Mode.STEP else idx[1:]
+        assert rs_sum(pair, TaggedPartition(Partition(idx), tags)) == pair.integral
+
+
 def test_left_sum_refinement_error_shrinks():
     f = gen_brownian(33, 1.0, seed=5)
     g = gen_brownian(33, 1.0, seed=6)
-    exact = rs_integral(f, g).value
+    exact = SampledPair(f, g).integral
     grid = merge_times(f, g)
     errs = []
     for _ in range(7):
@@ -377,8 +385,9 @@ def test_default_ladders_balance_at_extreme_scales():
     # the unit pair's, rescaled
     f = gen_brownian(45, 1.0, seed=21)
     g = gen_brownian(26, 1.0, seed=22)
-    _, unit = default_ladder_pair(f, g, 1.9, 1.9)
-    _, far = default_ladder_pair(scale_path(f, 1e100), scale_path(g, 1e-100), 1.9, 1.9)
+    _, unit = default_ladder_pair(SampledPair(f, g), 1.9, 1.9)
+    _, far = default_ladder_pair(SampledPair(scale_path(f, 1e100), scale_path(g, 1e-100)),
+                                 1.9, 1.9)
     np.testing.assert_allclose(far.etas[:8], 1e100 * unit.etas[:8], rtol=1e-12)
     np.testing.assert_allclose(far.thetas[:8], 1e-100 * unit.thetas[:8], rtol=1e-12)
 
@@ -387,7 +396,7 @@ def test_young_bound_constant_pair():
     const_f = constant_path(2.0, 0.0, 1.0)
     const_g = constant_path(5.0, 0.0, 1.0)
     lad = TruncationLadder(np.asarray([0.0]), np.asarray([0.0]))
-    assert young_bound_S(const_f, const_g, lad) == 0.0
+    assert young_bound_S(SampledPair(const_f, const_g), lad) == 0.0
 
 
 def test_young_bound_constant_integrator_keeps_second_sum(tent):
@@ -400,14 +409,14 @@ def test_young_bound_constant_integrator_keeps_second_sum(tent):
         2.0 ** k * thetas[k] * truncated_variation(tent, etas[k])
         for k in range(3)
     )
-    assert young_bound_S(tent, g, lad) == pytest.approx(expected, rel=1e-12)
+    assert young_bound_S(SampledPair(tent, g), lad) == pytest.approx(expected, rel=1e-12)
 
 
 def test_young_bound_diverges_to_inf_flag(tent):
     g = identity_path(3, horizon=2.0)
     huge = np.full(600, 1e200)
     lad = TruncationLadder(huge, huge)
-    assert young_bound_S(tent, g, lad) == math.inf
+    assert young_bound_S(SampledPair(tent, g), lad) == math.inf
 
 
 def test_young_bound_finite_ladder_reduces_to_lemma_sum(tent):
@@ -421,7 +430,7 @@ def test_young_bound_finite_ladder_reduces_to_lemma_sum(tent):
         + theta0 * truncated_variation(tent, eta0)
         + 2.0 * eta0 * total_variation(g)
     )
-    assert young_bound_S(tent, g, lad) == pytest.approx(expected, rel=1e-12)
+    assert young_bound_S(SampledPair(tent, g), lad) == pytest.approx(expected, rel=1e-12)
 
 
 def test_leading_term_is_read_off_the_path():
@@ -432,10 +441,11 @@ def test_leading_term_is_read_off_the_path():
     g = identity_path(3, horizon=2.0)
     lad = TruncationLadder([0.0], [0.0])
     tv_g = total_variation(g)
-    assert young_bound_S(tiny, g, lad) == 1e-12 * tv_g > 0
+    assert young_bound_S(SampledPair(tiny, g), lad) == 1e-12 * tv_g > 0
     assert gamma_level_check(SampledPair(tiny, g), lad).rhs == 1e-12 * tv_g > 0
     # sup |g(b) - g(t)| of the scaled g is 1e-12 TV^0(g)
-    assert young_bound_S_tilde(g, scale_path(g, 1e-12), lad) == 1e-12 * tv_g * tv_g > 0
+    assert (young_bound_S_tilde(SampledPair(g, scale_path(g, 1e-12)), lad)
+            == 1e-12 * tv_g * tv_g > 0)
 
 
 def test_young_series_tent_identity(tent):
@@ -447,11 +457,12 @@ def test_young_series_tent_identity(tent):
 
 def test_s_tilde_and_min_series(tent):
     g = identity_path(5, horizon=2.0)
-    ladder_s, ladder_st = default_ladder_pair(tent, g, 1.5, 1.5)
-    s = young_bound_S(tent, g, ladder_s)
-    st = young_bound_S_tilde(tent, g, ladder_st)
+    pair = SampledPair(tent, g)
+    ladder_s, ladder_st = default_ladder_pair(pair, 1.5, 1.5)
+    s = young_bound_S(pair, ladder_s)
+    st = young_bound_S_tilde(pair, ladder_st)
     assert math.isfinite(s) and math.isfinite(st)
-    rep = min_series_check(SampledPair(tent, g), 1.5, 1.5)
+    rep = min_series_check(pair, 1.5, 1.5)
     assert rep.passed
     assert rep.rhs == pytest.approx(2.0 * min(s, st), rel=1e-12)
 
@@ -461,40 +472,41 @@ def test_s_tilde_and_min_series(tent):
 # ---------------------------------------------------------------------------
 def test_lemma_sum_bound_classical_case(tent):
     g = identity_path(3, horizon=2.0)
-    grid = merge_times(tent, g)
-    tagged = _uniform_tagged(len(grid), len(grid) - 1, "left")
-    bound = lemma_sum_bound(tent, g, tagged, [0.0], [0.0])
+    pair = SampledPair(tent, g)
+    tagged = _uniform_tagged(len(pair.grid), len(pair.grid) - 1, "left")
+    bound = lemma_sum_bound(pair, tagged, [0.0], [0.0])
     assert bound == pytest.approx(osc_from_start(tent) * total_variation(g), rel=1e-12)
 
 
 def test_lemma_sum_bound_dominates_tagged_sums(tent):
     g = identity_path(9, horizon=2.0)
-    grid = merge_times(tent, g)
+    pair = SampledPair(tent, g)
+    grid = pair.grid
     deltas = [0.8, 0.4, 0.2, 0.1]
     epsilons = [0.6, 0.3, 0.15, 0.075]
     for tag in ("left", "right", "mid"):
         tagged = _uniform_tagged(len(grid), 8, tag)
-        s = rs_sum(tent, g, tagged)
+        s = rs_sum(pair, tagged)
         fc = tent.value_at(grid[0])
         dg = g.value_at(grid[-1]) - g.value_at(grid[0])
-        bound = lemma_sum_bound(tent, g, tagged, deltas, epsilons)
+        bound = lemma_sum_bound(pair, tagged, deltas, epsilons)
         assert abs(s - fc * dg) <= bound + 1e-9
 
 
 def test_lemma_sum_bound_single_cell_product(tent):
     # n = 1 reduces to the two-ladder product bound with remainder delta*eps
     g = identity_path(3, horizon=2.0)
-    grid = merge_times(tent, g)
-    tagged = TaggedPartition(Partition((0, len(grid) - 1)), (1,))
+    pair = SampledPair(tent, g)
+    tagged = TaggedPartition(Partition((0, len(pair.grid) - 1)), (1,))
     d0, e0 = 0.5, 0.25
-    bound = lemma_sum_bound(tent, g, tagged, [d0], [e0])
+    bound = lemma_sum_bound(pair, tagged, [d0], [e0])
     expected = (
         osc_from_start(tent) * truncated_variation(g, e0)
         + e0 * truncated_variation(tent, d0)
         + 1 * d0 * e0
     )
     assert bound == pytest.approx(expected, rel=1e-12)
-    s = rs_sum(tent, g, tagged)
+    s = rs_sum(pair, tagged)
     assert abs(s - 0.0 * 2.0) <= bound + 1e-12
 
 
@@ -502,7 +514,7 @@ def test_lemma_sum_bound_rejects_increasing_ladder(tent):
     g = identity_path(3, horizon=2.0)
     tagged = TaggedPartition(Partition((0, 2)), (1,))
     with pytest.raises(NonMonotoneLadderError):
-        lemma_sum_bound(tent, g, tagged, [0.1, 0.2], [0.1, 0.05])
+        lemma_sum_bound(SampledPair(tent, g), tagged, [0.1, 0.2], [0.1, 0.05])
 
 
 @pytest.mark.parametrize("deltas,epsilons", [
@@ -516,15 +528,14 @@ def test_lemma_sum_bound_rejects_non_finite_ladder(tent, deltas, epsilons):
     g = identity_path(3, horizon=2.0)
     tagged = TaggedPartition(Partition((0, 2)), (1,))
     with pytest.raises(NonMonotoneLadderError, match="finite"):
-        lemma_sum_bound(tent, g, tagged, deltas, epsilons)
+        lemma_sum_bound(SampledPair(tent, g), tagged, deltas, epsilons)
 
 
 def test_lemma_sum_bound_remainder_overflows_to_inf_without_a_warning(tent):
     # the remainder n * delta_r * epsilon_r overflows: inf, with no warning
-    g = identity_path(3, horizon=2.0)
-    grid = merge_times(tent, g)
-    tagged = _uniform_tagged(len(grid), len(grid) - 1, "left")
-    assert lemma_sum_bound(tent, g, tagged, [1e300], [1e300]) == math.inf
+    pair = SampledPair(tent, identity_path(3, horizon=2.0))
+    tagged = _uniform_tagged(len(pair.grid), len(pair.grid) - 1, "left")
+    assert lemma_sum_bound(pair, tagged, [1e300], [1e300]) == math.inf
 
 
 def test_ladders_leave_the_callers_arrays_writable(tent):
@@ -532,7 +543,7 @@ def test_ladders_leave_the_callers_arrays_writable(tent):
     tagged = TaggedPartition(Partition((0, 2)), (1,))
     deltas = np.array([0.5, 0.25])
     epsilons = np.array([0.4, 0.2])
-    lemma_sum_bound(tent, g, tagged, deltas, epsilons)
+    lemma_sum_bound(SampledPair(tent, g), tagged, deltas, epsilons)
     lad = TruncationLadder(deltas, epsilons)
     assert deltas.flags.writeable and epsilons.flags.writeable
     assert not lad.etas.flags.writeable and not lad.thetas.flags.writeable
@@ -553,13 +564,14 @@ def test_lemma_sum_bound_extension_consistency():
     # remainder - retired remainder)
     f = gen_brownian(48, 1.0, seed=70)
     g = gen_brownian(48, 1.0, seed=71)
-    grid = merge_times(f, g)
+    pair = SampledPair(f, g)
+    grid = pair.grid
     idx = tuple(np.linspace(0, grid.size - 1, 9).astype(int))
     tagged = TaggedPartition(Partition(idx), idx[:-1])
-    ladder, _ = default_ladder_pair(f, g, 1.5, 1.5)
+    ladder, _ = default_ladder_pair(pair, 1.5, 1.5)
     n_cells = len(idx) - 1
     observed = abs(
-        rs_sum(f, g, tagged)
+        rs_sum(pair, tagged)
         - f.value_at(grid[idx[0]])
         * (g.value_at(grid[idx[-1]]) - g.value_at(grid[idx[0]]))
     )
@@ -567,9 +579,8 @@ def test_lemma_sum_bound_extension_consistency():
     f_cd = restrict(f, c, d)
     g_cd = restrict(g, c, d)
     for r in range(1, 6):
-        shorter = lemma_sum_bound(f, g, tagged, ladder.etas[:r], ladder.thetas[:r])
-        longer = lemma_sum_bound(f, g, tagged, ladder.etas[:r + 1],
-                                 ladder.thetas[:r + 1])
+        shorter = lemma_sum_bound(pair, tagged, ladder.etas[:r], ladder.thetas[:r])
+        longer = lemma_sum_bound(pair, tagged, ladder.etas[:r + 1], ladder.thetas[:r + 1])
         assert observed <= shorter + 1e-9
         assert observed <= longer + 1e-9
         delta_r, eps_r = float(ladder.etas[r]), float(ladder.thetas[r])
@@ -661,22 +672,23 @@ def test_ladder_series_equals_the_replaced_loops(p, q):
     for seed, (n_f, n_g) in enumerate(((5, 5), (24, 24), (128, 128), (17, 64))):
         f = gen_brownian(n_f, 1.0, seed=300 + 2 * seed)
         g = gen_brownian(n_g, 1.0, seed=301 + 2 * seed)
-        ladder_s, ladder_st = default_ladder_pair(f, g, p, q)
-        s = young_bound_S(f, g, ladder_s)
-        st = young_bound_S_tilde(f, g, ladder_st)
+        pair = SampledPair(f, g)
+        ladder_s, ladder_st = default_ladder_pair(pair, p, q)
+        s = young_bound_S(pair, ladder_s)
+        st = young_bound_S_tilde(pair, ladder_st)
         assert s == _ref_S(f, g, ladder_s) and math.isfinite(s)
         assert st == _ref_S_tilde(f, g, ladder_st) and math.isfinite(st)
-        assert young_series_check(SampledPair(f, g), p, q).rhs == s
-        assert min_series_check(SampledPair(f, g), p, q).rhs == 2.0 * min(s, st)
+        assert young_series_check(pair, p, q).rhs == s
+        assert min_series_check(pair, p, q).rhs == 2.0 * min(s, st)
         gamma, rhs = _ref_gamma(f, g, ladder_s)
-        rep = gamma_level_check(SampledPair(f, g), ladder_s)
+        rep = gamma_level_check(pair, ladder_s)
         assert rep.extras["gamma"] == gamma and rep.rhs == rhs
-        grid = merge_times(f, g)
+        grid = pair.grid
         idx = tuple(np.linspace(0, grid.size - 1, min(9, grid.size)).astype(int))
         tagged = TaggedPartition(Partition(idx), idx[1:])
         for depth in (1, 3, len(ladder_s)):
             deltas, epsilons = ladder_s.etas[:depth], ladder_s.thetas[:depth]
-            assert (lemma_sum_bound(f, g, tagged, deltas, epsilons)
+            assert (lemma_sum_bound(pair, tagged, deltas, epsilons)
                     == _ref_lemma(f, g, tagged, deltas, epsilons))
 
 
@@ -685,7 +697,7 @@ def test_ladder_series_equals_the_replaced_loops_past_the_guard(tent):
     huge = np.full(600, 1e200)
     lad = TruncationLadder(huge, huge)
     # 2^k 1e200 overflows: the series is truly divergent, so it sums to inf
-    assert young_bound_S(tent, g, lad) == _ref_S(tent, g, lad) == math.inf
+    assert young_bound_S(SampledPair(tent, g), lad) == _ref_S(tent, g, lad) == math.inf
     # every f-side term truncates at level 1e200, so gamma is 0, but the g-side
     # rhs is inf, and a bound against inf checks nothing
     assert _ref_gamma(tent, g, lad) == (0.0, math.inf)
@@ -716,7 +728,7 @@ def test_rs_sum_span_mismatch(tent):
     short = identity_path(5, horizon=1.0)
     tagged = TaggedPartition(Partition((0, 1)), (0,))
     with pytest.raises(SpanMismatchError):
-        rs_sum(tent, short, tagged)
+        rs_sum(SampledPair(tent, short), tagged)
 
 
 @pytest.mark.parametrize("f_values, g_values, message", [
@@ -731,7 +743,7 @@ def test_rs_sum_overflow_raises_without_warnings(f_values, g_values, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValueError, match=message):
-            rs_sum(make_path(t, f_values), make_path(t, g_values), tagged)
+            rs_sum(SampledPair(make_path(t, f_values), make_path(t, g_values)), tagged)
 
 
 def merged_jump_pair():
@@ -751,10 +763,11 @@ def test_gamma_level_stands_where_f_dg_overflows():
     f = make_path(t, [1e200, 1e200 + 1e186, 1e200])
     g = make_path(t, [0.0, 1e110, 0.0])
     rep = BOUND_CHECKS["gamma-level-ladder"](SampledPair(f, g), 1.2, 1.2)
-    for integral in (rs_integral, indefinite_integral):
+    pair = SampledPair(f, g)
+    for name in ("integral", "running"):
         with pytest.raises(NonFiniteValueError, match="Riemann-Stieltjes"):
-            integral(f, g)
-    assert BOUND_CHECKS["gamma-level-ladder"](SampledPair(f, g), 1.2, 1.2) == rep and rep.passed
+            getattr(pair, name)
+    assert BOUND_CHECKS["gamma-level-ladder"](pair, 1.2, 1.2) == rep and rep.passed
 
 
 @pytest.mark.parametrize("variant", list(BOUND_CHECKS))
@@ -804,7 +817,8 @@ def test_tag_gap_is_the_sup_over_every_tag():
     # gaps are read off f - f(a), and match those of int f dg to rounding
     for f, g in _tag_gap_pairs():
         pair = SampledPair(f, g)
-        integral, left, worst, xi = pair.tag_gaps
+        integral = pair.integral
+        left, worst, xi = pair.tag_gaps
         dg = g.values[-1] - g.values[0]
         centered = float(pair.centered_cells.sum())
         at_samples = np.abs(centered - (f.values - f.values[0]) * dg)
@@ -826,14 +840,21 @@ def test_tag_gap_takes_the_earlier_extremum_on_a_tie():
     # f's first maximum and first minimum
     f = make_path([0.0, 0.25, 0.5, 0.75, 1.0], [0.5, -1.0, 2.0, -1.0, 2.0])
     g = make_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-    integral, left, worst, xi = SampledPair(f, g).tag_gaps
-    assert worst == left == abs(integral) and xi == 0.25
+    pair = SampledPair(f, g)
+    left, worst, xi = pair.tag_gaps
+    assert worst == left == abs(pair.integral) and xi == 0.25
+
+
+def _loeve_reports(pair, p, q):
+    """The reports of the six `loeve-*` variants on one pair, by variant."""
+    return {name: check(pair, p, q) for name, check in BOUND_CHECKS.items()
+            if name.startswith("loeve-")}
 
 
 def test_loeve_constant_integrand():
     f = constant_path(4.0, 0.0, 1.0)
     g = gen_brownian(65, 1.0, seed=7)
-    reports = loeve_young_reports(f, g, 1.9, 1.9)
+    reports = _loeve_reports(SampledPair(f, g), 1.9, 1.9)
     for rep in reports.values():
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         assert rep.passed
@@ -842,12 +863,12 @@ def test_loeve_constant_integrand():
 def test_loeve_variants_random_pair():
     f = gen_brownian(128, 1.0, seed=8)
     g = gen_brownian(128, 1.0, seed=9)
-    reports = loeve_young_reports(f, g, 1.9, 1.9)
+    reports = _loeve_reports(SampledPair(f, g), 1.9, 1.9)
     assert len(reports) == 6
     for rep in reports.values():
         assert rep.passed
-    for form in ("left", "right-symmetric", "midpoint-xi"):
-        assert reports[f"ptv/{form}"].rhs <= reports[f"pvar/{form}"].rhs + 1e-9
+    for form in ("left", "right", "xi"):
+        assert reports[f"loeve-ptv-{form}"].rhs <= reports[f"loeve-pvar-{form}"].rhs + 1e-9
 
 
 def test_integral_norm_checks_random_pair():
@@ -873,8 +894,9 @@ def test_integral_norm_constant_integrand():
 def test_gamma_level_check_random_pair():
     f = gen_brownian(96, 1.0, seed=13)
     g = gen_brownian(96, 1.0, seed=14)
-    ladder, _ = default_ladder_pair(f, g, 1.9, 1.9)
-    rep = gamma_level_check(SampledPair(f, g), ladder)
+    pair = SampledPair(f, g)
+    ladder, _ = default_ladder_pair(pair, 1.9, 1.9)
+    rep = gamma_level_check(pair, ladder)
     assert rep.passed
 
 
@@ -887,7 +909,7 @@ def test_series_reject_an_overflowing_oscillation():
     assert osc_from_end(make_path([0.0, 0.5, 1.0], [0.0, 1e308, -1e308])) == math.inf
     ladder = ladder_geometric(1.5, 1.5, 1.0, 1.0)
     with pytest.raises(NonFiniteValueError):
-        young_bound_S(f, g, ladder)
+        young_bound_S(SampledPair(f, g), ladder)
     with pytest.raises(NonFiniteValueError):
         gamma_level_check(SampledPair(f, g), ladder)
 
@@ -896,7 +918,7 @@ def test_young_regime_guard():
     f = tent_path()
     g = identity_path(3, horizon=2.0)
     with pytest.raises(BadExponentsError):
-        loeve_young_reports(f, g, 3.0, 3.0)
+        _loeve_reports(SampledPair(f, g), 3.0, 3.0)
 
 
 @pytest.mark.parametrize("lhs,rhs,constant", [

@@ -260,6 +260,17 @@ def test_tagged_partition_validation():
         TaggedPartition(part, (1,))
 
 
+def test_partition_indices_must_be_integers():
+    # int() truncated 1.5 to 1; NumPy integers are indices
+    assert Partition((0, np.int64(2), 3)).indices == (0, 2, 3)
+    assert TaggedPartition(Partition((0, 2)), (np.intp(1),)).tags == (1,)
+    for bad in ((0, 1.5, 3), (0, 1.0, 3), (0, np.float64(1.0), 3)):
+        with pytest.raises(InvalidPartitionError, match="^indices must be integers$"):
+            Partition(bad)
+    with pytest.raises(InvalidPartitionError, match="^indices must be integers$"):
+        TaggedPartition(Partition((0, 2)), (1.5,))
+
+
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@
 Usage, from the root of a checkout:
 
     python3 tools/pairs.py --rev HEAD --workload picard-solve
-        [--workload profile-checks ...] [--pairs 10] [--seconds 8] [--seed 401]
+        [--workload profile-checks ...] [--pairs 10] [--seed 401]
 
 The rev is exported with `git archive` and the worktree's files (tracked or
 untracked, not ignored) are copied, each into a temporary directory, so
 both sides run from a fresh tree and nothing is written under `.git`.
 For each workload, pair k (k = 0, 1, ...) runs `perfbench/run.py --trace 0`
-at seed + k on both sides, at one run length: the rev first when k is even,
-the worktree first when k is odd.
+at seed + k on both sides, for the `run_seconds` of `BENCHMARK.json`, the
+benchmark's own run length: the rev first when k is even, the worktree
+first when k is odd.
 It prints each pair's end-to-end metrics, then for each metric each side's
 median and q1-q3 and the number of pairs the worktree won (ties count for
 neither), and whether that is a gain: at least nine tenths of the pairs won
@@ -75,14 +76,15 @@ def verdict(q_old, old, new, sign, bound):
     return "not worse"
 
 
-def compare(workload, metrics, rev, tree, args):
+def compare(workload, bench, rev, tree, args):
     """Run `args.pairs` alternating pairs of `workload` and print the verdicts."""
     print(f"workload {workload}", flush=True)
+    metrics = bench["end_to_end"]
     runs = {"rev": [], "tree": []}
     for k in range(args.pairs):
         for side in ("rev", "tree") if k % 2 == 0 else ("tree", "rev"):
             checkout = rev if side == "rev" else tree
-            runs[side].append(run(checkout, workload, args.seed + k, args.seconds))
+            runs[side].append(run(checkout, workload, args.seed + k, bench["run_seconds"]))
         print(f"pair {k + 1} seed {args.seed + k}: " + "  ".join(
             f"{m['name']} {runs['rev'][k][m['name']]:.6g} -> {runs['tree'][k][m['name']]:.6g}"
             for m in metrics), flush=True)
@@ -103,10 +105,9 @@ def main(argv=None):
     parser.add_argument("--rev", required=True)
     parser.add_argument("--workload", required=True, action="append")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=401)
     args = parser.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
         rev, tree = Path(tmp, "rev"), Path(tmp, "tree")
         with tarfile.open(fileobj=io.BytesIO(git("archive", args.rev))) as archive:
@@ -117,7 +118,7 @@ def main(argv=None):
                 dest.parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(src, dest)
         for workload in args.workload:
-            compare(workload, metrics, rev, tree, args)
+            compare(workload, bench, rev, tree, args)
     return 0
 
 
