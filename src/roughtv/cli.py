@@ -25,7 +25,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -54,55 +54,40 @@ _ESCAPES = {**{c: f"\\u{c:04x}" for c in range(0x20)},
             **{ord(c): "\\" + e for c, e in zip('"\\\b\t\n\f\r', '"\\btnfr')}}
 
 
-def _json_scalar(x):
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if x is None:
-        return "null"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isnan(x):
-            return '"nan"'
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        return format(x, ".17g")
-    return '"' + str(x).translate(_ESCAPES) + '"'
-
-
-_SCALARS = (bool, int, float, str, type(None), np.generic)
-
-
-def to_json(obj, indent=0) -> str:
+def to_json(value, indent=0) -> str:
     """Deterministic JSON with 17-significant-digit floats and sorted keys.
 
-    Scalars, most of a report's nodes, are tested for first; a NumPy scalar
-    is never a dataclass, an array, a dict or a list, so the order of the
-    tests does not change the output.
+    A report holds only plain values, and each is written by its exact
+    type: a dict (str keys, sorted), a list or tuple, a str, an int, a
+    bool, None and a float, NaN and +-inf as the strings "nan", "inf" and
+    "-inf".  Any other type, a NumPy scalar or array, a dataclass or a str
+    subclass such as `Mode`, raises TypeError.
     """
-    if isinstance(obj, _SCALARS):
-        return _json_scalar(obj)
+    kind = type(value)
+    if kind is float:
+        text = format(value, ".17g")  # "nan", "inf" or "-inf" when not finite
+        return text if math.isfinite(value) else f'"{text}"'
+    if kind is str:
+        return '"' + value.translate(_ESCAPES) + '"'
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if is_dataclass(obj):
-        obj = asdict(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        if not obj:
+    if kind is dict:
+        if not value:
             return "{}"
-        rows = [
-            f'{inner}"{key}": {to_json(obj[key], indent + 1)}'
-            for key in sorted(obj, key=str)
-        ]
+        rows = [f'{inner}"{key}": {to_json(value[key], indent + 1)}' for key in sorted(value)]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
+    if kind is list or kind is tuple:
+        if not value:
             return "[]"
-        rows = [f"{inner}{to_json(item, indent + 1)}" for item in obj]
+        rows = [f"{inner}{to_json(item, indent + 1)}" for item in value]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    return _json_scalar(obj)
+    raise TypeError(f"to_json cannot write a {kind.__module__}.{kind.__qualname__}")
 
 
 def make_report(args, results, diagnostics=None) -> str:
@@ -273,8 +258,8 @@ def cmd_solve(args) -> int:
         "terminal": float(sol.path.values[-1]),
         "converged": sol.converged,
         "residual": sol.residual,
-        "windows": list(sol.windows),
-        "iterations": list(sol.iterations),
+        "windows": sol.windows,
+        "iterations": sol.iterations,
         "out": args.out,
     }))
     return 0

@@ -191,8 +191,8 @@ def _window_test(field: LipschitzField, p):
     with K_G = 0 needs no sup_bound: |F|_inf is taken as 0 there.  eps is
     None.
     Order alpha, which needs p - 1 < alpha: s <= eps = 1/(2 (E + 1) K),
-    E = E_{p/alpha,p}, up to a relative 1e-9.  K = 0 makes F constant, eps
-    infinite and the whole driver one window.
+    E = E_{p/alpha,p}.  K = 0 makes F constant, eps infinite and the whole
+    driver one window.
     """
     if field.order == "one_plus_alpha":
         e_pp = d_e_constants(p, p)[1]
@@ -211,8 +211,7 @@ def _window_test(field: LipschitzField, p):
         raise BadAlphaError("order alpha solving needs p - 1 < alpha")
     k = field.lipschitz
     eps = 0.5 / ((d_e_constants(p / field.alpha, p)[1] + 1.0) * k) if k > 0 else math.inf
-    eps_hi = eps * (1.0 + 1e-9)
-    return (lambda s: s <= eps_hi), eps
+    return (lambda s: s <= eps), eps
 
 
 def _window_end(extrema, last, pos, p, accept, guess=1):

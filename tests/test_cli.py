@@ -7,7 +7,7 @@ import shlex
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,22 @@ def test_json_serializer_is_deterministic():
     assert first == to_json(payload)
     assert "0.33333333333333331" in first
     assert to_json(float("inf")) == '"inf"'
+
+
+@dataclass
+class _Point:
+    x: float
+
+
+@pytest.mark.parametrize("value", [np.float64(1.0), np.int64(1), np.bool_(True), np.zeros(2),
+                                   _Point(1.0), {1}, Mode.LINEAR],
+                         ids=lambda value: type(value).__name__)
+def test_to_json_refuses_anything_but_plain_values(value):
+    # a report holds only plain values; anything else is named, not quoted
+    name = f"{type(value).__module__}.{type(value).__qualname__}"
+    for tree in (value, {"results": [value]}):
+        with pytest.raises(TypeError, match=f"^to_json cannot write a {re.escape(name)}$"):
+            to_json(tree)
 
 
 def _json_scalar_reference(x):
@@ -687,6 +703,14 @@ def test_bounds_svg(tmp_path, capsys):
     assert code == 0
     text = svg.read_text()
     assert text.startswith("<svg") and "polyline" in text and "</svg>" in text
+
+
+def test_svg_of_a_flat_x_range_widens_it_by_one():
+    # every x equal: the x range [2, 2] is widened to [2, 3], so the line
+    # stands on the y axis
+    text = cli.render_svg([("v", [2.0, 2.0], [0.0, 1.0])], "t", "x", "y")
+    assert 'points="70.00,350.00 70.00,40.00"' in text
+    assert ">2</text>" in text and ">3</text>" in text
 
 
 @pytest.mark.parametrize("variant", ["loeve-ptv-left", "young-s"])

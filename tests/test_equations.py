@@ -250,10 +250,9 @@ def _slice_contraction_test(field, p):
 
 
 def _slice_alpha_test(field, p):
-    """The order-alpha window bound: seminorm <= eps = 1/(2 (E + 1) K),
-    up to a relative 1e-9."""
+    """The order-alpha window bound: seminorm <= eps = 1/(2 (E + 1) K)."""
     eps = 0.5 / ((d_e_constants(p / field.alpha, p)[1] + 1.0) * field.lipschitz)
-    return lambda s: s <= eps * (1.0 + 1e-9)
+    return lambda s: s <= eps
 
 
 def _slice_window_end(x, pos, p, accept):

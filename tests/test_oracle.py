@@ -67,6 +67,10 @@ def test_grid_search_close_to_exact():
             assert abs(sup_delta_grid(xs, p) - exact) <= 1e-6
 
 
+def test_grid_search_of_zero_increments_is_zero():
+    assert sup_delta_grid(np.zeros(3), 2.0) == partition_sup_delta(np.zeros(3), 2.0) == 0.0
+
+
 def test_domain_checks(tent):
     with pytest.raises(NegativeDeltaError, match="^delta must be >= 0$"):
         tv_partition_bruteforce(tent, -1.0)
