@@ -58,10 +58,11 @@ def to_json(value, indent=0) -> str:
     """Deterministic JSON with 17-significant-digit floats and sorted keys.
 
     A report holds only plain values, and each is written by its exact
-    type: a dict (str keys, sorted), a list or tuple, a str, an int, a
-    bool, None and a float, NaN and +-inf as the strings "nan", "inf" and
-    "-inf".  Any other type, a NumPy scalar or array, a dataclass or a str
-    subclass such as `Mode`, raises TypeError.
+    type: a dict (str keys, sorted and escaped as every str is), a list or
+    tuple, a str, an int, a bool, None and a float, NaN and +-inf as the
+    strings "nan", "inf" and "-inf".  Any other type, a NumPy scalar or
+    array, a dataclass or a str subclass such as `Mode`, raises TypeError,
+    as does a dict key of any type but str.
     """
     kind = type(value)
     if kind is float:
@@ -80,7 +81,11 @@ def to_json(value, indent=0) -> str:
     if kind is dict:
         if not value:
             return "{}"
-        rows = [f'{inner}"{key}": {to_json(value[key], indent + 1)}' for key in sorted(value)]
+        for key in value:
+            if type(key) is not str:
+                kind = type(key)
+                raise TypeError(f"to_json cannot write a {kind.__module__}.{kind.__qualname__} key")
+        rows = [f"{inner}{to_json(key)}: {to_json(value[key], indent + 1)}" for key in sorted(value)]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if kind is list or kind is tuple:
         if not value:

@@ -354,17 +354,48 @@ def _split_rows(text):
     return text.split("\n")
 
 
+def _parse_piece(rows):
+    """The (k, 2) rows of a piece's lines, as `_split_rows` gives them.
+
+    `loadtxt` skips empty lines and trims the whitespace (`str.isspace`)
+    around each field, so the lines parse as split as they do stripped.  A
+    whitespace-only line makes it raise, so a piece it rejects as split is
+    stripped, rid of its blank lines and parsed again, and only a piece
+    that fails that too is scanned for its first bad row.
+    """
+    try:
+        data = _parse_rows(rows)
+    except ValueError:
+        pass
+    else:
+        if data.shape[1] == 2:
+            return data
+    lines = [s for s in map(str.strip, rows) if s]
+    if not lines:
+        return np.empty((0, 2))
+    try:
+        data = _parse_rows(lines)
+    except ValueError:
+        raise _first_bad_row(lines) from None
+    if data.shape[1] != 2:
+        raise _first_bad_row(lines)
+    return data
+
+
 def _read_rows(fh):
     """The (n, 2) rows of the CSV bytes `fh`, decoded and parsed piece by piece.
 
     Every cut is a line break for `_split_rows`, and every field is
     parsed on its own, so the pieces give the rows, the errors and the
-    doubles of one parse of the whole text.  A piece that fails names the
-    file's first bad row, since every piece before it parsed.  A byte that
-    is not UTF-8 is named by its offset and its line, counted by the line
-    breaks before it, once the header and the rows of the complete lines
-    before its line have passed the same checks: the first fault in file
-    order is named, wherever the pieces are cut.
+    doubles of one parse of the whole text.  Only the lines up to the
+    header are stripped; the rest go to `_parse_piece` as split, and a
+    piece with no non-empty line is skipped, since `loadtxt` warns on it.
+    A piece that fails names the file's first bad row, since every piece
+    before it parsed.  A byte that is not UTF-8 is named by its offset and
+    its line, counted by the line breaks before it, once the header and
+    the rows of the complete lines before its line have passed the same
+    checks: the first fault in file order is named, wherever the pieces
+    are cut.
     """
     header = None
     blocks = []
@@ -376,23 +407,19 @@ def _read_rows(fh):
             text, bad = piece[:exc.start].decode("utf-8"), exc
         if not offset:  # a byte order mark, as "utf-8-sig" drops it
             text = text.removeprefix("\ufeff")
-        split = _split_rows(text)
-        lines_before += len(split) - 1
+        rows = _split_rows(text)
+        lines_before += len(rows) - 1
         if bad is not None:
-            split.pop()  # the head of the bad byte's line
-        lines = [s for s in map(str.strip, split) if s]
-        if header is None and lines:
-            header = lines.pop(0)
-            if header.replace(" ", "") != HEADER:
-                raise CsvFormatError(f"expected header '{HEADER}', got '{header}'")
-        if lines:
-            try:
-                data = _parse_rows(lines)
-            except ValueError:
-                raise _first_bad_row(lines) from None
-            if data.shape[1] != 2:
-                raise _first_bad_row(lines)
-            blocks.append(data)
+            rows.pop()  # the head of the bad byte's line
+        if header is None:
+            k = next((k for k, s in enumerate(rows) if s.strip()), len(rows))
+            if k < len(rows):
+                header = rows[k].strip()
+                if header.replace(" ", "") != HEADER:
+                    raise CsvFormatError(f"expected header '{HEADER}', got '{header}'")
+            del rows[:k + 1]
+        if any(rows):
+            blocks.append(_parse_piece(rows))
         if bad is not None:
             raise CsvFormatError(f"not UTF-8 text: {bad.reason} at byte offset "
                                  f"{offset + bad.start}, line {lines_before + 1}")

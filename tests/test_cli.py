@@ -69,6 +69,18 @@ def test_to_json_refuses_anything_but_plain_values(value):
             to_json(tree)
 
 
+def test_to_json_escapes_dict_keys_and_refuses_keys_but_str():
+    # a key is a str like any other, so json.loads reads it back; an int
+    # key was once quoted as if it were one
+    key = 'a"b\\c\nd'
+    assert json.loads(to_json({key: 1, "e": [{key: None}]})) == {key: 1, "e": [{key: None}]}
+    for tree in ({1: 2}, {"a": {None: 1}}, {"a": 1, 2.5: 3}):
+        with pytest.raises(TypeError, match=r" key$"):
+            to_json(tree)
+    with pytest.raises(TypeError, match=r"^to_json cannot write a builtins\.int key$"):
+        to_json({"a": 1, 2: 3})
+
+
 def _json_scalar_reference(x):
     # every scalar by isinstance tests, one at a time
     if isinstance(x, bool):
@@ -100,7 +112,7 @@ def to_json_reference(obj, indent=0):
         if not obj:
             return "{}"
         rows = [
-            f'{inner}"{key}": {to_json_reference(obj[key], indent + 1)}'
+            f"{inner}{_json_scalar_reference(key)}: {to_json_reference(obj[key], indent + 1)}"
             for key in sorted(obj, key=str)
         ]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"

@@ -294,6 +294,21 @@ def test_ladder_term_cap_near_the_regime_boundary():
     assert str(exc.value) == "(p, q) too close to the Young regime boundary"
 
 
+def test_series_sum_stops_at_its_term_cap():
+    # terms that never fall below the total's last bit: the sum gives up
+    # after SERIES_MAX_TERMS + 1 terms and blames the exponents
+    ks = []
+
+    def term(k):
+        ks.append(k)
+        return 1.0
+
+    with pytest.raises(BadExponentsError) as exc:
+        integrals._series_sum(term)
+    assert str(exc.value) == "series did not settle; regime too extreme"
+    assert ks == list(range(integrals.SERIES_MAX_TERMS + 1))
+
+
 def test_ladder_validation():
     with pytest.raises(NonMonotoneLadderError):
         TruncationLadder(np.asarray([1.0, 2.0]), np.asarray([1.0, 0.5]))

@@ -393,8 +393,9 @@ def _first_bad_row_by_rows(rows):
 def test_csv_bad_rows_found_by_one_scan_of_the_piece(monkeypatch):
     # long files with bad rows at random places: the reader names the row
     # the row-by-row scan and the float() reader name; each piece before
-    # the failing one parses once, the failing piece once, then each of
-    # its rows once, up to and including the first bad row
+    # the failing one parses once as split, the failing piece once as split
+    # and once stripped, then each of its rows once, up to and including
+    # the first bad row
     rng = np.random.default_rng(91)
     bad_rows = ["2,zero", "1,2,3", "5", "1,", "1_0,2", "0,x", ",1", "3;4"]
     parses = []
@@ -423,14 +424,15 @@ def test_csv_bad_rows_found_by_one_scan_of_the_piece(monkeypatch):
             with pytest.raises(CsvFormatError) as ref:
                 read_path_csv_reference(io.StringIO(text))
             assert str(ref.value) == want
-        # the rows of each piece, less the header of the first
-        pieces = [[ln for ln in map(str.strip, pathio._split_rows(piece.decode())) if ln]
-                  for piece in pathio._pieces(_stream(text))]
-        del pieces[0][0]
+        # the lines of each piece as split, less the header of the first
+        split = [pathio._split_rows(piece.decode()) for piece in pathio._pieces(_stream(text))]
+        del split[0][0]
         bad = want.rsplit("'", 2)[1]
-        k = next(k for k, piece in enumerate(pieces) if bad in piece)
-        scanned = pieces[k].index(bad) + (bad.count(",") == 1)
-        assert parses == [len(piece) for piece in pieces[:k + 1]] + [1] * scanned
+        k = next(k for k, piece in enumerate(split) if bad in piece)
+        stripped = [ln for ln in map(str.strip, split[k]) if ln]
+        scanned = stripped.index(bad) + (bad.count(",") == 1)
+        assert parses == ([len(piece) for piece in split[:k + 1]] + [len(stripped)]
+                          + [1] * scanned)
 
 
 @pytest.mark.parametrize("text", [

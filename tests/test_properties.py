@@ -5,6 +5,7 @@ import io
 import json
 import math
 import struct
+import warnings
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -19,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from roughtv import cli, integrals, pathio  # noqa: E402
 from roughtv.cli import to_json  # noqa: E402
-from roughtv.errors import NonFiniteValueError, RoughTVError  # noqa: E402
+from roughtv.errors import CsvFormatError, NonFiniteValueError, RoughTVError  # noqa: E402
 from roughtv.integrals import BOUND_CHECKS, SampledPair  # noqa: E402
 from roughtv.kernels import lazy_band, pvar_sum, reduce_to_extrema, tv_delta  # noqa: E402
 from roughtv.norms import p_variation, seminorm_with_argmax  # noqa: E402
@@ -204,23 +205,32 @@ def test_csv_io_equals_reference(data):
     assert back.values.tobytes() == path.values.tobytes() == old.values.tobytes()
 
 
+# characters that str.strip removes and `_split_rows` does not split at
+_strip_pads = st.text(st.sampled_from(
+    [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028",
+     "\u3000"]), max_size=2)
+
+
 @st.composite
 def _csv_bytes(draw):
-    """CSV bytes: rows and blank lines with mixed line ends, perhaps a byte
-    order mark, perhaps a bad row or header, and perhaps a byte that is not
-    UTF-8, anywhere, so that of two faults either may come first.
+    """CSV bytes: rows, padded at either end by characters that str.strip
+    removes, and blank or whitespace-only lines, with mixed line ends,
+    perhaps a byte order mark, perhaps a bad row or header, and perhaps a
+    byte that is not UTF-8, anywhere, so that of two faults either may come
+    first.
     """
     values = draw(st.lists(st.sampled_from(["1", "-0", " 2.5 ", "1e3", "\t-7\t", "0.125"]),
                            max_size=12))
     lines = ["t,value"] + [f"{i},{v}" for i, v in enumerate(values)]
     for _ in range(draw(st.integers(0, 3))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+        lines.insert(draw(st.integers(0, len(lines))), draw(_strip_pads))
     fault = draw(st.sampled_from(["none", "row", "header"]))
     if fault == "row":
         bad = draw(st.sampled_from(["2,zero", "1,2,3", "5", "1_0,2", "\u0663,2", "x\x0cy"]))
         lines.insert(draw(st.integers(1, len(lines))), bad)
     elif fault == "header":
         lines[lines.index("t,value")] = draw(st.sampled_from(["t;value", "value,t", "t,v,x"]))
+    lines = [draw(_strip_pads) + ln + draw(_strip_pads) if ln.strip() else ln for ln in lines]
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
                          min_size=len(lines), max_size=len(lines)))
     text = "".join(ln + end for ln, end in zip(lines, ends))
@@ -252,6 +262,62 @@ def test_csv_pieces_never_change_the_outcome(raw, size):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pathio, "PIECE_BYTES", size)
         assert _csv_outcome(raw) == want
+
+
+def _read_rows_stripping_every_line(fh):
+    """`pathio._read_rows` as it was when it stripped every line before
+    `loadtxt` saw it, kept as the reference of the reader's outcome."""
+    header = None
+    blocks = []
+    offset = lines_before = 0
+    for piece in pathio._pieces(fh):
+        try:
+            text, bad = piece.decode("utf-8"), None
+        except UnicodeDecodeError as exc:
+            text, bad = piece[:exc.start].decode("utf-8"), exc
+        if not offset:
+            text = text.removeprefix("\ufeff")
+        split = pathio._split_rows(text)
+        lines_before += len(split) - 1
+        if bad is not None:
+            split.pop()
+        lines = [s for s in map(str.strip, split) if s]
+        if header is None and lines:
+            header = lines.pop(0)
+            if header.replace(" ", "") != pathio.HEADER:
+                raise CsvFormatError(f"expected header '{pathio.HEADER}', got '{header}'")
+        if lines:
+            try:
+                data = pathio._parse_rows(lines)
+            except ValueError:
+                raise pathio._first_bad_row(lines) from None
+            if data.shape[1] != 2:
+                raise pathio._first_bad_row(lines)
+            blocks.append(data)
+        if bad is not None:
+            raise CsvFormatError(f"not UTF-8 text: {bad.reason} at byte offset "
+                                 f"{offset + bad.start}, line {lines_before + 1}")
+        offset += len(piece)
+    if header is None:
+        raise CsvFormatError("empty CSV")
+    return np.concatenate(blocks or [np.empty((0, 2))])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(raw=_csv_bytes(), size=st.integers(1, 64))
+def test_csv_lines_read_as_split_give_what_stripped_lines_give(raw, size):
+    # fails if `loadtxt` takes a padded line as split to other doubles than
+    # the stripped line, or takes a line the stripped read rejects, if a
+    # rejected piece is not read again stripped, or if `loadtxt` warns on
+    # a piece of blank lines
+    for piece_bytes in (size, pathio.PIECE_BYTES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pathio, "PIECE_BYTES", piece_bytes)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _csv_outcome(raw)
+            patch.setattr(pathio, "_read_rows", _read_rows_stripping_every_line)
+            assert got == _csv_outcome(raw)
 
 
 _grid_points = st.sets(st.integers(1, 40), max_size=12)
