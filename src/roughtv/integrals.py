@@ -42,6 +42,7 @@ from .paths import (
     oscillation,
     read_only,
     restrict,
+    shift_path,
 )
 from .reports import BoundReport, bound_report
 from .truncation import tv_profile
@@ -139,9 +140,8 @@ class SampledPair:
 
     @functools.cached_property
     def centered_cells(self):
-        """The cells of f - f(a), which holds the bits of `shift_path(f, -f(a))`."""
-        f = self.f
-        centered = SampledPath(f.times, f.values - f.values[0], f.mode)
+        """The cells of f - f(a), `shift_path(f, -f(a))`: v + (-f(a)) is v - f(a)."""
+        centered = shift_path(self.f, -float(self.f.values[0]))
         return _exact_cells(centered, self.g.mode, self.grid, self.dg)
 
     @functools.cached_property

@@ -90,27 +90,28 @@ class SampledPath:
         return float(self.times[-1])
 
     def value_at(self, t):
-        return float(self.values_at(np.asarray([t], dtype=np.float64))[0])
+        return float(self.values_at([t])[0])
 
     def values_at(self, ts):
         """Evaluate at arbitrary times inside the span.
 
         Step mode returns the value of the last sample at or before each
-        query time (the right-continuous convention).
+        query time (the right-continuous convention).  This is the one span
+        check of the package: a query that is not inside [a; b], NaN
+        included, is an OutOfSpanError.
         """
         ts = np.asarray(ts, dtype=np.float64)
-        if ts.size and (ts.min() < self.times[0] or ts.max() > self.times[-1]):
+        if ts.size and not (ts.min() >= self.times[0] and ts.max() <= self.times[-1]):
             raise OutOfSpanError(
                 f"query outside span [{self.a}; {self.b}]"
             )
         if self.mode is Mode.LINEAR:
             return np.interp(ts, self.times, self.values)
-        idx = np.searchsorted(self.times, ts, side="right") - 1
-        return self.values[np.maximum(idx, 0)]
+        return self.values[np.searchsorted(self.times, ts, side="right") - 1]
 
     def jump_times(self):
         """Times at which a step path changes value (empty for linear mode)."""
-        if self.mode is Mode.LINEAR or len(self) < 2:
+        if self.mode is Mode.LINEAR:
             return np.empty(0, dtype=np.float64)
         changed = np.diff(self.values) != 0.0
         return self.times[1:][changed]
@@ -153,19 +154,17 @@ def restrict(path: SampledPath, c, d) -> SampledPath:
     """Restriction to [c; d], endpoints filled in by the path's own rule.
 
     In step mode the left endpoint takes the right-limit value, which is what
-    `values_at` already returns.
+    `values_at` already returns.  A NaN bound is an EmptyIntervalError; an
+    end outside the span is `values_at`'s OutOfSpanError.
     """
     c = float(c)
     d = float(d)
-    if c >= d:
+    if not c < d:  # NaN too
         raise EmptyIntervalError(f"need c < d, got [{c}; {d}]")
-    if c < path.times[0] or d > path.times[-1]:
-        raise OutOfSpanError(f"[{c}; {d}] not inside [{path.a}; {path.b}]")
+    fc, fd = path.values_at((c, d))
     inside = (path.times > c) & (path.times < d)
     t = np.concatenate(([c], path.times[inside], [d]))
-    v = np.concatenate(
-        ([path.value_at(c)], path.values[inside], [path.value_at(d)])
-    )
+    v = np.concatenate(([fc], path.values[inside], [fd]))
     return SampledPath(t, v, path.mode)
 
 
@@ -244,19 +243,21 @@ def gen_zigzag(p, levels) -> SampledPath:
     if levels < 1:
         raise BadCountError("need at least one level")
     total = 1  # samples: the first, then two per tent excursion
+    counts = []  # tent excursions of levels 1, 2, ...
     for n in range(1, levels + 1):
         if total > MAX_SAMPLES:  # the rest of the levels only add
             total = math.inf
             break
         # an exponent past 64 is past the cap, and 2.0 ** 64 cannot overflow
-        total += 2 * math.ceil(2.0 ** min(n * p - 1.0, 64.0))
+        counts.append(math.ceil(2.0 ** min(n * p - 1.0, 64.0)))
+        total += 2 * counts[-1]
     _check_samples(total, "zigzag", "p or levels")
     times = [2.0 ** -levels]
     values = [0.0]
     for n in range(levels, 0, -1):
         left = 2.0 ** -n
         right = 2.0 ** (-n + 1)
-        count = int(np.ceil(2.0 ** (n * p - 1)))
+        count = counts[n - 1]
         height = 2.0 ** (-n + 1)
         width = (right - left) / count
         for j in range(count):

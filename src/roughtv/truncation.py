@@ -75,10 +75,6 @@ class TvProfile:
         return max(coef_a[j] - coef_b[j] * delta, 0.0)
 
     @property
-    def oscillation(self) -> float:
-        return self.pieces[0][-1]
-
-    @property
     def n_segments(self) -> int:
         return len(self.pieces[1])
 

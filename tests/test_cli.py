@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -522,6 +523,24 @@ def test_bounds_ladder_term_cap_exit_code(tmp_path, capsys, variant):
 def test_missing_file_is_io_error(capsys):
     code, _, err = run_cli(capsys, "tv", "no-such-file.csv", "--delta", "0.5")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["tv", "{tent}", "--delta", "0.5"], 0),
+    (["tv", "{tent}", "--delta", "-1"], 2),
+    (["tv", "no-such-file.csv", "--delta", "0.5"], 3),
+])
+def test_module_run_as_a_script_exits_with_the_code_of_main(argv, code, tent_csv, capsys,
+                                                            monkeypatch):
+    argv = [arg.format(tent=tent_csv) for arg in argv]
+    assert main(argv) == code
+    # run afresh as `python -m roughtv.cli`, with the package already imported
+    monkeypatch.delitem(sys.modules, "roughtv.cli")
+    monkeypatch.setattr(sys, "argv", ["roughtv", *argv])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_module("roughtv.cli", run_name="__main__")
+    assert excinfo.value.code == code
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("rows, message", [

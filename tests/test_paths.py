@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import tracemalloc
 import types
 
@@ -36,6 +37,7 @@ from roughtv.paths import (
     shift_path,
 )
 from roughtv import pathio
+from roughtv.norms import seminorm_on
 from roughtv.pathio import read_path_csv, write_path_csv
 from roughtv.truncation import total_variation
 
@@ -123,6 +125,26 @@ def test_restrict_empty_interval(tent):
         restrict(tent, -1.0, 1.0)
     with pytest.raises(OutOfSpanError, match=r"^query outside span \[0.0; 2.0\]$"):
         tent.values_at([-0.5, 1.0])
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_nan_query_is_out_of_span(mode):
+    # a step path once answered its last sample, a linear one NaN
+    path = make_path([0.0, 1.0], [0.0, 1.0], mode)
+    with pytest.raises(OutOfSpanError, match=r"^query outside span \[0.0; 1.0\]$"):
+        path.values_at([math.nan])
+    with pytest.raises(OutOfSpanError, match=r"^query outside span \[0.0; 1.0\]$"):
+        path.value_at(math.nan)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("c, d", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_a_nan_bound_is_an_empty_interval(mode, c, d):
+    path = make_path([0.0, 0.5, 1.0], [0.0, 2.0, 1.0], mode)
+    with pytest.raises(EmptyIntervalError, match=r"^need c < d, got \["):
+        restrict(path, c, d)
+    with pytest.raises(EmptyIntervalError, match=r"^need c < d, got \["):
+        seminorm_on(path, c, d, 2.0)
 
 
 def test_restrict_step_uses_right_limit():

@@ -20,7 +20,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from roughtv import cli, integrals, pathio  # noqa: E402
 from roughtv.cli import to_json  # noqa: E402
-from roughtv.errors import CsvFormatError, NonFiniteValueError, RoughTVError  # noqa: E402
+from roughtv.errors import (  # noqa: E402
+    CsvFormatError,
+    EmptyIntervalError,
+    NonFiniteValueError,
+    OutOfSpanError,
+    RoughTVError,
+)
 from roughtv.integrals import BOUND_CHECKS, SampledPair  # noqa: E402
 from roughtv.kernels import lazy_band, pvar_sum, reduce_to_extrema, tv_delta  # noqa: E402
 from roughtv.norms import p_variation, seminorm_with_argmax  # noqa: E402
@@ -37,6 +43,7 @@ from roughtv.paths import (  # noqa: E402
     gen_zigzag,
     make_path,
     merge_times,
+    restrict,
     scale_path,
 )
 from roughtv.truncation import swing_pieces, truncated_variation, tv_profile  # noqa: E402
@@ -348,6 +355,49 @@ def test_common_jump_times_is_intersect1d(f_values, g_values):
     assert common_jump_times(f, g).tobytes() == want.tobytes()
 
 
+def _restrict_reference(path, c, d):
+    """`restrict` as it was built before it read both ends in one
+    `values_at` call: one `value_at` call at each end."""
+    inside = (path.times > c) & (path.times < d)
+    t = np.concatenate(([c], path.times[inside], [d]))
+    v = np.concatenate(([path.value_at(c)], path.values[inside], [path.value_at(d)]))
+    return make_path(t, v, path.mode)
+
+
+# the span is [0; 1]: its ends, a signed zero, one ulp past either end, NaN and +-inf
+_queries = st.lists(st.one_of(
+    st.floats(-0.5, 1.5),
+    st.sampled_from([0.0, -0.0, 1.0, -5e-324, math.nextafter(1.0, 2.0),
+                     math.nan, math.inf, -math.inf]),
+), max_size=6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(values=_values, mode=st.sampled_from(list(Mode)), queries=_queries)
+def test_values_at_is_the_one_span_check(values, mode, queries):
+    path = make_path(np.linspace(0.0, 1.0, len(values)), values, mode)
+    inside = sorted(q for q in queries if 0.0 <= q <= 1.0)
+    if len(inside) < len(queries):  # some query is NaN or outside [0; 1]
+        with pytest.raises(OutOfSpanError, match=r"^query outside span \[0.0; 1.0\]$"):
+            path.values_at(queries)
+    else:
+        want = np.array([path.value_at(q) for q in queries], dtype=np.float64)
+        assert path.values_at(queries).tobytes() == want.tobytes()
+    for q in queries:
+        if math.isnan(q):
+            with pytest.raises(EmptyIntervalError):
+                restrict(path, q, 1.0)
+        elif not 0.0 <= q <= 1.0:
+            with pytest.raises(OutOfSpanError):
+                restrict(path, min(q, 0.0), max(q, 1.0))
+    for c, d in zip(inside, inside[1:]):
+        if c < d:
+            got, want = restrict(path, c, d), _restrict_reference(path, c, d)
+            assert got.mode is want.mode
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+
+
 def _ties(exp):
     """Doubles of decimal exponent `exp` (-6..15) halfway between two 17-digit
     decimals: odd / 2**(17 - exp), so that x * 10**(16 - exp) ends in .5."""
@@ -562,7 +612,7 @@ def _bits(x):
        fractions=st.lists(st.floats(0.0, 1.5), max_size=8))
 def test_profile_value_has_the_bits_of_the_numpy_scalar_form(values, exponent, fractions):
     profile = tv_profile(_scaled_path(values, exponent))
-    osc = profile.oscillation
+    osc = profile.pieces[0][-1]
     deltas = [0.0, 5e-324, 1e308, math.inf] + [f * osc for f in fractions]
     for b in profile.pieces[0]:
         deltas += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]

@@ -268,7 +268,7 @@ def test_profile_matches_tv_delta_at_breakpoints_and_random_deltas():
     rng = np.random.default_rng(25)
     for v in _profile_corpus():
         prof = tv_profile(make_path(np.linspace(0.0, 1.0, v.size), v))
-        osc = prof.oscillation
+        osc = prof.pieces[0][-1]
         deltas = np.concatenate((prof.pieces[0], rng.uniform(0.0, osc, 25),
                                  [1.5 * osc]))
         for delta in deltas:
