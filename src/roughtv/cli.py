@@ -194,7 +194,7 @@ def cmd_gen(args) -> int:
 
 
 def _load(args):
-    return read_path_csv(args.input, Mode(args.mode))
+    return read_path_csv(args.input)
 
 
 def cmd_tv(args) -> int:
@@ -301,7 +301,6 @@ def _gen_args(sp):
 
 def _functional_args(sp, name):
     sp.add_argument("input")
-    sp.add_argument("--mode", default="linear", choices=("linear", "step"))
     if name == "tv":
         sp.add_argument("--delta", type=float, required=True)
     else:

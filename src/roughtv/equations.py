@@ -46,17 +46,16 @@ class Quotient:
 class LipschitzField:
     """Scalar field F with declared Hoelder regularity.
 
-    order "alpha": F is globally alpha-Lipschitz with constant `lipschitz`.
-    order "one_plus_alpha": F is globally 1-Lipschitz (constant `lipschitz`)
-    and its quotient G is alpha-Lipschitz; the quotient is then mandatory,
-    and so is `sup_bound` (a bound on |F|) unless G's Lipschitz constant is
-    0, since the contraction windows are certified from these constants.
+    Without a quotient, F is of order "alpha": globally alpha-Lipschitz
+    with constant `lipschitz`.  With a quotient G, of order "one_plus_alpha":
+    F is 1-Lipschitz (constant `lipschitz`), G alpha-Lipschitz, and
+    `sup_bound` (a bound on |F|) is mandatory unless G's Lipschitz constant
+    is 0, since the contraction windows are certified from these constants.
     `func` must accept numpy arrays (any ufunc-style callable does).
     """
 
     func: object
     alpha: float
-    order: str
     lipschitz: float
     quotient: Quotient = None
     sup_bound: float = None
@@ -64,10 +63,6 @@ class LipschitzField:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise BadAlphaError("alpha must be in (0; 1]")
-        if self.order not in ("alpha", "one_plus_alpha"):
-            raise BadParameterError(f"unknown order {self.order!r}")
-        if self.order == "one_plus_alpha" and self.quotient is None:
-            raise BadParameterError("order one_plus_alpha requires a quotient")
         constants = {"lipschitz": self.lipschitz}
         if self.sup_bound is not None:
             constants["sup_bound"] = self.sup_bound
@@ -78,10 +73,14 @@ class LipschitzField:
             # the windows rest on these: a negative, NaN or inf one certifies wrongly
             if value is None or not 0.0 <= value < math.inf:
                 raise BadParameterError(f"{name} must be finite and >= 0")
-        if (self.order == "one_plus_alpha" and self.quotient.lipschitz > 0
+        if (self.quotient is not None and self.quotient.lipschitz > 0
                 and self.sup_bound is None):
             raise BadParameterError(
                 "order one_plus_alpha with a non-constant quotient requires sup_bound")
+
+    @property
+    def order(self):
+        return "alpha" if self.quotient is None else "one_plus_alpha"
 
     @property
     def f0(self):
@@ -114,25 +113,25 @@ def _field_values(out, arr):
 _FIELDS = {
     "identity": LipschitzField(
         func=lambda u: np.array(u, dtype=np.float64),
-        alpha=1.0, order="one_plus_alpha", lipschitz=1.0,
+        alpha=1.0, lipschitz=1.0,
         quotient=Quotient(lipschitz=0.0, sup_bound=1.0),
     ),
     "sin": LipschitzField(
-        func=np.sin, alpha=1.0, order="one_plus_alpha", lipschitz=1.0,
+        func=np.sin, alpha=1.0, lipschitz=1.0,
         quotient=Quotient(lipschitz=1.0, sup_bound=1.0), sup_bound=1.0,
     ),
     "sqrt-abs": LipschitzField(
         func=lambda u: np.sqrt(np.abs(np.asarray(u, dtype=np.float64))),
-        alpha=0.5, order="alpha", lipschitz=1.0,
+        alpha=0.5, lipschitz=1.0,
     ),
     "constant": LipschitzField(
         func=lambda u: np.ones_like(np.asarray(u, dtype=np.float64)),
-        alpha=1.0, order="one_plus_alpha", lipschitz=0.0,
+        alpha=1.0, lipschitz=0.0,
         quotient=Quotient(lipschitz=0.0, sup_bound=0.0), sup_bound=1.0,
     ),
     "zero": LipschitzField(
         func=lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
-        alpha=1.0, order="one_plus_alpha", lipschitz=0.0,
+        alpha=1.0, lipschitz=0.0,
         quotient=Quotient(lipschitz=0.0, sup_bound=0.0), sup_bound=0.0,
     ),
 }

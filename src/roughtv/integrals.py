@@ -504,13 +504,13 @@ def _left_factor(const, norm_f, osc_f, p, q):
 
 
 _SEMINORMS = {"pvar": p_var_seminorm, "ptv": p_tv_seminorm}
-_LOEVE_FORMS = {"left": "left", "right": "right-symmetric", "xi": "midpoint-xi"}
+_LOEVE_FORMS = ("left", "right", "xi")
 
 
 def _loeve_young_report(pair, p, q, family, form):
     """One Loeve-Young style report, from `family`'s two seminorms alone.
 
-    family is "pvar" or "ptv", form one of `_LOEVE_FORMS`' values; every ptv
+    family is "pvar" or "ptv", form one of `_LOEVE_FORMS`; every ptv
     rhs is dominated by the matching pvar rhs.
     """
     p, q = require_young_regime(p, q)
@@ -521,7 +521,7 @@ def _loeve_young_report(pair, p, q, family, form):
     osc_f, osc_g = oscillation(pair.f), oscillation(pair.g)
     if form == "left":
         rhs = _left_factor(c_const, nf, osc_f, p, q) * ng
-    elif form == "right-symmetric":
+    elif form == "right":
         rhs = c_const * nf * ng ** (q - q / p) * osc_g ** (1.0 + q / p - q)
     else:
         lhs = lhs_xi
@@ -603,14 +603,14 @@ def gamma_level_check(pair, ladder: TruncationLadder) -> BoundReport:
                                        tv_profile(pair.f), tv_profile(pair.g))
     gamma = 2.0 * f_side
     lhs = tv_profile(pair.centered).value(gamma)
-    return bound_report(lhs, g_side, gamma, "gamma-level", {"gamma": gamma},
+    return bound_report(lhs, g_side, gamma, "gamma-level-ladder", {"gamma": gamma},
                         scale=pair.centered_scale)
 
 
 # Every `roughtv bounds --variant`, in the order its usage message lists them.
 BOUND_CHECKS = {
-    **{f"loeve-{fam}-{name}": functools.partial(_loeve_young_report, family=fam, form=form)
-       for fam in _SEMINORMS for name, form in _LOEVE_FORMS.items()},
+    **{f"loeve-{fam}-{form}": functools.partial(_loeve_young_report, family=fam, form=form)
+       for fam in _SEMINORMS for form in _LOEVE_FORMS},
     "young-s": young_series_check,
     "min-series": min_series_check,
     **{f"integral-{variant}": functools.partial(integral_norm_check, variant=variant)

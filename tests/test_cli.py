@@ -227,7 +227,7 @@ def test_tv_command(tent_csv, capsys):
 REPORT_ARGVS = {
     "gen": ["gen", "brownian", "--n", "16", "--seed", "3", "--out", "{out}.csv"],
     "tv": ["tv", "{f}", "--delta", "0.25", "--out", "{out}.json"],
-    "pvar": ["pvar", "{f}", "--p", "2", "--mode", "step", "--out", "{out}.json"],
+    "pvar": ["pvar", "{f}", "--p", "2", "--out", "{out}.json"],
     "norm": ["norm", "{f}", "--p", "1.5"],
     "bounds-json": ["bounds", "{f}", "{g}", "--p", "1.8", "--q", "1.8", "--out", "{out}.json"],
     "bounds-svg": ["bounds", "{f}", "{g}", "--p", "1.8", "--q", "1.8", "--variant", "young-s",
@@ -254,6 +254,15 @@ def test_report_params_are_the_parsed_flags(tmp_path, capsys, name):
         written = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
         # the --out of gen, solve and an SVG sweep is their data file
         assert (written == stdout) is (name in ("tv", "pvar", "bounds-json"))
+
+
+@pytest.mark.parametrize("argv", [("tv", "--delta", "0.25"), ("pvar", "--p", "2"),
+                                  ("norm", "--p", "1.5")], ids=["tv", "pvar", "norm"])
+def test_functionals_take_no_mode(tent_csv, capsys, argv):
+    # each of their results reads the sample values only
+    code, stdout, stderr = _run_caught(capsys, (argv[0], tent_csv, *argv[1:], "--mode", "step"))
+    assert (code, stdout) == (("SystemExit", 2), "")
+    assert stderr.endswith("roughtv: error: unrecognized arguments: --mode step\n")
 
 
 def test_norm_command(tent_csv, capsys):
@@ -627,22 +636,6 @@ def test_a_bound_violated_by_half_exits_one_at_any_scale(tmp_path, capsys, monke
     assert 0.0 < res["rhs"] == res["lhs"] / 2.0
 
 
-REPORT_VARIANT = {
-    "loeve-pvar-left": "loeve-pvar-left",
-    "loeve-pvar-right": "loeve-pvar-right-symmetric",
-    "loeve-pvar-xi": "loeve-pvar-midpoint-xi",
-    "loeve-ptv-left": "loeve-ptv-left",
-    "loeve-ptv-right": "loeve-ptv-right-symmetric",
-    "loeve-ptv-xi": "loeve-ptv-midpoint-xi",
-    "young-s": "young-s",
-    "min-series": "min-series",
-    "integral-ptv-theorem": "integral-ptv-theorem",
-    "integral-ptv-corollary": "integral-ptv-corollary",
-    "integral-pvar-remark": "integral-pvar-remark",
-    "gamma-level-ladder": "gamma-level",
-}
-
-
 @pytest.fixture
 def walk_pair(tmp_path, capsys):
     f_csv = tmp_path / "f.csv"
@@ -653,14 +646,13 @@ def walk_pair(tmp_path, capsys):
 
 
 def test_bound_variant_table(walk_pair, capsys):
-    # the order is the one the argparse usage message prints
-    assert BOUND_VARIANTS == tuple(REPORT_VARIANT)
-    for variant, reported in REPORT_VARIANT.items():
+    # every report's variant is the --variant that asked for it
+    for variant in BOUND_VARIANTS:
         code, stdout, _ = run_cli(capsys, "bounds", *walk_pair, "--p", "1.9", "--q", "1.9",
                                   "--variant", variant)
         assert code == 0
         report = json.loads(stdout)
-        assert report["results"]["variant"] == reported
+        assert report["results"]["variant"] == variant
         assert report["diagnostics"]["asserted"] is (variant != "integral-ptv-corollary")
 
 
@@ -1084,7 +1076,7 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
     argvs = [
         ("gen", "zigzag", "--levels", "3", "--out", str(tmp_path / "z.csv")),
         ("tv", f_csv, "--delta", "0.1"),
-        ("pvar", f_csv, "--p", "2", "--mode", "step"),
+        ("pvar", f_csv, "--p", "2"),
         ("norm", f_csv, "--p", "1.5"),
         ("bounds", f_csv, g_csv, "--p", "1.8", "--q", "1.8", "--variant", "young-s"),
         ("bounds", f_csv, g_csv, "--p", "1.8", "--q", "1.8", "--format", "svg",

@@ -57,7 +57,7 @@ def test_catalog_fields_satisfy_declared_constants():
 
 
 def _field(func):
-    return LipschitzField(func=func, alpha=1.0, order="alpha", lipschitz=1.0)
+    return LipschitzField(func=func, alpha=1.0, lipschitz=1.0)
 
 
 def test_field_call_broadcasts_and_converts():
@@ -97,16 +97,21 @@ def test_field_call_never_hands_back_the_input(field):
 
 def test_field_validation():
     with pytest.raises(BadAlphaError):
-        LipschitzField(np.sin, alpha=1.5, order="alpha", lipschitz=1.0)
-    with pytest.raises(BadParameterError):
-        LipschitzField(np.sin, alpha=1.0, order="one_plus_alpha", lipschitz=1.0)
-    with pytest.raises(BadParameterError, match="^unknown order 'beta'$"):
-        LipschitzField(np.sin, alpha=1.0, order="beta", lipschitz=1.0)
+        LipschitzField(np.sin, alpha=1.5, lipschitz=1.0)
     with pytest.raises(BadParameterError, match="^lipschitz must be finite and >= 0$"):
-        LipschitzField(np.sin, alpha=0.5, order="alpha", lipschitz=-1.0)
+        LipschitzField(np.sin, alpha=0.5, lipschitz=-1.0)
     # a quotient with K_G > 0 brings |F|_inf into the certification
     with pytest.raises(BadParameterError, match="requires sup_bound"):
         dataclasses.replace(field_catalog()["sin"], sup_bound=None)
+
+
+def test_field_order_is_whether_a_quotient_is_declared():
+    with pytest.raises(TypeError, match="'order'"):
+        LipschitzField(np.sin, alpha=1.0, order="alpha", lipschitz=1.0)
+    orders = {name: field.order for name, field in field_catalog().items()}
+    assert orders == {"identity": "one_plus_alpha", "sin": "one_plus_alpha",
+                      "sqrt-abs": "alpha", "constant": "one_plus_alpha",
+                      "zero": "one_plus_alpha"}
 
 
 @pytest.mark.parametrize("changes, name", [
@@ -635,7 +640,6 @@ def _explosive():
     return LipschitzField(
         func=lambda u: 1.0 + np.asarray(u, dtype=np.float64) ** 2,
         alpha=1.0,
-        order="one_plus_alpha",
         lipschitz=0.01,
         quotient=Quotient(lipschitz=0.01, sup_bound=0.01),
         sup_bound=0.01,
@@ -742,7 +746,7 @@ def _beyond(level, value):
     # u + 1 up to level, value above it: the iterates cross the level
     return LipschitzField(
         func=lambda u: np.where(np.asarray(u) > level, value, np.asarray(u) + 1.0),
-        alpha=1.0, order="alpha", lipschitz=1.0,
+        alpha=1.0, lipschitz=1.0,
     )
 
 

@@ -284,6 +284,20 @@ def test_zigzag_global_upper_bound():
     assert p_tv_seminorm(phi, p) ** p <= bound + 1e-9
 
 
+def test_zigzag_is_in_the_p_tv_space_but_of_unbounded_p_variation():
+    # the paper's proper-subspace claim: each zigzag level adds 2 sqrt 2 to
+    # V^p (4.00 at one level, 29.65 at ten), while the p-th power of the
+    # p-TV seminorm stays under criterion 7's cap (at most 5.33 here)
+    p = 1.5
+    cap = 4.0 * 2.0 ** (2.0 * (p - 1.0)) / (2.0 ** (p - 1.0) - 1.0)
+    pvars = []
+    for levels in range(1, 11):
+        phi = gen_zigzag(p, levels)
+        pvars.append(p_variation(phi, p))
+        assert p_tv_seminorm(phi, p) ** p <= cap
+    assert all(later - earlier >= 2.8 for earlier, later in zip(pvars, pvars[1:]))
+
+
 # ---------------------------------------------------------------------------
 # embedding
 # ---------------------------------------------------------------------------

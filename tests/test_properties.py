@@ -1,5 +1,6 @@
 """Property tests (Hypothesis) of the fast functionals against the oracle."""
 
+import dataclasses
 import heapq
 import io
 import json
@@ -29,7 +30,7 @@ from roughtv.errors import (  # noqa: E402
 )
 from roughtv.integrals import BOUND_CHECKS, SampledPair  # noqa: E402
 from roughtv.kernels import lazy_band, pvar_sum, reduce_to_extrema, tv_delta  # noqa: E402
-from roughtv.norms import p_variation, seminorm_with_argmax  # noqa: E402
+from roughtv.norms import p_variation, seminorm_with_argmax, tv_p_full_norm  # noqa: E402
 from roughtv.oracle import (  # noqa: E402
     pvar_bruteforce,
     seminorm_bruteforce,
@@ -621,6 +622,30 @@ def test_profile_value_has_the_bits_of_the_numpy_scalar_form(values, exponent, f
             with np.errstate(over="ignore"):  # b * 1e308 on NumPy scalars
                 want = _value_reference(profile, delta)
             assert _bits(profile.value(delta)) == _bits(want), delta
+
+
+def _functional_bits(path, delta, p):
+    """Every mode-free result of a path, as bits, or the error it raises."""
+    outcome = []
+    for compute in (lambda: [truncated_variation(path, delta)],
+                    lambda: [p_variation(path, p)],
+                    lambda: list(dataclasses.astuple(tv_p_full_norm(path, p))),
+                    lambda: [x for piece in tv_profile(path).pieces for x in piece]):
+        try:
+            outcome.append([_bits(float(x)) for x in compute()])
+        except RoughTVError as exc:
+            outcome.append((type(exc), str(exc)))
+    return outcome
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(values=_values, exponent=st.integers(-300, 300),
+       delta=st.floats(0.0, 2.0), p=st.sampled_from([1.0, 1.25, 1.5, 1.9, 2.0, 3.0]))
+def test_functionals_read_the_sample_values_only(values, exponent, delta, p):
+    # TV^delta, V^p, the p-TV norm and the profile are the same in either mode
+    path = _scaled_path(values, exponent)
+    step = dataclasses.replace(path, mode=Mode.STEP)
+    assert _functional_bits(step, delta, p) == _functional_bits(path, delta, p)
 
 
 _json_leaves = st.one_of(

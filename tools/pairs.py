@@ -22,6 +22,14 @@ than the rev's by more than the bound, else "unresolved" when the rev's
 q3 - q1 is wider than the bound and not every worktree run beats every rev
 run, else "not worse".  Each run is waited for, and the temporary
 directories are deleted at the end.
+
+One run's "gain: yes" is not evidence by itself.  The gain rule compares
+the medians with the rev's own q3 - q1 within one run, which does not cover
+the drift between the two copies from one run to the next: a scan-large
+run once read `throughput_rps` 34.34 -> 34.87 and won 10 of 10 pairs on a
+workload the change did not touch, and the next run won 5 of 10.  A gain
+claim needs a second run at seeds that no step of the change used, such
+as `--seed 601`.
 """
 
 import argparse
