@@ -5,27 +5,28 @@ evaluation), bounds (inequality verification), solve (integral equations).
 Reports are JSON objects {command, params, results, diagnostics, version}
 printed to stdout with 17-significant-digit numbers so byte-identical reruns
 diff cleanly; `params` holds every parsed flag but `command`, `out` and
-`format`.  tv, pvar, norm and JSON bounds also write the report to --out;
+`format`, and each gen kind takes only the flags its generator reads.
+tv, pvar, norm and JSON bounds also write the report to --out;
 the --out of gen, solve and SVG bounds names their data file.  Exit codes:
 0 all asserted checks pass, 1 a bound was violated, 2 invalid input or
 regime, 3 I/O failure.
 
 `main` builds its argparse parser once per process, on its first call, and
 reuses it; it parses an argv once, with the subcommand's own parser when
-argv[0] names one, and looks the `cmd_*` handler up by subcommand name on
-every call.  `build_parser()` still returns a fresh parser.  A subcommand's
-arguments are added on its first parse, and each handler imports the layer
-it calls, so `import roughtv.cli` loads only `errors`, `kernels`, `paths`
-and `pathio`: only a `bounds` argv loads `integrals` (for the `--variant`
-choices), and only a `solve` argv loads `equations` (for the `--field`
-choices).  No module loads `json`: a report escapes its strings itself.
+argv[0] names one (gen's hands a kind's leftovers back), and looks the
+`cmd_*` handler up by subcommand name on every call.  `build_parser()` still
+returns a fresh parser.  A subcommand's arguments are added on its first
+parse, and each handler imports the layer it calls, so `import roughtv.cli`
+loads only `errors`, `kernels`, `paths` and `pathio`: only a `bounds` argv
+loads `integrals` (for the `--variant` choices), and only a `solve` argv
+loads `equations` (for the `--field` choices).  No module loads `json`: a
+report escapes its strings itself.
 """
 
 import argparse
 import functools
 import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -167,14 +168,6 @@ def _emit(args, results, diagnostics=None):
         write_text(args.out, [report])
 
 
-def _named_path(name, n, horizon, value):
-    if name == "identity":
-        return identity_path(n=n, horizon=horizon)
-    if name == "tent":
-        return tent_path()
-    return constant_path(value, 0.0, horizon)
-
-
 def cmd_gen(args) -> int:
     diagnostics = {}
     if args.kind == "brownian":
@@ -185,8 +178,12 @@ def cmd_gen(args) -> int:
         path = gen_counterexample_fx(args.x)
         diagnostics["jump_times"] = path.jump_times().tolist()
         diagnostics["mode"] = "step"
+    elif args.kind == "identity":
+        path = identity_path(n=args.n, horizon=args.horizon)
+    elif args.kind == "tent":
+        path = tent_path()
     else:
-        path = _named_path(args.name, args.n, args.horizon, args.value)
+        path = constant_path(args.value, 0.0, args.horizon)
     write_path_csv(path, args.out)
     sys.stdout.write(make_report(
         args, {"samples": len(path), "span": [path.a, path.b], "out": args.out}, diagnostics))
@@ -212,24 +209,26 @@ def cmd_pvar(args) -> int:
 
 def cmd_norm(args) -> int:
     from .norms import tv_p_full_norm
-    _emit(args, asdict(tv_p_full_norm(_load(args), args.p)))
+    _emit(args, vars(tv_p_full_norm(_load(args), args.p)))
     return 0
 
 
-def _bounds_sweep_svg(pair, args):
+def _bounds_sweep_svg(pair, args, rep):
     """rhs/lhs of the chosen bound across a regime sweep toward (p, q).
 
-    The 16 checks read the report's pair, so what the pair and its paths
+    The 16 points read the report's pair, so what the pair and its paths
     keep (validation, integrals, tag gaps, extrema, profiles) is built
-    once; only what depends on (p, q) is redone per point.
+    once; only what depends on (p, q) is redone per point.  The last point
+    is (p, q) itself, whose check is the report `rep`, so 15 are checked.
     """
     from .integrals import BOUND_CHECKS
     check = BOUND_CHECKS[args.variant]
 
     def eval_point(theta):
         p = 1.0 + theta * (args.p - 1.0)
-        rep = check(pair, p, 1.0 + theta * (args.q - 1.0))
-        return p, rep.lhs, rep.rhs
+        q = 1.0 + theta * (args.q - 1.0)
+        point = rep if (p, q) == (args.p, args.q) else check(pair, p, q)
+        return p, point.lhs, point.rhs
 
     ps, lhs, rhs = zip(*[eval_point(t) for t in np.linspace(0.25, 1.0, 16)])
     return render_svg([("lhs", ps, lhs), ("rhs", ps, rhs)],
@@ -246,10 +245,10 @@ def cmd_bounds(args) -> int:
     # an informational report (the E-form corollary) is never asserted
     diagnostics = {"asserted": rep.extras.get("asserted", True)}
     if args.format == "svg":
-        write_text(args.out, [_bounds_sweep_svg(pair, args)])
-        sys.stdout.write(make_report(args, asdict(rep), diagnostics))
+        write_text(args.out, [_bounds_sweep_svg(pair, args, rep)])
+        sys.stdout.write(make_report(args, vars(rep), diagnostics))
     else:
-        _emit(args, asdict(rep), diagnostics)
+        _emit(args, vars(rep), diagnostics)
     return 0 if rep.passed or not diagnostics["asserted"] else 1
 
 
@@ -287,16 +286,19 @@ class _SubcommandParser(argparse.ArgumentParser):
 
 
 def _gen_args(sp):
-    sp.add_argument("kind", choices=("brownian", "zigzag", "fx", "named"))
-    sp.add_argument("--n", type=int, default=1024)
-    sp.add_argument("--horizon", type=float, default=1.0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--p", type=float, default=1.5)
-    sp.add_argument("--levels", type=int, default=4)
-    sp.add_argument("--x", type=float, default=3.0)
-    sp.add_argument("--name", default="identity", choices=("identity", "tent", "constant"))
-    sp.add_argument("--value", type=float, default=0.0)
-    sp.add_argument("--out", required=True)
+    """One parser per kind, with only the flags its generator reads, so a
+    flag of another kind is left over: an "unrecognized arguments" error."""
+    flags = {"n": (int, 1024), "horizon": (float, 1.0), "seed": (int, 0), "p": (float, 1.5),
+             "levels": (int, 4), "x": (float, 3.0), "value": (float, 0.0)}
+    kinds = sp.add_subparsers(dest="kind", required=True, parser_class=argparse.ArgumentParser)
+    for kind, names in (("brownian", ("n", "horizon", "seed")), ("zigzag", ("p", "levels")),
+                        ("fx", ("x",)), ("identity", ("n", "horizon")), ("tent", ()),
+                        ("constant", ("value", "horizon"))):
+        kp = kinds.add_parser(kind)
+        for name in names:
+            convert, default = flags[name]
+            kp.add_argument(f"--{name}", type=convert, default=default)
+        kp.add_argument("--out", required=True)
 
 
 def _functional_args(sp, name):

@@ -65,6 +65,14 @@ class TvProfile:
     pieces: tuple  # breakpoints from 0 to the oscillation, coef_a, coef_b
 
     def value(self, delta) -> float:
+        """TV^delta read off its segment as a - b*delta.
+
+        Known error: just above a breakpoint the subtraction cancels.  On
+        `np.random.default_rng(0).uniform(-1, 1, 4096)` at delta =
+        `math.nextafter(b, math.inf)`, b the breakpoint near 1.9984, the
+        value is 1.94e-12 relative off the exact 9.14e-4, which `tv_delta`
+        returns (ROADMAP item 4); the mend is ROADMAP item 13's.
+        """
         delta = float(delta)
         if not delta >= 0:  # NaN too
             raise NegativeDeltaError("delta must be >= 0")

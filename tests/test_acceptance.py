@@ -376,7 +376,7 @@ def test_criterion_15_cli_end_to_end(tmp_path, capsys):
     assert code_bad == 2
 
     # solve: identity field reaches e; zero field stays constant; sin converges
-    run("gen", "named", "--name", "identity", "--n", "4097",
+    run("gen", "identity", "--n", "4097",
         "--out", str(base / "id.csv"))
     code, out_solve = run("solve", str(base / "id.csv"), "--field", "identity",
                           "--y0", "1", "--p", "1.5", "--tol", "1e-8",

@@ -151,9 +151,9 @@ def test_gen_zigzag_boundary_zeros(tmp_path, capsys):
     ("zigzag", "--p", "inf"),
     ("zigzag", "--p", "1.01", "--levels", "2000"),
     ("brownian", "--n", "3", "--horizon", "inf"),
-    ("named", "--name", "identity", "--horizon", "inf"),
+    ("identity", "--horizon", "inf"),
     ("brownian", "--seed", "-1"),
-    ("named", "--name", "identity", "--n", "-3"),
+    ("identity", "--n", "-3"),
 ])
 def test_gen_out_of_range_exits_two(tmp_path, capsys, argv):
     # no OverflowError or ValueError traceback (exit 1) and no NumPy warning
@@ -179,9 +179,9 @@ def test_gen_zigzag_names_the_sample_count(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("brownian", "--n", "10000000000000"),
-    ("named", "--name", "identity", "--n", "10000000000000"),
+    ("identity", "--n", "10000000000000"),
     ("brownian", "--n", str(MAX_SAMPLES + 1)),
-    ("named", "--name", "identity", "--n", str(MAX_SAMPLES + 1)),
+    ("identity", "--n", str(MAX_SAMPLES + 1)),
 ])
 def test_gen_past_the_sample_cap_exits_two(tmp_path, capsys, monkeypatch, argv):
     # rejected before any array is made: no MemoryError traceback (exit 1)
@@ -207,13 +207,56 @@ def test_gen_fx_reports_jumps(tmp_path, capsys):
     assert fx.values.tolist() == [0.0, 1.0, 1.0, -2.0]
 
 
-def test_gen_named_tent(tmp_path, capsys):
+def test_gen_tent(tmp_path, capsys):
     dest = tmp_path / "tent.csv"
-    code, out, err = run_cli(capsys, "gen", "named", "--name", "tent", "--out", str(dest))
+    code, out, err = run_cli(capsys, "gen", "tent", "--out", str(dest))
     assert (code, err) == (0, "")
     assert json.loads(out)["results"]["samples"] == 3
     q = read_path_csv(dest)
     assert (q.times.tolist(), q.values.tolist()) == ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+
+
+# each gen kind's flags with their defaults, and a valid value for every
+# flag a kind once took
+GEN_KIND_FLAGS = {
+    "brownian": {"n": 1024, "horizon": 1.0, "seed": 0},
+    "zigzag": {"p": 1.5, "levels": 4},
+    "fx": {"x": 3.0},
+    "identity": {"n": 1024, "horizon": 1.0},
+    "tent": {},
+    "constant": {"value": 0.0, "horizon": 1.0},
+}
+GEN_FLAG_VALUES = {"n": "8", "horizon": "2", "seed": "3", "p": "1.5", "levels": "2",
+                   "x": "3", "value": "1", "name": "tent"}
+
+
+@pytest.mark.parametrize("kind, flag", [
+    (kind, flag) for kind, flags in GEN_KIND_FLAGS.items()
+    for flag in GEN_FLAG_VALUES if flag not in flags
+], ids=lambda v: v)
+def test_gen_kind_rejects_a_flag_it_does_not_read(tmp_path, capsys, kind, flag):
+    dest = tmp_path / "x.csv"
+    value = GEN_FLAG_VALUES[flag]
+    code, out, err = _run_caught(capsys, ("gen", kind, f"--{flag}", value, "--out", str(dest)))
+    assert (code, out) == (("SystemExit", 2), "")
+    assert err.endswith(f"roughtv: error: unrecognized arguments: --{flag} {value}\n")
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("argv", [("named",), ("named", "--name", "identity")])
+def test_gen_named_is_not_a_kind(tmp_path, capsys, argv):
+    dest = tmp_path / "x.csv"
+    code, out, err = _run_caught(capsys, ("gen", *argv, "--out", str(dest)))
+    assert (code, out) == (("SystemExit", 2), "")
+    assert "argument kind: invalid choice: 'named'" in err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("kind", GEN_KIND_FLAGS)
+def test_gen_params_are_the_kind_and_its_flags(tmp_path, capsys, kind):
+    code, out, err = run_cli(capsys, "gen", kind, "--out", str(tmp_path / "x.csv"))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["params"] == {"kind": kind, **GEN_KIND_FLAGS[kind]}
 
 
 def test_tv_command(tent_csv, capsys):
@@ -679,7 +722,7 @@ def test_readme_cli_examples_parse():
 def constant_f_pair(tmp_path, capsys):
     f_csv = tmp_path / "f.csv"
     g_csv = tmp_path / "g.csv"
-    run_cli(capsys, "gen", "named", "--name", "constant", "--value", "2", "--out", str(f_csv))
+    run_cli(capsys, "gen", "constant", "--value", "2", "--out", str(f_csv))
     run_cli(capsys, "gen", "brownian", "--n", "33", "--seed", "3", "--out", str(g_csv))
     return str(f_csv), str(g_csv)
 
@@ -728,6 +771,24 @@ def test_bounds_svg(tmp_path, capsys):
     assert text.startswith("<svg") and "polyline" in text and "</svg>" in text
 
 
+@pytest.mark.parametrize("p, q", [("1.8", "1.8"), ("1.2", "1.9")])
+def test_bounds_svg_checks_each_point_once(tmp_path, capsys, monkeypatch, p, q):
+    # the report is the sweep's last point, (p, q) itself: 1 + 15 checks
+    f_csv, g_csv = tmp_path / "f.csv", tmp_path / "g.csv"
+    write_path_csv(gen_brownian(48, 1.0, 3), f_csv)
+    write_path_csv(gen_brownian(48, 1.0, 4), g_csv)
+    check = integrals.BOUND_CHECKS["young-s"]
+    seen = []
+    monkeypatch.setitem(integrals.BOUND_CHECKS, "young-s",
+                        lambda pair, p, q: seen.append((p, q)) or check(pair, p, q))
+    code, _, err = run_cli(capsys, "bounds", str(f_csv), str(g_csv), "--p", p, "--q", q,
+                           "--variant", "young-s", "--format", "svg",
+                           "--out", str(tmp_path / "sweep.svg"))
+    assert (code, err) == (0, "")
+    assert len(seen) == len(set(seen)) == 16
+    assert seen[0] == (float(p), float(q))
+
+
 def test_svg_of_a_flat_x_range_widens_it_by_one():
     # every x equal: the x range [2, 2] is widened to [2, 3], so the line
     # stands on the y axis
@@ -742,7 +803,7 @@ def test_bounds_svg_of_a_flat_sweep(tmp_path, capsys, variant):
     # widened to [0, 1], so both series lie on the x axis, all finite
     f_csv = tmp_path / "f.csv"
     g_csv = tmp_path / "g.csv"
-    run_cli(capsys, "gen", "named", "--name", "constant", "--out", str(f_csv))
+    run_cli(capsys, "gen", "constant", "--out", str(f_csv))
     run_cli(capsys, "gen", "brownian", "--n", "48", "--seed", "4", "--out", str(g_csv))
     svg = tmp_path / "sweep.svg"
     code, _, err = run_cli(capsys, "bounds", str(f_csv), str(g_csv), "--p", "1.8",
@@ -919,7 +980,7 @@ def test_output_files_are_never_opened_with_o_trunc(tmp_path, capsys, monkeypatc
 def test_solve_command(tmp_path, capsys):
     x_csv = tmp_path / "x.csv"
     sol_csv = tmp_path / "sol.csv"
-    run_cli(capsys, "gen", "named", "--name", "identity", "--n", "4097",
+    run_cli(capsys, "gen", "identity", "--n", "4097",
             "--out", str(x_csv))
     code, stdout, _ = run_cli(capsys, "solve", str(x_csv), "--field", "identity",
                               "--y0", "1", "--p", "1.5", "--tol", "1e-8",
@@ -1087,7 +1148,7 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
         ("tv", f_csv, "--delta=0.1"),
         ("tv", "--delta", "0.1", "--", f_csv),
         ("solve", f_csv, "--field", "no-such-field"),
-        ("gen", "named", "--name", "nope", "--out", str(tmp_path / "n.csv")),
+        ("gen", "nope", "--out", str(tmp_path / "n.csv")),
         ("frobnicate", f_csv),
         ("tv", f_csv),
         ("bounds", f_csv, g_csv, "--p", "1.8", "--q", "1.8", "--variant", "bogus"),
@@ -1102,6 +1163,8 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
         # only bounds has a --format, for its svg sweep, and solve reads
         # linear paths only, so it has no --mode
         ("gen", "zigzag", "--out", str(tmp_path / "z.csv"), "--format", "csv"),
+        # each gen kind takes only the flags its generator reads
+        ("gen", "brownian", "--x", "3", "--out", str(tmp_path / "b.csv")),
         ("tv", f_csv, "--delta", "0.1", "--format", "json"),
         ("pvar", f_csv, "--p", "2", "--format", "json"),
         ("norm", f_csv, "--p", "1.5", "--format", "json"),
@@ -1116,13 +1179,14 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
     assert svg.read_bytes() == reused_svg
     assert [code for code, _, _ in reused] == [0] * 10 + [("SystemExit", 2)] * 7 + [
         ("SystemExit", 0), ("SystemExit", 0), ("SystemExit", 0), ("SystemExit", 2),
-    ] + [("SystemExit", 2)] * 6
+    ] + [("SystemExit", 2)] * 7
     extra = reused[argvs.index(("tv", f_csv, "--delta", "0.1", "extra"))][2]
     assert extra.startswith("usage: roughtv [-h]")
     assert extra.endswith("roughtv: error: unrecognized arguments: extra\n")
     solve_help = reused[argvs.index(("solve", "--help"))][1]
     assert "{constant,identity,sin,sqrt-abs,zero}" in solve_help
-    assert "{identity,tent,constant}" in _run_caught(capsys, ("gen", "--help"))[1]
+    gen_help = _run_caught(capsys, ("gen", "--help"))[1]
+    assert "{brownian,zigzag,fx,identity,tent,constant}" in gen_help
 
 
 def test_main_runs_the_current_handler(tent_csv, capsys, monkeypatch):

@@ -29,7 +29,10 @@ the drift between the two copies from one run to the next: a scan-large
 run once read `throughput_rps` 34.34 -> 34.87 and won 10 of 10 pairs on a
 workload the change did not touch, and the next run won 5 of 10.  A gain
 claim needs a second run at seeds that no step of the change used, such
-as `--seed 601`.
+as `--seed 601`.  The spread itself can hide a gain: over 6 pairs at
+seeds 601-606, profile-checks `throughput_rps` of one rev read q1-q3
+719.8-798.6, about 10% of its median of 751.7 (2-core Xeon VM), so a gain
+claim on that workload needs more than that.
 """
 
 import argparse
