@@ -34,6 +34,7 @@ from . import __version__
 from .errors import BadParameterError, RoughTVError
 from .paths import (
     Mode,
+    check_horizon,
     constant_path,
     gen_brownian,
     gen_counterexample_fx,
@@ -183,7 +184,7 @@ def cmd_gen(args) -> int:
     elif args.kind == "tent":
         path = tent_path()
     else:
-        path = constant_path(args.value, 0.0, args.horizon)
+        path = constant_path(args.value, 0.0, check_horizon(args.horizon))
     write_path_csv(path, args.out)
     sys.stdout.write(make_report(
         args, {"samples": len(path), "span": [path.a, path.b], "out": args.out}, diagnostics))
@@ -236,6 +237,8 @@ def _bounds_sweep_svg(pair, args, rep):
 
 
 def cmd_bounds(args) -> int:
+    """The pair is built, and so checked, before any bound: a request with a
+    pair fault and a bad (p, q) names the pair fault."""
     from .integrals import BOUND_CHECKS, SampledPair
     if args.format == "svg" and not args.out:
         raise BadParameterError("--format svg needs --out")

@@ -51,6 +51,8 @@ class LipschitzField:
     F is 1-Lipschitz (constant `lipschitz`), G alpha-Lipschitz, and
     `sup_bound` (a bound on |F|) is mandatory unless G's Lipschitz constant
     is 0, since the contraction windows are certified from these constants.
+    Each declared constant must be finite and >= 0 (BadParameterError): a
+    negative or NaN one would certify windows the true constants do not.
     `func` must accept numpy arrays (any ufunc-style callable does).
     """
 
@@ -279,8 +281,7 @@ def _cumulative_trapezoid(f_vals, dx, y_start):
     return z
 
 
-def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped,
-                    guard=BLOWUP_GUARD):
+def _iterate_window(field: LipschitzField, t, xv, y_start, tol, max_iter, damped, guard):
     """Picard iterates z = y_start + int F(y) dx on one window, on arrays, to tol.
 
     (z, iterations) at the first iterate within tol of its predecessor in

@@ -99,7 +99,8 @@ class SampledPair:
     Every routine here that reads two paths takes a pair, so the check runs
     in this one place.  What the checks read of it is built on first use
     and kept, over `read_only` arrays, so a check never pays for, or fails
-    on, the rest, and one pair serves every check of a request.
+    on, the rest, and one pair serves every check of a request.  It is kept
+    on the pair, never on f or g.
     """
 
     f: SampledPath
@@ -124,7 +125,10 @@ class SampledPair:
 
     @functools.cached_property
     def integral(self):
-        """int f dg over the common span: the sum of the exact `cells`."""
+        """int f dg over the common span: the sum of the exact `cells`.
+
+        NonFiniteValueError when the sum overflows float64.
+        """
         return _total(self.cells)
 
     @functools.cached_property
@@ -135,6 +139,7 @@ class SampledPair:
         mode: between samples the running integral jumps with a step g and
         is affine for a step f against a linear g; for two linear paths it
         is quadratic on each cell, so only the samples are exact.
+        NonFiniteValueError when a running sum overflows float64.
         """
         return _running(self.grid, self.cells, self.g.mode)
 
@@ -533,7 +538,8 @@ def _loeve_young_report(pair, p, q, family, form):
 
 
 def young_series_check(pair, p, q) -> BoundReport:
-    """|int f dg - f(a) dg| against the series S with the default ladders."""
+    """|int f dg - f(a) dg| against the series S on `default_ladder_s`, the
+    ladder of S alone."""
     s = young_bound_S(pair, default_ladder_s(pair, p, q))
     integral = pair.integral
     return bound_report(pair.tag_gaps[0], s, s, "young-s", {"integral": integral},
@@ -541,7 +547,11 @@ def young_series_check(pair, p, q) -> BoundReport:
 
 
 def min_series_check(pair, p, q) -> BoundReport:
-    """|int f dg - f(xi) dg| <= 2 min(S, S~) at the worst tag xi in [a; b]."""
+    """|int f dg - f(xi) dg| <= 2 min(S, S~) at the worst tag xi in [a; b].
+
+    Both ladders are `default_ladder_pair`'s.  The extras report S and S~
+    as they are, so one of them may read inf where the other is finite.
+    """
     ladder_s, ladder_st = default_ladder_pair(pair, p, q)
     s = young_bound_S(pair, ladder_s)
     st = young_bound_S_tilde(pair, ladder_st)

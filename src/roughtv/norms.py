@@ -44,7 +44,9 @@ def c_p(p) -> float:
 def p_variation(path: SampledPath, p) -> float:
     """V^p: max of sum |increment|^p over sample subsequences.
 
-    NonFiniteValueError when the oscillation or the sum overflows float64.
+    `kernels.pvar_sum` on the path's kept extrema, the ones its seminorms
+    read.  NonFiniteValueError when the oscillation or the sum overflows
+    float64.
     """
     p = float(p)
     if not 1 <= p < math.inf:

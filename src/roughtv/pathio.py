@@ -392,10 +392,10 @@ def _read_rows(fh):
     piece with no non-empty line is skipped, since `loadtxt` warns on it.
     A piece that fails names the file's first bad row, since every piece
     before it parsed.  A byte that is not UTF-8 is named by its offset and
-    its line, counted by the line breaks before it, once the header and
-    the rows of the complete lines before its line have passed the same
-    checks: the first fault in file order is named, wherever the pieces
-    are cut.
+    its line, counted by the line breaks before it with no second read of
+    the file, once the header and the rows of the complete lines before
+    its line have passed the same checks: the first fault in file order is
+    named, wherever the pieces are cut.
     """
     header = None
     blocks = []

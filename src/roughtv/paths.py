@@ -207,6 +207,15 @@ def _check_samples(count, name, knobs):
         raise BadCountError(f"{name} would need {need} samples; lower {knobs}")
 
 
+def check_horizon(horizon) -> float:
+    """`horizon` as a float, BadParameterError unless it is finite and > 0:
+    the span [0; horizon] of every generator that takes one."""
+    horizon = float(horizon)
+    if not 0 < horizon < math.inf:
+        raise BadParameterError("horizon must be finite and > 0")
+    return horizon
+
+
 def gen_brownian(n, horizon, seed) -> SampledPath:
     """Random-walk interpolant of Brownian motion on a uniform grid.
 
@@ -217,9 +226,7 @@ def gen_brownian(n, horizon, seed) -> SampledPath:
     if n < 2:
         raise BadCountError("need n >= 2 samples")
     _check_samples(n, "brownian", "n")
-    horizon = float(horizon)
-    if not 0 < horizon < math.inf:
-        raise BadParameterError("horizon must be finite and > 0")
+    horizon = check_horizon(horizon)
     seed = int(seed)
     if seed < 0:
         raise BadParameterError("seed must be >= 0")
@@ -292,10 +299,7 @@ def identity_path(n=2, horizon=1.0) -> SampledPath:
     if n < 1:
         raise BadCountError("need n >= 1 sample")
     _check_samples(n, "identity", "n")
-    horizon = float(horizon)
-    if not math.isfinite(horizon):
-        raise BadParameterError("horizon must be finite")
-    t = np.linspace(0.0, horizon, n)
+    t = np.linspace(0.0, check_horizon(horizon), n)
     return SampledPath(t, t.copy())
 
 

@@ -20,7 +20,9 @@ from .paths import SampledPath, oscillation
 def truncated_variation(path: SampledPath, delta) -> float:
     """TV with threshold delta over the whole span; exact for sample data.
 
-    NonFiniteValueError when the oscillation or the sum overflows float64.
+    `kernels.tv_delta` on the path's kept extrema.  A NaN delta is a
+    NegativeDeltaError, as a negative one is.  NonFiniteValueError when the
+    oscillation or the sum overflows float64.
     """
     delta = float(delta)
     if not delta >= 0:  # NaN too
@@ -65,7 +67,7 @@ class TvProfile:
     pieces: tuple  # breakpoints from 0 to the oscillation, coef_a, coef_b
 
     def value(self, delta) -> float:
-        """TV^delta read off its segment as a - b*delta.
+        """TV^delta read off its segment, found by bisection, as a - b*delta.
 
         Known error: just above a breakpoint the subtraction cancels.  On
         `np.random.default_rng(0).uniform(-1, 1, 4096)` at delta =

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import roughtv
 from roughtv import cli, integrals, pathio
 from roughtv.cli import main, to_json
 from roughtv.equations import field_catalog
@@ -154,6 +155,10 @@ def test_gen_zigzag_boundary_zeros(tmp_path, capsys):
     ("identity", "--horizon", "inf"),
     ("brownian", "--seed", "-1"),
     ("identity", "--n", "-3"),
+    ("identity", "--n", "1", "--horizon", "-5"),
+    ("identity", "--horizon", "0"),
+    ("constant", "--horizon", "0"),
+    ("constant", "--horizon", "-2"),
 ])
 def test_gen_out_of_range_exits_two(tmp_path, capsys, argv):
     # no OverflowError or ValueError traceback (exit 1) and no NumPy warning
@@ -163,6 +168,14 @@ def test_gen_out_of_range_exits_two(tmp_path, capsys, argv):
     assert stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr.endswith("\n")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["brownian", "identity", "constant"])
+def test_gen_names_a_bad_horizon(tmp_path, capsys, kind):
+    # the flag at fault, not the strictly increasing times it would break
+    code, _, stderr = run_cli(capsys, "gen", kind, "--horizon", "0",
+                              "--out", str(tmp_path / "x.csv"))
+    assert (code, stderr) == (2, "error: BadParameterError: horizon must be finite and > 0\n")
 
 
 def test_gen_zigzag_names_the_sample_count(tmp_path, capsys):
@@ -716,6 +729,56 @@ def test_readme_cli_examples_parse():
     parser = cli.build_parser()
     for words in examples:
         parser.parse_args(words[1:])
+
+
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_table(heading):
+    """The body rows of the first table under `heading`, as lists of cells
+    (a pipe escaped as `\\|` stays inside its cell)."""
+    table = _readme().split(f"\n{heading}\n", 1)[1].split("\n|", 1)[1].split("\n\n", 1)[0]
+    lines = ("|" + table).splitlines()
+    return [[cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]] for line in lines[2:]]
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, capsys, monkeypatch):
+    # every line, in order, in one directory: each reads what the lines
+    # before it wrote
+    block = _readme().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        if line.startswith("roughtv "):
+            code, _, stderr = run_cli(capsys, *shlex.split(line, comments=True)[1:])
+            assert (line, code, stderr) == (line, 0, "")
+
+
+def test_readme_claims_table_names_live_names():
+    rows = _readme_table("## What the paper claims and what checks it")
+    assert len(rows) == 4
+    parser = cli.build_parser()
+    acceptance = (Path(__file__).resolve().parent / "test_acceptance.py").read_text(
+        encoding="utf-8")
+    criteria = {int(n) for n in re.findall(r"^def test_criterion_(\d+)_", acceptance, re.M)}
+    for claim, commands, variants, routines, checked_by in rows:
+        assert claim
+        for command in re.findall(r"`([^`]+)`", commands):
+            words = command.split()
+            assert words[0] in parser.commands
+            if words[0] == "gen":
+                parser.parse_args([*words, "--out", "x.csv"])
+        assert set(re.findall(r"`([^`]+)`", variants)) <= set(BOUND_VARIANTS)
+        assert set(re.findall(r"`([^`]+)`", routines)) <= set(roughtv.__all__)
+        numbers = {int(n) for n in re.findall(r"\d+", checked_by)}
+        assert numbers and numbers <= criteria
+
+
+def test_readme_layout_rows_name_the_public_names():
+    rows = {module.strip("`"): names for module, names in _readme_table("## Layout")}
+    assert set(rows) == {f"roughtv.{module}" for module in roughtv._NAMES}
+    for module, names in roughtv._NAMES.items():
+        assert set(names.split()) <= set(re.findall(r"`([^`]+)`", rows[f"roughtv.{module}"]))
 
 
 @pytest.fixture

@@ -681,8 +681,7 @@ def _reference_trapezoid(f_vals, x_vals):
     return np.concatenate(([0.0], np.cumsum(cells)))
 
 
-def _reference_iterate_window(field, t, xv, y_start, tol, max_iter, damped,
-                              guard=equations.BLOWUP_GUARD):
+def _reference_iterate_window(field, t, xv, y_start, tol, max_iter, damped, guard):
     y = np.full(t.size, y_start, dtype=np.float64)
     for it in range(1, max_iter + 1):
         z = y_start + _reference_trapezoid(_reference_call(field, y), xv)
@@ -717,8 +716,7 @@ def _assert_same_outcome(got, want):
         assert got == want
 
 
-def _step_as_window(field, t, xv, y_start, tol, max_iter, damped,
-                    guard=equations.BLOWUP_GUARD):
+def _step_as_window(field, t, xv, y_start, tol, max_iter, damped, guard):
     """`_iterate_step` on a one-step window, as `_iterate_window` is called:
     the two floats it returns as a float64 array."""
     z0, z1, its = equations._iterate_step(field, t.item(1), xv.item(0), xv.item(1),
@@ -777,7 +775,7 @@ def test_iterate_window_matches_reference_loop(name):
         for y_start in (0.0, -0.0, 1.0, -2.5):
             for tol in (1e-6, 1e-12):
                 for damped in (False, True):
-                    args = (field, t, xv, y_start, tol, 40, damped)
+                    args = (field, t, xv, y_start, tol, 40, damped, equations.BLOWUP_GUARD)
                     # the arrays' inf - inf warns; Python floats give the NaN silently
                     with np.errstate(invalid="ignore" if name == "inf_above" else "warn"):
                         want = _outcome(_reference_iterate_window, *args)
@@ -787,11 +785,12 @@ def test_iterate_window_matches_reference_loop(name):
 
 def test_iterate_window_errors_match_reference_loop():
     t = np.linspace(0.0, 2.0, 257)
-    blowup = (_explosive(), t, t, 1.0, 1e-8, 200, False)
+    blowup = (_explosive(), t, t, 1.0, 1e-8, 200, False, equations.BLOWUP_GUARD)
     got = _outcome(equations._iterate_window, *blowup)
     assert got[0] == "BlowupSuspectedError"
     assert got == _outcome(_reference_iterate_window, *blowup)
-    stalled = (field_catalog()["sin"], t[:9], t[:9], 1.0, 1e-14, 2, False)
+    stalled = (field_catalog()["sin"], t[:9], t[:9], 1.0, 1e-14, 2, False,
+               equations.BLOWUP_GUARD)
     got = _outcome(equations._iterate_window, *stalled)
     assert got[0] == "NoConvergenceError"
     assert got == _outcome(_reference_iterate_window, *stalled)
