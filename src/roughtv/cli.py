@@ -20,7 +20,8 @@ parse, and each handler imports the layer it calls, so `import roughtv.cli`
 loads only `errors`, `kernels`, `paths` and `pathio`: only a `bounds` argv
 loads `integrals` (for the `--variant` choices), and only a `solve` argv
 loads `equations` (for the `--field` choices).  No module loads `json`: a
-report escapes its strings itself.
+report escapes its strings itself.  `hashlib` loads on the first read of a
+named CSV file, for `pathio`'s read cache, not with the CLI.
 """
 
 import argparse

@@ -20,6 +20,19 @@ reader decodes and parses PIECE_BYTES at a time, cut at whole line breaks,
 and the writer formats PIECE_ROWS rows at a time, so either holds one
 piece of text beside the arrays of the path, whatever its length.
 
+A named regular file is read once per distinct content in a process: the
+parsed columns are kept under the SHA-256 of the file's bytes, least
+recently used first, READ_CACHE_SAMPLES samples (16 B each) in all, and a
+file of more samples is not kept.  The parse pass hashes exactly the bytes
+it parses, so a first read is one streamed pass and a file changed while it
+is read is kept under the digest of what was parsed.  Only when a file of
+the same byte size is held does a digest-only pass go first; if it finds
+the digest, the path is built from the kept columns under any name and in
+either mode, its checks run again, and no byte is parsed.  The name and the
+modification time play no part.  Binary file objects and named files that
+are not regular (pipes, FIFOs, devices) are parsed as streamed, and a file
+that fails to parse or to make a path is never kept.
+
 A piece of fewer than _ARRAY_ROWS rows is formatted by one "%.17g"
 expression; a longer one gets the same bytes from NumPy arrays, without
 one correctly rounded C conversion per number.  A number x of decimal
@@ -49,10 +62,12 @@ truncated when opened, only cut to the new length after the write if it
 was longer.
 """
 
+import collections
 import contextlib
 import functools
 import os
 import stat
+import threading
 
 import numpy as np
 
@@ -63,6 +78,8 @@ HEADER = "t,value"
 # bytes per read of a CSV, and rows per formatted piece of one
 PIECE_BYTES = 1 << 16
 PIECE_ROWS = 1024
+# the most samples the read cache holds in all: 2 MiB of columns
+READ_CACHE_SAMPLES = 1 << 17
 
 # A piece of at least this many rows is formatted in arrays, a shorter one
 # by one "%" expression (see the module docstring).  The array route costs
@@ -383,7 +400,10 @@ def _parse_piece(rows):
 
 
 def _read_rows(fh):
-    """The (n, 2) rows of the CSV bytes `fh`, decoded and parsed piece by piece.
+    """The times and values of the CSV bytes `fh`, decoded and parsed piece
+    by piece, as two float64 arrays over `bytes` (`paths.read_only` keeps
+    them): each piece's rows go to the bytes of their columns at once, and
+    the columns are joined at the end, with no (n, 2) array of all rows.
 
     Every cut is a line break for `_split_rows`, and every field is
     parsed on its own, so the pieces give the rows, the errors and the
@@ -398,7 +418,7 @@ def _read_rows(fh):
     named, wherever the pieces are cut.
     """
     header = None
-    blocks = []
+    times, values = [], []  # the bytes of each column, one part a piece
     offset = lines_before = 0
     for piece in _pieces(fh):
         try:
@@ -419,26 +439,115 @@ def _read_rows(fh):
                     raise CsvFormatError(f"expected header '{HEADER}', got '{header}'")
             del rows[:k + 1]
         if any(rows):
-            blocks.append(_parse_piece(rows))
+            block = _parse_piece(rows)
+            times.append(block[:, 0].tobytes())
+            values.append(block[:, 1].tobytes())
         if bad is not None:
             raise CsvFormatError(f"not UTF-8 text: {bad.reason} at byte offset "
                                  f"{offset + bad.start}, line {lines_before + 1}")
         offset += len(piece)
     if header is None:
         raise CsvFormatError("empty CSV")
-    # a header-only file gives empty columns, which SampledPath rejects
-    return np.concatenate(blocks or [np.empty((0, 2))])
+    # a header-only file gives empty columns, which SampledPath rejects;
+    # the times' parts go once joined, so about 24 bytes a row are held
+    times = np.frombuffer(b"".join(times))
+    return times, np.frombuffer(b"".join(values))
+
+
+class _ReadCache:
+    """The (times, values) columns of the named CSV files read so far, by
+    the SHA-256 digest of each file's bytes, least recently used first, at
+    most READ_CACHE_SAMPLES samples in all (see the module docstring)."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries = {}  # digest -> (byte size, times, values)
+        self._sizes = collections.Counter()  # byte size -> entries of that size
+        self.samples = 0
+
+    def holds_size(self, size):
+        return size in self._sizes
+
+    def get(self, digest):
+        """The columns kept under `digest`, made the most recently used, or None."""
+        with self._lock:
+            entry = self._entries.pop(digest, None)
+            if entry is None:
+                return None
+            self._entries[digest] = entry
+            return entry[1:]
+
+    def put(self, digest, size, times, values):
+        """Keep the columns of `size` bytes of digest `digest`, dropping the
+        least recently used entries until the samples fit the bound."""
+        if times.size > READ_CACHE_SAMPLES:
+            return
+        with self._lock:
+            if self._entries.pop(digest, None) is None:
+                self._sizes[size] += 1
+                self.samples += times.size
+            self._entries[digest] = (size, times, values)
+            while self.samples > READ_CACHE_SAMPLES:
+                old_size, old_times, _ = self._entries.pop(next(iter(self._entries)))
+                self._sizes[old_size] -= 1
+                if not self._sizes[old_size]:
+                    del self._sizes[old_size]
+                self.samples -= old_times.size
+
+
+_read_cache = _ReadCache()
+
+
+class _Hashed:
+    """A binary file whose reads are fed to the hash `digest` and counted
+    in `size`, so a parse pass hashes exactly the bytes it parses."""
+
+    def __init__(self, fh, digest):
+        self._fh = fh
+        self.digest = digest
+        self.size = 0
+
+    def read(self, n):
+        piece = self._fh.read(n)
+        self.digest.update(piece)
+        self.size += len(piece)
+        return piece
+
+
+def _read_regular(fh, size, mode):
+    """The path of the regular file `fh` of `size` bytes, through `_read_cache`."""
+    import hashlib  # on the first named read, not at import: a cold start skips it
+
+    if _read_cache.holds_size(size):
+        digest = hashlib.sha256()
+        while piece := fh.read(PIECE_BYTES):
+            digest.update(piece)
+        columns = _read_cache.get(digest.digest())
+        if columns is not None:
+            return SampledPath(*columns, Mode(mode))
+        fh.seek(0)
+    hashed = _Hashed(fh, hashlib.sha256())
+    path = SampledPath(*_read_rows(hashed), Mode(mode))
+    _read_cache.put(hashed.digest.digest(), hashed.size, path.times, path.values)
+    return path
 
 
 def read_path_csv(src, mode=Mode.LINEAR) -> SampledPath:
     """Read a CSV path from a binary file object, or from the file named `src`.
 
     At most one piece (PIECE_BYTES and the line it cuts) is held at a time,
-    as bytes and as text, beside the parsed rows and the output arrays.  A
-    named file is read unbuffered, each read straight into its piece:
-    `_pieces` reads until an empty read, so a short read costs nothing.
+    as bytes and as text, beside the bytes of the parsed columns.  A
+    named file is opened once and read unbuffered, each read straight into
+    its piece: `_pieces` reads until an empty read, so a short read costs
+    nothing.  A named regular file goes through the read cache of the
+    module docstring; anything else is parsed as it streams.
     """
-    with (contextlib.nullcontext(src) if hasattr(src, "read")
-          else open(src, "rb", buffering=0)) as fh:
-        data = _read_rows(fh)
-    return SampledPath(data[:, 0], data[:, 1], Mode(mode))
+    if hasattr(src, "read"):
+        columns = _read_rows(src)
+    else:
+        with open(src, "rb", buffering=0) as fh:
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode):
+                return _read_regular(fh, info.st_size, mode)
+            columns = _read_rows(fh)
+    return SampledPath(*columns, Mode(mode))

@@ -230,9 +230,12 @@ def gen_brownian(n, horizon, seed) -> SampledPath:
     seed = int(seed)
     if seed < 0:
         raise BadParameterError("seed must be >= 0")
-    rng = np.random.default_rng(seed)
-    steps = rng.standard_normal(n - 1) * np.sqrt(horizon / (n - 1))
-    values = np.concatenate(([0.0], np.cumsum(steps)))
+    # one array filled in place: the steps, scaled, then their running sum
+    values = np.zeros(n)
+    steps = values[1:]
+    np.random.default_rng(seed).standard_normal(out=steps)
+    steps *= np.sqrt(horizon / (n - 1))
+    np.cumsum(steps, out=steps)
     return SampledPath(np.linspace(0.0, horizon, n), values)
 
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from roughtv import pathio
 from roughtv.paths import SampledPath, make_path, tent_path
+
+
+@pytest.fixture(autouse=True)
+def _empty_read_cache(monkeypatch):
+    """Each test starts with an empty `pathio` read cache, so no test reads
+    another's files from it."""
+    monkeypatch.setattr(pathio, "_read_cache", pathio._ReadCache())
 
 
 @pytest.fixture

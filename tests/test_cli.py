@@ -7,6 +7,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
@@ -278,6 +279,34 @@ def test_tv_command(tent_csv, capsys):
     assert '"tv": 1' in stdout
     for key in ("command", "params", "results", "diagnostics", "version"):
         assert f'"{key}"' in stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_tv_reads_a_fifo(tmp_path, capsys):
+    # a pipe can be read only once: it is parsed as it streams, with no
+    # digest pass first, is not kept, and gives the results of a regular
+    # file of the same bytes
+    kept, walk, fifo = tmp_path / "kept.csv", tmp_path / "walk.csv", tmp_path / "walk.fifo"
+    write_path_csv(gen_brownian(300, 1.0, seed=8), kept)
+    write_path_csv(gen_brownian(300, 1.0, seed=9), walk)
+    data = walk.read_bytes()
+    read_path_csv(kept)
+    assert pathio._read_cache.samples == 300
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    code, out, err = run_cli(capsys, "tv", str(fifo), "--delta", "0.01")
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert (code, err) == (0, "") and pathio._read_cache.samples == 300
+    code, regular, err = run_cli(capsys, "tv", str(walk), "--delta", "0.01")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"] == json.loads(regular)["results"]
 
 
 REPORT_ARGVS = {
@@ -1268,11 +1297,12 @@ def _loaded_modules(tmp_path, argv):
         "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
         "import roughtv.cli\n"
+        "hashlib_at_import = 'hashlib' in sys.modules\n"
         f"argv = {list(argv)!r}\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = roughtv.cli.main(argv) if argv else 0\n"
         "print(code, *sorted(m[8:] for m in sys.modules if m.startswith('roughtv.')))\n"
-        "print('numpy.ma' in sys.modules, 'json' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules, 'json' in sys.modules, hashlib_at_import)\n"
     )
     run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                          capture_output=True, text=True, check=True)
@@ -1280,8 +1310,9 @@ def _loaded_modules(tmp_path, argv):
     code, *modules = roughtv_line.split()
     assert code == "0", run.stderr
     # no command needs masked arrays: np.unique (as np.union1d calls it)
-    # loads them; nor json: a report escapes its strings itself
-    assert other_line == "False False"
+    # loads them; nor json: a report escapes its strings itself; and the
+    # read cache imports hashlib on the first named read, not with the CLI
+    assert other_line == "False False False"
     return set(modules)
 
 

@@ -1,6 +1,10 @@
 import csv
 import io
 import math
+import os
+import re
+import sys
+import threading
 import tracemalloc
 import types
 
@@ -202,6 +206,17 @@ def test_brownian_deterministic():
     p2 = gen_brownian(257, 2.0, seed=42)
     assert np.array_equal(p1.values, p2.values)
     assert np.array_equal(p1.times, p2.times)
+
+
+@pytest.mark.parametrize("n, horizon, seed", [
+    (2, 1.0, 5), (3, 2.5, 0), (257, 2.0, 42), (4097, 1e-3, 9), (65536, 1.0, 601), (17, 1e6, 3)])
+def test_brownian_bits_are_the_concatenated_running_sum(n, horizon, seed):
+    # the array filled in place holds the bits of the concatenated steps
+    steps = np.random.default_rng(seed).standard_normal(n - 1) * np.sqrt(horizon / (n - 1))
+    reference = np.concatenate(([0.0], np.cumsum(steps)))
+    p = gen_brownian(n, horizon, seed)
+    assert p.values.tobytes() == reference.tobytes()
+    assert p.times.tobytes() == np.linspace(0.0, horizon, n).tobytes()
 
 
 def test_brownian_increment_variance():
@@ -590,6 +605,8 @@ def test_csv_pieces_match_reference(text, tmp_path, monkeypatch):
         assert _read_outcome(read_path_csv_reference, fh) == want
     for size in range(1, 13):
         monkeypatch.setattr(pathio, "PIECE_BYTES", size)
+        # the file is parsed at every size, not read back from the cache
+        monkeypatch.setattr(pathio, "_read_cache", pathio._ReadCache())
         pieces = list(pathio._pieces(_stream(text)))
         assert b"".join(pieces) == text.encode("utf-8")
         assert all(piece.endswith((b"\n", b"\r")) for piece in pieces[:-1])
@@ -743,6 +760,158 @@ def test_csv_io_memory_is_one_piece(tmp_path):
     assert write_peak <= 2 * 2**20
     assert read_peak <= 4 * 2**20
     assert write_peak <= 1.1 * quarter_peak
+
+
+def _counting_read_rows(monkeypatch):
+    """The file objects `pathio._read_rows` parses from now on, one a call."""
+    parsed = []
+    read_rows = pathio._read_rows
+
+    def counting(fh):
+        parsed.append(fh)
+        return read_rows(fh)
+
+    monkeypatch.setattr(pathio, "_read_rows", counting)
+    return parsed
+
+
+def test_a_second_read_of_the_same_bytes_parses_nothing(tmp_path, monkeypatch):
+    cache = pathio._read_cache
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_path_csv(gen_brownian(3000, 1.0, seed=21), first)
+    second.write_bytes(first.read_bytes())
+    p = read_path_csv(first)
+    parsed = _counting_read_rows(monkeypatch)
+    for mode in (Mode.LINEAR, Mode.STEP):
+        q = read_path_csv(second, mode)
+        assert q.mode is mode
+        assert q.times.tobytes() == p.times.tobytes()
+        assert q.values.tobytes() == p.values.tobytes()
+        assert not q.times.flags.writeable and not q.values.flags.writeable
+    assert parsed == []
+    assert cache.samples == 3000
+
+
+def test_a_same_size_rewrite_is_parsed_afresh(tmp_path, monkeypatch):
+    # neither the name nor the modification time says the bytes are the same
+    dest = tmp_path / "walk.csv"
+    dest.write_text("t,value\n0,1\n1,2\n")
+    assert read_path_csv(dest).values.tolist() == [1.0, 2.0]
+    info = dest.stat()
+    dest.write_text("t,value\n0,1\n1,3\n")
+    os.utime(dest, ns=(info.st_atime_ns, info.st_mtime_ns))
+    assert dest.stat().st_mtime_ns == info.st_mtime_ns and dest.stat().st_size == info.st_size
+    parsed = _counting_read_rows(monkeypatch)
+    assert read_path_csv(dest).values.tolist() == [1.0, 3.0]
+    assert len(parsed) == 1
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ("t,value\n0,1\n1,x\n", CsvFormatError, "non-numeric row '1,x'"),
+    ("t,value\n0,1\n1,inf\n", NonFiniteValueError, "times and values must be finite"),
+    ("t,value\n0,1\n0,2\n", NonMonotoneTimesError, "times must be strictly increasing"),
+], ids=["parse", "non-finite", "non-monotone"])
+def test_a_rejected_file_is_not_kept(tmp_path, monkeypatch, bad, error, message):
+    cache = pathio._read_cache
+    dest = tmp_path / "bad.csv"
+    dest.write_text(bad)
+    parsed = _counting_read_rows(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            read_path_csv(dest)
+    assert len(parsed) == 2 and cache.samples == 0
+    dest.write_text("t,value\n0,1\n1,2\n")
+    assert read_path_csv(dest).values.tolist() == [1.0, 2.0]
+    assert len(parsed) == 3 and cache.samples == 2
+
+
+def test_the_read_cache_holds_at_most_its_bound(tmp_path, monkeypatch):
+    # least recently used first out; a file of more samples than the bound
+    # is read but not kept
+    cache = pathio._read_cache
+    monkeypatch.setattr(pathio, "READ_CACHE_SAMPLES", 10)
+    files = {}
+    for seed, (name, n) in enumerate((("a", 4), ("b", 4), ("c", 4), ("big", 11))):
+        files[name] = tmp_path / f"{name}.csv"
+        write_path_csv(gen_brownian(n, 1.0, seed=seed), files[name])
+    parsed = _counting_read_rows(monkeypatch)
+    # a, b; a again (kept); c drops b; b drops a; big is not kept and drops
+    # nothing; c and b again; a drops c
+    reads = [("a", 1), ("b", 1), ("a", 0), ("c", 1), ("b", 1), ("big", 1), ("c", 0), ("b", 0),
+             ("a", 1), ("b", 0), ("c", 1)]
+    for name, parses in reads:
+        before = len(parsed)
+        read_path_csv(files[name])
+        assert (name, len(parsed) - before) == (name, parses)
+        assert cache.samples <= pathio.READ_CACHE_SAMPLES
+    assert cache.samples == 8
+
+
+def test_the_default_read_cache_keeps_a_65536_sample_walk(tmp_path):
+    dest = tmp_path / "walk.csv"
+    write_path_csv(gen_brownian(65536, 1.0, seed=4), dest)
+    read_path_csv(dest)
+    assert pathio._read_cache.samples == 65536
+
+
+def test_a_file_rewritten_between_the_passes_is_kept_under_the_parsed_bytes(
+        tmp_path, monkeypatch):
+    cache = pathio._read_cache
+    dest, twin = tmp_path / "walk.csv", tmp_path / "twin.csv"
+    old, new, late = (b"t,value\n0,1\n1,%d\n" % k for k in (2, 3, 4))
+    dest.write_bytes(old)
+    read_path_csv(dest)
+    # the same size as a kept file, so a digest pass reads `new` and misses;
+    # the file then changes before the parse pass reads it
+    dest.write_bytes(new)
+    read_rows = pathio._read_rows
+
+    def rewrite_then_read(fh):
+        dest.write_bytes(late)
+        return read_rows(fh)
+
+    monkeypatch.setattr(pathio, "_read_rows", rewrite_then_read)
+    assert read_path_csv(dest).values.tolist() == [1.0, 4.0]
+    # `late` and `old` are kept under their own bytes, `new` is not
+    parsed = _counting_read_rows(monkeypatch)
+    for data, value, parses in ((late, 4.0, 0), (old, 2.0, 0), (new, 3.0, 1)):
+        twin.write_bytes(data)
+        assert read_path_csv(twin).values.tolist() == [1.0, value]
+        assert len(parsed) == parses
+
+
+def test_the_read_cache_is_consistent_under_threads(tmp_path, monkeypatch):
+    # readers of several files, on a cache that holds two of them, never
+    # see another file's columns and leave the counts consistent
+    cache = pathio._read_cache
+    monkeypatch.setattr(pathio, "READ_CACHE_SAMPLES", 2 * 64)
+    paths = [gen_brownian(64, 1.0, seed=k) for k in range(4)]
+    for k, p in enumerate(paths):
+        write_path_csv(p, tmp_path / f"{k}.csv")
+    errors = []
+
+    def reader(k):
+        try:
+            for j in range(40):
+                q = read_path_csv(tmp_path / f"{(k + j) % 4}.csv")
+                assert q.values.tobytes() == paths[(k + j) % 4].values.tobytes()
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    entries = cache._entries.values()
+    assert cache.samples == sum(times.size for _, times, _ in entries) <= 2 * 64
+    assert sum(cache._sizes.values()) == len(entries)
 
 
 def test_csv_header_only_is_length_mismatch():

@@ -308,7 +308,8 @@ def _read_rows_stripping_every_line(fh):
         offset += len(piece)
     if header is None:
         raise CsvFormatError("empty CSV")
-    return np.concatenate(blocks or [np.empty((0, 2))])
+    data = np.concatenate(blocks or [np.empty((0, 2))])
+    return data[:, 0], data[:, 1]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
